@@ -15,7 +15,7 @@ use std::sync::Arc;
 use velox_batch::AlsConfig;
 use velox_bench::{fmt_us, measure, print_header, print_row, FixtureRng};
 use velox_core::{Item, Velox, VeloxConfig};
-use velox_linalg::{IncrementalRidge, RidgeProblem, Vector};
+use velox_linalg::{IncrementalRidge, Matrix, RidgeProblem, Vector};
 use velox_models::MatrixFactorizationModel;
 use velox_online::{UpdateStrategy, UserOnlineModel};
 use velox_storage::codec::{decode_vector_table, encode_vector_table};
@@ -100,6 +100,41 @@ fn bench_kernels() {
             std::hint::black_box(a.dot(b).unwrap());
         });
         print_row(&row(&format!("kernels/dot_product/{d}"), &s));
+    }
+
+    // The serving dimensions of the benchmark workloads: the mat-vec, the
+    // fused rank-one update and the blocked bandit variance, all on a warm
+    // (cache-resident) A⁻¹.
+    for &d in &[50usize, 200] {
+        let mut rng = FixtureRng::new(1000 + d as u64);
+        let xs: Vec<Vector> = (0..100).map(|_| rng.vector(d)).collect();
+        let mut inc = IncrementalRidge::new(d, 1.0);
+        for x in &xs {
+            inc.observe(x, 1.0).unwrap();
+        }
+
+        let mut out = Vec::with_capacity(d);
+        let mut i = 0;
+        let s = measure(10, 200, || {
+            inc.a_inv().matvec_into(&xs[i % xs.len()], &mut out).unwrap();
+            std::hint::black_box(&out);
+            i += 1;
+        });
+        print_row(&row(&format!("kernels/matvec/{d}"), &s));
+
+        let s = measure(10, 200, || {
+            inc.observe(&xs[i % xs.len()], 1.0).unwrap();
+            i += 1;
+        });
+        print_row(&row(&format!("kernels/sm_update/{d}"), &s));
+
+        if d == 200 {
+            let candidates = Matrix::from_rows(&xs).unwrap();
+            let s = measure(3, 50, || {
+                std::hint::black_box(inc.variance_many(&candidates).unwrap());
+            });
+            print_row(&row(&format!("kernels/variance_many/k100/{d}"), &s));
+        }
     }
 }
 

@@ -187,7 +187,7 @@ impl EnsembleSelector {
         let (idx, &w) = weights
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights are finite"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty ensemble");
         (self.members[idx].name.clone(), w)
     }

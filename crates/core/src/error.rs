@@ -17,6 +17,10 @@ pub enum VeloxError {
     Storage(StorageError),
     /// A `topK` call with an empty candidate set.
     EmptyCandidateSet,
+    /// A label or raw feature value in the request is NaN or ±∞ (names the
+    /// field). Rejected at the API boundary: folded into a user's moments
+    /// it would turn their weights non-finite for good.
+    NonFiniteInput(&'static str),
     /// Rollback target version not retained.
     VersionNotFound(u64),
     /// Offline retraining failed.
@@ -41,6 +45,7 @@ impl std::fmt::Display for VeloxError {
             VeloxError::Numeric(e) => write!(f, "numeric error: {e}"),
             VeloxError::Storage(e) => write!(f, "storage error: {e}"),
             VeloxError::EmptyCandidateSet => write!(f, "topK requires a non-empty candidate set"),
+            VeloxError::NonFiniteInput(field) => write!(f, "{field} must be finite"),
             VeloxError::VersionNotFound(v) => write!(f, "model version {v} not retained"),
             VeloxError::RetrainFailed(why) => write!(f, "offline retraining failed: {why}"),
             VeloxError::RetrainInProgress => write!(f, "an offline retrain is already in flight"),

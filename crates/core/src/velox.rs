@@ -11,7 +11,7 @@ use velox_bandit::{
 };
 use velox_batch::JobExecutor;
 use velox_cluster::{Cluster, ClusterStats, FaultPlan, NodeHealth};
-use velox_linalg::Vector;
+use velox_linalg::{Matrix, Vector};
 use velox_models::{Item, ModelError, TrainingExample, VeloxModel};
 use velox_obs::{Counter, EventKind, Histogram, Registry, SpanTimer, Timer, TimerMode};
 use velox_online::{
@@ -541,6 +541,7 @@ impl Velox {
         at_node: usize,
         item: &Item,
     ) -> Result<(Vector, f64), VeloxError> {
+        Self::check_finite_item(item)?;
         if model.is_materialized() {
             // Materialized: the θ table lives in the cluster, sharded, with
             // per-node hot-item caches.
@@ -576,6 +577,15 @@ impl Velox {
                 }
                 Item::Raw(_) => Ok((model.features(item)?, 0.0)),
             }
+        }
+    }
+
+    /// Raw feature payloads come straight from the request: a NaN or ±∞ in
+    /// one would reach the user's `A⁻¹` and weights through `observe`.
+    fn check_finite_item(item: &Item) -> Result<(), VeloxError> {
+        match item {
+            Item::Raw(x) if !x.is_finite() => Err(VeloxError::NonFiniteInput("features")),
+            _ => Ok(()),
         }
     }
 
@@ -768,14 +778,23 @@ impl Velox {
         let wants_uncertainty = self.bandit.lock().unwrap().wants_uncertainty();
         let online = if wants_uncertainty { self.user_state.get(uid) } else { None };
 
-        let mut scores = Vec::with_capacity(items.len());
         let mut candidates = Vec::with_capacity(items.len());
-        for item in items {
+        // Candidates scored from features rather than the prediction cache,
+        // kept only when their variance will be read: their indices, and
+        // their features copied row after row into one buffer. (Holding the
+        // hundred feature vectors themselves until the loop ends leaves the
+        // heap a comb of 1.6 KB holes between the cache entries inserted
+        // meanwhile, and every later feature or weight clone pays for it.)
+        // Cached candidates keep variance 0 — cheaper to treat them as
+        // exploitation-only than to recover their features.
+        let mut missed: Vec<usize> = Vec::new();
+        let mut missed_features: Vec<f64> = Vec::new();
+        for (idx, item) in items.iter().enumerate() {
             let key = Self::item_cache_id(item).map(|id| (uid, id, user_version, model_version));
-            let (score, features) = match key.and_then(|k| self.prediction_cache.get(&k)) {
+            let score = match key.and_then(|k| self.prediction_cache.get(&k)) {
                 Some(score) => {
                     cached += 1;
-                    (score, None)
+                    score
                 }
                 None => {
                     let (features, f_cost) =
@@ -787,26 +806,40 @@ impl Velox {
                     if let (Some(k), false, true) = (key, bootstrapped, Self::cacheable(level)) {
                         self.prediction_cache.put(k, score);
                     }
-                    (score, Some(features))
+                    if online.is_some() {
+                        if missed.is_empty() {
+                            missed_features.reserve((items.len() - idx) * features.len());
+                        }
+                        missed.push(idx);
+                        missed_features.extend_from_slice(features.as_slice());
+                    }
+                    score
                 }
             };
-            let variance = match (&online, &features) {
-                (Some(state), Some(f)) => state.lock().unwrap().variance(f).unwrap_or(0.0),
-                // Cached-score path: recover features only if a bandit with
-                // exploration is active and state exists; cheaper to treat
-                // cached items as exploitation-only.
-                _ => 0.0,
-            };
-            scores.push(score);
-            candidates.push(Candidate { score, variance });
+            candidates.push(Candidate { score, variance: 0.0 });
+        }
+        // One lock for the whole candidate set: every variance comes from
+        // the same `A⁻¹`, which the blocked kernel streams once per block
+        // of candidates instead of once per candidate.
+        if let (Some(state), false) = (&online, missed.is_empty()) {
+            // The dot above held every row to the weights' length.
+            let rows = Matrix::from_row_major(missed.len(), weights.len(), missed_features)?;
+            if let Ok(variances) = state.lock().unwrap().variance_many(&rows) {
+                for (&idx, variance) in missed.iter().zip(variances) {
+                    candidates[idx].variance = variance;
+                }
+            }
         }
         // Batched (two atomic adds per call, not two per candidate) to keep
         // the fully-cached hot loop free of per-item metric traffic.
         self.pred_cache_hits.add(cached as u64);
         self.pred_cache_misses.add((items.len() - cached) as u64);
 
-        let mut ranked: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("scores are finite"));
+        let mut ranked: Vec<(usize, f64)> =
+            candidates.iter().map(|c| c.score).enumerate().collect();
+        // `total_cmp`: a total order even over NaN, so a poisoned score can
+        // misrank but never panic the serving thread.
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
 
         // Validation randomization takes precedence over the policy.
         let (served, randomized) =
@@ -831,6 +864,11 @@ impl Velox {
     /// (optionally) triggers offline retraining on staleness.
     pub fn observe(&self, uid: u64, item: &Item, y: f64) -> Result<ObserveOutcome, VeloxError> {
         let _span = SpanTimer::with_mode(&self.observe_latency, self.timer_mode);
+        // Before anything is logged, deferred or folded into the moments.
+        if !y.is_finite() {
+            return Err(VeloxError::NonFiniteInput("y"));
+        }
+        Self::check_finite_item(item)?;
         let node = self.cluster.route_request(uid);
         self.publish_fault_transitions();
 

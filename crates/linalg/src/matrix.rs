@@ -7,7 +7,7 @@
 //! "one row = one entity's vector" a contiguous slice, which is the access
 //! pattern of every serving and update path.
 
-use crate::vector::{dot_slices, Vector};
+use crate::vector::{dot_slices, dot_slices_x4, Vector};
 use crate::{LinalgError, Result};
 
 /// A dense, row-major `f64` matrix.
@@ -101,6 +101,12 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Rows `r..r + 4`, the operand shape of `dot_slices_x4`.
+    #[inline]
+    pub(crate) fn row_block(&self, r: usize) -> [&[f64]; 4] {
+        [self.row(r), self.row(r + 1), self.row(r + 2), self.row(r + 3)]
+    }
+
     /// Mutably borrow row `r`.
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
@@ -132,6 +138,17 @@ impl Matrix {
 
     /// Matrix–vector product `A x`.
     pub fn matvec(&self, x: &Vector) -> Result<Vector> {
+        let mut out = Vec::with_capacity(self.rows);
+        self.matvec_into(x, &mut out)?;
+        Ok(Vector::from_vec(out))
+    }
+
+    /// Matrix–vector product `A x` written into a caller-owned buffer
+    /// (cleared first; no allocation once `out` has capacity `rows`).
+    ///
+    /// Row-blocked: four rows share one load of `x`. Element `r` equals
+    /// `dot_slices(self.row(r), x)` in every bit.
+    pub fn matvec_into(&self, x: &Vector, out: &mut Vec<f64>) -> Result<()> {
         if x.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 op: "matvec",
@@ -140,11 +157,15 @@ impl Matrix {
             });
         }
         let xs = x.as_slice();
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
+        out.clear();
+        let blocked = self.rows - self.rows % 4;
+        for r in (0..blocked).step_by(4) {
+            out.extend_from_slice(&dot_slices_x4(xs, self.row_block(r)));
+        }
+        for r in blocked..self.rows {
             out.push(dot_slices(self.row(r), xs));
         }
-        Ok(Vector::from_vec(out))
+        Ok(())
     }
 
     /// Transposed matrix–vector product `Aᵀ x`.

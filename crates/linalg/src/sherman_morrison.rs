@@ -23,7 +23,7 @@
 //! both the online learner and LinUCB.
 
 use crate::matrix::Matrix;
-use crate::vector::Vector;
+use crate::vector::{dot_slices, dot_slices_x4, Vector};
 use crate::{LinalgError, Result};
 
 /// An incrementally-maintained ridge regression.
@@ -37,8 +37,11 @@ pub struct IncrementalRidge {
     a_inv: Matrix,
     /// `Xᵀ y`.
     b: Vector,
-    /// Current solution `A⁻¹ b`, refreshed on each update.
+    /// Current solution `A⁻¹ b`, refreshed in place on each update.
     w: Vector,
+    /// Scratch for `u = A⁻¹ x`, reused across updates so a steady-state
+    /// `observe` allocates nothing.
+    u: Vec<f64>,
     lambda: f64,
     n_obs: usize,
 }
@@ -53,7 +56,14 @@ impl IncrementalRidge {
         assert!(lambda > 0.0, "ridge lambda must be positive");
         let mut a_inv = Matrix::identity(d);
         a_inv.scale(1.0 / lambda);
-        IncrementalRidge { a_inv, b: Vector::zeros(d), w: Vector::zeros(d), lambda, n_obs: 0 }
+        IncrementalRidge {
+            a_inv,
+            b: Vector::zeros(d),
+            w: Vector::zeros(d),
+            u: Vec::with_capacity(d),
+            lambda,
+            n_obs: 0,
+        }
     }
 
     /// Reconstructs an incremental model from batch sufficient statistics
@@ -74,7 +84,8 @@ impl IncrementalRidge {
         let ch = crate::cholesky::Cholesky::factor(&a)?;
         let a_inv = ch.inverse()?;
         let w = a_inv.matvec(xty)?;
-        Ok(IncrementalRidge { a_inv, b: xty.clone(), w, lambda, n_obs })
+        let u = Vec::with_capacity(xty.len());
+        Ok(IncrementalRidge { a_inv, b: xty.clone(), w, u, lambda, n_obs })
     }
 
     /// Feature dimension.
@@ -97,6 +108,12 @@ impl IncrementalRidge {
         &self.w
     }
 
+    /// Borrow the moment vector `b = Xᵀy` (plus any prior set through
+    /// [`reset_moments`](Self::reset_moments)).
+    pub fn moments(&self) -> &Vector {
+        &self.b
+    }
+
     /// Borrow the maintained inverse `A⁻¹` (the bandit layer's covariance
     /// proxy).
     pub fn a_inv(&self) -> &Matrix {
@@ -115,8 +132,53 @@ impl IncrementalRidge {
         x.dot(&ax)
     }
 
+    /// [`variance`](Self::variance) for a whole candidate set, one candidate
+    /// per row of `xs`: `out[c]` equals the variance of row `c` in every bit.
+    ///
+    /// Candidates go four at a time through `dot_slices_x4`, so each row
+    /// of `A⁻¹` is loaded once per block instead of once per candidate, and
+    /// one scratch buffer serves the whole call.
+    pub fn variance_many(&self, xs: &Matrix) -> Result<Vec<f64>> {
+        let d = self.dim();
+        if xs.cols() != d {
+            return Err(LinalgError::DimensionMismatch {
+                op: "IncrementalRidge::variance_many",
+                expected: d,
+                actual: xs.cols(),
+            });
+        }
+        let mut out = Vec::with_capacity(xs.rows());
+        // `A⁻¹ x` for the block in flight, one candidate per `d`-stripe.
+        let mut ax = vec![0.0; 4 * d];
+        let blocked = xs.rows() - xs.rows() % 4;
+        for c in (0..blocked).step_by(4) {
+            let block = xs.row_block(c);
+            for i in 0..d {
+                let dots = dot_slices_x4(self.a_inv.row(i), block);
+                for (stripe, dot) in dots.into_iter().enumerate() {
+                    ax[stripe * d + i] = dot;
+                }
+            }
+            for (stripe, x) in block.into_iter().enumerate() {
+                out.push(dot_slices(x, &ax[stripe * d..(stripe + 1) * d]));
+            }
+        }
+        for c in blocked..xs.rows() {
+            let x = xs.row(c);
+            for (i, axi) in ax[..d].iter_mut().enumerate() {
+                *axi = dot_slices(self.a_inv.row(i), x);
+            }
+            out.push(dot_slices(x, &ax[..d]));
+        }
+        Ok(out)
+    }
+
     /// Folds in one observation `(x, y)` with a Sherman–Morrison rank-one
-    /// update. O(d²).
+    /// update. O(d²), two passes over `A⁻¹`: one for `u = A⁻¹x`, one that
+    /// applies `−u uᵀ/denom` to a block of rows and dots the finished rows
+    /// with `b` while they are still in cache. The arithmetic — and so every
+    /// bit of `A⁻¹`, `b` and `w` — is that of the textbook three-pass form
+    /// (`matvec`, `add_outer`, `matvec`).
     pub fn observe(&mut self, x: &Vector, y: f64) -> Result<()> {
         let d = self.dim();
         if x.len() != d {
@@ -127,18 +189,40 @@ impl IncrementalRidge {
             });
         }
         // u = A⁻¹ x   (A⁻¹ is symmetric, so xᵀA⁻¹ = uᵀ)
-        let u = self.a_inv.matvec(x)?;
-        let denom = 1.0 + x.dot(&u)?;
+        self.a_inv.matvec_into(x, &mut self.u)?;
+        let denom = 1.0 + dot_slices(x.as_slice(), &self.u);
         // denom = 1 + xᵀA⁻¹x > 0 always holds for SPD A, but guard against
         // accumulated round-off driving it non-positive.
         if denom <= 0.0 || !denom.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
         }
-        // A⁻¹ ← A⁻¹ − u uᵀ / denom
-        self.a_inv.add_outer(-1.0 / denom, &u)?;
-        // b ← b + y x ; w = A⁻¹ b
+        // b ← b + y x
         self.b.axpy(y, x)?;
-        self.w = self.a_inv.matvec(&self.b)?;
+        // A⁻¹ ← A⁻¹ − u uᵀ / denom ; w = A⁻¹ b — four rows updated, then
+        // dotted with b while they are still in L1.
+        let alpha = -1.0 / denom;
+        let (u, b, w) = (self.u.as_slice(), self.b.as_slice(), self.w.as_mut_slice());
+        let update_row = |a_inv: &mut Matrix, i: usize| {
+            let ui = alpha * u[i];
+            // Skipping a zero multiplier (rather than adding ±0) is part of
+            // the bit contract: `-0.0 + 0.0` would flip a sign bit.
+            if ui != 0.0 {
+                for (a, &uj) in a_inv.row_mut(i).iter_mut().zip(u) {
+                    *a += ui * uj;
+                }
+            }
+        };
+        let blocked = d - d % 4;
+        for i in (0..blocked).step_by(4) {
+            for r in i..i + 4 {
+                update_row(&mut self.a_inv, r);
+            }
+            w[i..i + 4].copy_from_slice(&dot_slices_x4(b, self.a_inv.row_block(i)));
+        }
+        for (i, wi) in w.iter_mut().enumerate().skip(blocked) {
+            update_row(&mut self.a_inv, i);
+            *wi = dot_slices(self.a_inv.row(i), b);
+        }
         self.n_obs += 1;
         Ok(())
     }

@@ -1,0 +1,239 @@
+//! Bit-identity of the dense kernels against the scalar formulas they
+//! replaced.
+//!
+//! The vectorised `dot_slices`, the row-blocked `matvec_into`, the blocked
+//! `variance_many` and the fused two-pass Sherman–Morrison update promise
+//! the *same bits* (`f64::to_bits`) as the old one-element-at-a-time code:
+//! served scores, bandit choices and the benchmark's verification checksum
+//! all hang off that. The old formulas live on here, and only here, as the
+//! reference.
+//!
+//! The root package's `tests/kernel_bits.rs` mounts this file as a module, so tier-1
+//! `cargo test -q` runs the suite too.
+
+// The references are the old indexed loops, kept as they were.
+#![allow(clippy::needless_range_loop)]
+
+use velox_data::VeloxRng;
+use velox_linalg::vector::dot_slices;
+use velox_linalg::{IncrementalRidge, Matrix, Vector};
+
+/// Model dimensions: multiples of four, `d mod 4 ∈ {2, 3}`, and the two
+/// benchmark dimensions.
+const DIMS: [usize; 5] = [16, 20, 50, 200, 203];
+
+/// The pre-vectorisation `dot_slices`, verbatim: four scalar accumulators,
+/// indexed loads, `(s0 + s1) + (s2 + s3) + tail`.
+fn ref_dot(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let n = a.len();
+    let chunks = n / 4;
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for i in 0..chunks {
+        let k = i * 4;
+        s0 += a[k] * b[k];
+        s1 += a[k + 1] * b[k + 1];
+        s2 += a[k + 2] * b[k + 2];
+        s3 += a[k + 3] * b[k + 3];
+    }
+    let mut tail = 0.0;
+    for k in (chunks * 4)..n {
+        tail += a[k] * b[k];
+    }
+    (s0 + s1) + (s2 + s3) + tail
+}
+
+/// `A x`, one reference dot per row.
+fn ref_matvec(a: &[f64], cols: usize, x: &[f64]) -> Vec<f64> {
+    if cols == 0 {
+        return Vec::new();
+    }
+    a.chunks_exact(cols).map(|row| ref_dot(row, x)).collect()
+}
+
+/// The three-pass Sherman–Morrison update as it was written before the
+/// fused pass: `u = A⁻¹x`; `A⁻¹ += (−1/denom)·u uᵀ`; `b += y·x`; `w = A⁻¹b`.
+struct RefRidge {
+    d: usize,
+    a_inv: Vec<f64>,
+    b: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl RefRidge {
+    fn new(d: usize, lambda: f64) -> Self {
+        let mut a_inv = vec![0.0; d * d];
+        for i in 0..d {
+            a_inv[i * d + i] = 1.0;
+        }
+        for v in &mut a_inv {
+            *v *= 1.0 / lambda;
+        }
+        RefRidge { d, a_inv, b: vec![0.0; d], w: vec![0.0; d] }
+    }
+
+    fn observe(&mut self, x: &[f64], y: f64) {
+        let d = self.d;
+        let u = ref_matvec(&self.a_inv, d, x);
+        let denom = 1.0 + ref_dot(x, &u);
+        assert!(denom > 0.0 && denom.is_finite());
+        let alpha = -1.0 / denom;
+        for i in 0..d {
+            let ui = alpha * u[i];
+            if ui == 0.0 {
+                continue;
+            }
+            for j in 0..d {
+                self.a_inv[i * d + j] += ui * u[j];
+            }
+        }
+        for j in 0..d {
+            self.b[j] += y * x[j];
+        }
+        self.w = ref_matvec(&self.a_inv, d, &self.b);
+    }
+
+    fn variance(&self, x: &[f64]) -> f64 {
+        ref_dot(x, &ref_matvec(&self.a_inv, self.d, x))
+    }
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Values with mixed signs and magnitudes, plus the occasional exact and
+/// negative zero (the sign of a zero is a bit too).
+fn values(rng: &mut VeloxRng, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|_| match rng.below(16) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.range(-1e-3, 1e-3),
+            _ => rng.range(-4.0, 4.0),
+        })
+        .collect()
+}
+
+/// A reference model and the real one fed the same `n` observations.
+fn trained_pair(d: usize, n: usize, seed: u64) -> (RefRidge, IncrementalRidge, VeloxRng) {
+    let mut rng = VeloxRng::seed_from(seed);
+    let (mut reference, mut ridge) = (RefRidge::new(d, 0.5), IncrementalRidge::new(d, 0.5));
+    for _ in 0..n {
+        let x = values(&mut rng, d);
+        let y = rng.range(-2.0, 2.0);
+        reference.observe(&x, y);
+        ridge.observe(&Vector::from_vec(x), y).unwrap();
+    }
+    (reference, ridge, rng)
+}
+
+#[test]
+fn dot_slices_keeps_the_scalar_kernels_bits() {
+    let mut rng = VeloxRng::seed_from(0xD07_0001);
+    for len in 0..=67 {
+        for _ in 0..8 {
+            let (a, b) = (values(&mut rng, len), values(&mut rng, len));
+            assert_eq!(dot_slices(&a, &b).to_bits(), ref_dot(&a, &b).to_bits(), "len {len}");
+            let (va, vb) = (Vector::from_vec(a.clone()), Vector::from_vec(b));
+            assert_eq!(va.dot(&vb).unwrap().to_bits(), dot_slices(&a, vb.as_slice()).to_bits());
+        }
+    }
+}
+
+#[test]
+fn matvec_and_matvec_into_keep_the_scalar_kernels_bits() {
+    let mut rng = VeloxRng::seed_from(0xD07_0002);
+    // Square at the model dimensions, then every row-block remainder
+    // against every column remainder.
+    let square = DIMS.iter().map(|&d| (d, d));
+    let ragged = (0..=9).flat_map(|rows| (0..=9).map(move |cols| (rows, cols)));
+    let mut out = vec![f64::NAN; 7]; // stale contents must not leak through
+    for (rows, cols) in square.chain(ragged) {
+        let a = values(&mut rng, rows * cols);
+        let x = values(&mut rng, cols);
+        let want = if cols == 0 { vec![0.0; rows] } else { ref_matvec(&a, cols, &x) };
+        let m = Matrix::from_row_major(rows, cols, a).unwrap();
+        let x = Vector::from_vec(x);
+        assert_eq!(bits(m.matvec(&x).unwrap().as_slice()), bits(&want), "{rows}x{cols}");
+        m.matvec_into(&x, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&want), "{rows}x{cols} into");
+    }
+    let m = Matrix::zeros(3, 4);
+    assert!(m.matvec_into(&Vector::zeros(3), &mut out).is_err());
+}
+
+#[test]
+fn variance_many_matches_variance_and_the_scalar_formula() {
+    for (i, &d) in DIMS.iter().enumerate() {
+        let (reference, ridge, mut rng) = trained_pair(d, 24, 0xD07_0100 + i as u64);
+        // Block remainders 0–3, with and without a full block in front.
+        for k in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 13] {
+            let xs = Matrix::from_row_major(k, d, values(&mut rng, k * d)).unwrap();
+            let many = ridge.variance_many(&xs).unwrap();
+            assert_eq!(many.len(), k);
+            for (c, v) in many.iter().enumerate() {
+                let one = ridge.variance(&xs.row_vector(c)).unwrap();
+                assert_eq!(v.to_bits(), one.to_bits(), "d {d} k {k}");
+                assert_eq!(v.to_bits(), reference.variance(xs.row(c)).to_bits(), "d {d} k {k}");
+            }
+        }
+        assert!(ridge.variance_many(&Matrix::zeros(2, d + 1)).is_err());
+    }
+    // A zero-dimensional model has zero variance everywhere, block or not.
+    let empty = IncrementalRidge::new(0, 1.0);
+    assert_eq!(empty.variance_many(&Matrix::zeros(5, 0)).unwrap(), vec![0.0; 5]);
+}
+
+#[test]
+fn fused_update_trajectory_equals_the_three_pass_formula() {
+    for (i, &d) in DIMS.iter().enumerate() {
+        // 500 updates where that is cheap; the d ≈ 200 models take the
+        // same code path through fewer of them.
+        let updates = if d <= 50 { 500 } else { 40 };
+        let mut rng = VeloxRng::seed_from(0xD07_0200 + i as u64);
+        let (mut reference, mut ridge) = (RefRidge::new(d, 0.5), IncrementalRidge::new(d, 0.5));
+        for step in 0..updates {
+            let mut x = values(&mut rng, d);
+            if step % 7 == 0 {
+                // A feature the model has never seen move: its row of the
+                // update is skipped, not added as ±0.
+                x[step % d] = 0.0;
+            }
+            let y = rng.range(-2.0, 2.0);
+            reference.observe(&x, y);
+            ridge.observe(&Vector::from_vec(x), y).unwrap();
+            assert_eq!(
+                bits(ridge.weights().as_slice()),
+                bits(&reference.w),
+                "w, d {d} step {step}"
+            );
+            assert_eq!(
+                bits(ridge.moments().as_slice()),
+                bits(&reference.b),
+                "b, d {d} step {step}"
+            );
+            if step % 25 == 0 || step + 1 == updates {
+                assert_eq!(
+                    bits(ridge.a_inv().as_slice()),
+                    bits(&reference.a_inv),
+                    "A⁻¹, d {d} step {step}"
+                );
+            }
+        }
+        assert_eq!(ridge.n_obs(), updates);
+    }
+}
+
+#[test]
+fn a_rejected_update_leaves_the_model_untouched() {
+    let (_, mut ridge, _) = trained_pair(20, 10, 0xD07_0300);
+    let before = ridge.clone();
+    assert!(ridge.observe(&Vector::zeros(19), 1.0).is_err());
+    // 1 + xᵀA⁻¹x overflows: the guard fires before any state is written.
+    assert!(ridge.observe(&Vector::filled(20, 1e200), 1.0).is_err());
+    assert_eq!(bits(ridge.a_inv().as_slice()), bits(before.a_inv().as_slice()));
+    assert_eq!(bits(ridge.moments().as_slice()), bits(before.moments().as_slice()));
+    assert_eq!(bits(ridge.weights().as_slice()), bits(before.weights().as_slice()));
+    assert_eq!(ridge.n_obs(), before.n_obs());
+}

@@ -20,7 +20,7 @@
 //! observations blend data evidence with the prior in the standard Bayesian
 //! linear-regression way.
 
-use velox_linalg::{IncrementalRidge, LinalgError, RidgeProblem, Vector};
+use velox_linalg::{IncrementalRidge, LinalgError, Matrix, RidgeProblem, Vector};
 
 /// Which algorithm maintains the user weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,15 +142,29 @@ impl UserOnlineModel {
     /// (cached inverse); O(d³) for naive (fresh factorization), one more
     /// reason the serving path prefers the incremental strategy.
     pub fn variance(&self, x: &Vector) -> Result<f64, LinalgError> {
+        let row = Matrix::from_row_major(1, x.len(), x.as_slice().to_vec())?;
+        Ok(self.variance_many(&row)?[0])
+    }
+
+    /// The variance proxy of every candidate (one per row of `xs`), under
+    /// one borrow of the state. The Sherman–Morrison path streams `A⁻¹`
+    /// once per block of candidates (`IncrementalRidge::variance_many`,
+    /// bit-equal to scoring them one at a time); the naive path factors
+    /// `FᵀF + λI` once for the whole set.
+    pub fn variance_many(&self, xs: &Matrix) -> Result<Vec<f64>, LinalgError> {
         match &self.inner {
             Inner::Naive { problem, .. } => {
                 let mut a = problem.gram().clone();
                 a.add_scaled_identity(problem.lambda())?;
                 let ch = velox_linalg::Cholesky::factor(&a)?;
-                let z = ch.solve(x)?;
-                x.dot(&z)
+                (0..xs.rows())
+                    .map(|c| {
+                        let x = xs.row_vector(c);
+                        x.dot(&ch.solve(&x)?)
+                    })
+                    .collect()
             }
-            Inner::Incremental(inc) => inc.variance(x),
+            Inner::Incremental(inc) => inc.variance_many(xs),
         }
     }
 }

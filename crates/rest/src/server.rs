@@ -299,6 +299,7 @@ fn velox_error(e: &VeloxError) -> (u16, String) {
         VeloxError::ModelNotFound(_) => 404,
         VeloxError::Model(_)
         | VeloxError::EmptyCandidateSet
+        | VeloxError::NonFiniteInput(_)
         | VeloxError::VersionNotFound(_)
         | VeloxError::DurabilityDisabled => 400,
         VeloxError::Unavailable(_) => 503,
@@ -905,6 +906,10 @@ fn dispatch_cluster(
             ) else {
                 return (400, error_json("body must contain uid, item_id, and y"));
             };
+            // JSON has no ±∞, but `1e999` parses to one.
+            if !y.is_finite() {
+                return (400, error_json("y must be finite"));
+            }
             let tracer = cluster.tracer();
             let root = tracer.ingress(SpanKind::RestRequest, FRONT_NODE);
             let ctx = root.as_ref().map(|r| r.ctx());

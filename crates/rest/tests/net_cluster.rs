@@ -2,6 +2,8 @@
 //! routes dispatch over the `Transport` trait, so the same HTTP surface
 //! serves the in-process simulator and `velox-net`'s loopback runtime.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -136,6 +138,23 @@ fn same_routes_serve_the_in_process_simulator() {
     let p = client.cluster_predict(3, 2).expect("sim predict over REST");
     assert!(!p.cold_start);
     assert!(p.score.is_finite());
+
+    // `1e999` is valid JSON that parses to +∞: a 400, and the weights it
+    // would have poisoned still serve the same score.
+    let body = r#"{"uid": 3, "item_id": 2, "y": 1e999}"#;
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    write!(
+        stream,
+        "POST /cluster/observe HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("receive");
+    assert!(response.starts_with("HTTP/1.1 400"), "non-finite y must be a 400: {response}");
+    assert!(response.contains("finite"));
+    let again = client.cluster_predict(3, 2).expect("predict after the rejected observe");
+    assert_eq!(again.score.to_bits(), p.score.to_bits());
     assert_eq!(client.cluster_health().expect("health"), vec!["up", "up", "up"]);
     handle.shutdown();
 }

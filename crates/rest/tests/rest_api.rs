@@ -110,6 +110,43 @@ fn raw_features_flow() {
     handle.shutdown();
 }
 
+/// `1e999` is valid JSON and parses to +∞. As a label it used to poison the
+/// user's weights and panic the next `topk`; as a label or a raw feature it
+/// is now a 400 that changes nothing.
+#[test]
+fn non_finite_numbers_are_a_400_and_change_nothing() {
+    let (handle, addr) = start();
+    let (status, _) =
+        call(addr, "POST", "/models/songs/observe", r#"{"uid": 4, "item_id": 3, "y": 2.0}"#);
+    assert_eq!(status, 200);
+    let (_, before) = call(addr, "POST", "/models/songs/predict", r#"{"uid": 4, "item_id": 3}"#);
+    let score = before.get("score").unwrap().as_f64().unwrap();
+
+    for (route, body) in [
+        ("observe", r#"{"uid": 4, "item_id": 3, "y": 1e999}"#),
+        ("observe", r#"{"uid": 4, "item_id": 3, "y": -1e999}"#),
+        ("observe", r#"{"uid": 4, "features": [1e999, 0.0], "y": 1.0}"#),
+        ("predict", r#"{"uid": 4, "features": [0.5, -1e999]}"#),
+    ] {
+        let (status, err) = call(addr, "POST", &format!("/models/songs/{route}"), body);
+        assert_eq!(status, 400, "{route} {body}");
+        assert!(err.get("error").unwrap().as_str().unwrap().contains("finite"), "{err:?}");
+    }
+
+    // Weights and version untouched: still a cache hit, same score.
+    let (_, after) = call(addr, "POST", "/models/songs/predict", r#"{"uid": 4, "item_id": 3}"#);
+    assert_eq!(after.get("cached").unwrap().as_bool(), Some(true));
+    assert_eq!(after.get("score").unwrap().as_f64(), Some(score));
+    // A⁻¹ untouched: the user's top-k still ranks finite scores.
+    let (status, body) =
+        call(addr, "POST", "/models/songs/topk", r#"{"uid": 4, "item_ids": [0, 1, 2, 3, 4, 5]}"#);
+    assert_eq!(status, 200);
+    let ranked = body.get("ranked").unwrap().as_array().unwrap();
+    assert_eq!(ranked.len(), 6);
+    assert!(ranked.iter().all(|pair| pair.as_array().unwrap()[1].as_f64().unwrap().is_finite()));
+    handle.shutdown();
+}
+
 #[test]
 fn stats_endpoint() {
     let (handle, addr) = start();

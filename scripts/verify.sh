@@ -8,37 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (offline)"
 cargo build --workspace --release --offline
 
-echo "==> cargo test (offline)"
+# Every suite in the workspace — the root package's tests/ and each crate's
+# unit, integration and doc tests — runs here, once.
+echo "==> cargo test --workspace (offline)"
 cargo test --workspace --release --offline -q
-
-echo "==> failover regression tests (offline)"
-cargo test --release --offline -q --test fault_tolerance
-
-echo "==> durability regression tests (offline)"
-cargo test --release --offline -q --test durability
-cargo test --release --offline -q -p velox-storage --test wal_crash
-
-echo "==> velox-net loopback cluster tests (offline)"
-cargo test --release --offline -q -p velox-net --test log_shipping
-cargo test --release --offline -q -p velox-net --test frame_fuzz
-
-echo "==> network chaos tests: drop/dup/partition/reset on both transports (offline)"
-cargo test --release --offline -q -p velox-net --test chaos_net
-
-echo "==> elastic membership tests: join/migrate/fail-over/WrongEpoch (offline)"
-cargo test --release --offline -q -p velox-net --test rebalance
-
-echo "==> migration abort/rollback property tests (offline)"
-cargo test --release --offline -q -p velox-cluster --test abort_rollback
-
-echo "==> velox-net tracing tests (offline)"
-cargo test --release --offline -q -p velox-net --test tracing
-cargo test --release --offline -q -p velox-rest --test trace_endpoints
-
-echo "==> serving tier tests: batching, manager swap, bit-identity, REST surface (offline)"
-cargo test --release --offline -q -p velox-serve
-cargo test --release --offline -q -p velox-net --test predict_batch
-cargo test --release --offline -q -p velox-rest --test serve_api
 
 echo "==> net serving latency smoke (offline)"
 cargo run --release --offline -q -p velox-bench --bin abl_net -- --smoke > /dev/null

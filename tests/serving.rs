@@ -216,3 +216,110 @@ fn catalog_topk_index_rebuilds_after_retrain() {
     }
     assert_ne!(before, after, "index must not serve the old model version");
 }
+
+/// A seeded factor-table deployment (no ALS run) under the default LinUCB
+/// policy: d = 22 so every dot has a two-element tail, one node.
+fn deploy_table() -> Arc<Velox> {
+    const D: usize = 22;
+    let mut rng = VeloxRng::seed_from(0x70_9C);
+    let mut vector = |scale: f64| {
+        Vector::from_vec((0..D).map(|_| rng.range(-scale, scale)).collect::<Vec<f64>>())
+    };
+    let table = (0..60u64).map(|item| (item, vector(1.0))).collect();
+    let weights = (0..4u64).map(|uid| (uid, vector(0.5))).collect();
+    let model = MatrixFactorizationModel::from_table(
+        "table",
+        table,
+        0.0,
+        AlsConfig { rank: D, ..Default::default() },
+    )
+    .unwrap();
+    Arc::new(Velox::deploy(Arc::new(model), weights, VeloxConfig::single_node()))
+}
+
+/// What `topk_over_mixed_cached_and_uncached_candidates_is_pinned` read at
+/// the commit before the kernels were vectorised and `top_k` took the
+/// user-state lock once per call.
+const PINNED_BEST: usize = 11;
+const PINNED_RANKING: u64 = 0xde9d_948d_aab6_85a3;
+const PINNED_SERVED: usize = 41;
+
+/// Ranking and bandit choice for a candidate set that is half cache hits
+/// (variance 0) and half misses (variance from the user's `A⁻¹`, five full
+/// blocks of the blocked kernel and a remainder of one), pinned to the
+/// values the per-candidate scalar code produced.
+#[test]
+fn topk_over_mixed_cached_and_uncached_candidates_is_pinned() {
+    let velox = deploy_table();
+    for step in 0..15u64 {
+        let item = (step * 7) % 60;
+        velox.observe(3, &Item::Id(item), ((step % 5) as f64 - 2.0) * 0.7).unwrap();
+    }
+    for item in (0..43u64).step_by(2) {
+        velox.predict(3, &Item::Id(item)).unwrap();
+    }
+    let items: Vec<Item> = (0..43).map(Item::Id).collect();
+    let resp = velox.top_k(3, &items).unwrap();
+    assert_eq!(resp.cached_fraction, 22.0 / 43.0);
+    assert!(!resp.randomized);
+
+    let fold = resp.ranked.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &(idx, score)| {
+        (h ^ idx as u64 ^ score.to_bits().rotate_left(17)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(resp.ranked[0].0, PINNED_BEST, "best-scoring candidate");
+    assert_eq!(fold, PINNED_RANKING, "ranked indices and score bits");
+    // LinUCB serves an uncached candidate over the best score: only the
+    // misses carry an exploration bonus, so this moves if a variance does.
+    assert_eq!(resp.served, PINNED_SERVED, "bandit choice");
+}
+
+/// `observe(y = 1e999)` used to fold +∞ into the user's moments; the
+/// weights went NaN and the next `top_k` panicked sorting them. Non-finite
+/// labels and raw features are now refused at the door, and a refused
+/// request changes nothing: the twin that never saw one stays bit-equal.
+#[test]
+fn non_finite_feedback_is_rejected_and_leaves_the_user_untouched() {
+    let (clean, poked) = (deploy_table(), deploy_table());
+    let feed = |velox: &Velox, from: u64| {
+        for step in from..from + 6 {
+            velox.observe(2, &Item::Id(step * 3), 0.5 * step as f64 - 1.0).unwrap();
+        }
+    };
+    feed(&clean, 0);
+    feed(&poked, 0);
+    let probe = Item::Id(9);
+    let before = poked.predict(2, &probe).unwrap();
+    let logged = poked.observation_log().len();
+
+    for y in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let err = poked.observe(2, &Item::Id(4), y).unwrap_err();
+        assert_eq!(err, VeloxError::NonFiniteInput("y"));
+    }
+    let raw = Item::Raw(Vector::from_vec(vec![f64::INFINITY; 22]));
+    for err in [
+        poked.observe(2, &raw, 1.0).unwrap_err(),
+        poked.predict(2, &raw).unwrap_err(),
+        poked.top_k(2, &[Item::Id(1), raw.clone()]).unwrap_err(),
+    ] {
+        assert_eq!(err, VeloxError::NonFiniteInput("features"));
+    }
+
+    // Version and weights: the probe is still a cache hit with its old bits.
+    let after = poked.predict(2, &probe).unwrap();
+    assert!(after.cached, "a refused observe must not bump the user's version");
+    assert_eq!(after.score.to_bits(), before.score.to_bits());
+    assert_eq!(poked.observation_log().len(), logged, "nothing was logged");
+    clean.predict(2, &probe).unwrap();
+
+    // A⁻¹: more feedback and a top-k land identically on both twins.
+    feed(&clean, 6);
+    feed(&poked, 6);
+    let items: Vec<Item> = (0..30).map(Item::Id).collect();
+    let (want, got) = (clean.top_k(2, &items).unwrap(), poked.top_k(2, &items).unwrap());
+    assert_eq!(got.served, want.served);
+    let bits = |r: &TopKResponse| -> Vec<(usize, u64)> {
+        r.ranked.iter().map(|&(idx, score)| (idx, score.to_bits())).collect()
+    };
+    assert_eq!(bits(&got), bits(&want));
+    assert!(got.ranked.iter().all(|(_, score)| score.is_finite()));
+}
