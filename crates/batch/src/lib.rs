@@ -10,16 +10,10 @@
 //! - [`executor::JobExecutor`]: a fixed-size worker pool executing the tasks
 //!   of a stage in parallel with per-job metrics (task counts, wall time) —
 //!   the moral equivalent of a Spark stage scheduler for a single node.
-//! - [`dataset::PartitionedDataset`]: an immutable, partitioned, in-memory
-//!   collection with `map` / `filter` / `reduce` / `map_partitions`, the
-//!   RDD-shaped API the training code is written against.
 //! - [`als`]: Alternating Least Squares matrix factorization — the offline
 //!   trainer for the paper's collaborative-filtering running example. Each
 //!   half-step is a bag of independent per-entity ridge regressions
 //!   (`velox-linalg`), scheduled across the executor.
-//! - [`sgd`]: a biased matrix-factorization SGD trainer, the alternative
-//!   offline algorithm the related work points at (Sparkler \[12\]); used as
-//!   a cross-check and an ablation baseline.
 //!
 //! Determinism: given the same inputs, seeds, and worker counts, training
 //! produces identical results; ALS parallel reductions are structured so
@@ -28,11 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod als;
-pub mod dataset;
 pub mod executor;
-pub mod sgd;
 
 pub use als::{AlsConfig, AlsModel};
-pub use dataset::PartitionedDataset;
 pub use executor::{JobExecutor, JobMetrics};
-pub use sgd::{SgdConfig, SgdModel};

@@ -21,10 +21,15 @@
 //!   same cursor until the link heals, then the migration commits
 //!   (resumes observed > 0); the simulator's synchronous transfer
 //!   instead aborts with `checkpoint link partitioned`.
-//! - `deadline abort` — a zero wall-clock budget aborts every attempt
-//!   with `deadline exceeded` before any map install.
-//! - `operator cancel` (sim) — a pre-armed cancel lands at the first
-//!   chunk boundary.
+//! - `deadline abort` — a zero wall-clock budget aborts the attempt with
+//!   `deadline exceeded` before any map install.
+//! - `operator cancel` — a pre-armed cancel lands at the first chunk
+//!   boundary.
+//!
+//! Both backends run the one state machine in `velox_cluster::migrate`,
+//! so one driver runs every scenario on each; only the partition
+//! scenario's expected outcome differs, because the two I/O seams answer
+//! a cut link differently (`Resume` vs `Abort`).
 //!
 //! After the fire drill, the planned `rebalance_join` handoff commits
 //! cleanly on the same cluster — aborts must not poison later attempts.
@@ -45,27 +50,21 @@
 //! the ledger's terminal outcomes match the script, and the max
 //! checkpoint frame honours the chunk budget.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use velox_bench::{print_header, print_row};
+use velox_bench::membership::{
+    partition_owned_by, replay_divergence, seeded_items, zipf_stream, Ledger, DIM, LR, MAX_NODES,
+    N_ITEMS, N_NODES, N_USERS, ZIPF_SKEW,
+};
+use velox_bench::print_header;
 use velox_cluster::transport::{SimTransport, Transport};
 use velox_cluster::{
-    lms_update, ChaosControl, Cluster, ClusterConfig, LinkChaos, LinkFaultPlan, MembershipError,
+    ChaosControl, Cluster, ClusterConfig, ControlPlane, LinkChaos, LinkFaultPlan, MembershipError,
     MigrationOutcome, NodeId, RetryPolicy, FRONT_PEER,
 };
-use velox_data::{WorkloadConfig, ZipfGenerator};
-use velox_linalg::stats::LatencySummary;
 use velox_net::{NetClientConfig, NetCluster, NetClusterConfig};
 
-const N_USERS: u64 = 24;
-const N_ITEMS: u64 = 48;
-const DIM: usize = 8;
-const N_NODES: usize = 3;
-const MAX_NODES: usize = 4;
-const LR: f64 = 0.05;
-const ZIPF_SKEW: f64 = 1.0;
 /// Checkpoint chunk budget on the TCP backend: small enough that a
 /// partition's snapshot needs several frames, so the resume cursor and
 /// the frame-size gauge are actually exercised.
@@ -73,24 +72,6 @@ const CHUNK_BYTES: u32 = 4096;
 /// Simulator chunk granularity (users per chunk): several abort-trigger
 /// boundary checks per migration.
 const CHUNK_USERS: usize = 4;
-
-fn item_features(item: u64) -> Vec<f64> {
-    (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 17) as f64 / 16.0).collect()
-}
-
-fn seeded_items() -> Vec<(u64, Vec<f64>)> {
-    (0..N_ITEMS).map(|i| (i, item_features(i))).collect()
-}
-
-fn zipf_stream(seed: u64) -> ZipfGenerator {
-    ZipfGenerator::new(WorkloadConfig {
-        n_users: N_USERS as usize,
-        n_items: N_ITEMS as usize,
-        item_skew: ZIPF_SKEW,
-        topk_set_size: 1,
-        seed,
-    })
-}
 
 /// Final cluster state a twin run must reproduce bit-for-bit.
 type Fingerprint = (u64, Vec<(u64, Option<Vec<f64>>)>);
@@ -100,89 +81,263 @@ fn fingerprint(t: &dyn Transport, epoch: u64) -> Fingerprint {
     (epoch, weights)
 }
 
-/// One phase's availability + latency ledger, transport-agnostic.
-#[derive(Default)]
-struct Ledger {
-    predict_us: Vec<f64>,
-    predict_errors: u64,
-    observe_us: Vec<f64>,
-    observe_errors: u64,
+/// The part of each backend neither `Transport` nor `ControlPlane`
+/// covers: process control and the fault the partition scenario injects.
+struct Backend<'a> {
+    name: &'a str,
+    join: Box<dyn Fn() -> Result<NodeId, MembershipError> + 'a>,
+    kill: Box<dyn Fn(NodeId) + 'a>,
+    recover: Box<dyn Fn(NodeId) + 'a>,
+    /// Cuts / heals the checkpoint path `src → dst` travels.
+    jam: Box<dyn Fn(NodeId, NodeId) + 'a>,
+    heal: Box<dyn Fn() + 'a>,
+    /// Whether a cut checkpoint link stalls the stream until it heals and
+    /// then commits (TCP: cursor resume) or aborts it (simulator).
+    partition_resumes: bool,
+    /// The migration deadline to restore after the deadline scenario.
+    deadline: Option<Duration>,
+    /// Largest checkpoint frame seen, where frames exist.
+    frame_max: Option<Box<dyn Fn() -> i64 + 'a>>,
 }
 
-impl Ledger {
-    fn predict(&mut self, t: &dyn Transport, uid: u64, item: u64) {
-        let start = Instant::now();
-        match t.predict(uid, item) {
-            Ok(_) => self.predict_us.push(start.elapsed().as_secs_f64() * 1e6),
-            Err(_) => self.predict_errors += 1,
-        }
+/// Asserts a migration attempt aborted for `want`, without an epoch bump
+/// and with `src` still the owner; failures accumulate instead of
+/// panicking so the smoke report names every broken gate.
+fn expect_abort<C: ControlPlane>(
+    failures: &mut Vec<String>,
+    cp: &C,
+    scenario: &str,
+    (p, src, dst): (u32, NodeId, NodeId),
+    want: &str,
+) {
+    let epoch0 = cp.map().epoch();
+    match cp.migrate_partition(p, dst) {
+        Err(MembershipError::Aborted(reason)) if reason.contains(want) => {}
+        Err(e) => failures.push(format!("{scenario}: wrong abort error: {e}")),
+        Ok(s) => failures.push(format!("{scenario}: migration committed ({s:?})")),
     }
+    if cp.map().epoch() != epoch0 {
+        failures.push(format!("{scenario}: abort bumped the epoch"));
+    }
+    if cp.map().owner_of_partition(p) != src {
+        failures.push(format!("{scenario}: source lost ownership on abort"));
+    }
+    match cp.migrations().last() {
+        Some(m) if m.phase == "aborted" && m.epoch_end == 0 => {}
+        other => failures.push(format!("{scenario}: ledger tail not aborted: {other:?}")),
+    }
+}
 
-    fn observe(
-        &mut self,
-        t: &dyn Transport,
-        acked: &mut Vec<(u64, u64, f64)>,
-        uid: u64,
-        item: u64,
-    ) {
-        let y = if (uid + item).is_multiple_of(2) { 1.0 } else { 0.0 };
-        let start = Instant::now();
-        match t.observe(uid, item, y) {
-            Ok(_) => {
-                self.observe_us.push(start.elapsed().as_secs_f64() * 1e6);
-                acked.push((uid, item, y));
+/// Drives every scenario over one backend; returns its gate failures
+/// (prefixed with the backend's name) and the final-state fingerprint.
+fn run_backend<C: ControlPlane + Sync>(
+    cp: &C,
+    t: &dyn Transport,
+    b: &Backend<'_>,
+    scale: u64,
+    verbose: bool,
+) -> (Vec<String>, Fingerprint) {
+    let name = b.name;
+    let mut gen = zipf_stream(0x5EBA1B);
+    let mut acked: Vec<(u64, u64, f64)> = Vec::new();
+    let mut failures: Vec<String> = Vec::new();
+    let mut traffic = |ledger: &mut Ledger, n: u64, skip_home: Option<NodeId>| {
+        for _ in 0..n {
+            let (uid, item) = gen.next_point();
+            if skip_home.is_some_and(|home| cp.map().owner_of(uid) == home) {
+                continue;
             }
-            Err(_) => self.observe_errors += 1,
+            ledger.observe(t, &mut acked, uid, item);
+            ledger.predict(t, uid, (item * 3) % N_ITEMS);
+        }
+    };
+
+    if verbose {
+        print_header(
+            &format!("[{name}] availability per phase (migrations under fire)"),
+            &["phase", "ok", "errors", "predict p50 µs", "predict p99 µs"],
+        );
+    }
+
+    let mut base = Ledger::default();
+    traffic(&mut base, 80 * scale, None);
+
+    let dst = (b.join)().expect("join 4th node");
+    let src: NodeId = 0;
+    let p = partition_owned_by(&cp.map(), src);
+    let epoch_join = cp.map().epoch();
+
+    // -- abort: destination dies before the checkpoint commits -------------
+    let mut ld_dst = Ledger::default();
+    (b.kill)(dst);
+    expect_abort(&mut failures, cp, "dst-death", (p, src, dst), "destination death");
+    (b.recover)(dst);
+    traffic(&mut ld_dst, 30 * scale, None);
+
+    // -- abort: source dies; traffic rides the replicas --------------------
+    let mut ld_src = Ledger::default();
+    (b.kill)(src);
+    expect_abort(&mut failures, cp, "src-death", (p, src, dst), "source death");
+    traffic(&mut ld_src, 30 * scale, None);
+    (b.recover)(src);
+    traffic(&mut ld_src, 20 * scale, None);
+
+    // -- partition mid-stream ----------------------------------------------
+    // The checkpoint path is cut while the stream runs. Over TCP the
+    // migration must not abort (the deadline is generous): it re-pulls the
+    // same cursor and commits once the link heals. The simulator's
+    // transfer is synchronous, so the cut link is an abort trigger there.
+    let mut ld_part = Ledger::default();
+    let [_, aborts, resumes] = cp.migrator().counters();
+    let (aborts_before, resumes_before) = (aborts.get(), resumes.get());
+    (b.jam)(src, dst);
+    let outcome = std::thread::scope(|scope| {
+        let migrator = scope.spawn(|| cp.migrate_partition(p, dst));
+        // Keep serving while the stream is jammed — a *fixed* number of
+        // requests, so the twin run acks an identical stream. Users homed
+        // at `src` are skipped: with heartbeats off, nothing re-routes
+        // around a severed front→src link, and the availability gate is
+        // 100%, not best-effort. Everyone else must be answered.
+        traffic(&mut ld_part, 30 * scale, Some(src));
+        // Hold the fault until the stream demonstrably retried a cursor
+        // (or the attempt ended on its own).
+        let jam_started = Instant::now();
+        while resumes.get() == resumes_before
+            && !migrator.is_finished()
+            && jam_started.elapsed() < Duration::from_secs(10)
+        {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        (b.heal)();
+        migrator.join().expect("migrator thread")
+    });
+    let mut committed_here = 0u64;
+    match (b.partition_resumes, outcome) {
+        (true, Ok(status)) => {
+            committed_here = 1;
+            if status.chunks_streamed == 0 {
+                failures.push("partition: committed without streaming a chunk".into());
+            }
+            if resumes.get() == resumes_before {
+                failures.push("partition: the chunk stream never resumed through the fault".into());
+            }
+            if aborts.get() != aborts_before {
+                failures.push("partition: a resumable fault was turned into an abort".into());
+            }
+            if cp.map().owner_of_partition(p) != dst {
+                failures.push("partition: committed migration left ownership at the source".into());
+            }
+        }
+        (true, Err(e)) => failures.push(format!("partition: resumable migration died: {e}")),
+        (false, Err(MembershipError::Aborted(reason))) if reason.contains("link partitioned") => {
+            if cp.map().owner_of_partition(p) != src {
+                failures.push("partition: source lost ownership on abort".into());
+            }
+        }
+        (false, other) => failures.push(format!("partition: expected a link abort, got {other:?}")),
+    }
+    if cp.map().epoch() != epoch_join + 2 * committed_here {
+        failures.push(format!(
+            "partition: epoch {} != {}",
+            cp.map().epoch(),
+            epoch_join + 2 * committed_here
+        ));
+    }
+    traffic(&mut ld_part, 30 * scale, None);
+
+    // -- abort: deadline exceeded, then operator cancel --------------------
+    let p = partition_owned_by(&cp.map(), src);
+    cp.set_migration_deadline(Some(Duration::ZERO));
+    expect_abort(&mut failures, cp, "deadline", (p, src, dst), "deadline exceeded");
+    cp.set_migration_deadline(b.deadline);
+    if cp.request_migration_cancel() {
+        failures.push("cancel: no migration should be in flight".into());
+    }
+    expect_abort(&mut failures, cp, "cancel", (p, src, dst), "operator cancel");
+
+    // -- aborts must not poison the planned handoff ------------------------
+    let mut ld_fin = Ledger::default();
+    let plan = cp.rebalance_join(dst).expect("planned handoff commits after the fire drill");
+    traffic(&mut ld_fin, 40 * scale, None);
+
+    // -- verification ------------------------------------------------------
+    let diverged = replay_divergence(t, &acked);
+    let [chunks, aborts, resumes] = cp.migrator().counters().map(|c| c.get());
+    let frame_max = b.frame_max.as_ref().map(|f| f());
+    let epoch = cp.map().epoch();
+    let ledger = cp.migrations();
+    let committed =
+        ledger.iter().filter(|m| matches!(m.outcome, MigrationOutcome::Committed)).count() as u64;
+    let aborted =
+        ledger.iter().filter(|m| matches!(m.outcome, MigrationOutcome::Aborted(_))).count() as u64;
+
+    let part_label = if b.partition_resumes { "partition mid-stream" } else { "abort: partition" };
+    let phases = [
+        ("baseline", &base),
+        ("abort: dst death", &ld_dst),
+        ("abort: src death", &ld_src),
+        (part_label, &ld_part),
+        ("rebalance+final", &ld_fin),
+    ];
+    if verbose {
+        for (phase, l) in &phases {
+            l.row(phase, false);
+        }
+        let frames = frame_max
+            .map(|max| format!(", max frame {max} B (budget {CHUNK_BYTES})"))
+            .unwrap_or_default();
+        println!(
+            "\n[{name}] {chunks} chunks streamed, {aborts} aborts, {resumes} resumes{frames}; \
+             epoch {epoch}, {committed} committed / {aborted} aborted migrations; {} acked \
+             records, {diverged} users diverged",
+            acked.len(),
+        );
+    }
+
+    for (phase, l) in &phases {
+        if l.errors() > 0 {
+            failures.push(format!("{phase}: {} requests failed (want 100%)", l.errors()));
         }
     }
-
-    fn errors(&self) -> u64 {
-        self.predict_errors + self.observe_errors
+    if diverged > 0 {
+        failures.push(format!(
+            "{diverged} users diverged from the acked-stream replay (lost or double-applied \
+             records)"
+        ));
+    }
+    // dst death, src death, deadline, cancel — plus the cut link where it
+    // aborts instead of resuming.
+    let want_aborted = 5 - committed_here;
+    if aborted != want_aborted || aborts != want_aborted {
+        failures.push(format!(
+            "ledger has {aborted} aborted migrations (counter {aborts}), want {want_aborted}"
+        ));
+    }
+    let want_committed = committed_here + plan.len() as u64;
+    if committed != want_committed {
+        failures
+            .push(format!("ledger has {committed} committed migrations, want {want_committed}"));
+    }
+    if epoch != epoch_join + 2 * want_committed {
+        failures.push(format!(
+            "epoch arithmetic broken — {epoch} != {epoch_join} + 2·{want_committed}"
+        ));
+    }
+    if plan.is_empty() {
+        failures.push("the planned handoff moved no partition".into());
+    }
+    if frame_max.is_some_and(|max| max <= 0 || max > CHUNK_BYTES as i64) {
+        failures.push(format!(
+            "max checkpoint frame {frame_max:?} B violates the {CHUNK_BYTES} B chunk budget"
+        ));
     }
 
-    fn row(&self, phase: &str) {
-        let p = LatencySummary::from_samples(&self.predict_us);
-        let (p50, p99) = p.map(|s| (s.p50, s.p99)).unwrap_or((0.0, 0.0));
-        print_row(&[
-            phase.to_string(),
-            format!("{}", self.predict_us.len() + self.observe_us.len()),
-            format!("{}", self.errors()),
-            format!("{p50:.0}"),
-            format!("{p99:.0}"),
-        ]);
-    }
+    let failures = failures.into_iter().map(|f| format!("{name}/{f}")).collect();
+    (failures, fingerprint(t, epoch))
 }
 
-/// Replays the acked stream locally and counts users whose cluster
-/// weights diverge from the bit-exact expectation (lost or
-/// double-applied acked records).
-fn replay_divergence(t: &dyn Transport, acked: &[(u64, u64, f64)]) -> u64 {
-    let mut replay: HashMap<u64, Vec<f64>> = HashMap::new();
-    for &(uid, item, y) in acked {
-        lms_update(replay.entry(uid).or_default(), &item_features(item), y, LR);
-    }
-    let mut diverged = 0u64;
-    for (uid, expect) in &replay {
-        match t.fetch_weights(*uid) {
-            Ok(Some(got)) if &got == expect => {}
-            _ => diverged += 1,
-        }
-    }
-    diverged
-}
-
-/// First partition owned by `node` under `map`.
-fn partition_owned_by(map: &velox_cluster::PartitionMap, node: NodeId) -> u32 {
-    (0..map.n_partitions())
-        .find(|&p| map.owner_of_partition(p) == node)
-        .expect("every founding member owns at least one partition")
-}
-
-// ---------------------------------------------------------------------
-// TCP backend
-// ---------------------------------------------------------------------
-
-fn start_net() -> Arc<NetCluster> {
+fn run_net(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
+    let deadline = Duration::from_secs(30);
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         max_nodes: MAX_NODES,
@@ -191,7 +346,7 @@ fn start_net() -> Arc<NetCluster> {
         workers: 4,
         request_timeout: Duration::from_secs(2),
         checkpoint_chunk_bytes: CHUNK_BYTES,
-        migration_deadline: Duration::from_secs(30),
+        migration_deadline: deadline,
         client: NetClientConfig {
             per_try_timeout: Some(Duration::from_millis(100)),
             retry: RetryPolicy {
@@ -206,303 +361,23 @@ fn start_net() -> Arc<NetCluster> {
     })
     .expect("start loopback cluster");
     net.publish_item_features(seeded_items());
-    Arc::new(net)
-}
-
-/// Asserts a migration attempt aborted for `want`, without an epoch bump
-/// and with `src` still the owner; failures accumulate instead of
-/// panicking so the smoke report names every broken gate.
-fn expect_net_abort(
-    failures: &mut Vec<String>,
-    net: &NetCluster,
-    scenario: &str,
-    p: u32,
-    src: NodeId,
-    dst: NodeId,
-    want: &str,
-) {
-    let epoch0 = net.map_epoch();
-    match net.migrate_partition(p, dst) {
-        Err(e) if e.to_string().contains(want) => {}
-        Err(e) => failures.push(format!("net/{scenario}: wrong abort reason: {e}")),
-        Ok(s) => failures.push(format!("net/{scenario}: migration committed ({s:?})")),
-    }
-    if net.map_epoch() != epoch0 {
-        failures.push(format!("net/{scenario}: abort bumped the epoch"));
-    }
-    if net.map().owner_of_partition(p) != src {
-        failures.push(format!("net/{scenario}: source lost ownership on abort"));
-    }
-    match net.migrations().last() {
-        Some(m) if m.phase == "aborted" && m.epoch_end == 0 => {}
-        other => failures.push(format!("net/{scenario}: ledger tail not aborted: {other:?}")),
-    }
-}
-
-fn run_net(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
-    let net = start_net();
-    let t: &dyn Transport = net.as_ref();
-    let mut gen = zipf_stream(0x5EBA1B);
-    let mut acked: Vec<(u64, u64, f64)> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    if verbose {
-        print_header(
-            "[net] availability per phase (migrations under fire)",
-            &["phase", "ok", "errors", "predict p50 µs", "predict p99 µs"],
-        );
-    }
-
-    // -- baseline ----------------------------------------------------------
-    let mut base = Ledger::default();
-    for _ in 0..(80 * scale) {
-        let (uid, item) = gen.next_point();
-        base.observe(t, &mut acked, uid, item);
-        base.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    let dst = net.join_node().expect("join 4th node");
-    let src: NodeId = 0;
-    let p = partition_owned_by(&net.map(), src);
-    let epoch_join = net.map_epoch();
-
-    // -- abort: destination dies before the checkpoint commits -------------
-    let mut ld_dst = Ledger::default();
-    net.kill_node(dst);
-    expect_net_abort(&mut failures, &net, "dst-death", p, src, dst, "destination death");
-    net.recover_node(dst).expect("recover destination");
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_dst.observe(t, &mut acked, uid, item);
-        ld_dst.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- abort: source dies; traffic rides the replicas --------------------
-    let mut ld_src = Ledger::default();
-    net.kill_node(src);
-    expect_net_abort(&mut failures, &net, "src-death", p, src, dst, "source death");
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_src.observe(t, &mut acked, uid, item);
-        ld_src.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-    net.recover_node(src).expect("recover source");
-    for _ in 0..(20 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_src.observe(t, &mut acked, uid, item);
-        ld_src.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- partition mid-stream: cursor-resume, then commit ------------------
-    // The checkpoint pulls flow front → src; cutting that link stalls the
-    // stream. The migration must not abort (the deadline is generous) —
-    // it retries at the same cursor, and commits once the link heals.
-    let mut ld_part = Ledger::default();
-    let (_, aborts_before, resumes_before) = net.migration_chunk_stats();
-    net.link_chaos().partition(FRONT_PEER, src as u32);
-    let migrator = {
-        let net = Arc::clone(&net);
-        std::thread::spawn(move || net.migrate_partition(p, dst))
+    let backend = Backend {
+        name: "net",
+        join: Box::new(|| net.join_node()),
+        kill: Box::new(|n| net.kill_node(n)),
+        recover: Box::new(|n| {
+            net.recover_node(n).expect("recover node");
+        }),
+        // The checkpoint pulls flow front → src.
+        jam: Box::new(|src, _dst| net.link_chaos().partition(FRONT_PEER, src as u32)),
+        heal: Box::new(|| net.link_chaos().heal_all()),
+        partition_resumes: true,
+        deadline: Some(deadline),
+        frame_max: Some(Box::new(|| net.checkpoint_frame_max_bytes())),
     };
-    // Keep serving while the stream is jammed — a *fixed* number of
-    // requests, so the twin run acks an identical stream. Users homed at
-    // `src` are skipped here: with heartbeats off, nothing re-routes
-    // around the severed front→src link, and the availability gate is
-    // 100%, not best-effort. Everyone else must be answered.
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        if net.home_of_user(uid) == src {
-            continue;
-        }
-        ld_part.observe(t, &mut acked, uid, item);
-        ld_part.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-    // Hold the fault until the stream has demonstrably retried a cursor.
-    let jam_started = Instant::now();
-    while net.migration_chunk_stats().2 == resumes_before
-        && jam_started.elapsed() < Duration::from_secs(10)
-    {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let resumed = net.migration_chunk_stats().2 > resumes_before;
-    net.link_chaos().heal(FRONT_PEER, src as u32);
-    match migrator.join().expect("migrator thread") {
-        Ok(status) => {
-            if !matches!(status.outcome, MigrationOutcome::Committed) {
-                failures.push(format!("net/partition: outcome {:?}", status.outcome));
-            }
-            if status.chunks_streamed == 0 {
-                failures.push("net/partition: committed without streaming a chunk".into());
-            }
-        }
-        Err(e) => failures.push(format!("net/partition: resumable migration died: {e}")),
-    }
-    if !resumed {
-        failures.push("net/partition: the chunk stream never resumed through the fault".into());
-    }
-    if net.migration_chunk_stats().1 != aborts_before {
-        failures.push("net/partition: a resumable fault was turned into an abort".into());
-    }
-    if net.map_epoch() != epoch_join + 2 {
-        failures.push(format!(
-            "net/partition: commit epoch {} != {}",
-            net.map_epoch(),
-            epoch_join + 2
-        ));
-    }
-    if net.map().owner_of_partition(p) != dst {
-        failures.push("net/partition: committed migration left ownership at the source".into());
-    }
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_part.observe(t, &mut acked, uid, item);
-        ld_part.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- aborts must not poison the planned handoff ------------------------
-    let mut ld_fin = Ledger::default();
-    let plan = net.rebalance_join(dst).expect("planned handoff commits after the fire drill");
-    for _ in 0..(40 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_fin.observe(t, &mut acked, uid, item);
-        ld_fin.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- verification ------------------------------------------------------
-    let diverged = replay_divergence(t, &acked);
-    let (chunks, aborts, resumes) = net.migration_chunk_stats();
-    let frame_max = net.checkpoint_frame_max_bytes();
-    let epoch = net.map_epoch();
-    let ledger = net.migrations();
-    let committed =
-        ledger.iter().filter(|m| matches!(m.outcome, MigrationOutcome::Committed)).count();
-    let aborted =
-        ledger.iter().filter(|m| matches!(m.outcome, MigrationOutcome::Aborted(_))).count();
-
-    let phases = [
-        ("baseline", &base),
-        ("abort: dst death", &ld_dst),
-        ("abort: src death", &ld_src),
-        ("partition mid-stream", &ld_part),
-        ("rebalance+final", &ld_fin),
-    ];
-    if verbose {
-        for (name, l) in &phases {
-            l.row(name);
-        }
-        println!(
-            "\n[net] {} chunks streamed, {aborts} aborts, {resumes} resumes, max frame \
-             {frame_max} B (budget {CHUNK_BYTES}); epoch {epoch}, {committed} committed / \
-             {aborted} aborted migrations; {} acked records, {diverged} users diverged",
-            chunks,
-            acked.len(),
-        );
-    }
-
-    for (name, l) in &phases {
-        if l.errors() > 0 {
-            failures.push(format!("net/{name}: {} requests failed (want 100%)", l.errors()));
-        }
-    }
-    if diverged > 0 {
-        failures.push(format!(
-            "net: {diverged} users diverged from the acked-stream replay \
-             (lost or double-applied records)"
-        ));
-    }
-    if aborted != 2 {
-        failures.push(format!("net: ledger has {aborted} aborted migrations, want 2"));
-    }
-    if committed != 1 + plan.len() {
-        failures.push(format!(
-            "net: ledger has {committed} committed migrations, want {}",
-            1 + plan.len()
-        ));
-    }
-    if epoch != epoch_join + 2 * (1 + plan.len() as u64) {
-        failures.push(format!(
-            "net: epoch arithmetic broken — {epoch} != {epoch_join} + 2·{}",
-            1 + plan.len()
-        ));
-    }
-    if frame_max <= 0 || frame_max > CHUNK_BYTES as i64 {
-        failures.push(format!(
-            "net: max checkpoint frame {frame_max} B violates the {CHUNK_BYTES} B chunk budget"
-        ));
-    }
-
-    let fp = fingerprint(t, epoch);
+    let out = run_backend(&net, &net, &backend, scale, verbose);
     net.shutdown();
-    (failures, fp)
-}
-
-/// Deadline abort on the TCP backend: a zero wall-clock budget dooms the
-/// migration before any map install, and serving is untouched.
-fn net_deadline_abort(failures: &mut Vec<String>) {
-    let net = NetCluster::start(NetClusterConfig {
-        n_nodes: N_NODES,
-        max_nodes: MAX_NODES,
-        user_replication: 2,
-        lr: LR,
-        workers: 4,
-        request_timeout: Duration::from_secs(2),
-        checkpoint_chunk_bytes: CHUNK_BYTES,
-        migration_deadline: Duration::ZERO,
-        ..Default::default()
-    })
-    .expect("start deadline cluster");
-    net.publish_item_features(seeded_items());
-    let t: &dyn Transport = &net;
-    let mut acked = Vec::new();
-    let mut ld = Ledger::default();
-    for i in 0..40u64 {
-        ld.observe(t, &mut acked, i % N_USERS, i % N_ITEMS);
-    }
-    let dst = net.join_node().expect("join");
-    let p = partition_owned_by(&net.map(), 0);
-    expect_net_abort(failures, &net, "deadline", p, 0, dst, "deadline exceeded");
-    for i in 0..40u64 {
-        ld.predict(t, i % N_USERS, i % N_ITEMS);
-    }
-    if ld.errors() > 0 {
-        failures.push(format!("net/deadline: {} requests failed (want 100%)", ld.errors()));
-    }
-    if replay_divergence(t, &acked) > 0 {
-        failures.push("net/deadline: replay diverged after the abort".into());
-    }
-    println!("[net] deadline abort: rollback clean, serving untouched");
-    net.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Simulator backend
-// ---------------------------------------------------------------------
-
-fn expect_sim_abort(
-    failures: &mut Vec<String>,
-    cluster: &Cluster,
-    scenario: &str,
-    p: u32,
-    src: NodeId,
-    dst: NodeId,
-    want: &str,
-) {
-    let epoch0 = cluster.map_epoch();
-    match cluster.migrate_partition(p, dst) {
-        Err(MembershipError::Aborted(reason)) if reason.contains(want) => {}
-        Err(e) => failures.push(format!("sim/{scenario}: wrong abort error: {e}")),
-        Ok(n) => failures.push(format!("sim/{scenario}: migration committed ({n} users)")),
-    }
-    if cluster.map_epoch() != epoch0 {
-        failures.push(format!("sim/{scenario}: abort bumped the epoch"));
-    }
-    if cluster.map().owner_of_partition(p) != src {
-        failures.push(format!("sim/{scenario}: source lost ownership on abort"));
-    }
-    match cluster.migrations().last() {
-        Some(m) if m.phase == "aborted" && m.epoch_end == 0 => {}
-        other => failures.push(format!("sim/{scenario}: ledger tail not aborted: {other:?}")),
-    }
+    out
 }
 
 fn run_sim(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
@@ -518,147 +393,24 @@ fn run_sim(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
         cluster.put_item_features(item, x);
     }
     let sim = SimTransport::new(Arc::clone(&cluster), LR);
-    let t: &dyn Transport = &sim;
-    let mut gen = zipf_stream(0x5EBA1B);
-    let mut acked: Vec<(u64, u64, f64)> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    if verbose {
-        print_header(
-            "[sim] availability per phase (migrations under fire)",
-            &["phase", "ok", "errors", "predict p50 µs", "predict p99 µs"],
-        );
-    }
-
-    let mut base = Ledger::default();
-    for _ in 0..(80 * scale) {
-        let (uid, item) = gen.next_point();
-        base.observe(t, &mut acked, uid, item);
-        base.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    let dst = cluster.join_node().expect("join 4th node");
-    let src: NodeId = 0;
-    let p = partition_owned_by(&cluster.map(), src);
-    let epoch_join = cluster.map_epoch();
-
-    // -- abort: destination death ------------------------------------------
-    let mut ld_dst = Ledger::default();
-    cluster.kill_node(dst);
-    expect_sim_abort(&mut failures, &cluster, "dst-death", p, src, dst, "destination death");
-    cluster.recover_node(dst);
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_dst.observe(t, &mut acked, uid, item);
-        ld_dst.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- abort: source death; replicas carry the traffic -------------------
-    let mut ld_src = Ledger::default();
-    cluster.kill_node(src);
-    expect_sim_abort(&mut failures, &cluster, "src-death", p, src, dst, "source death");
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_src.observe(t, &mut acked, uid, item);
-        ld_src.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-    cluster.recover_node(src);
-    for _ in 0..(20 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_src.observe(t, &mut acked, uid, item);
-        ld_src.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- abort: checkpoint link partitioned --------------------------------
-    // The simulator's transfer is synchronous, so a partitioned src↔dst
-    // link is an abort trigger, not a stall it could wait out.
-    let mut ld_part = Ledger::default();
+    // A link-fault engine for the checkpoint path only, so serving traffic
+    // is untouched by the cut.
     let chaos = Arc::new(LinkChaos::new(LinkFaultPlan::scripted(Vec::new())));
-    chaos.partition_both(src as u32, dst as u32);
     cluster.set_migration_link_chaos(Arc::clone(&chaos));
-    expect_sim_abort(&mut failures, &cluster, "partition", p, src, dst, "link partitioned");
-    chaos.heal_all();
-    for _ in 0..(30 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_part.observe(t, &mut acked, uid, item);
-        ld_part.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- abort: deadline exceeded, then operator cancel --------------------
-    cluster.set_migration_deadline(Some(Duration::ZERO));
-    expect_sim_abort(&mut failures, &cluster, "deadline", p, src, dst, "deadline exceeded");
-    cluster.set_migration_deadline(None);
-    if cluster.request_migration_cancel() {
-        failures.push("sim/cancel: no migration should be in flight".into());
-    }
-    expect_sim_abort(&mut failures, &cluster, "cancel", p, src, dst, "operator cancel");
-
-    // -- aborts must not poison the planned handoff ------------------------
-    let mut ld_fin = Ledger::default();
-    let plan = cluster.rebalance_join(dst).expect("planned handoff commits after the fire drill");
-    for _ in 0..(40 * scale) {
-        let (uid, item) = gen.next_point();
-        ld_fin.observe(t, &mut acked, uid, item);
-        ld_fin.predict(t, uid, (item * 3) % N_ITEMS);
-    }
-
-    // -- verification ------------------------------------------------------
-    let diverged = replay_divergence(t, &acked);
-    let epoch = cluster.map_epoch();
-    let ledger = cluster.migrations();
-    let committed =
-        ledger.iter().filter(|m| matches!(m.outcome, MigrationOutcome::Committed)).count();
-    let aborted =
-        ledger.iter().filter(|m| matches!(m.outcome, MigrationOutcome::Aborted(_))).count();
-    let chunks: u64 = ledger.iter().map(|m| m.chunks_streamed).sum();
-
-    let phases = [
-        ("baseline", &base),
-        ("abort: dst death", &ld_dst),
-        ("abort: src death", &ld_src),
-        ("abort: partition", &ld_part),
-        ("rebalance+final", &ld_fin),
-    ];
-    if verbose {
-        for (name, l) in &phases {
-            l.row(name);
-        }
-        println!(
-            "\n[sim] {chunks} chunks streamed; epoch {epoch}, {committed} committed / {aborted} \
-             aborted migrations; {} acked records, {diverged} users diverged",
-            acked.len(),
-        );
-    }
-
-    for (name, l) in &phases {
-        if l.errors() > 0 {
-            failures.push(format!("sim/{name}: {} requests failed (want 100%)", l.errors()));
-        }
-    }
-    if diverged > 0 {
-        failures.push(format!(
-            "sim: {diverged} users diverged from the acked-stream replay \
-             (lost or double-applied records)"
-        ));
-    }
-    if aborted != 5 {
-        failures.push(format!("sim: ledger has {aborted} aborted migrations, want 5"));
-    }
-    if committed != plan.len() {
-        failures
-            .push(format!("sim: ledger has {committed} committed migrations, want {}", plan.len()));
-    }
-    if epoch != epoch_join + 2 * plan.len() as u64 {
-        failures.push(format!(
-            "sim: epoch arithmetic broken — {epoch} != {epoch_join} + 2·{}",
-            plan.len()
-        ));
-    }
-    if plan.is_empty() {
-        failures.push("sim: the planned handoff moved no partition".into());
-    }
-
-    (failures, fingerprint(t, epoch))
+    let backend = Backend {
+        name: "sim",
+        join: Box::new(|| cluster.join_node()),
+        kill: Box::new(|n| cluster.kill_node(n)),
+        recover: Box::new(|n| {
+            cluster.recover_node(n);
+        }),
+        jam: Box::new(|src, dst| chaos.partition_both(src as u32, dst as u32)),
+        heal: Box::new(|| chaos.heal_all()),
+        partition_resumes: false,
+        deadline: None,
+        frame_max: None,
+    };
+    run_backend(cluster.as_ref(), &sim, &backend, scale, verbose)
 }
 
 fn main() {
@@ -673,25 +425,17 @@ fn main() {
          bit-exact replay, rollback determinism by twin runs"
     );
 
-    let (mut failures, net_a) = run_net(scale, true);
-    let (more, net_b) = run_net(scale, false);
-    failures.extend(more);
-    if net_a != net_b {
-        failures.push("net: twin runs diverged — rollback is not deterministic".into());
-    } else {
-        println!("[net] twin runs bit-identical (epoch {})", net_a.0);
-    }
-    net_deadline_abort(&mut failures);
-
-    println!();
-    let (more, sim_a) = run_sim(scale, true);
-    failures.extend(more);
-    let (more, sim_b) = run_sim(scale, false);
-    failures.extend(more);
-    if sim_a != sim_b {
-        failures.push("sim: twin runs diverged — rollback is not deterministic".into());
-    } else {
-        println!("[sim] twin runs bit-identical (epoch {})", sim_a.0);
+    let mut failures = Vec::new();
+    for (name, run) in [("net", run_net as fn(u64, bool) -> _), ("sim", run_sim)] {
+        let (first, a) = run(scale, true);
+        let (second, b) = run(scale, false);
+        failures.extend(first);
+        failures.extend(second);
+        if a != b {
+            failures.push(format!("{name}: twin runs diverged — rollback is not deterministic"));
+        } else {
+            println!("[{name}] twin runs bit-identical (epoch {})\n", a.0);
+        }
     }
 
     if smoke {
@@ -701,9 +445,9 @@ fn main() {
             }
             std::process::exit(1);
         }
-        println!("\nsmoke: all chaos-rebalance gates passed on both transports");
+        println!("smoke: all chaos-rebalance gates passed on both transports");
     } else if failures.is_empty() {
-        println!("\nall chaos-rebalance invariants held on both transports");
+        println!("all chaos-rebalance invariants held on both transports");
     } else {
         for f in &failures {
             eprintln!("FAIL: {f}");

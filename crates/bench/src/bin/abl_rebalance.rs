@@ -31,116 +31,35 @@
 //! at least one partition, the map epoch advanced, every migration in
 //! the ledger reached `done`, and the dead node left the map.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use velox_bench::{print_header, print_row};
+use velox_bench::membership::{
+    replay_divergence, seeded_items, zipf_stream, Ledger, DIM, LR, MAX_NODES, N_ITEMS, N_NODES,
+    N_USERS, ZIPF_SKEW,
+};
+use velox_bench::print_header;
 use velox_cluster::transport::{SimTransport, Transport};
-use velox_cluster::{lms_update, Cluster, ClusterConfig, NodeId};
-use velox_data::{WorkloadConfig, ZipfGenerator};
-use velox_linalg::stats::LatencySummary;
+use velox_cluster::{Cluster, ClusterConfig, ControlPlane, MembershipError, NodeId};
 use velox_net::{NetCluster, NetClusterConfig};
 use velox_storage::ScratchDir;
 
-const N_USERS: u64 = 24;
-const N_ITEMS: u64 = 48;
-const DIM: usize = 8;
-const N_NODES: usize = 3;
-const MAX_NODES: usize = 4;
-const LR: f64 = 0.05;
-const ZIPF_SKEW: f64 = 1.0;
-
-fn item_features(item: u64) -> Vec<f64> {
-    (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 17) as f64 / 16.0).collect()
-}
-
-fn seeded_items() -> Vec<(u64, Vec<f64>)> {
-    (0..N_ITEMS).map(|i| (i, item_features(i))).collect()
-}
-
-fn zipf_stream(seed: u64) -> ZipfGenerator {
-    ZipfGenerator::new(WorkloadConfig {
-        n_users: N_USERS as usize,
-        n_items: N_ITEMS as usize,
-        item_skew: ZIPF_SKEW,
-        topk_set_size: 1,
-        seed,
-    })
-}
-
-/// One phase's availability + latency ledger, transport-agnostic.
-#[derive(Default)]
-struct Ledger {
-    predict_us: Vec<f64>,
-    predict_errors: u64,
-    observe_us: Vec<f64>,
-    observe_errors: u64,
-}
-
-impl Ledger {
-    fn predict(&mut self, t: &dyn Transport, uid: u64, item: u64) {
-        let start = Instant::now();
-        match t.predict(uid, item) {
-            Ok(_) => self.predict_us.push(start.elapsed().as_secs_f64() * 1e6),
-            Err(_) => self.predict_errors += 1,
-        }
-    }
-
-    fn observe(
-        &mut self,
-        t: &dyn Transport,
-        acked: &mut Vec<(u64, u64, f64)>,
-        uid: u64,
-        item: u64,
-    ) {
-        let y = if (uid + item).is_multiple_of(2) { 1.0 } else { 0.0 };
-        let start = Instant::now();
-        match t.observe(uid, item, y) {
-            Ok(_) => {
-                self.observe_us.push(start.elapsed().as_secs_f64() * 1e6);
-                acked.push((uid, item, y));
-            }
-            Err(_) => self.observe_errors += 1,
-        }
-    }
-
-    fn availability(&self) -> f64 {
-        let ok = (self.predict_us.len() + self.observe_us.len()) as f64;
-        let all = ok + (self.predict_errors + self.observe_errors) as f64;
-        if all == 0.0 {
-            1.0
-        } else {
-            ok / all
-        }
-    }
-
-    fn row(&self, phase: &str) {
-        let p = LatencySummary::from_samples(&self.predict_us);
-        let (p50, p99) = p.map(|s| (s.p50, s.p99)).unwrap_or((0.0, 0.0));
-        print_row(&[
-            phase.to_string(),
-            format!("{}", self.predict_us.len() + self.observe_us.len()),
-            format!("{}", self.predict_errors + self.observe_errors),
-            format!("{:.4}%", self.availability() * 100.0),
-            format!("{p50:.0}"),
-            format!("{p99:.0}"),
-        ]);
-    }
-}
-
-/// Membership control plane: the part of each backend the `Transport`
-/// trait does not cover (operator actions, not serving-path requests).
-struct MembershipOps<'a> {
-    join: Box<dyn Fn() -> Result<NodeId, String> + 'a>,
-    rebalance: Box<dyn Fn(NodeId) -> Result<Vec<u32>, String> + 'a>,
+/// Process control: the part of each backend neither `Transport` nor
+/// `ControlPlane` covers.
+struct NodeOps<'a> {
+    join: Box<dyn Fn() -> Result<NodeId, MembershipError> + 'a>,
     kill_lose_disk: Box<dyn Fn(NodeId) + 'a>,
-    fail_over: Box<dyn Fn(NodeId) -> Result<u64, String> + 'a>,
 }
 
 /// Drives the three phases over one backend and returns its smoke-gate
 /// failures (empty = all gates green).
-fn run_backend(name: &str, t: &dyn Transport, ops: &MembershipOps<'_>, scale: u64) -> Vec<String> {
+fn run_backend<C: ControlPlane>(
+    name: &str,
+    cp: &C,
+    t: &dyn Transport,
+    ops: &NodeOps<'_>,
+    scale: u64,
+) -> Vec<String> {
     let mut gen = zipf_stream(0x5EBA1A);
     let mut acked: Vec<(u64, u64, f64)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
@@ -157,7 +76,7 @@ fn run_backend(name: &str, t: &dyn Transport, ops: &MembershipOps<'_>, scale: u6
         base.observe(t, &mut acked, uid, item);
         base.predict(t, uid, (item * 3) % N_ITEMS);
     }
-    base.row("baseline");
+    base.row("baseline", true);
 
     // -- Phase 2: node joins mid-traffic, planned handoff ------------------
     let mut join = Ledger::default();
@@ -178,7 +97,7 @@ fn run_backend(name: &str, t: &dyn Transport, ops: &MembershipOps<'_>, scale: u6
         join.observe(t, &mut acked, uid, item);
         join.predict(t, uid, (item * 3) % N_ITEMS);
     }
-    let moved = match (ops.rebalance)(joined) {
+    let moved = match cp.rebalance_join(joined) {
         Ok(plan) => plan,
         Err(e) => {
             failures.push(format!("{name}: rebalance failed: {e}"));
@@ -190,7 +109,7 @@ fn run_backend(name: &str, t: &dyn Transport, ops: &MembershipOps<'_>, scale: u6
         join.observe(t, &mut acked, uid, item);
         join.predict(t, uid, (item * 3) % N_ITEMS);
     }
-    join.row("join+rebalance");
+    join.row("join+rebalance", true);
 
     // -- Phase 3: founding member dies, disk gone, failed out of the map --
     let victim: NodeId = 0;
@@ -201,7 +120,7 @@ fn run_backend(name: &str, t: &dyn Transport, ops: &MembershipOps<'_>, scale: u6
         fail.observe(t, &mut acked, uid, item);
         fail.predict(t, uid, (item * 3) % N_ITEMS);
     }
-    let backfilled = match (ops.fail_over)(victim) {
+    let backfilled = match cp.fail_over_dead(victim) {
         Ok(n) => n,
         Err(e) => {
             failures.push(format!("{name}: fail-over failed: {e}"));
@@ -213,22 +132,12 @@ fn run_backend(name: &str, t: &dyn Transport, ops: &MembershipOps<'_>, scale: u6
         fail.observe(t, &mut acked, uid, item);
         fail.predict(t, uid, (item * 3) % N_ITEMS);
     }
-    fail.row("kill+failover");
+    fail.row("kill+failover", true);
 
     // -- Verification ------------------------------------------------------
     // Bit-exact replay of the acked stream: any lost acked record or any
     // double-applied one diverges the weights.
-    let mut replay: HashMap<u64, Vec<f64>> = HashMap::new();
-    for &(uid, item, y) in &acked {
-        lms_update(replay.entry(uid).or_default(), &item_features(item), y, LR);
-    }
-    let mut diverged = 0u64;
-    for (uid, expect) in &replay {
-        match t.fetch_weights(*uid) {
-            Ok(Some(got)) if &got == expect => {}
-            _ => diverged += 1,
-        }
-    }
+    let diverged = replay_divergence(t, &acked);
     let view = t.membership();
     let (epoch, members, n_migrations, done) = view
         .as_ref()
@@ -306,13 +215,11 @@ fn main() {
     })
     .expect("start loopback cluster");
     net.publish_item_features(seeded_items());
-    let net_ops = MembershipOps {
-        join: Box::new(|| net.join_node().map_err(|e| e.to_string())),
-        rebalance: Box::new(|dst| net.rebalance_join(dst).map_err(|e| e.to_string())),
+    let net_ops = NodeOps {
+        join: Box::new(|| net.join_node()),
         kill_lose_disk: Box::new(|n| net.kill_node_lose_disk(n)),
-        fail_over: Box::new(|n| net.fail_over_dead(n).map_err(|e| e.to_string())),
     };
-    let mut failures = run_backend("net", &net, &net_ops, scale);
+    let mut failures = run_backend("net", &net, &net, &net_ops, scale);
     net.shutdown();
 
     // -- Backend 2: the in-process simulator -------------------------------
@@ -328,15 +235,13 @@ fn main() {
         cluster.put_item_features(item, x);
     }
     let sim = SimTransport::new(Arc::clone(&cluster), LR);
-    let sim_ops = MembershipOps {
-        join: Box::new(|| cluster.join_node().map_err(|e| e.to_string())),
-        rebalance: Box::new(|dst| cluster.rebalance_join(dst).map_err(|e| e.to_string())),
+    let sim_ops = NodeOps {
+        join: Box::new(|| cluster.join_node()),
         // The simulator holds no disk; a kill already forgets the node's
         // local state for fail-over purposes.
         kill_lose_disk: Box::new(|n| cluster.kill_node(n)),
-        fail_over: Box::new(|n| cluster.fail_over_dead(n).map_err(|e| e.to_string())),
     };
-    failures.extend(run_backend("sim", &sim, &sim_ops, scale));
+    failures.extend(run_backend("sim", cluster.as_ref(), &sim, &sim_ops, scale));
 
     if smoke {
         if !failures.is_empty() {

@@ -11,6 +11,8 @@
 
 #![warn(missing_docs)]
 
+pub mod membership;
+
 use std::time::Instant;
 
 use velox_linalg::stats::LatencySummary;

@@ -18,17 +18,15 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
-use velox_data::VeloxRng;
-use velox_obs::{Counter, Registry};
+use velox_obs::{Counter, Registry, Tracer};
 use velox_storage::{LruCache, Namespace};
 
-use crate::fault::{FaultAction, FaultPlan, HealthTransition, NodeHealth};
+use crate::fault::{FaultAction, FaultClock, FaultPlan, HealthTransition, NodeHealth};
+use crate::migrate::{ChunkStep, ControlPlane, MigrationIo, Migrator};
 use crate::netfault::LinkChaos;
 use crate::partition::{
-    HashPartitioner, MembershipError, MigrationOutcome, MigrationStatus, NodeId, PartitionError,
-    PartitionMap, Router, RoutingPolicy,
+    HashPartitioner, MembershipError, NodeId, PartitionError, PartitionMap, Router, RoutingPolicy,
 };
 
 /// Cluster topology and cost-model configuration.
@@ -137,13 +135,6 @@ struct Node {
 
 const HEALTH_UP: u8 = 0;
 
-/// State of an installed fault plan (events sorted by fire time).
-struct FaultState {
-    plan: FaultPlan,
-    rng: VeloxRng,
-    next_event: usize,
-}
-
 /// Per-node counter snapshot.
 #[derive(Debug, Clone)]
 pub struct NodeStats {
@@ -246,33 +237,23 @@ pub struct Cluster {
     map: std::sync::RwLock<Arc<PartitionMap>>,
     /// Requests rejected because the caller presented a stale map epoch.
     wrong_epoch: Arc<Counter>,
-    /// Ledger of completed partition migrations (most recent last), the
-    /// source for `/cluster/health` membership reporting.
-    migrations: Mutex<Vec<MigrationStatus>>,
+    /// The membership/migration state machine; this cluster is its
+    /// in-memory [`MigrationIo`].
+    migrator: Migrator,
     /// Virtual microseconds accumulated by all reads (scaled ×1000 to keep
     /// three decimal places in an atomic integer).
     virtual_read_nanos: AtomicU64,
     /// Count of routed requests — the clock scheduled faults fire against.
     request_clock: AtomicU64,
-    /// Fast-path gate: true only while a fault plan is installed, so the
-    /// healthy serving path pays one relaxed load, never a lock.
-    fault_active: AtomicBool,
-    faults: Mutex<Option<FaultState>>,
+    faults: FaultClock,
     /// Health transitions not yet collected by the serving layer.
     transitions: Mutex<Vec<HealthTransition>>,
     transitions_pending: AtomicBool,
     injected_read_failures: Arc<Counter>,
     injected_latency_spikes: Arc<Counter>,
-    /// At-most-one in-flight migration (the hardened-rebalance policy).
-    migration_active: AtomicBool,
-    /// Operator cancel request: consumed by the next abort check of the
-    /// running (or next) migration.
-    migration_cancel: AtomicBool,
     /// Rebalance kill switch (`false` = operator disabled migrations).
     rebalance_enabled: AtomicBool,
-    /// Wall-clock budget for a whole migration; exceeded → abort.
-    migration_deadline: Mutex<Option<Duration>>,
-    /// Link-fault engine consulted between checkpoint chunks: a partition
+    /// Link-fault engine consulted at every checkpoint chunk: a partition
     /// of the src↔dst link aborts the transfer (the TCP runtime instead
     /// retries and resumes from the cursor).
     migration_link_chaos: Mutex<Option<Arc<LinkChaos>>>,
@@ -324,19 +305,17 @@ impl Cluster {
             router,
             map: std::sync::RwLock::new(Arc::new(map)),
             wrong_epoch: Arc::new(Counter::new()),
-            migrations: Mutex::new(Vec::new()),
+            // Synchronous in-memory copies: no deadline unless a test
+            // sets one, and no tracer of its own.
+            migrator: Migrator::new(None, Tracer::disabled()),
             virtual_read_nanos: AtomicU64::new(0),
             request_clock: AtomicU64::new(0),
-            fault_active: AtomicBool::new(false),
-            faults: Mutex::new(None),
+            faults: FaultClock::default(),
             transitions: Mutex::new(Vec::new()),
             transitions_pending: AtomicBool::new(false),
             injected_read_failures: Arc::new(Counter::new()),
             injected_latency_spikes: Arc::new(Counter::new()),
-            migration_active: AtomicBool::new(false),
-            migration_cancel: AtomicBool::new(false),
             rebalance_enabled: AtomicBool::new(true),
-            migration_deadline: Mutex::new(None),
             migration_link_chaos: Mutex::new(None),
         }
     }
@@ -446,19 +425,11 @@ impl Cluster {
         self.transitions_pending.store(true, Ordering::Release);
     }
 
-    /// Whether `node` is a valid slot id (members and join headroom).
-    fn check_slot(&self, node: NodeId) -> Result<(), MembershipError> {
-        if node >= self.nodes.len() {
-            return Err(MembershipError::UnknownNode { node, capacity: self.nodes.len() });
-        }
-        Ok(())
-    }
-
     /// Kills a node: shards wiped (the crash loses in-memory state), item
     /// cache cleared, health `Down`. Idempotent on an already-down node;
     /// a slot id outside the cluster is ignored.
     pub fn kill_node(&self, node: NodeId) {
-        if self.check_slot(node).is_err() || self.node_health(node) == NodeHealth::Down {
+        if node >= self.nodes.len() || self.node_health(node) == NodeHealth::Down {
             return;
         }
         self.nodes[node].user_weights.publish_version(Vec::new());
@@ -473,7 +444,7 @@ impl Cluster {
     /// surviving replica stay lost until the next write or publish (the
     /// serving layer degrades them). No-op on a node that is already `Up`.
     pub fn recover_node(&self, node: NodeId) -> u64 {
-        if self.check_slot(node).is_err() || self.node_health(node) == NodeHealth::Up {
+        if node >= self.nodes.len() || self.node_health(node) == NodeHealth::Up {
             return 0;
         }
         self.set_health(node, NodeHealth::Recovering, 0);
@@ -508,7 +479,7 @@ impl Cluster {
     /// fresh, empty node (health `Up`, owning no partitions). Returns the
     /// new node id; fails when no headroom slot is left (`max_nodes`
     /// exhausted). Partitions move afterwards via
-    /// [`Cluster::rebalance_join`] / [`Cluster::migrate_partition`].
+    /// [`ControlPlane::rebalance_join`] / [`ControlPlane::migrate_partition`].
     pub fn join_node(&self) -> Result<NodeId, MembershipError> {
         let mut cur = self.map.write().unwrap();
         let next_id = cur.members().iter().max().map_or(0, |&m| m + 1);
@@ -524,17 +495,10 @@ impl Cluster {
         Ok(next_id)
     }
 
-    /// Requests that the in-flight (or next) migration abort with
-    /// `operator cancel` at its next chunk boundary. Returns whether a
-    /// migration was running when the cancel landed.
-    pub fn request_migration_cancel(&self) -> bool {
-        self.migration_cancel.store(true, Ordering::Release);
-        self.migration_active.load(Ordering::Acquire)
-    }
-
     /// Flips the rebalance kill switch; `false` makes
-    /// [`Cluster::rebalance_join`] and [`Cluster::migrate_partition`]
-    /// refuse with [`MembershipError::RebalanceDisabled`].
+    /// [`ControlPlane::rebalance_join`] and
+    /// [`ControlPlane::migrate_partition`] refuse with
+    /// [`MembershipError::RebalanceDisabled`].
     pub fn set_rebalance_enabled(&self, on: bool) {
         self.rebalance_enabled.store(on, Ordering::Release);
     }
@@ -542,14 +506,6 @@ impl Cluster {
     /// Current state of the rebalance kill switch.
     pub fn rebalance_enabled(&self) -> bool {
         self.rebalance_enabled.load(Ordering::Acquire)
-    }
-
-    /// Sets the wall-clock budget for each subsequent migration (`None`
-    /// removes the deadline). The simulator's migrations are synchronous,
-    /// so in practice only a zero deadline fires — the deterministic
-    /// deadline-abort scenario.
-    pub fn set_migration_deadline(&self, deadline: Option<Duration>) {
-        *self.migration_deadline.lock().unwrap() = deadline;
     }
 
     /// Wires a link-fault engine into the migration path: a chunk transfer
@@ -560,257 +516,16 @@ impl Cluster {
         *self.migration_link_chaos.lock().unwrap() = Some(chaos);
     }
 
-    /// First satisfied abort trigger for a migration step, if any.
-    fn migration_abort_reason(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        started: Instant,
-        deadline: Option<Duration>,
-    ) -> Option<String> {
-        if self.migration_cancel.swap(false, Ordering::AcqRel) {
-            return Some("operator cancel".into());
-        }
-        if let Some(limit) = deadline {
-            if started.elapsed() > limit {
-                return Some("deadline exceeded".into());
-            }
-        }
-        if self.node_health(src) != NodeHealth::Up {
-            return Some(format!("source death (node {src})"));
-        }
-        if self.node_health(dst) != NodeHealth::Up {
-            return Some(format!("destination death (node {dst})"));
-        }
-        if let Some(chaos) = self.migration_link_chaos.lock().unwrap().as_ref() {
-            if chaos.is_partitioned(src as u32, dst as u32) {
-                return Some(format!("checkpoint link partitioned ({src}<->{dst})"));
-            }
-        }
-        None
-    }
-
-    /// Live-migrates virtual partition `p` to `dst` through the epoch
-    /// protocol, chunked and abortable:
-    ///
-    /// 1. **chunk_stream** — the partition's user weights are copied from
-    ///    the owner in bounded, uid-sorted chunks
-    ///    ([`ClusterConfig::checkpoint_chunk_users`]); every chunk
-    ///    boundary checks the abort triggers (operator cancel, deadline,
-    ///    source/destination death, partitioned link). An abort here
-    ///    rolls back completely: copied entries are scrubbed from `dst`,
-    ///    no map was installed, the epoch did not move.
-    /// 2. **dual_write** — epoch `+1` adds `dst` to the replica set;
-    ///    every new write now fans out to `dst` too.
-    /// 3. **catch_up** — a reconcile pass overwrites `dst` with the
-    ///    owner's current values (covers writes that raced phase 1).
-    /// 4. **cut_over** — epoch `+2` makes `dst` the owner; the old owner
-    ///    stays a replica.
-    ///
-    /// Returns the number of users copied.
-    pub fn migrate_partition(&self, p: u32, dst: NodeId) -> Result<u64, MembershipError> {
-        self.check_slot(dst)?;
-        if !self.rebalance_enabled() {
-            return Err(MembershipError::RebalanceDisabled);
-        }
-        let map0 = self.map();
-        if !map0.is_member(dst) {
-            return Err(MembershipError::NotAMember(dst));
-        }
-        let src = map0.owner_of_partition(p);
-        if src == dst {
-            return Ok(0);
-        }
-        if self.migration_active.swap(true, Ordering::AcqRel) {
-            return Err(MembershipError::MigrationInFlight);
-        }
-        let result = self.run_migration(p, src, dst, &map0);
-        self.migration_active.store(false, Ordering::Release);
-        result
-    }
-
-    fn run_migration(
-        &self,
-        p: u32,
-        src: NodeId,
-        dst: NodeId,
-        map0: &Arc<PartitionMap>,
-    ) -> Result<u64, MembershipError> {
-        let started = Instant::now();
-        let deadline = *self.migration_deadline.lock().unwrap();
-        let chunk_users = match self.config.checkpoint_chunk_users {
-            0 => usize::MAX,
-            n => n,
-        };
-        let mut status = MigrationStatus {
-            partition: p,
-            from: src,
-            to: dst,
-            phase: "chunk_stream",
-            epoch_start: map0.epoch(),
-            epoch_end: 0,
-            users_streamed: 0,
-            records_replayed: 0,
-            chunks_streamed: 0,
-            outcome: MigrationOutcome::InFlight,
-        };
-
-        // Phase 1: chunked checkpoint, before any install — aborting here
-        // leaves the cluster bit-identical to never having tried.
-        let mut entries: Vec<(u64, Vec<f64>)> = self.nodes[src]
-            .user_weights
-            .snapshot_entries()
-            .into_iter()
-            .filter(|(uid, _)| map0.partition_of(*uid) == p)
-            .collect();
-        entries.sort_by_key(|(uid, _)| *uid);
-        let mut placed: Vec<u64> = Vec::new();
-        let mut abort = self.migration_abort_reason(src, dst, started, deadline);
-        if abort.is_none() {
-            for chunk in entries.chunks(chunk_users.max(1)) {
-                for (uid, w) in chunk {
-                    if !self.nodes[dst].user_weights.contains(*uid) {
-                        self.nodes[dst].user_weights.put(*uid, w.clone());
-                        placed.push(*uid);
-                    }
-                }
-                status.chunks_streamed += 1;
-                status.users_streamed += chunk.len() as u64;
-                abort = self.migration_abort_reason(src, dst, started, deadline);
-                if abort.is_some() {
-                    break;
-                }
-            }
-        }
-        if let Some(reason) = abort {
-            // Roll back: scrub everything this migration placed at `dst`,
-            // leaving the source authoritative and the epoch untouched.
-            if !placed.is_empty() {
-                let keep: Vec<(u64, Vec<f64>)> = self.nodes[dst]
-                    .user_weights
-                    .snapshot_entries()
-                    .into_iter()
-                    .filter(|(uid, _)| !placed.contains(uid))
-                    .collect();
-                self.nodes[dst].user_weights.publish_version(keep);
-            }
-            status.phase = "aborted";
-            status.outcome = MigrationOutcome::Aborted(reason.clone());
-            self.migrations.lock().unwrap().push(status);
-            return Err(MembershipError::Aborted(reason));
-        }
-        self.nodes[dst].catch_up_entries.add(placed.len() as u64);
-
-        // Phase 2: dual-write window (epoch +1) — the commit point.
-        status.phase = "dual_write";
-        let map1 = Arc::new(map0.with_extra_replica(p, dst)?);
-        self.install_map(Arc::clone(&map1));
-
-        // Phase 3: reconcile writes that raced the chunk stream — the
-        // owner's current values win (it stayed authoritative throughout).
-        status.phase = "catch_up";
-        for (uid, w) in self.nodes[src].user_weights.snapshot_entries() {
-            if map1.partition_of(uid) == p {
-                self.nodes[dst].user_weights.put(uid, w);
-                status.records_replayed += 1;
-            }
-        }
-
-        // Phase 4: cutover (epoch +2); the old owner stays a replica.
-        status.phase = "cut_over";
-        let map2 = Arc::new(map1.with_owner(p, dst)?);
-        let epoch_end = map2.epoch();
-        self.install_map(map2);
-        status.phase = "done";
-        status.epoch_end = epoch_end;
-        status.outcome = MigrationOutcome::Committed;
-        let copied = status.users_streamed;
-        self.migrations.lock().unwrap().push(status);
-        Ok(copied)
-    }
-
-    /// Completed, aborted, and failed partition migrations, most recent
-    /// last (the ledger behind `/cluster/health`).
-    pub fn migrations(&self) -> Vec<MigrationStatus> {
-        self.migrations.lock().unwrap().clone()
-    }
-
-    /// Planned handoff after [`Cluster::join_node`]: migrates the
-    /// deterministic [`PartitionMap::plan_join`] set of partitions onto
-    /// `dst`, one epoch-bumped migration at a time. Returns the moved
-    /// partitions.
-    pub fn rebalance_join(&self, dst: NodeId) -> Result<Vec<u32>, MembershipError> {
-        self.check_slot(dst)?;
-        if !self.rebalance_enabled() {
-            return Err(MembershipError::RebalanceDisabled);
-        }
-        let plan = self.map().plan_join(dst)?;
-        for &p in &plan {
-            self.migrate_partition(p, dst)?;
-        }
-        Ok(plan)
-    }
-
-    /// Removes a dead member from the map: its partitions are re-owned by
-    /// their first surviving replica, depleted replica sets are backfilled
-    /// from survivors, and backfilled holders copy the partition state
-    /// from a surviving replica. Returns the entries copied during
-    /// backfill. The node must already be `Down` (see
-    /// [`Cluster::kill_node`]).
-    pub fn fail_over_dead(&self, dead: NodeId) -> Result<u64, MembershipError> {
-        self.check_slot(dead)?;
-        let old = self.map();
-        if !old.is_member(dead) {
-            return Err(MembershipError::NotAMember(dead));
-        }
-        if self.node_health(dead) != NodeHealth::Down {
-            return Err(MembershipError::NotDown(dead));
-        }
-        let new = Arc::new(old.without_member(dead)?);
-        self.install_map(Arc::clone(&new));
-        let mut copied = 0u64;
-        for p in 0..new.n_partitions() {
-            let old_set = old.replicas_of_partition(p);
-            let new_set = new.replicas_of_partition(p);
-            let Some(&source) =
-                old_set.iter().find(|&&n| n != dead && self.node_health(n) == NodeHealth::Up)
-            else {
-                continue; // no surviving copy; lost until the next publish
-            };
-            for &holder in new_set {
-                if old_set.contains(&holder) || self.node_health(holder) != NodeHealth::Up {
-                    continue;
-                }
-                let mut here = 0u64;
-                for (uid, w) in self.nodes[source].user_weights.snapshot_entries() {
-                    if new.partition_of(uid) == p && !self.nodes[holder].user_weights.contains(uid)
-                    {
-                        self.nodes[holder].user_weights.put(uid, w);
-                        here += 1;
-                    }
-                }
-                self.nodes[holder].catch_up_entries.add(here);
-                copied += here;
-            }
-        }
-        Ok(copied)
-    }
-
     /// Installs (or replaces) a fault plan. Scheduled events fire against
     /// the request clock as requests are routed; probabilistic failures and
     /// spikes apply to every shard read from now on.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
-        let mut plan = plan;
-        plan.events.sort_by_key(|e| e.at_request);
-        let rng = VeloxRng::seed_from(plan.seed);
-        *self.faults.lock().unwrap() = Some(FaultState { plan, rng, next_event: 0 });
-        self.fault_active.store(true, Ordering::Release);
+        self.faults.install(plan);
     }
 
     /// Removes the installed fault plan (health states are left as-is).
     pub fn clear_fault_plan(&self) {
-        *self.faults.lock().unwrap() = None;
-        self.fault_active.store(false, Ordering::Release);
+        self.faults.clear();
     }
 
     /// True when health transitions await collection via
@@ -834,22 +549,7 @@ impl Cluster {
 
     /// Fires every scheduled fault event due at or before `tick`.
     fn apply_due_faults(&self, tick: u64) {
-        // Collect targets under the lock, act after releasing it:
-        // kill/recover take other locks and must not nest inside this one.
-        let due: Vec<(NodeId, FaultAction)> = {
-            let mut guard = self.faults.lock().unwrap();
-            let Some(state) = guard.as_mut() else { return };
-            let mut due = Vec::new();
-            while state.next_event < state.plan.events.len()
-                && state.plan.events[state.next_event].at_request <= tick
-            {
-                let ev = state.plan.events[state.next_event];
-                due.push((ev.node, ev.action));
-                state.next_event += 1;
-            }
-            due
-        };
-        for (node, action) in due {
+        for (node, action) in self.faults.due_events(tick) {
             match action {
                 FaultAction::Kill => self.kill_node(node),
                 FaultAction::Recover => {
@@ -862,38 +562,27 @@ impl Cluster {
     /// Rolls the plan's dice for one shard read: `true` = the read
     /// transiently fails (the caller should fail over).
     fn inject_read_failure(&self) -> bool {
-        if !self.fault_active.load(Ordering::Acquire) {
-            return false;
-        }
-        let mut guard = self.faults.lock().unwrap();
-        let Some(state) = guard.as_mut() else { return false };
-        if state.plan.read_failure_prob <= 0.0 {
-            return false;
-        }
-        let fail = state.rng.uniform() < state.plan.read_failure_prob;
-        if fail {
+        let fail = self.faults.roll(|plan, rng| {
+            plan.read_failure_prob > 0.0 && rng.uniform() < plan.read_failure_prob
+        });
+        if fail == Some(true) {
             self.injected_read_failures.inc();
+            return true;
         }
-        fail
+        false
     }
 
     /// Extra virtual microseconds from an injected latency spike (usually
     /// 0.0). Added to the caller's cost and the virtual read clock.
     fn latency_spike_us(&self) -> f64 {
-        if !self.fault_active.load(Ordering::Acquire) {
-            return 0.0;
-        }
-        let mut guard = self.faults.lock().unwrap();
-        let Some(state) = guard.as_mut() else { return 0.0 };
-        if state.plan.latency_spike_prob <= 0.0
-            || state.rng.uniform() >= state.plan.latency_spike_prob
-        {
-            return 0.0;
-        }
+        let spike = self.faults.roll(|plan, rng| {
+            let hit = plan.latency_spike_prob > 0.0 && rng.uniform() < plan.latency_spike_prob;
+            hit.then_some(plan.latency_spike_us)
+        });
+        let Some(Some(us)) = spike else { return 0.0 };
         self.injected_latency_spikes.inc();
-        self.virtual_read_nanos
-            .fetch_add((state.plan.latency_spike_us * 1000.0) as u64, Ordering::Relaxed);
-        state.plan.latency_spike_us
+        self.virtual_read_nanos.fetch_add((us * 1000.0) as u64, Ordering::Relaxed);
+        us
     }
 
     /// Picks the serving node for a request from `uid` under the configured
@@ -902,9 +591,7 @@ impl Cluster {
     /// to the first live replica of the user (then any live node).
     pub fn route_request(&self, uid: u64) -> NodeId {
         let tick = self.request_clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.fault_active.load(Ordering::Acquire) {
-            self.apply_due_faults(tick);
-        }
+        self.apply_due_faults(tick);
         let mut node = match self.config.routing {
             // ByUser consults the live partition map so routing follows
             // migrations; the static router only drives the round-robin
@@ -1342,6 +1029,88 @@ impl Cluster {
             &[],
             Arc::clone(&self.wrong_epoch),
         );
+    }
+}
+
+/// The simulator's side of the migration seam: in-memory copies between
+/// node shards.
+impl MigrationIo for Cluster {
+    fn capacity(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn node_up(&self, node: NodeId) -> bool {
+        self.nodes.get(node).is_some_and(|n| n.health.load(Ordering::Acquire) == HEALTH_UP)
+    }
+
+    fn map(&self) -> Arc<PartitionMap> {
+        Cluster::map(self)
+    }
+
+    fn install_map(&self, map: &Arc<PartitionMap>) {
+        Cluster::install_map(self, Arc::clone(map));
+    }
+
+    fn migrations_enabled(&self) -> bool {
+        self.rebalance_enabled()
+    }
+
+    fn stream_chunk(&self, p: u32, src: NodeId, dst: NodeId, cursor: u64) -> ChunkStep {
+        if let Some(chaos) = self.migration_link_chaos.lock().unwrap().as_ref() {
+            if chaos.is_partitioned(src as u32, dst as u32) {
+                return ChunkStep::Abort(format!("checkpoint link partitioned ({src}<->{dst})"));
+            }
+        }
+        let map = Cluster::map(self);
+        let (from, to) = (&self.nodes[src].user_weights, &self.nodes[dst]);
+        let mut uids = from.keys();
+        uids.retain(|&uid| uid >= cursor && map.partition_of(uid) == p);
+        uids.sort_unstable();
+        let budget = match self.config.checkpoint_chunk_users {
+            0 => usize::MAX,
+            n => n,
+        };
+        let done = uids.len() <= budget;
+        uids.truncate(budget);
+        for &uid in &uids {
+            // Only this chunk's vectors are cloned, never the whole shard.
+            if let (false, Some(w)) = (to.user_weights.contains(uid), from.get(uid)) {
+                to.user_weights.put(uid, w);
+                to.catch_up_entries.inc();
+            }
+        }
+        let next = uids.last().map_or(cursor, |uid| uid + 1);
+        ChunkStep::Copied { next, users: uids.len() as u64, done }
+    }
+
+    fn scrub(&self, p: u32, dst: NodeId) {
+        let map = Cluster::map(self);
+        let shard = &self.nodes[dst].user_weights;
+        for uid in shard.keys() {
+            if map.partition_of(uid) == p && !map.holds(dst, uid) {
+                shard.remove(uid);
+            }
+        }
+    }
+
+    /// The source stayed authoritative throughout, so its current values
+    /// simply overwrite the destination's.
+    fn replay_tail(&self, p: u32, src: NodeId, dst: NodeId) -> Result<u64, String> {
+        let map = Cluster::map(self);
+        let mut replayed = 0u64;
+        for (uid, w) in self.nodes[src].user_weights.snapshot_entries() {
+            if map.partition_of(uid) == p {
+                self.nodes[dst].user_weights.put(uid, w);
+                replayed += 1;
+            }
+        }
+        Ok(replayed)
+    }
+}
+
+impl ControlPlane for Cluster {
+    fn migrator(&self) -> &Migrator {
+        &self.migrator
     }
 }
 

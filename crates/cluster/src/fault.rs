@@ -8,6 +8,11 @@
 //! transient read failures and latency spikes on top, all driven by a
 //! seeded RNG so every chaos run is reproducible.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+
+use velox_data::VeloxRng;
+
 use crate::partition::NodeId;
 
 /// Health of a simulated node.
@@ -113,6 +118,77 @@ impl FaultPlan {
     /// A plan with only scripted kill/recover events (no random noise).
     pub fn scripted(events: Vec<FaultEvent>) -> Self {
         FaultPlan { events, ..Default::default() }
+    }
+}
+
+/// An installed [`FaultPlan`] and the request clock's position in it —
+/// shared by the simulator and the socket runtime. Each runtime keeps its
+/// own dice sites ([`FaultClock::roll`]), so a seeded plan replays the
+/// same draws it always did on that runtime.
+#[derive(Default)]
+pub struct FaultClock {
+    /// Fast-path gate: true only while a plan is installed, so the healthy
+    /// serving path pays one atomic load, never a lock.
+    active: AtomicBool,
+    state: Mutex<Option<FaultState>>,
+}
+
+/// Plan in flight (events sorted by fire time).
+struct FaultState {
+    plan: FaultPlan,
+    rng: VeloxRng,
+    next_event: usize,
+}
+
+impl FaultClock {
+    /// Installs (or replaces) `plan`; its events fire from the start.
+    pub fn install(&self, mut plan: FaultPlan) {
+        plan.events.sort_by_key(|e| e.at_request);
+        let rng = VeloxRng::seed_from(plan.seed);
+        *self.state.lock().unwrap() = Some(FaultState { plan, rng, next_event: 0 });
+        self.active.store(true, Ordering::Release);
+    }
+
+    /// Removes the plan (scheduled events stop firing).
+    pub fn clear(&self) {
+        *self.state.lock().unwrap() = None;
+        self.active.store(false, Ordering::Release);
+    }
+
+    /// Whether a plan is installed.
+    #[inline]
+    pub fn is_active(&self) -> bool {
+        self.active.load(Ordering::Acquire)
+    }
+
+    /// Pops every scheduled event due at or before `tick`. The caller
+    /// applies them after this returns — kill/recover take other locks
+    /// and must not nest inside the clock's.
+    pub fn due_events(&self, tick: u64) -> Vec<(NodeId, FaultAction)> {
+        let mut due = Vec::new();
+        if !self.is_active() {
+            return due;
+        }
+        if let Some(state) = self.state.lock().unwrap().as_mut() {
+            while let Some(ev) = state.plan.events.get(state.next_event) {
+                if ev.at_request > tick {
+                    break;
+                }
+                due.push((ev.node, ev.action));
+                state.next_event += 1;
+            }
+        }
+        due
+    }
+
+    /// Runs `dice` against the installed plan and its seeded RNG; `None`
+    /// when no plan is installed.
+    pub fn roll<R>(&self, dice: impl FnOnce(&FaultPlan, &mut VeloxRng) -> R) -> Option<R> {
+        if !self.is_active() {
+            return None;
+        }
+        let mut guard = self.state.lock().unwrap();
+        guard.as_mut().map(|state| dice(&state.plan, &mut state.rng))
     }
 }
 

@@ -32,13 +32,16 @@
 //! into suspect/dead liveness verdicts that feed routing, and [`retry`]
 //! supplies the budgeted-backoff and observation-dedupe policies both
 //! transports share — together the substrate for the CHAOS-NET
-//! experiment.
+//! experiment. [`migrate`] is the elastic-membership control plane — live
+//! migration, abort/rollback, join rebalance and fail-over — written once
+//! against an I/O seam that this simulator and `velox-net` both fill.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod detector;
 pub mod fault;
+pub mod migrate;
 pub mod netfault;
 pub mod partition;
 pub mod retry;
@@ -46,7 +49,8 @@ pub mod transport;
 
 pub use cluster::{AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats};
 pub use detector::{DetectorConfig, FailureDetector, PeerLiveness, PeerState};
-pub use fault::{FaultAction, FaultEvent, FaultPlan, HealthTransition, NodeHealth};
+pub use fault::{FaultAction, FaultClock, FaultEvent, FaultPlan, HealthTransition, NodeHealth};
+pub use migrate::{ChunkStep, ControlPlane, MigrationIo, Migrator};
 pub use netfault::{
     ChaosControl, LinkChaos, LinkFaultEvent, LinkFaultKind, LinkFaultPlan, LinkVerdict, FRONT_PEER,
 };
@@ -56,6 +60,6 @@ pub use partition::{
 };
 pub use retry::{obs_id_nonce, ObsDedupe, RetryPolicy};
 pub use transport::{
-    dot, lms_update, membership_rejection, SimTransport, Transport, TransportError,
-    TransportObserve, TransportPredict,
+    dot, lms_update, non_finite_label, SimTransport, Transport, TransportError, TransportObserve,
+    TransportPredict,
 };

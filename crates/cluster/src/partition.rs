@@ -75,8 +75,8 @@ impl std::error::Error for PartitionError {}
 /// Typed errors from membership operations (`rebalance_join`,
 /// `fail_over_dead`, `migrate_partition`, kill/recover). These are
 /// *caller* mistakes or refused preconditions — REST surfaces them as
-/// 4xx — as opposed to [`PartitionError`], which covers structurally
-/// invalid maps, and I/O errors, which cover the network.
+/// 4xx — except [`MembershipError::Failed`], the one backend fault. A
+/// [`PartitionError`] covers structurally invalid maps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MembershipError {
     /// The node id is outside the cluster's slot range entirely.
@@ -99,6 +99,11 @@ pub enum MembershipError {
     /// A migration aborted and rolled back; the reason names the trigger
     /// (operator cancel, deadline, source/destination death, link fault).
     Aborted(String),
+    /// A migration broke past its commit point, or a fail-over backfill
+    /// could not complete: the map already moved and the cluster rolls
+    /// forward, so unlike every other variant this is a backend fault
+    /// (5xx), not a refused request.
+    Failed(String),
     /// The underlying map transition was structurally invalid.
     Map(PartitionError),
 }
@@ -123,6 +128,7 @@ impl std::fmt::Display for MembershipError {
             MembershipError::Aborted(reason) => {
                 write!(f, "migration aborted: {reason}")
             }
+            MembershipError::Failed(why) => write!(f, "{why}"),
             MembershipError::Map(e) => write!(f, "{e}"),
         }
     }
@@ -553,9 +559,8 @@ pub struct MigrationStatus {
     pub from: NodeId,
     /// New owner (migration destination).
     pub to: NodeId,
-    /// Current phase label (`chunk_stream`, `dual_write`, `checkpoint`,
-    /// `catch_up`, `cut_over`, `tail_replay`, `done`, `aborted`,
-    /// `failed`).
+    /// Current phase label (`chunk_stream`, `dual_write`, `catch_up`,
+    /// `cut_over`, `tail_replay`, `done`, `aborted`, `failed`).
     pub phase: &'static str,
     /// Map epoch when the migration started.
     pub epoch_start: u64,

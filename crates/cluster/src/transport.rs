@@ -26,8 +26,9 @@ use velox_obs::{
 use crate::cluster::Cluster;
 use crate::detector::{PeerLiveness, PeerState};
 use crate::fault::NodeHealth;
+use crate::migrate::ControlPlane;
 use crate::netfault::{ChaosControl, LinkChaos, FRONT_PEER};
-use crate::partition::{MembershipView, NodeId, PartitionMap};
+use crate::partition::{MembershipError, MembershipView, NodeId, PartitionMap};
 use crate::retry::{obs_id_nonce, ObsDedupe, RetryPolicy};
 
 /// Why a transport request failed.
@@ -39,9 +40,9 @@ pub enum TransportError {
     /// The transport itself failed: socket error, corrupt frame, timeout.
     /// The in-process backend never returns this.
     Failed(String),
-    /// The request was well-formed but refused — bad membership argument,
-    /// kill switch, or a migration that aborted and rolled back. Maps to
-    /// a 4xx at the REST layer, never a 5xx.
+    /// The request was refused — bad membership argument, kill switch, a
+    /// migration that aborted and rolled back, or a non-finite label. Maps
+    /// to a 4xx at the REST layer, never a 5xx.
     Rejected(String),
 }
 
@@ -223,11 +224,21 @@ pub trait Transport {
     }
 }
 
-/// Folds a typed membership failure into a transport error: every
-/// [`MembershipError`] is an operator-input problem (4xx), not a backend
-/// fault.
-pub fn membership_rejection(e: crate::partition::MembershipError) -> TransportError {
-    TransportError::Rejected(e.to_string())
+/// Every [`MembershipError`] is an operator-input problem (4xx) except
+/// `Failed`, the one backend fault (5xx).
+impl From<MembershipError> for TransportError {
+    fn from(e: MembershipError) -> Self {
+        match e {
+            MembershipError::Failed(why) => TransportError::Failed(why),
+            refused => TransportError::Rejected(refused.to_string()),
+        }
+    }
+}
+
+/// The refusal both backends give a non-finite label: applying it would
+/// turn the user's weights — and every later score — into NaN.
+pub fn non_finite_label(y: f64) -> String {
+    format!("label y = {y} is not finite")
 }
 
 /// Dot product in index order — the one accumulation order both backends
@@ -535,6 +546,9 @@ impl Transport for SimTransport {
         y: f64,
         ctx: Option<&TraceContext>,
     ) -> Result<TransportObserve, TransportError> {
+        if !y.is_finite() {
+            return Err(TransportError::Rejected(non_finite_label(y)));
+        }
         let tracer = &self.tracer;
         let (root, entry_child) = self.entry(SpanKind::ClusterObserve, ctx);
         let entry_ctx =
@@ -706,11 +720,11 @@ impl Transport for SimTransport {
     }
 
     fn rebalance_join_node(&self, node: NodeId) -> Result<Vec<u32>, TransportError> {
-        self.cluster.rebalance_join(node).map_err(membership_rejection)
+        Ok(self.cluster.rebalance_join(node)?)
     }
 
     fn fail_over_node(&self, node: NodeId) -> Result<u64, TransportError> {
-        self.cluster.fail_over_dead(node).map_err(membership_rejection)
+        Ok(self.cluster.fail_over_dead(node)?)
     }
 }
 

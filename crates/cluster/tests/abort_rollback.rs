@@ -1,232 +1,78 @@
-//! Abort/rollback invariants for chunked partition migration (simulator).
+//! The shared control-plane property suite, run against the simulator.
 //!
-//! The property under test: **whatever aborts a migration** — operator
-//! cancel, deadline, source death, destination death, or a partitioned
-//! checkpoint link — the rollback leaves the cluster bit-identical to a
-//! twin that never attempted it:
-//!
-//! - the map epoch did not move (no dual-write or cutover install);
-//! - the source is still the partition's owner (authoritative);
-//! - the exported weight table matches the twin's exactly after both
-//!   replay the same post-abort workload;
-//! - the ledger records `Aborted{reason}` with phase `aborted`.
-//!
-//! A racing-cancel test covers the mid-stream case where the outcome is
-//! timing-dependent: the invariants must hold for *whichever* terminal
-//! state the migration reached.
+//! The properties live in `common/control_plane_props.rs` and are written
+//! against `ControlPlane` + `Transport`; `velox-net` instantiates the same
+//! suite for the socket runtime. This file supplies the simulator's
+//! fixture, plus the one refusal only the simulator has (its kill switch
+//! gates operator migrations too).
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use velox_cluster::{
-    lms_update, Cluster, ClusterConfig, LinkChaos, LinkFaultPlan, MembershipError,
-    MigrationOutcome, NodeId,
-};
+use velox_cluster::transport::{SimTransport, Transport};
+use velox_cluster::{ChaosControl, Cluster, ClusterConfig, ControlPlane, MembershipError, NodeId};
 
-const DIM: usize = 4;
-const LR: f64 = 0.05;
-const USERS: u64 = 40;
+#[macro_use]
+#[path = "common/control_plane_props.rs"]
+mod props;
 
-fn features(item: u64) -> Vec<f64> {
-    (0..DIM).map(|d| ((item * 13 + d as u64 * 5) % 7) as f64 / 6.0).collect()
+struct SimTwin {
+    cluster: Arc<Cluster>,
+    sim: SimTransport,
 }
 
-fn build() -> Cluster {
-    Cluster::new(ClusterConfig {
-        n_nodes: 3,
-        max_nodes: 4,
-        user_replication: 2,
-        // Small chunks so a real migration takes several boundary checks.
-        checkpoint_chunk_users: 4,
-        ..Default::default()
-    })
-}
+impl props::Twin for SimTwin {
+    type Plane = Cluster;
 
-/// Applies a deterministic workload slice identically to any cluster.
-fn apply(cluster: &Cluster, offset: u64, n: u64) {
-    for i in offset..offset + n {
-        let (uid, item) = (i % USERS, i % 16);
-        let y = if (i * i) % 3 == 0 { 1.0 } else { 0.0 };
-        let at = cluster.route_request(uid);
-        cluster.update_user_weights(at, uid, Vec::new, |w| {
-            lms_update(w, &features(item), y, LR);
-        });
-    }
-}
-
-fn sorted_weights(cluster: &Cluster) -> Vec<(u64, Vec<f64>)> {
-    let mut w = cluster.export_user_weights();
-    w.sort_by_key(|(uid, _)| *uid);
-    w
-}
-
-/// First partition owned by `node` under the current map.
-fn partition_owned_by(cluster: &Cluster, node: NodeId) -> u32 {
-    let map = cluster.map();
-    (0..map.n_partitions())
-        .find(|&p| map.owner_of_partition(p) == node)
-        .expect("every founding member owns at least one partition")
-}
-
-/// Runs one abort scenario against a twin pair: both clusters see the
-/// same workload and the same environment mutations (`mirror`), but only
-/// `a` attempts the migration, which `trigger` must doom. Asserts the
-/// full rollback property.
-fn assert_abort_indistinguishable(
-    expect_reason: &str,
-    mirror: impl Fn(&Cluster),
-    trigger: impl Fn(&Cluster, u32, NodeId),
-) {
-    let (a, b) = (build(), build());
-    apply(&a, 0, 300);
-    apply(&b, 0, 300);
-    assert_eq!(a.join_node().expect("join a"), 3);
-    assert_eq!(b.join_node().expect("join b"), 3);
-    let p = partition_owned_by(&a, 0);
-    let src = 0;
-    mirror(&a);
-    mirror(&b);
-    trigger(&a, p, src);
-
-    let epoch_before = a.map_epoch();
-    let err = a.migrate_partition(p, 3).expect_err("trigger must abort the migration");
-    match &err {
-        MembershipError::Aborted(reason) => assert!(
-            reason.contains(expect_reason),
-            "abort reason {reason:?} should mention {expect_reason:?}"
-        ),
-        other => panic!("expected Aborted, got {other:?}"),
-    }
-
-    // No epoch moved, the source still owns the partition.
-    assert_eq!(a.map_epoch(), epoch_before, "abort must not bump the epoch");
-    assert_eq!(a.map().owner_of_partition(p), src, "source stays authoritative");
-
-    // The ledger names the terminal outcome.
-    let ledger = a.migrations();
-    let last = ledger.last().expect("abort is recorded in the ledger");
-    assert_eq!(last.phase, "aborted");
-    assert_eq!(last.epoch_end, 0, "an aborted migration never reaches an end epoch");
-    match &last.outcome {
-        MigrationOutcome::Aborted(reason) => assert!(reason.contains(expect_reason)),
-        other => panic!("ledger outcome should be Aborted, got {other:?}"),
-    }
-
-    // Replays are bit-identical to the twin that never tried.
-    apply(&a, 5000, 200);
-    apply(&b, 5000, 200);
-    assert_eq!(a.map_epoch(), b.map_epoch(), "twin epochs diverge after abort");
-    assert_eq!(sorted_weights(&a), sorted_weights(&b), "twin weights diverge after abort");
-}
-
-#[test]
-fn operator_cancel_aborts_and_rolls_back() {
-    assert_abort_indistinguishable(
-        "operator cancel",
-        |_| {},
-        |a, _p, _src| {
-            // Pre-armed cancel: consumed at the migration's first boundary.
-            assert!(!a.request_migration_cancel(), "no migration is running yet");
-        },
-    );
-}
-
-#[test]
-fn deadline_abort_rolls_back() {
-    assert_abort_indistinguishable(
-        "deadline exceeded",
-        |_| {},
-        |a, _p, _src| a.set_migration_deadline(Some(Duration::ZERO)),
-    );
-}
-
-#[test]
-fn source_death_aborts_and_rolls_back() {
-    assert_abort_indistinguishable(
-        "source death",
-        // Both twins lose the source node; only `a` tries to migrate.
-        |c| c.kill_node(0),
-        |_a, _p, _src| {},
-    );
-}
-
-#[test]
-fn destination_death_aborts_and_rolls_back() {
-    assert_abort_indistinguishable("destination death", |c| c.kill_node(3), |_a, _p, _src| {});
-}
-
-#[test]
-fn partitioned_checkpoint_link_aborts_and_rolls_back() {
-    assert_abort_indistinguishable(
-        "checkpoint link partitioned",
-        |_| {},
-        |a, _p, src| {
-            let chaos = Arc::new(LinkChaos::new(LinkFaultPlan::scripted(Vec::new())));
-            chaos.partition_both(src as u32, 3);
-            a.set_migration_link_chaos(chaos);
-        },
-    );
-}
-
-/// Mid-stream cancel race: the cancel lands at an unknown chunk boundary
-/// (or after commit). Whichever way it resolves, the cluster must end in
-/// one of the two legal states — bit-identical to a twin that never
-/// migrated, or bit-identical to a twin that committed the same
-/// migration — never anything in between.
-#[test]
-fn racing_cancel_leaves_only_legal_states() {
-    let a = Arc::new(build());
-    apply(&a, 0, 300);
-    a.join_node().expect("join");
-    let p = partition_owned_by(&a, 0);
-    let epoch_before = a.map_epoch();
-
-    let a2 = Arc::clone(&a);
-    let migrator = std::thread::spawn(move || a2.migrate_partition(p, 3));
-    // Keep requesting cancel until the migration is observed in flight
-    // or it already finished.
-    while !a.request_migration_cancel() && !migrator.is_finished() {
-        std::hint::spin_loop();
-    }
-    let result = migrator.join().expect("migration thread");
-
-    let twin = build();
-    apply(&twin, 0, 300);
-    twin.join_node().expect("join twin");
-    match result {
-        Err(MembershipError::Aborted(_)) => {
-            assert_eq!(a.map_epoch(), epoch_before, "abort must not bump the epoch");
-            assert_eq!(a.map().owner_of_partition(p), 0, "source stays authoritative");
+    fn build() -> Self {
+        let cluster = Arc::new(Cluster::new(ClusterConfig {
+            n_nodes: 3,
+            max_nodes: 4,
+            user_replication: 2,
+            item_replication: 3,
+            // Small chunks so a real migration takes several boundary checks.
+            checkpoint_chunk_users: 4,
+            ..Default::default()
+        }));
+        for item in 0..props::ITEMS {
+            cluster.put_item_features(item, props::features(item));
         }
-        Ok(_) => {
-            assert_eq!(a.map_epoch(), epoch_before + 2, "commit bumps dual-write + cutover");
-            twin.migrate_partition(p, 3).expect("twin migration");
-        }
-        Err(other) => panic!("unexpected migration error: {other:?}"),
+        let sim = SimTransport::new(Arc::clone(&cluster), props::LR);
+        SimTwin { cluster, sim }
     }
-    apply(&a, 5000, 200);
-    apply(&twin, 5000, 200);
-    assert_eq!(a.map_epoch(), twin.map_epoch());
-    assert_eq!(sorted_weights(&a), sorted_weights(&twin), "illegal intermediate state");
+
+    fn plane(&self) -> &Cluster {
+        &self.cluster
+    }
+
+    fn transport(&self) -> &dyn Transport {
+        &self.sim
+    }
+
+    fn join(&self) -> NodeId {
+        self.cluster.join_node().expect("join")
+    }
+
+    fn kill(&self, node: NodeId) {
+        self.cluster.kill_node(node);
+    }
+
+    /// The simulator's transfer is synchronous: it cannot wait a cut link
+    /// out, so the cut itself is the abort.
+    fn jam_checkpoint_link(&self, src: NodeId, dst: NodeId) -> &'static str {
+        self.sim.link_chaos().partition_both(src as u32, dst as u32);
+        "checkpoint link partitioned"
+    }
+
+    fn heal_links(&self) {
+        self.sim.link_chaos().heal_all();
+    }
 }
 
+control_plane_suite!(SimTwin);
+
 #[test]
-fn membership_errors_are_typed_not_panics() {
-    let c = build();
-    // Unknown slot ids: join-rebalance and fail-over both refuse.
-    assert!(matches!(
-        c.rebalance_join(99),
-        Err(MembershipError::UnknownNode { node: 99, capacity: 4 })
-    ));
-    assert!(matches!(
-        c.fail_over_dead(99),
-        Err(MembershipError::UnknownNode { node: 99, capacity: 4 })
-    ));
-    // Failing over a live member is refused.
-    assert!(matches!(c.fail_over_dead(0), Err(MembershipError::NotDown(0))));
-    // Migrating to a provisioned-but-unjoined slot is refused.
-    assert!(matches!(c.migrate_partition(0, 3), Err(MembershipError::NotAMember(3))));
-    // The kill switch refuses migrations until re-enabled.
+fn kill_switch_refuses_operator_migrations_until_re_enabled() {
+    let c = <SimTwin as props::Twin>::build().cluster;
     c.set_rebalance_enabled(false);
     assert!(matches!(c.migrate_partition(0, 1), Err(MembershipError::RebalanceDisabled)));
     assert!(matches!(c.rebalance_join(1), Err(MembershipError::RebalanceDisabled)));

@@ -1,8 +1,9 @@
 //! A lock-sharded LRU cache for the serving hot path.
 //!
-//! The throughput harness (`svc_throughput`) showed a single
-//! `Mutex<LruCache>` prediction cache *negatively* scaling with client
-//! threads — every cache-hit predict serialized on one lock. Sharding by
+//! A multi-threaded hit-heavy mix (today `inproc_hot_d50` in
+//! `benchmark/`) showed a single `Mutex<LruCache>` prediction cache
+//! *negatively* scaling with client threads — every cache-hit predict
+//! serialized on one lock. Sharding by
 //! key hash bounds contention to 1/S of traffic per lock while keeping LRU
 //! behaviour per shard (global LRU order is approximated by per-shard
 //! order, the standard trade in concurrent caches).

@@ -20,9 +20,10 @@
 //!   [`basis::SvmEnsembleModel`], [`basis::RandomFourierModel`], and the
 //!   trivial [`basis::IdentityModel`].
 //!
-//! The [`registry::ModelRegistry`] stores uploaded models by name with a
-//! monotonically increasing version, mirroring the paper's "incrementing
-//! the version and transparently upgrading incoming prediction requests".
+//! Named, versioned model registration ("incrementing the version and
+//! transparently upgrading incoming prediction requests") lives in
+//! `velox-serve`'s `ModelManager`; [`RegistryError`] is its refusal
+//! vocabulary.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,7 @@ pub mod registry;
 
 pub use basis::{IdentityModel, MlpFeatureModel, RandomFourierModel, SvmEnsembleModel};
 pub use mf::MatrixFactorizationModel;
-pub use registry::{ModelRegistry, RegistryError};
+pub use registry::RegistryError;
 
 use std::collections::HashMap;
 use velox_batch::JobExecutor;

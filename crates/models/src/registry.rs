@@ -1,17 +1,10 @@
-//! The model registry: uploaded `VeloxModel`s by name, with versions.
+//! The error vocabulary of model registries.
 //!
 //! Velox is multi-model ("an advertising service may run a series of ad
-//! campaigns, each with separate models", §2). The registry stores each
-//! named model behind an `Arc`, assigns a monotonically increasing version
-//! on every upload or retrain-swap, and retains superseded versions for
-//! rollback — the manager's "version histories, enabling ... simple
-//! rollbacks" requirement.
-
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::RwLock;
-
-use crate::VeloxModel;
+//! campaigns, each with separate models", §2). The registry itself —
+//! named backends, retained versions, alias flips — is
+//! `velox-serve`'s `ModelManager`; the refusals it and the REST layer
+//! share are defined here, next to the model trait they are about.
 
 /// Why a registry operation was refused. Every variant is a caller
 /// mistake — a name collision or a dangling reference — so the REST layer
@@ -49,248 +42,3 @@ impl std::fmt::Display for RegistryError {
 }
 
 impl std::error::Error for RegistryError {}
-
-/// A registered model with its version.
-#[derive(Clone)]
-pub struct RegisteredModel {
-    /// The model object.
-    pub model: Arc<dyn VeloxModel>,
-    /// System-assigned version, starting at 1 and bumped on every swap.
-    pub version: u64,
-}
-
-impl std::fmt::Debug for RegisteredModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegisteredModel")
-            .field("model", &self.model.name())
-            .field("version", &self.version)
-            .finish()
-    }
-}
-
-/// How many superseded versions of each model are retained.
-const HISTORY_PER_MODEL: usize = 4;
-
-struct ModelSlot {
-    current: RegisteredModel,
-    history: Vec<RegisteredModel>,
-    next_version: u64,
-}
-
-/// Thread-safe registry of named models.
-#[derive(Default)]
-pub struct ModelRegistry {
-    slots: RwLock<HashMap<String, ModelSlot>>,
-}
-
-impl ModelRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Uploads a model under its own name. If the name exists, the model is
-    /// swapped in as a new version (the previous version goes to history).
-    /// Returns the assigned version.
-    pub fn upload(&self, model: Arc<dyn VeloxModel>) -> u64 {
-        let name = model.name().to_string();
-        let mut slots = self.slots.write().unwrap();
-        match slots.get_mut(&name) {
-            Some(slot) => {
-                let version = slot.next_version;
-                slot.next_version += 1;
-                let old = std::mem::replace(&mut slot.current, RegisteredModel { model, version });
-                slot.history.push(old);
-                if slot.history.len() > HISTORY_PER_MODEL {
-                    slot.history.remove(0);
-                }
-                version
-            }
-            None => {
-                slots.insert(
-                    name,
-                    ModelSlot {
-                        current: RegisteredModel { model, version: 1 },
-                        history: Vec::new(),
-                        next_version: 2,
-                    },
-                );
-                1
-            }
-        }
-    }
-
-    /// Registers a model under a *new* name. Unlike [`ModelRegistry::upload`]
-    /// — which silently swaps a new version in over an existing name — this
-    /// refuses a collision with a typed error, for callers that mean
-    /// "create", not "create or replace". Returns the assigned version (1).
-    pub fn register(&self, model: Arc<dyn VeloxModel>) -> Result<u64, RegistryError> {
-        let name = model.name().to_string();
-        let mut slots = self.slots.write().unwrap();
-        if slots.contains_key(&name) {
-            return Err(RegistryError::DuplicateModel(name));
-        }
-        slots.insert(
-            name,
-            ModelSlot {
-                current: RegisteredModel { model, version: 1 },
-                history: Vec::new(),
-                next_version: 2,
-            },
-        );
-        Ok(1)
-    }
-
-    /// The current version of a named model.
-    pub fn get(&self, name: &str) -> Option<RegisteredModel> {
-        self.slots.read().unwrap().get(name).map(|s| s.current.clone())
-    }
-
-    /// The current version of a named model, with a typed error for an
-    /// unknown name (what the REST layer surfaces as a 400/404).
-    pub fn get_required(&self, name: &str) -> Result<RegisteredModel, RegistryError> {
-        self.get(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))
-    }
-
-    /// Rolls a model back to a retained prior `version`; the restored model
-    /// is re-published under a fresh version number. Returns the new
-    /// `RegisteredModel`; an unknown name or unretained version comes back
-    /// as a typed [`RegistryError`], not an `Option` the caller must guess
-    /// the meaning of.
-    pub fn rollback(&self, name: &str, version: u64) -> Result<RegisteredModel, RegistryError> {
-        let mut slots = self.slots.write().unwrap();
-        let slot =
-            slots.get_mut(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
-        let pos =
-            slot.history.iter().position(|m| m.version == version).ok_or_else(|| {
-                RegistryError::VersionNotRetained { name: name.to_string(), version }
-            })?;
-        let restored = slot.history.remove(pos);
-        let new_version = slot.next_version;
-        slot.next_version += 1;
-        let old = std::mem::replace(
-            &mut slot.current,
-            RegisteredModel { model: restored.model, version: new_version },
-        );
-        slot.history.push(old);
-        if slot.history.len() > HISTORY_PER_MODEL {
-            slot.history.remove(0);
-        }
-        Ok(slot.current.clone())
-    }
-
-    /// Versions available for rollback of a model, oldest first.
-    pub fn history_versions(&self, name: &str) -> Vec<u64> {
-        self.slots
-            .read()
-            .unwrap()
-            .get(name)
-            .map(|s| s.history.iter().map(|m| m.version).collect())
-            .unwrap_or_default()
-    }
-
-    /// Names of all registered models, unordered.
-    pub fn model_names(&self) -> Vec<String> {
-        self.slots.read().unwrap().keys().cloned().collect()
-    }
-
-    /// Removes a model and its history. Returns whether it existed.
-    pub fn remove(&self, name: &str) -> bool {
-        self.slots.write().unwrap().remove(name).is_some()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::basis::IdentityModel;
-
-    fn model(name: &str, dim: usize) -> Arc<dyn VeloxModel> {
-        Arc::new(IdentityModel::new(name, dim, 0.1))
-    }
-
-    #[test]
-    fn upload_and_get() {
-        let reg = ModelRegistry::new();
-        assert!(reg.get("m").is_none());
-        let v = reg.upload(model("m", 3));
-        assert_eq!(v, 1);
-        let got = reg.get("m").unwrap();
-        assert_eq!(got.version, 1);
-        assert_eq!(got.model.dim(), 3);
-    }
-
-    #[test]
-    fn reupload_bumps_version_and_keeps_history() {
-        let reg = ModelRegistry::new();
-        reg.upload(model("m", 3));
-        let v2 = reg.upload(model("m", 4));
-        assert_eq!(v2, 2);
-        assert_eq!(reg.get("m").unwrap().model.dim(), 4);
-        assert_eq!(reg.history_versions("m"), vec![1]);
-    }
-
-    #[test]
-    fn rollback_restores_old_model_under_new_version() {
-        let reg = ModelRegistry::new();
-        reg.upload(model("m", 3)); // v1
-        reg.upload(model("m", 4)); // v2
-        let restored = reg.rollback("m", 1).unwrap();
-        assert_eq!(restored.version, 3, "rollback publishes a fresh version");
-        assert_eq!(restored.model.dim(), 3, "old parameters restored");
-        // v2 is now in history and can itself be rolled back to.
-        assert!(reg.history_versions("m").contains(&2));
-        assert_eq!(
-            reg.rollback("m", 99).unwrap_err(),
-            RegistryError::VersionNotRetained { name: "m".into(), version: 99 }
-        );
-        assert_eq!(
-            reg.rollback("nope", 1).unwrap_err(),
-            RegistryError::UnknownModel("nope".into())
-        );
-    }
-
-    #[test]
-    fn register_refuses_duplicates_with_typed_error() {
-        let reg = ModelRegistry::new();
-        assert_eq!(reg.register(model("m", 3)).unwrap(), 1);
-        assert_eq!(
-            reg.register(model("m", 4)).unwrap_err(),
-            RegistryError::DuplicateModel("m".into())
-        );
-        assert_eq!(reg.get("m").unwrap().model.dim(), 3, "duplicate register must not swap");
-        // upload remains the create-or-replace path.
-        assert_eq!(reg.upload(model("m", 4)), 2);
-        assert_eq!(reg.get_required("m").unwrap().model.dim(), 4);
-        assert_eq!(
-            reg.get_required("ghost").unwrap_err(),
-            RegistryError::UnknownModel("ghost".into())
-        );
-        assert!(reg.get_required("ghost").unwrap_err().to_string().contains("ghost"));
-    }
-
-    #[test]
-    fn history_is_bounded() {
-        let reg = ModelRegistry::new();
-        for i in 0..10 {
-            reg.upload(model("m", i + 1));
-        }
-        assert!(reg.history_versions("m").len() <= HISTORY_PER_MODEL);
-        assert_eq!(reg.get("m").unwrap().version, 10);
-    }
-
-    #[test]
-    fn multiple_models_coexist() {
-        let reg = ModelRegistry::new();
-        reg.upload(model("ads", 5));
-        reg.upload(model("songs", 7));
-        let mut names = reg.model_names();
-        names.sort();
-        assert_eq!(names, vec!["ads", "songs"]);
-        assert_eq!(reg.get("ads").unwrap().model.dim(), 5);
-        assert_eq!(reg.get("songs").unwrap().model.dim(), 7);
-        assert!(reg.remove("ads"));
-        assert!(reg.get("ads").is_none());
-        assert!(!reg.remove("ads"));
-    }
-}

@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use velox_cluster::netfault::{LinkChaos, FRONT_PEER};
 use velox_cluster::retry::ObsDedupe;
-use velox_cluster::transport::{dot, lms_update};
+use velox_cluster::transport::{dot, lms_update, non_finite_label};
 use velox_cluster::{NodeId, PartitionMap};
 use velox_obs::{trace::now_ns, Counter, Gauge, Registry, SpanKind, TraceContext, Tracer};
 use velox_storage::{Observation, Wal, WalConfig, WalRecovery};
@@ -517,6 +517,12 @@ impl NodeState {
         obs_id: u64,
         ctx: Option<&TraceContext>,
     ) -> Response {
+        // Refused before the forward, the dedupe claim and the WAL append:
+        // one non-finite label would turn the user's weights, and every
+        // later score, into NaN — here and at every replica it ships to.
+        if !y.is_finite() {
+            return Response::Error { code: ErrorCode::BadRequest, message: non_finite_label(y) };
+        }
         let me = self.config.node_id;
         let tracer = &self.config.tracer;
         let owner = self.map.read().unwrap().owner_of(uid);
@@ -829,26 +835,14 @@ impl NodeState {
         Response::Log { records }
     }
 
-    /// Snapshot of every user weight vector this node holds for one
-    /// virtual partition — the migration checkpoint stream source. The
-    /// snapshot covers weights with no log records too (management-plane
-    /// `PutWeights` installs), which log replay alone would miss.
-    fn respond_pull_partition(&self, partition: u32) -> Response {
-        let map = self.current_map();
-        let weights = self.weights.lock().unwrap();
-        let entries: Vec<(u64, Vec<f64>)> = weights
-            .iter()
-            .filter(|(uid, _)| map.partition_of(**uid) == partition)
-            .map(|(uid, w)| (*uid, w.clone()))
-            .collect();
-        Response::Partition { entries }
-    }
-
     /// One bounded step of the resumable checkpoint stream: the held
     /// `(uid, weights)` pairs of `partition` with `uid ≥ cursor`, uid
     /// ascending, cut off at `max_bytes` of encoded entries and stamped
     /// with a CRC over the chunk body, cursor, and done flag. Pure read —
     /// re-pulling a cursor after a dropped link replays the same chunk.
+    /// The snapshot covers weights with no log records too
+    /// (management-plane `PutWeights` installs), which log replay alone
+    /// would miss.
     fn respond_pull_partition_chunk(
         &self,
         partition: u32,
@@ -962,7 +956,6 @@ impl NodeState {
                 self.install_map(Arc::new(map));
                 Response::Ok
             }
-            Request::PullPartition { partition } => self.respond_pull_partition(partition),
             Request::PushPartition { entries } => self.respond_push_partition(entries),
             Request::PullPartitionChunk { partition, cursor, max_bytes } => {
                 self.respond_pull_partition_chunk(partition, cursor, max_bytes)

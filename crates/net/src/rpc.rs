@@ -26,7 +26,7 @@ mod req_tag {
     pub const HEALTH: u8 = 8;
     pub const GET_MAP: u8 = 9;
     pub const INSTALL_MAP: u8 = 10;
-    pub const PULL_PARTITION: u8 = 11;
+    // 11 was the one-shot `PullPartition`; the chunk stream replaced it.
     pub const PUSH_PARTITION: u8 = 12;
     pub const PULL_PARTITION_CHUNK: u8 = 13;
     pub const PREDICT_BATCH: u8 = 14;
@@ -41,7 +41,7 @@ mod resp_tag {
     pub const OK: u8 = 5;
     pub const ERROR: u8 = 6;
     pub const MAP: u8 = 7;
-    pub const PARTITION: u8 = 8;
+    // 8 was `Partition`, the answer to the one-shot `PullPartition`.
     pub const PARTITION_CHUNK: u8 = 9;
     pub const PREDICTED_BATCH: u8 = 10;
 }
@@ -170,14 +170,8 @@ pub enum Request {
         /// The epoch-stamped map to adopt.
         map: PartitionMap,
     },
-    /// Migration plane: snapshot every user weight vector this node holds
-    /// for one virtual partition (the checkpoint stream source).
-    PullPartition {
-        /// The virtual partition to snapshot.
-        partition: u32,
-    },
-    /// Migration plane: bulk-install user weight vectors streamed from a
-    /// partition snapshot (the checkpoint stream sink).
+    /// Migration plane: bulk-install user weight vectors pulled as one
+    /// checkpoint chunk (the checkpoint stream sink).
     PushPartition {
         /// `(uid, weights)` pairs.
         entries: Vec<(u64, Vec<f64>)>,
@@ -264,11 +258,6 @@ pub enum Response {
     Map {
         /// The node's current partition map.
         map: PartitionMap,
-    },
-    /// Answer to [`Request::PullPartition`].
-    Partition {
-        /// `(uid, weights)` pairs held by the node for the partition.
-        entries: Vec<(u64, Vec<f64>)>,
     },
     /// Answer to [`Request::PullPartitionChunk`]: one bounded chunk of
     /// the stream, integrity-checked end to end. The frame ends with a
@@ -672,10 +661,6 @@ impl Request {
                 // Empty TLV extension section (see `Cursor::skip_tlvs`).
                 put_u32(&mut buf, 0);
             }
-            Request::PullPartition { partition } => {
-                buf.push(req_tag::PULL_PARTITION);
-                put_u32(&mut buf, *partition);
-            }
             Request::PushPartition { entries } => {
                 buf.push(req_tag::PUSH_PARTITION);
                 put_entries(&mut buf, entries);
@@ -738,7 +723,6 @@ impl Request {
                 c.skip_tlvs()?;
                 Request::InstallMap { map }
             }
-            req_tag::PULL_PARTITION => Request::PullPartition { partition: c.u32()? },
             req_tag::PUSH_PARTITION => Request::PushPartition { entries: c.entries()? },
             req_tag::PULL_PARTITION_CHUNK => Request::PullPartitionChunk {
                 partition: c.u32()?,
@@ -797,10 +781,6 @@ impl Response {
                 buf.push(resp_tag::MAP);
                 put_map(&mut buf, map);
             }
-            Response::Partition { entries } => {
-                buf.push(resp_tag::PARTITION);
-                put_entries(&mut buf, entries);
-            }
             Response::PartitionChunk { entries, next_cursor, done, crc } => {
                 buf.push(resp_tag::PARTITION_CHUNK);
                 put_entries(&mut buf, entries);
@@ -854,7 +834,6 @@ impl Response {
                 Response::Log { records }
             }
             resp_tag::MAP => Response::Map { map: c.map()? },
-            resp_tag::PARTITION => Response::Partition { entries: c.entries()? },
             resp_tag::PARTITION_CHUNK => {
                 let entries = c.entries()?;
                 let next_cursor = c.u64()?;
@@ -926,7 +905,6 @@ mod tests {
             Request::Health,
             Request::GetMap,
             Request::InstallMap { map: sample_map() },
-            Request::PullPartition { partition: 17 },
             Request::PushPartition { entries: vec![(1, vec![0.5]), (2, vec![])] },
             Request::PullPartitionChunk { partition: 5, cursor: 1 << 40, max_bytes: 4096 },
             Request::PredictBatch { pairs: vec![(1, 2), (u64::MAX, 0), (1, 2)], epoch: 9 },
@@ -947,7 +925,6 @@ mod tests {
             Response::Weights { w: None },
             Response::Log { records: vec![obs(5)] },
             Response::Map { map: sample_map() },
-            Response::Partition { entries: vec![(8, vec![1.0, -2.0])] },
             {
                 let entries = vec![(8u64, vec![1.0, -2.0]), (11, vec![0.5])];
                 let crc = chunk_crc(&entries, 12, false);
@@ -970,6 +947,15 @@ mod tests {
             let buf = resp.encode();
             assert_eq!(Response::decode(&buf).unwrap(), resp, "round trip failed");
         }
+    }
+
+    /// Tags 11 (request) and 8 (response) belonged to the one-shot
+    /// partition checkpoint; they stay unassigned so an old peer's frame
+    /// is refused instead of misread.
+    #[test]
+    fn retired_tags_stay_unassigned() {
+        assert!(Request::decode(&[11, 0, 0, 0, 7]).is_err());
+        assert!(Response::decode(&[8, 0, 0, 0, 0]).is_err());
     }
 
     #[test]

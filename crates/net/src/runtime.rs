@@ -27,15 +27,12 @@ use std::time::{Duration, Instant};
 
 use velox_cluster::netfault::{ChaosControl, LinkChaos, LinkFaultPlan, FRONT_PEER};
 use velox_cluster::retry::obs_id_nonce;
-use velox_cluster::transport::{
-    membership_rejection, Transport, TransportError, TransportObserve, TransportPredict,
-};
+use velox_cluster::transport::{Transport, TransportError, TransportObserve, TransportPredict};
 use velox_cluster::{
-    DetectorConfig, FailureDetector, FaultAction, FaultPlan, MembershipError, MembershipView,
-    MigrationOutcome, MigrationStatus, NodeHealth, NodeId, PartitionMap, PeerLiveness, PeerState,
-    USER_SALT,
+    ChunkStep, ControlPlane, DetectorConfig, FailureDetector, FaultAction, FaultClock, FaultPlan,
+    MembershipError, MembershipView, MigrationIo, Migrator, NodeHealth, NodeId, PartitionError,
+    PartitionMap, PeerLiveness, PeerState, USER_SALT,
 };
-use velox_data::VeloxRng;
 use velox_obs::{
     Counter, Gauge, Histogram, Registry, RootSpan, SpanKind, SpanStatus, TraceConfig, TraceContext,
     Tracer, FRONT_NODE,
@@ -90,12 +87,12 @@ pub struct NetClusterConfig {
     pub hedge_predicts: bool,
     /// Fail dead members out of the partition map automatically: when the
     /// failure detector declares a member `Dead` *and* its process is
-    /// down, the next request triggers [`NetCluster::fail_over_dead`].
+    /// down, the next request triggers [`ControlPlane::fail_over_dead`].
     /// Off by default — a detector verdict alone can be wrong (a cut
     /// probe path, not a dead node), so suites that partition and heal
     /// links keep ownership stable unless they opt in.
     pub auto_rebalance: bool,
-    /// Wall-clock budget for one [`NetCluster::migrate_partition`]: a
+    /// Wall-clock budget for one [`ControlPlane::migrate_partition`]: a
     /// migration that has not committed by then aborts and rolls back
     /// (source stays authoritative, no epoch bump).
     pub migration_deadline: Duration,
@@ -147,25 +144,31 @@ struct AutoRebalanceBackoff {
     hold_until: Option<Instant>,
 }
 
-/// Why a migration did not commit.
-enum MigrationFailure {
-    /// Rolled back cleanly before the commit point (no epoch bump).
-    Aborted(String),
-    /// Failed past the commit point or on a control-plane error.
-    Error(std::io::Error),
+/// A scored predict reply, plus the clock reading that closed its RPC
+/// span (shared with the entry span; `0` when untraced).
+#[derive(Clone, Copy)]
+struct ServedPredict {
+    score: f64,
+    at: u32,
+    cold_start: bool,
+    done_ns: u64,
 }
 
-/// Fault plan in flight (events sorted by request tick).
-struct FaultState {
-    plan: FaultPlan,
-    rng: VeloxRng,
-    next_event: usize,
+/// What one predict RPC's reply means for the request.
+enum PredictReply {
+    /// Scored.
+    Served(ServedPredict),
+    /// `WrongEpoch`: refresh the front map and retry under the new epoch.
+    RefreshAndRetry(String),
+    /// The node refused, or answered with the wrong frame: fail the call.
+    Fatal(TransportError),
+    /// The link failed: a different replica may still answer.
+    NextCandidate(TransportError),
 }
 
 /// Per-node runtime counters that survive node restarts.
 struct NodeSlot {
     server: Option<NodeServer>,
-    health: AtomicU8,
     metrics: NodeMetrics,
     requests_routed: Arc<Counter>,
     failover_requests: Arc<Counter>,
@@ -190,8 +193,7 @@ pub struct NetCluster {
     /// recovered nodes).
     items: Mutex<HashMap<u64, Vec<f64>>>,
     request_clock: AtomicU64,
-    faults: Mutex<Option<FaultState>>,
-    fault_active: AtomicBool,
+    faults: FaultClock,
     /// Predict round-trip latency (µs) as seen by the front.
     predict_us: Arc<Histogram>,
     /// Observe (ack) round-trip latency (µs) as seen by the front.
@@ -210,8 +212,9 @@ pub struct NetCluster {
     hedged: Arc<Counter>,
     /// Hedged predicts where the hedge reply was used.
     hedge_wins: Arc<Counter>,
-    /// Migration ledger, oldest first (the `Migrator`'s trail).
-    migration_log: Mutex<Vec<MigrationStatus>>,
+    /// The membership/migration state machine; this runtime is its
+    /// socket [`MigrationIo`].
+    migrator: Migrator,
     /// Front map refreshes forced by `WrongEpoch` rejections.
     map_refreshes: Arc<Counter>,
     /// Current front map epoch, scrapeable.
@@ -221,21 +224,10 @@ pub struct NetCluster {
     /// Operator kill switch for detector-triggered rebalancing (REST
     /// togglable; starts at `config.auto_rebalance`).
     auto_rebalance_enabled: AtomicBool,
-    /// At-most-one in-flight migration.
-    migration_active: AtomicBool,
-    /// One-shot operator cancel, consumed by the in-flight (or next)
-    /// migration at a chunk boundary.
-    migration_cancel: AtomicBool,
     /// Per-node consecutive Dead-and-Down evaluations (hysteresis).
     dead_streak: Vec<AtomicU64>,
     /// Backoff + retry-cap state for automatic fail-over.
     auto_backoff: Mutex<AutoRebalanceBackoff>,
-    /// Checkpoint chunks pulled and applied across all migrations.
-    migration_chunks: Arc<Counter>,
-    /// Migrations that aborted and rolled back.
-    migration_aborts: Arc<Counter>,
-    /// Chunk pulls retried at the same cursor after a link fault.
-    migration_resumes: Arc<Counter>,
     /// Largest checkpoint-chunk response payload seen (bytes) — the
     /// CHAOS-REBALANCE gate asserts this stays within the chunk budget.
     checkpoint_frame_max: Arc<Gauge>,
@@ -259,67 +251,26 @@ impl NetCluster {
         let chaos = Arc::new(LinkChaos::new(LinkFaultPlan::default()));
         let peers = Arc::new(PeerTable::with_chaos(capacity, Arc::clone(&chaos)));
         let detector = Arc::new(FailureDetector::new(capacity, config.detector));
-        let mut slots = Vec::with_capacity(capacity);
-        for node_id in 0..capacity {
-            let metrics = NodeMetrics::new();
-            // Headroom slots hold no process until `join_node` fills them.
-            let server = if node_id < config.n_nodes {
-                let (server, _) = NodeServer::start(
-                    NodeConfig {
-                        node_id,
-                        n_nodes: capacity,
-                        map: Arc::clone(&map),
-                        lr: config.lr,
-                        wal_dir: config
-                            .wal_root
-                            .as_ref()
-                            .map(|r| r.join(format!("node-{node_id}"))),
-                        workers: config.workers,
-                        ship_backlog_cap: config.ship_backlog_cap,
-                        metrics: metrics.clone(),
-                        tracer: Arc::clone(&tracer),
-                    },
-                    Arc::clone(&peers),
-                )?;
-                peers.set(node_id, Some((server.local_addr(), Self::client_config(&config))));
-                Some(server)
-            } else {
-                None
-            };
-            let up = server.is_some();
-            let state = if up { NodeHealth::Up } else { NodeHealth::Down };
-            slots.push(Mutex::new(NodeSlot {
-                server,
-                health: AtomicU8::new(state.encode()),
-                metrics,
-                requests_routed: Arc::new(Counter::new()),
-                failover_requests: Arc::new(Counter::new()),
-                recoveries: Arc::new(Counter::new()),
-                catch_up_records: Arc::new(Counter::new()),
-            }));
-        }
-        let health = (0..capacity)
-            .map(|i| {
-                let state = if i < config.n_nodes { NodeHealth::Up } else { NodeHealth::Down };
-                AtomicU8::new(state.encode())
+        // Every slot starts empty and `Down`; founding members are brought
+        // up below exactly like later joins and recoveries.
+        let slots = (0..capacity)
+            .map(|_| {
+                Mutex::new(NodeSlot {
+                    server: None,
+                    metrics: NodeMetrics::new(),
+                    requests_routed: Arc::new(Counter::new()),
+                    failover_requests: Arc::new(Counter::new()),
+                    recoveries: Arc::new(Counter::new()),
+                    catch_up_records: Arc::new(Counter::new()),
+                })
             })
             .collect();
-        let hb_stop = Arc::new(AtomicBool::new(false));
-        let hb_thread = config.heartbeat_interval.map(|interval| {
-            spawn_heartbeat(
-                Arc::clone(&peers),
-                Arc::clone(&detector),
-                Arc::clone(&chaos),
-                Arc::clone(&hb_stop),
-                interval,
-                config.heartbeat_timeout,
-                capacity,
-            )
-        });
+        let health = (0..capacity).map(|_| AtomicU8::new(NodeHealth::Down.encode())).collect();
         let map_epoch_gauge = Arc::new(Gauge::new());
         map_epoch_gauge.set(map.epoch() as i64);
         let auto_rebalance = config.auto_rebalance;
-        Ok(NetCluster {
+        let migrator = Migrator::new(Some(config.migration_deadline), Arc::clone(&tracer));
+        let cluster = NetCluster {
             map: RwLock::new(map),
             capacity,
             config,
@@ -328,40 +279,47 @@ impl NetCluster {
             health,
             items: Mutex::new(HashMap::new()),
             request_clock: AtomicU64::new(0),
-            faults: Mutex::new(None),
-            fault_active: AtomicBool::new(false),
+            faults: FaultClock::default(),
             predict_us: Arc::new(Histogram::new()),
             observe_us: Arc::new(Histogram::new()),
             unavailable: Arc::new(Counter::new()),
             tracer,
             chaos,
             detector,
-            hb_stop,
-            hb_thread: Mutex::new(hb_thread),
+            hb_stop: Arc::new(AtomicBool::new(false)),
+            hb_thread: Mutex::new(None),
             hedged: Arc::new(Counter::new()),
             hedge_wins: Arc::new(Counter::new()),
-            migration_log: Mutex::new(Vec::new()),
+            migrator,
             map_refreshes: Arc::new(Counter::new()),
             map_epoch_gauge,
             auto_failover_gate: Mutex::new(()),
             auto_rebalance_enabled: AtomicBool::new(auto_rebalance),
-            migration_active: AtomicBool::new(false),
-            migration_cancel: AtomicBool::new(false),
             dead_streak: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             auto_backoff: Mutex::new(AutoRebalanceBackoff { failures: 0, hold_until: None }),
-            migration_chunks: Arc::new(Counter::new()),
-            migration_aborts: Arc::new(Counter::new()),
-            migration_resumes: Arc::new(Counter::new()),
             checkpoint_frame_max: Arc::new(Gauge::new()),
             obs_nonce: obs_id_nonce(),
             obs_seq: AtomicU64::new(0),
-        })
-    }
-
-    /// The per-client configuration: the shared template with the
-    /// cluster's request deadline.
-    fn client_config(config: &NetClusterConfig) -> NetClientConfig {
-        NetClientConfig { request_timeout: config.request_timeout, ..config.client.clone() }
+        };
+        for node in 0..cluster.config.n_nodes {
+            let mut slot = cluster.slots[node].lock().unwrap();
+            let server = cluster.start_node(node, cluster.map(), slot.metrics.clone())?;
+            cluster.publish_node(&mut slot, node, server);
+        }
+        // The prober starts once there is something to probe.
+        let hb_thread = cluster.config.heartbeat_interval.map(|interval| {
+            spawn_heartbeat(
+                Arc::clone(&cluster.peers),
+                Arc::clone(&cluster.detector),
+                Arc::clone(&cluster.chaos),
+                Arc::clone(&cluster.hb_stop),
+                interval,
+                cluster.config.heartbeat_timeout,
+                capacity,
+            )
+        });
+        *cluster.hb_thread.lock().unwrap() = hb_thread;
+        Ok(cluster)
     }
 
     /// A fresh observation id: never 0 (0 opts out of dedupe).
@@ -392,11 +350,6 @@ impl NetCluster {
     /// Front map refreshes forced by `WrongEpoch` rejections.
     pub fn map_refresh_count(&self) -> u64 {
         self.map_refreshes.get()
-    }
-
-    /// Completed and failed migrations, oldest first.
-    pub fn migrations(&self) -> Vec<MigrationStatus> {
-        self.migration_log.lock().unwrap().clone()
     }
 
     /// Adopts `map` on the front if strictly newer; returns whether it
@@ -458,7 +411,6 @@ impl NetCluster {
             server.shutdown();
         }
         self.peers.set(node, None);
-        slot.health.store(NodeHealth::Down.encode(), Ordering::Release);
         self.health[node].store(NodeHealth::Down.encode(), Ordering::Release);
         // A deliberate kill needs no probe evidence.
         self.detector.force(node as u32, PeerState::Dead);
@@ -474,38 +426,60 @@ impl NetCluster {
         }
     }
 
+    /// Starts a server for slot `node` under `map` (replaying whatever its
+    /// WAL directory holds into the log) and seeds its item table from the
+    /// management-plane master copy. The caller publishes the endpoint.
+    fn start_node(
+        &self,
+        node: NodeId,
+        map: Arc<PartitionMap>,
+        metrics: NodeMetrics,
+    ) -> std::io::Result<NodeServer> {
+        let (server, _) = NodeServer::start(
+            NodeConfig {
+                node_id: node,
+                n_nodes: self.capacity,
+                map,
+                lr: self.config.lr,
+                wal_dir: self.config.wal_root.as_ref().map(|r| r.join(format!("node-{node}"))),
+                workers: self.config.workers,
+                ship_backlog_cap: self.config.ship_backlog_cap,
+                metrics,
+                tracer: Arc::clone(&self.tracer),
+            },
+            Arc::clone(&self.peers),
+        )?;
+        let items = self.items.lock().unwrap();
+        let entries: Vec<(u64, Vec<f64>)> = items.iter().map(|(k, v)| (*k, v.clone())).collect();
+        server.state().seed_items(&entries);
+        drop(items);
+        Ok(server)
+    }
+
+    /// Makes a started `server` the live incarnation of `node`: endpoint
+    /// published, health `Up`, detector told.
+    fn publish_node(&self, slot: &mut NodeSlot, node: NodeId, server: NodeServer) {
+        // The shared client template under the cluster's request deadline.
+        let client = NetClientConfig {
+            request_timeout: self.config.request_timeout,
+            ..self.config.client.clone()
+        };
+        self.peers.set(node, Some((server.local_addr(), client)));
+        slot.server = Some(server);
+        self.health[node].store(NodeHealth::Up.encode(), Ordering::Release);
+        self.detector.force(node as u32, PeerState::Alive);
+    }
+
     /// Restarts `node` on a fresh port and runs full recovery: local WAL
     /// replay, item re-seed, `PullLog` from every live peer (keeping only
     /// records in this node's replica sets), weight rebuild in timestamp
     /// order. Returns how many records came back from peers.
     pub fn recover_node(&self, node: NodeId) -> std::io::Result<u64> {
         let mut slot = self.slots[node].lock().unwrap();
-        slot.health.store(NodeHealth::Recovering.encode(), Ordering::Release);
         self.health[node].store(NodeHealth::Recovering.encode(), Ordering::Release);
 
-        let (server, _recovery) = NodeServer::start(
-            NodeConfig {
-                node_id: node,
-                n_nodes: self.capacity,
-                map: self.map(),
-                lr: self.config.lr,
-                wal_dir: self.config.wal_root.as_ref().map(|r| r.join(format!("node-{node}"))),
-                workers: self.config.workers,
-                ship_backlog_cap: self.config.ship_backlog_cap,
-                metrics: slot.metrics.clone(),
-                tracer: Arc::clone(&self.tracer),
-            },
-            Arc::clone(&self.peers),
-        )?;
+        let server = self.start_node(node, self.map(), slot.metrics.clone())?;
         let state = Arc::clone(server.state());
-
-        // Re-seed the item table from the management-plane master copy.
-        {
-            let items = self.items.lock().unwrap();
-            let entries: Vec<(u64, Vec<f64>)> =
-                items.iter().map(|(k, v)| (*k, v.clone())).collect();
-            state.seed_items(&entries);
-        }
 
         // Pull shipped records from live peers; keep only the shards this
         // node participates in.
@@ -525,11 +499,7 @@ impl NetCluster {
         slot.catch_up_records.add(pulled);
         slot.recoveries.inc();
 
-        self.peers.set(node, Some((server.local_addr(), Self::client_config(&self.config))));
-        slot.server = Some(server);
-        slot.health.store(NodeHealth::Up.encode(), Ordering::Release);
-        self.health[node].store(NodeHealth::Up.encode(), Ordering::Release);
-        self.detector.force(node as u32, PeerState::Alive);
+        self.publish_node(&mut slot, node, server);
         Ok(pulled)
     }
 
@@ -549,386 +519,26 @@ impl NetCluster {
     /// Starts a node in the first free slot, seeds its item table from
     /// the management plane, and announces it cluster-wide as a member
     /// owning nothing — ownership then moves partition by partition via
-    /// [`NetCluster::rebalance_join`] / [`NetCluster::migrate_partition`].
+    /// [`ControlPlane::rebalance_join`] / [`ControlPlane::migrate_partition`].
     /// Returns the new node's id.
-    pub fn join_node(&self) -> std::io::Result<NodeId> {
+    pub fn join_node(&self) -> Result<NodeId, MembershipError> {
         let map0 = self.map();
         let node = (0..self.capacity)
             .find(|&n| !map0.is_member(n) && self.slots[n].lock().unwrap().server.is_none())
             .ok_or_else(|| {
-                std::io::Error::other("no free slot for a joining node (raise max_nodes)")
+                MembershipError::Map(PartitionError::InvalidMap(
+                    "no free slot for a joining node (raise max_nodes)".into(),
+                ))
             })?;
-        let map1 =
-            Arc::new(map0.with_member(node).map_err(|e| std::io::Error::other(e.to_string()))?);
+        let map1 = Arc::new(map0.with_member(node)?);
         let mut slot = self.slots[node].lock().unwrap();
-        let (server, _) = NodeServer::start(
-            NodeConfig {
-                node_id: node,
-                n_nodes: self.capacity,
-                map: Arc::clone(&map1),
-                lr: self.config.lr,
-                wal_dir: self.config.wal_root.as_ref().map(|r| r.join(format!("node-{node}"))),
-                workers: self.config.workers,
-                ship_backlog_cap: self.config.ship_backlog_cap,
-                metrics: slot.metrics.clone(),
-                tracer: Arc::clone(&self.tracer),
-            },
-            Arc::clone(&self.peers),
-        )?;
-        {
-            let items = self.items.lock().unwrap();
-            let entries: Vec<(u64, Vec<f64>)> =
-                items.iter().map(|(k, v)| (*k, v.clone())).collect();
-            server.state().seed_items(&entries);
-        }
-        self.peers.set(node, Some((server.local_addr(), Self::client_config(&self.config))));
-        slot.server = Some(server);
-        slot.health.store(NodeHealth::Up.encode(), Ordering::Release);
+        let server = self
+            .start_node(node, Arc::clone(&map1), slot.metrics.clone())
+            .map_err(|e| MembershipError::Failed(format!("starting node {node} failed: {e}")))?;
+        self.publish_node(&mut slot, node, server);
         drop(slot);
-        self.health[node].store(NodeHealth::Up.encode(), Ordering::Release);
-        self.detector.force(node as u32, PeerState::Alive);
         self.install_map_cluster(&map1);
         Ok(node)
-    }
-
-    /// The `Migrator`: moves partition `p` to `dst` live, with no refused
-    /// predicts and no lost or double-applied acked observes.
-    ///
-    /// 1. **chunk_stream** — the owner's weight snapshot for `p` streams
-    ///    into `dst` in bounded, CRC-checked, cursor-resumable
-    ///    `PullPartitionChunk` steps (`PushPartition` inserts, never
-    ///    overwrites). This runs *before* any map install, so an abort
-    ///    here — operator cancel, deadline, source or destination death —
-    ///    rolls back completely: `dst` is scrubbed, no epoch moved, the
-    ///    source stays authoritative. A dropped or reset link is not an
-    ///    abort: the pull retries at the same cursor (a *resume*) until
-    ///    the deadline says otherwise.
-    /// 2. **dual_write** — epoch `E+1` adds `dst` to `p`'s replica set:
-    ///    the owner keeps serving, but every new observe also ships to
-    ///    `dst` (with its observation id, pre-seeding `dst`'s dedupe
-    ///    window for the post-cutover retry case). This is the commit
-    ///    point: from here the migration only rolls forward.
-    /// 3. **catch_up** — the owner's log for `p` ships to `dst`; the
-    ///    receiver's merge dedups by `(uid, ts)`. Covers writes that
-    ///    raced the chunk stream.
-    /// 4. **cut_over** — epoch `E+2` makes `dst` the owner; the old owner
-    ///    stays in the replica set, so it keeps answering reads routed
-    ///    under the old epoch and sources the tail replay.
-    /// 5. **tail_replay** — one more log pass for records applied between
-    ///    catch-up and cutover, then a deterministic partition rebuild at
-    ///    `dst` (timestamp-ordered), so twin clusters converge
-    ///    bit-identically.
-    pub fn migrate_partition(&self, p: u32, dst: NodeId) -> std::io::Result<MigrationStatus> {
-        if self.migration_active.swap(true, Ordering::AcqRel) {
-            return Err(std::io::Error::other("another migration is already in flight"));
-        }
-        let out = self.migrate_partition_locked(p, dst);
-        self.migration_active.store(false, Ordering::Release);
-        out
-    }
-
-    fn migrate_partition_locked(&self, p: u32, dst: NodeId) -> std::io::Result<MigrationStatus> {
-        let map0 = self.map();
-        let src = map0.owner_of_partition(p);
-        let mut status = MigrationStatus {
-            partition: p,
-            from: src,
-            to: dst,
-            phase: "chunk_stream",
-            epoch_start: map0.epoch(),
-            epoch_end: 0,
-            users_streamed: 0,
-            records_replayed: 0,
-            chunks_streamed: 0,
-            outcome: MigrationOutcome::InFlight,
-        };
-        let (troot, tchild) = self.trace_entry(SpanKind::Migrate, None);
-        let result = self.run_migration(p, src, dst, &map0, &mut status);
-        let span_status = if result.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
-        self.close_trace_entry(troot, tchild, span_status, 0);
-        let result = match result {
-            Ok(()) => {
-                status.outcome = MigrationOutcome::Committed;
-                Ok(())
-            }
-            Err(MigrationFailure::Aborted(reason)) => {
-                status.phase = "aborted";
-                status.outcome = MigrationOutcome::Aborted(reason.clone());
-                self.migration_aborts.inc();
-                let mark = self.tracer.child(None, SpanKind::MigrateAbort, FRONT_NODE);
-                self.tracer.finish_status(mark, SpanStatus::Error);
-                Err(std::io::Error::other(format!("migration aborted: {reason}")))
-            }
-            Err(MigrationFailure::Error(e)) => {
-                status.phase = "failed";
-                status.outcome = MigrationOutcome::Failed(e.to_string());
-                Err(e)
-            }
-        };
-        self.migration_log.lock().unwrap().push(status.clone());
-        result.map(|()| status)
-    }
-
-    /// First satisfied abort trigger for the in-flight migration, if any.
-    fn migration_abort_reason(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        deadline: Instant,
-    ) -> Option<String> {
-        if self.migration_cancel.swap(false, Ordering::AcqRel) {
-            return Some("operator cancel".into());
-        }
-        if Instant::now() > deadline {
-            return Some("deadline exceeded".into());
-        }
-        if self.node_health(src) != NodeHealth::Up {
-            return Some(format!("source death (node {src})"));
-        }
-        if self.node_health(dst) != NodeHealth::Up {
-            return Some(format!("destination death (node {dst})"));
-        }
-        None
-    }
-
-    /// The abort rollback: everything the chunk stream placed at `dst`
-    /// is scrubbed (no map was installed, so `dst`'s own map proves it
-    /// holds nothing of `p`), leaving the cluster bit-identical to never
-    /// having tried.
-    fn rollback_chunks(&self, p: u32, dst: NodeId) {
-        if let Some(state) = self.node_state(dst) {
-            state.scrub_partition(p);
-        }
-    }
-
-    fn run_migration(
-        &self,
-        p: u32,
-        src: NodeId,
-        dst: NodeId,
-        map0: &Arc<PartitionMap>,
-        status: &mut MigrationStatus,
-    ) -> Result<(), MigrationFailure> {
-        let fail = |msg: String| MigrationFailure::Error(std::io::Error::other(msg));
-        if src == dst {
-            return Err(fail(format!("partition {p} already owned by {dst}")));
-        }
-        if !map0.is_member(dst) {
-            return Err(fail(format!("node {dst} is not a member")));
-        }
-        let deadline = Instant::now() + self.config.migration_deadline;
-        let max_bytes = self.config.checkpoint_chunk_bytes.max(64);
-
-        // Phase 1: chunked, resumable checkpoint — before any install.
-        let mut cursor = 0u64;
-        loop {
-            if let Some(reason) = self.migration_abort_reason(src, dst, deadline) {
-                self.rollback_chunks(p, dst);
-                return Err(MigrationFailure::Aborted(reason));
-            }
-            let (src_client, dst_client) = match (self.peers.get(src), self.peers.get(dst)) {
-                (Some(s), Some(d)) => (s, d),
-                _ => {
-                    // Endpoint gone but health not yet Down: re-check the
-                    // abort triggers after a beat rather than spinning.
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-            };
-            let pull = Request::PullPartitionChunk { partition: p, cursor, max_bytes };
-            let chunk = match src_client.call(&pull) {
-                Ok(Response::PartitionChunk { entries, next_cursor, done, crc }) => {
-                    (entries, next_cursor, done, crc)
-                }
-                Ok(other) => return Err(fail(format!("chunk pull failed: {other:?}"))),
-                Err(_) => {
-                    // Link fault (drop/partition/reset/timeout): the pull
-                    // is idempotent, so resume at the same cursor once the
-                    // abort triggers have had their say.
-                    self.migration_resumes.inc();
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-            };
-            let (entries, next_cursor, done, crc) = chunk;
-            if let Some(why) = crate::rpc::verify_chunk(cursor, &entries, next_cursor, done, crc) {
-                // Reject-before-apply: nothing from a bad chunk lands at
-                // the destination; re-pull the same cursor.
-                self.migration_resumes.inc();
-                let _ = why;
-                continue;
-            }
-            let frame_bytes =
-                Response::PartitionChunk { entries: entries.clone(), next_cursor, done, crc }
-                    .encode()
-                    .len();
-            self.checkpoint_frame_max.max(frame_bytes as i64);
-            if !entries.is_empty() {
-                let n = entries.len() as u64;
-                match dst_client.call(&Request::PushPartition { entries }) {
-                    Ok(Response::Ok) => {}
-                    Ok(other) => return Err(fail(format!("chunk push failed: {other:?}"))),
-                    Err(_) => {
-                        // Push is insert-never-overwrite: replaying the
-                        // same chunk after a link fault is idempotent.
-                        self.migration_resumes.inc();
-                        std::thread::sleep(Duration::from_millis(5));
-                        continue;
-                    }
-                }
-                status.users_streamed += n;
-            }
-            status.chunks_streamed += 1;
-            self.migration_chunks.inc();
-            let span = self.tracer.child(None, SpanKind::MigrateChunk, FRONT_NODE);
-            self.tracer.finish(span);
-            cursor = next_cursor;
-            if done {
-                break;
-            }
-        }
-        // Last pre-commit look at the abort triggers; past this point the
-        // migration only rolls forward.
-        if let Some(reason) = self.migration_abort_reason(src, dst, deadline) {
-            self.rollback_chunks(p, dst);
-            return Err(MigrationFailure::Aborted(reason));
-        }
-
-        // Phase 2: dual-write window (epoch +1) — the commit point.
-        status.phase = "dual_write";
-        let map1 = Arc::new(map0.with_extra_replica(p, dst).map_err(|e| fail(e.to_string()))?);
-        self.install_map_cluster(&map1);
-
-        let src_client =
-            self.peers.get(src).ok_or_else(|| fail(format!("migration source {src} is down")))?;
-        let dst_client =
-            self.peers.get(dst).ok_or_else(|| fail(format!("migration target {dst} is down")))?;
-
-        status.phase = "catch_up";
-        status.records_replayed += self
-            .copy_partition_log(p, &src_client, &dst_client)
-            .map_err(MigrationFailure::Error)?;
-
-        status.phase = "cut_over";
-        let map2 = Arc::new(map1.with_owner(p, dst).map_err(|e| fail(e.to_string()))?);
-        self.install_map_cluster(&map2);
-
-        status.phase = "tail_replay";
-        status.records_replayed += self
-            .copy_partition_log(p, &src_client, &dst_client)
-            .map_err(MigrationFailure::Error)?;
-        if let Some(state) = self.node_state(dst) {
-            state.rebuild_partition(p);
-        }
-
-        status.phase = "done";
-        status.epoch_end = map2.epoch();
-        Ok(())
-    }
-
-    /// Ships every record of partition `p` in `src`'s log to `dst` (the
-    /// receiver's merge dedups, so re-shipping history is idempotent).
-    /// Returns how many records were shipped.
-    fn copy_partition_log(&self, p: u32, src: &NetClient, dst: &NetClient) -> std::io::Result<u64> {
-        let map = self.map();
-        let records = match src.call(&Request::PullLog { from_ts: 0 }) {
-            Ok(Response::Log { records }) => records,
-            other => return Err(std::io::Error::other(format!("log pull failed: {other:?}"))),
-        };
-        let mine: Vec<Observation> =
-            records.into_iter().filter(|r| map.partition_of(r.uid) == p).collect();
-        if mine.is_empty() {
-            return Ok(0);
-        }
-        let n = mine.len() as u64;
-        // Log history carries no observation ids (only the live queue
-        // does), so the dedupe window is not fed here — `(uid, ts)` merge
-        // dedupe still makes the copy idempotent.
-        let obs_ids = vec![0u64; mine.len()];
-        match dst.call(&Request::ShipLog { records: mine, obs_ids }) {
-            Ok(Response::Ok) => Ok(n),
-            other => Err(std::io::Error::other(format!("log ship failed: {other:?}"))),
-        }
-    }
-
-    /// Planned handoff for a freshly joined `dst`: migrates the
-    /// partitions [`PartitionMap::plan_join`] picks (deterministic, so
-    /// twin clusters rebalance identically). Returns the moved set.
-    pub fn rebalance_join(&self, dst: NodeId) -> std::io::Result<Vec<u32>> {
-        let plan = self.map().plan_join(dst).map_err(|e| std::io::Error::other(e.to_string()))?;
-        for &p in &plan {
-            self.migrate_partition(p, dst)?;
-        }
-        Ok(plan)
-    }
-
-    /// Fails `dead` out of the membership: its partitions are re-owned by
-    /// their first surviving replica, depleted replica sets are
-    /// backfilled toward the replication target, and every backfilled
-    /// node receives the partition's checkpoint and log history from a
-    /// survivor. Zero-loss for acked observes as long as each partition
-    /// keeps one live replica. Returns how many records were backfilled.
-    pub fn fail_over_dead(&self, dead: NodeId) -> std::io::Result<u64> {
-        let map0 = self.map();
-        let map1 =
-            Arc::new(map0.without_member(dead).map_err(|e| std::io::Error::other(e.to_string()))?);
-        // Cut the map over first: new observes route and ship under the
-        // survivor topology while history backfills underneath (the merge
-        // dedups the overlap).
-        self.install_map_cluster(&map1);
-        let mut backfilled = 0u64;
-        for p in 0..map1.n_partitions() {
-            let old = map0.replicas_of_partition(p);
-            if !old.contains(&dead) {
-                continue;
-            }
-            let Some(survivor) =
-                map1.replicas_of_partition(p).iter().copied().find(|n| old.contains(n))
-            else {
-                continue;
-            };
-            let Some(src) = self.peers.get(survivor) else { continue };
-            for &added in map1.replicas_of_partition(p) {
-                if old.contains(&added) {
-                    continue;
-                }
-                let Some(dst) = self.peers.get(added) else { continue };
-                if let Ok(Response::Partition { entries }) =
-                    src.call(&Request::PullPartition { partition: p })
-                {
-                    let _ = dst.call(&Request::PushPartition { entries });
-                }
-                backfilled += self.copy_partition_log(p, &src, &dst)?;
-                if let Some(state) = self.node_state(added) {
-                    state.rebuild_partition(p);
-                }
-            }
-        }
-        Ok(backfilled)
-    }
-
-    /// Rejects membership operations aimed at ids outside the slot range
-    /// or at nodes the current map does not know — the REST layer maps
-    /// the resulting [`TransportError::Rejected`] to a 4xx.
-    fn check_member(&self, node: NodeId) -> Result<(), TransportError> {
-        if node >= self.capacity {
-            return Err(membership_rejection(MembershipError::UnknownNode {
-                node,
-                capacity: self.capacity,
-            }));
-        }
-        if !self.map().is_member(node) {
-            return Err(membership_rejection(MembershipError::NotAMember(node)));
-        }
-        Ok(())
-    }
-
-    /// Requests that the in-flight (or next) migration abort with
-    /// `operator cancel` at its next chunk boundary. Returns whether a
-    /// migration was running when the cancel landed.
-    pub fn request_migration_cancel(&self) -> bool {
-        self.migration_cancel.store(true, Ordering::Release);
-        self.migration_active.load(Ordering::Acquire)
     }
 
     /// Flips the auto-rebalance kill switch (also resets the retry-cap
@@ -949,7 +559,8 @@ impl NetCluster {
 
     /// `(chunks streamed, aborts, resumes)` across every migration so far.
     pub fn migration_chunk_stats(&self) -> (u64, u64, u64) {
-        (self.migration_chunks.get(), self.migration_aborts.get(), self.migration_resumes.get())
+        let [chunks, aborts, resumes] = self.migrator.counters();
+        (chunks.get(), aborts.get(), resumes.get())
     }
 
     /// Largest checkpoint-chunk response payload (bytes) pulled so far.
@@ -978,7 +589,7 @@ impl NetCluster {
             return;
         }
         let Ok(_gate) = self.auto_failover_gate.try_lock() else { return };
-        if self.migration_active.load(Ordering::Acquire) {
+        if self.migrator.in_flight() {
             return;
         }
         {
@@ -1028,17 +639,13 @@ impl NetCluster {
     }
 
     /// Installs a deterministic fault plan driven by the request clock.
-    pub fn install_fault_plan(&self, mut plan: FaultPlan) {
-        plan.events.sort_by_key(|e| e.at_request);
-        let rng = VeloxRng::seed_from(plan.seed);
-        *self.faults.lock().unwrap() = Some(FaultState { plan, rng, next_event: 0 });
-        self.fault_active.store(true, Ordering::Release);
+    pub fn install_fault_plan(&self, plan: FaultPlan) {
+        self.faults.install(plan);
     }
 
     /// Removes the fault plan (scheduled events stop firing).
     pub fn clear_fault_plan(&self) {
-        *self.faults.lock().unwrap() = None;
-        self.fault_active.store(false, Ordering::Release);
+        self.faults.clear();
     }
 
     /// Advances the request clock by one and fires any due fault events.
@@ -1049,34 +656,15 @@ impl NetCluster {
         // The kill switch (seeded from `config.auto_rebalance`, REST
         // togglable) gates the whole automatic path inside.
         self.maybe_auto_fail_over();
-        if !self.fault_active.load(Ordering::Acquire) {
+        if !self.faults.is_active() {
             return (0, false);
         }
-        let mut due: Vec<(NodeId, FaultAction)> = Vec::new();
-        let mut spike = 0u64;
-        let mut fail = false;
-        {
-            let mut guard = self.faults.lock().unwrap();
-            let Some(state) = guard.as_mut() else { return (0, false) };
-            while state.next_event < state.plan.events.len()
-                && state.plan.events[state.next_event].at_request <= tick
-            {
-                let ev = state.plan.events[state.next_event];
-                due.push((ev.node, ev.action));
-                state.next_event += 1;
-            }
-            if state.plan.read_failure_prob > 0.0
-                && state.rng.uniform() < state.plan.read_failure_prob
-            {
-                fail = true;
-            }
-            if state.plan.latency_spike_prob > 0.0
-                && state.rng.uniform() < state.plan.latency_spike_prob
-            {
-                spike = state.plan.latency_spike_us as u64;
-            }
-        }
-        // Apply events outside the fault lock (kill/recover take slot locks).
+        let due = self.faults.due_events(tick);
+        let dice = self.faults.roll(|plan, rng| {
+            let fail = plan.read_failure_prob > 0.0 && rng.uniform() < plan.read_failure_prob;
+            let spike = plan.latency_spike_prob > 0.0 && rng.uniform() < plan.latency_spike_prob;
+            (if spike { plan.latency_spike_us as u64 } else { 0 }, fail)
+        });
         for (node, action) in due {
             match action {
                 FaultAction::Kill => self.kill_node(node),
@@ -1085,7 +673,7 @@ impl NetCluster {
                 }
             }
         }
-        (spike, fail)
+        dice.unwrap_or((0, false))
     }
 
     /// Live replicas of a user in failover order. Within the health-Up
@@ -1140,17 +728,40 @@ impl NetCluster {
         (self.hedged.get(), self.hedge_wins.get())
     }
 
+    /// Settles one predict RPC: closes its span (sharing the clock read
+    /// with the entry span on success) and says what the request does
+    /// next.
+    fn settle_predict(
+        &self,
+        reply: Result<Response, crate::client::NetError>,
+        rpc_span: Option<velox_obs::ActiveSpan>,
+    ) -> PredictReply {
+        if let Ok(Response::Predicted { score, node: at, cold_start, .. }) = reply {
+            let done_ns = if rpc_span.is_some() { velox_obs::trace::now_ns() } else { 0 };
+            self.tracer.finish_status_at(rpc_span, SpanStatus::Ok, done_ns);
+            return PredictReply::Served(ServedPredict { score, at, cold_start, done_ns });
+        }
+        self.tracer.finish_status(rpc_span, SpanStatus::Error);
+        match reply {
+            Ok(Response::Error { code: ErrorCode::WrongEpoch, message }) => {
+                PredictReply::RefreshAndRetry(message)
+            }
+            Ok(Response::Error { code, message }) => PredictReply::Fatal(map_error(code, message)),
+            Ok(other) => {
+                PredictReply::Fatal(TransportError::Failed(format!("unexpected reply {other:?}")))
+            }
+            Err(e) => PredictReply::NextCandidate(TransportError::Failed(e.to_string())),
+        }
+    }
+
     /// Success-path bookkeeping for one answered predict: route counters,
     /// the latency histogram, and the result struct. Entry spans are the
     /// caller's to close.
-    #[allow(clippy::too_many_arguments)]
     fn finish_predict(
         &self,
         node: NodeId,
         home: NodeId,
-        score: f64,
-        at: u32,
-        cold_start: bool,
+        served: ServedPredict,
         timer: Instant,
         trace_id: Option<u64>,
     ) -> TransportPredict {
@@ -1165,7 +776,13 @@ impl NetCluster {
             Some(t) => self.predict_us.record_exemplar(us, t),
             None => self.predict_us.record(us),
         }
-        TransportPredict { score, node: at as NodeId, routed: node != home, cold_start, trace_id }
+        TransportPredict {
+            score: served.score,
+            node: served.at as NodeId,
+            routed: node != home,
+            cold_start: served.cold_start,
+            trace_id,
+        }
     }
 
     /// Registers runtime and per-node metrics (node-labelled series).
@@ -1185,21 +802,14 @@ impl NetCluster {
             Arc::clone(&self.map_refreshes),
         );
         registry.register_gauge("velox_net_map_epoch", &[], Arc::clone(&self.map_epoch_gauge));
-        registry.register_counter(
+        let names = [
             "velox_net_migration_chunks_total",
-            &[],
-            Arc::clone(&self.migration_chunks),
-        );
-        registry.register_counter(
             "velox_net_migration_aborts_total",
-            &[],
-            Arc::clone(&self.migration_aborts),
-        );
-        registry.register_counter(
             "velox_net_migration_resumes_total",
-            &[],
-            Arc::clone(&self.migration_resumes),
-        );
+        ];
+        for (name, counter) in names.into_iter().zip(self.migrator.counters()) {
+            registry.register_counter(name, &[], Arc::clone(counter));
+        }
         registry.register_gauge(
             "velox_net_checkpoint_frame_max",
             &[],
@@ -1287,6 +897,118 @@ impl ChaosControl for NetCluster {
     }
 }
 
+/// How long the chunk stream idles before re-pulling a cursor a link
+/// fault interrupted.
+const RESUME_PAUSE: Duration = Duration::from_millis(5);
+
+/// The socket runtime's side of the migration seam: bounded, CRC-checked
+/// `PullPartitionChunk` → `PushPartition` steps, `PullLog` → `ShipLog`
+/// reconciliation, and a timestamp-ordered rebuild at the destination.
+impl MigrationIo for NetCluster {
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn node_up(&self, node: NodeId) -> bool {
+        node < self.capacity && self.node_health(node) == NodeHealth::Up
+    }
+
+    fn map(&self) -> Arc<PartitionMap> {
+        NetCluster::map(self)
+    }
+
+    fn install_map(&self, map: &Arc<PartitionMap>) {
+        self.install_map_cluster(map);
+    }
+
+    /// A dropped, reset or partitioned link is a [`ChunkStep::Resume`]:
+    /// pulls are pure reads and pushes insert-never-overwrite, so the same
+    /// cursor replays safely once the link heals (or the deadline aborts).
+    fn stream_chunk(&self, p: u32, src: NodeId, dst: NodeId, cursor: u64) -> ChunkStep {
+        let resume_later = || {
+            std::thread::sleep(RESUME_PAUSE);
+            ChunkStep::Resume
+        };
+        // An endpoint can be gone before its health flips to Down.
+        let (Some(from), Some(to)) = (self.peers.get(src), self.peers.get(dst)) else {
+            return resume_later();
+        };
+        let max_bytes = self.config.checkpoint_chunk_bytes.max(64);
+        let pull = Request::PullPartitionChunk { partition: p, cursor, max_bytes };
+        let (entries, next, done, crc) = match from.call(&pull) {
+            Ok(Response::PartitionChunk { entries, next_cursor, done, crc }) => {
+                (entries, next_cursor, done, crc)
+            }
+            Ok(other) => return ChunkStep::Abort(format!("chunk pull failed: {other:?}")),
+            Err(_) => return resume_later(),
+        };
+        // Reject-before-apply: nothing from a bad chunk lands at `dst`.
+        if crate::rpc::verify_chunk(cursor, &entries, next, done, crc).is_some() {
+            return ChunkStep::Resume;
+        }
+        let frame_bytes = crate::rpc::CHUNK_ENVELOPE_BYTES
+            + entries.iter().map(|(_, w)| crate::rpc::chunk_entry_bytes(w.len())).sum::<usize>();
+        self.checkpoint_frame_max.max(frame_bytes as i64);
+        let users = entries.len() as u64;
+        if users > 0 {
+            match to.call(&Request::PushPartition { entries }) {
+                Ok(Response::Ok) => {}
+                Ok(other) => return ChunkStep::Abort(format!("chunk push failed: {other:?}")),
+                Err(_) => return resume_later(),
+            }
+        }
+        ChunkStep::Copied { next, users, done }
+    }
+
+    /// `dst`'s own map proves what it does not hold (no map was installed
+    /// for the aborted transfer), so the node scrubs itself.
+    fn scrub(&self, p: u32, dst: NodeId) {
+        if let Some(state) = self.node_state(dst) {
+            state.scrub_partition(p);
+        }
+    }
+
+    /// Ships every record of `p` in `src`'s log to `dst`; the receiver's
+    /// merge dedups by `(uid, ts)`, so re-shipping history is idempotent.
+    fn replay_tail(&self, p: u32, src: NodeId, dst: NodeId) -> Result<u64, String> {
+        let (Some(from), Some(to)) = (self.peers.get(src), self.peers.get(dst)) else {
+            return Err(format!("log replay {src}->{dst}: an endpoint is down"));
+        };
+        let map = self.map();
+        let records = match from.call(&Request::PullLog { from_ts: 0 }) {
+            Ok(Response::Log { records }) => records,
+            other => return Err(format!("log pull failed: {other:?}")),
+        };
+        let mine: Vec<Observation> =
+            records.into_iter().filter(|r| map.partition_of(r.uid) == p).collect();
+        if mine.is_empty() {
+            return Ok(0);
+        }
+        let n = mine.len() as u64;
+        // Log history carries no observation ids (only the live queue
+        // does), so the dedupe window is not fed here.
+        let obs_ids = vec![0u64; mine.len()];
+        match to.call(&Request::ShipLog { records: mine, obs_ids }) {
+            Ok(Response::Ok) => Ok(n),
+            other => Err(format!("log ship failed: {other:?}")),
+        }
+    }
+
+    /// Deterministic (timestamp-ordered) partition rebuild at `dst`, so
+    /// twin clusters converge bit-identically.
+    fn finish(&self, p: u32, dst: NodeId) {
+        if let Some(state) = self.node_state(dst) {
+            state.rebuild_partition(p);
+        }
+    }
+}
+
+impl ControlPlane for NetCluster {
+    fn migrator(&self) -> &Migrator {
+        &self.migrator
+    }
+}
+
 /// Starts the failure-detector's prober: every `interval` it probes each
 /// peer with a raw Health round trip on a throwaway connection — never
 /// through the chaos-linked clients, so probes cost no fault-stream
@@ -1363,6 +1085,7 @@ impl Drop for NetCluster {
 fn map_error(code: ErrorCode, message: String) -> TransportError {
     match code {
         ErrorCode::Unavailable => TransportError::Unavailable,
+        ErrorCode::BadRequest => TransportError::Rejected(message),
         _ => TransportError::Failed(message),
     }
 }
@@ -1491,139 +1214,82 @@ impl Transport for NetCluster {
                         let _ = tx.send(client.call_traced(&req, rpc_ctx.as_ref()));
                     });
                 }
-                match rx.recv_timeout(self.hedge_delay()) {
-                    Ok(Ok(Response::Predicted { score, node: at, cold_start, .. })) => {
-                        let done_ns =
-                            if rpc_span.is_some() { velox_obs::trace::now_ns() } else { 0 };
-                        tracer.finish_status_at(rpc_span, SpanStatus::Ok, done_ns);
-                        let out = self
-                            .finish_predict(primary, home, score, at, cold_start, timer, trace_id);
-                        self.close_trace_entry(troot, tchild, SpanStatus::Ok, done_ns);
-                        return Ok(out);
-                    }
-                    Ok(Ok(Response::Error { code: ErrorCode::WrongEpoch, message })) => {
-                        // Stale front map: refresh it and fall through to
-                        // the sequential loop under the new epoch.
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
-                        self.refresh_map_from(&client);
-                        req = Request::Predict {
-                            uid,
-                            item_id,
-                            no_forward: true,
-                            epoch: self.map_epoch(),
-                        };
-                        last = TransportError::Failed(message);
-                    }
-                    Ok(Ok(Response::Error { code, message })) => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
-                        self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
-                        return Err(map_error(code, message));
-                    }
-                    Ok(Ok(other)) => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
-                        self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
-                        return Err(TransportError::Failed(format!("unexpected reply {other:?}")));
-                    }
-                    Ok(Err(e)) => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
-                        last = TransportError::Failed(e.to_string());
-                        start_at = 1;
-                    }
-                    Err(_) => {
-                        // Primary is slow, not (yet) failed: hedge.
-                        self.hedged.inc();
-                        let hedge_node = candidates[1];
-                        let mut hedged_out = None;
-                        if let Some(hclient) = self.peers.get(hedge_node) {
-                            let now_ns =
-                                if entry_ctx.is_some() { velox_obs::trace::now_ns() } else { 0 };
-                            let mark = tracer.child_at(
-                                entry_ctx.as_ref(),
-                                SpanKind::Hedge,
-                                FRONT_NODE,
-                                now_ns,
-                            );
-                            tracer.finish_status_at(mark, SpanStatus::Ok, now_ns);
-                            let hspan = tracer.child_at(
-                                entry_ctx.as_ref(),
-                                SpanKind::RpcCall,
-                                FRONT_NODE,
-                                now_ns,
-                            );
-                            let hctx = hspan.as_ref().map(|s| s.ctx());
-                            match hclient.call_traced(&req, hctx.as_ref()) {
-                                Ok(Response::Predicted { score, node: at, cold_start, .. }) => {
-                                    let done_ns = if hspan.is_some() {
-                                        velox_obs::trace::now_ns()
-                                    } else {
-                                        0
-                                    };
-                                    tracer.finish_status_at(hspan, SpanStatus::Ok, done_ns);
-                                    hedged_out = Some((score, at, cold_start, done_ns));
-                                }
-                                _ => tracer.finish_status(hspan, SpanStatus::Error),
-                            }
-                        }
-                        if let Some((score, at, cold_start, done_ns)) = hedged_out {
+                // `(where the primary's reply came from, the candidate the
+                // sequential loop resumes at if the link failed)`.
+                let mut primary_reply = match rx.recv_timeout(self.hedge_delay()) {
+                    Ok(reply) => Some((reply, 1)),
+                    Err(_) => None,
+                };
+                if primary_reply.is_none() {
+                    // Primary is slow, not (yet) failed: hedge.
+                    self.hedged.inc();
+                    let hedge_node = candidates[1];
+                    if let Some(hclient) = self.peers.get(hedge_node) {
+                        let now_ns =
+                            if entry_ctx.is_some() { velox_obs::trace::now_ns() } else { 0 };
+                        let mark = tracer.child_at(
+                            entry_ctx.as_ref(),
+                            SpanKind::Hedge,
+                            FRONT_NODE,
+                            now_ns,
+                        );
+                        tracer.finish_status_at(mark, SpanStatus::Ok, now_ns);
+                        let hspan = tracer.child_at(
+                            entry_ctx.as_ref(),
+                            SpanKind::RpcCall,
+                            FRONT_NODE,
+                            now_ns,
+                        );
+                        let hctx = hspan.as_ref().map(|s| s.ctx());
+                        let reply = hclient.call_traced(&req, hctx.as_ref());
+                        if let PredictReply::Served(served) = self.settle_predict(reply, hspan) {
                             // The hedge won the race; the primary's reply
                             // (if it ever lands) is discarded with its span.
                             self.hedge_wins.inc();
                             tracer.finish_status(rpc_span, SpanStatus::Error);
-                            let out = self.finish_predict(
-                                hedge_node, home, score, at, cold_start, timer, trace_id,
-                            );
-                            self.close_trace_entry(troot, tchild, SpanStatus::Ok, done_ns);
+                            let out =
+                                self.finish_predict(hedge_node, home, served, timer, trace_id);
+                            self.close_trace_entry(troot, tchild, SpanStatus::Ok, served.done_ns);
                             return Ok(out);
                         }
-                        // Hedge lost too — fall back to whatever the
-                        // primary produces within the remaining deadline.
-                        let remaining = self.config.request_timeout.saturating_sub(timer.elapsed());
-                        match rx.recv_timeout(remaining) {
-                            Ok(Ok(Response::Predicted { score, node: at, cold_start, .. })) => {
-                                let done_ns =
-                                    if rpc_span.is_some() { velox_obs::trace::now_ns() } else { 0 };
-                                tracer.finish_status_at(rpc_span, SpanStatus::Ok, done_ns);
-                                let out = self.finish_predict(
-                                    primary, home, score, at, cold_start, timer, trace_id,
-                                );
-                                self.close_trace_entry(troot, tchild, SpanStatus::Ok, done_ns);
-                                return Ok(out);
-                            }
-                            Ok(Ok(Response::Error { code: ErrorCode::WrongEpoch, message })) => {
-                                tracer.finish_status(rpc_span, SpanStatus::Error);
-                                self.refresh_map_from(&client);
-                                req = Request::Predict {
-                                    uid,
-                                    item_id,
-                                    no_forward: true,
-                                    epoch: self.map_epoch(),
-                                };
-                                last = TransportError::Failed(message);
-                                start_at = 0;
-                            }
-                            Ok(Ok(Response::Error { code, message })) => {
-                                tracer.finish_status(rpc_span, SpanStatus::Error);
-                                self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
-                                return Err(map_error(code, message));
-                            }
-                            Ok(Ok(other)) => {
-                                tracer.finish_status(rpc_span, SpanStatus::Error);
-                                self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
-                                return Err(TransportError::Failed(format!(
-                                    "unexpected reply {other:?}"
-                                )));
-                            }
-                            Ok(Err(e)) => {
-                                tracer.finish_status(rpc_span, SpanStatus::Error);
-                                last = TransportError::Failed(e.to_string());
-                                start_at = 2;
-                            }
-                            Err(_) => {
-                                tracer.finish_status(rpc_span, SpanStatus::Error);
-                                last = TransportError::Failed("predict deadline exceeded".into());
-                                start_at = 2;
-                            }
+                    }
+                    // Hedge lost too — fall back to whatever the primary
+                    // produces within the remaining deadline.
+                    let remaining = self.config.request_timeout.saturating_sub(timer.elapsed());
+                    primary_reply = rx.recv_timeout(remaining).ok().map(|reply| (reply, 2));
+                }
+                match primary_reply {
+                    Some((reply, resume_at)) => match self.settle_predict(reply, rpc_span) {
+                        PredictReply::Served(served) => {
+                            let out = self.finish_predict(primary, home, served, timer, trace_id);
+                            self.close_trace_entry(troot, tchild, SpanStatus::Ok, served.done_ns);
+                            return Ok(out);
                         }
+                        PredictReply::RefreshAndRetry(message) => {
+                            // Stale front map: refresh it and run the
+                            // sequential loop under the new epoch.
+                            self.refresh_map_from(&client);
+                            req = Request::Predict {
+                                uid,
+                                item_id,
+                                no_forward: true,
+                                epoch: self.map_epoch(),
+                            };
+                            last = TransportError::Failed(message);
+                        }
+                        PredictReply::Fatal(e) => {
+                            self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
+                            return Err(e);
+                        }
+                        PredictReply::NextCandidate(e) => {
+                            last = e;
+                            start_at = resume_at;
+                        }
+                    },
+                    None => {
+                        tracer.finish_status(rpc_span, SpanStatus::Error);
+                        last = TransportError::Failed("predict deadline exceeded".into());
+                        start_at = 2;
                     }
                 }
             }
@@ -1649,18 +1315,14 @@ impl Transport for NetCluster {
                 let rpc_span =
                     tracer.child_at(entry_ctx.as_ref(), SpanKind::RpcCall, FRONT_NODE, routed_ns);
                 let rpc_ctx = rpc_span.as_ref().map(|s| s.ctx());
-                match client.call_traced(&req, rpc_ctx.as_ref()) {
-                    Ok(Response::Predicted { score, node: at, cold_start, .. }) => {
-                        let done_ns =
-                            if rpc_span.is_some() { velox_obs::trace::now_ns() } else { 0 };
-                        tracer.finish_status_at(rpc_span, SpanStatus::Ok, done_ns);
-                        let out =
-                            self.finish_predict(node, home, score, at, cold_start, timer, trace_id);
-                        self.close_trace_entry(troot, tchild, SpanStatus::Ok, done_ns);
+                let reply = client.call_traced(&req, rpc_ctx.as_ref());
+                match self.settle_predict(reply, rpc_span) {
+                    PredictReply::Served(served) => {
+                        let out = self.finish_predict(node, home, served, timer, trace_id);
+                        self.close_trace_entry(troot, tchild, SpanStatus::Ok, served.done_ns);
                         return Ok(out);
                     }
-                    Ok(Response::Error { code: ErrorCode::WrongEpoch, .. }) if !refreshed => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
+                    PredictReply::RefreshAndRetry(_) if !refreshed => {
                         refreshed = true;
                         self.refresh_map_from(&client);
                         req = Request::Predict {
@@ -1670,19 +1332,16 @@ impl Transport for NetCluster {
                             epoch: self.map_epoch(),
                         };
                     }
-                    Ok(Response::Error { code, message }) => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
+                    PredictReply::RefreshAndRetry(message) => {
                         self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
-                        return Err(map_error(code, message));
+                        return Err(TransportError::Failed(message));
                     }
-                    Ok(other) => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
+                    PredictReply::Fatal(e) => {
                         self.close_trace_entry(troot, tchild, SpanStatus::Error, 0);
-                        return Err(TransportError::Failed(format!("unexpected reply {other:?}")));
+                        return Err(e);
                     }
-                    Err(e) => {
-                        tracer.finish_status(rpc_span, SpanStatus::Error);
-                        last = TransportError::Failed(e.to_string());
+                    PredictReply::NextCandidate(e) => {
+                        last = e;
                         break;
                     }
                 }
@@ -1830,7 +1489,7 @@ impl Transport for NetCluster {
             members: map.members().to_vec(),
             n_partitions: map.n_partitions(),
             replication: map.replication(),
-            migrations: self.migrations(),
+            migrations: self.migrator.ledger(),
             wrong_epoch,
             map_refreshes: self.map_refreshes.get(),
             auto_rebalance: self.auto_rebalance_on(),
@@ -1838,7 +1497,7 @@ impl Transport for NetCluster {
     }
 
     fn cancel_migration(&self) -> bool {
-        self.request_migration_cancel()
+        self.migrator.request_cancel()
     }
 
     fn set_auto_rebalance(&self, on: bool) {
@@ -1850,23 +1509,11 @@ impl Transport for NetCluster {
     }
 
     fn rebalance_join_node(&self, node: NodeId) -> Result<Vec<u32>, TransportError> {
-        self.check_member(node)?;
-        self.rebalance_join(node).map_err(|e| {
-            let msg = e.to_string();
-            if msg.starts_with("migration aborted") {
-                TransportError::Rejected(msg)
-            } else {
-                TransportError::Failed(msg)
-            }
-        })
+        Ok(self.rebalance_join(node)?)
     }
 
     fn fail_over_node(&self, node: NodeId) -> Result<u64, TransportError> {
-        self.check_member(node)?;
-        if self.node_health(node) != NodeHealth::Down {
-            return Err(membership_rejection(MembershipError::NotDown(node)));
-        }
-        self.fail_over_dead(node).map_err(|e| TransportError::Failed(e.to_string()))
+        Ok(self.fail_over_dead(node)?)
     }
 
     fn fetch_weights(&self, uid: u64) -> Result<Option<Vec<f64>>, TransportError> {

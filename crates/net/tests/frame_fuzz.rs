@@ -331,7 +331,7 @@ fn chaos_corrupted_streams_fail_closed_never_misparse() {
 
 /// The membership-plane wire surface for the batteries below: map
 /// exchange (`GetMap`/`InstallMap`/`Map`) and the migration checkpoint
-/// stream (`PullPartition`/`PushPartition`/`Partition`).
+/// sink (`PushPartition`; the chunk stream has its own batteries below).
 fn sample_map() -> velox_cluster::PartitionMap {
     velox_cluster::PartitionMap::bootstrap(3, 2, 0xC0FFEE)
         .expect("bootstrap")
@@ -347,7 +347,6 @@ fn migration_rpcs_reject_every_truncation() {
     let requests = [
         Request::GetMap.encode(),
         Request::InstallMap { map: sample_map() }.encode(),
-        Request::PullPartition { partition: 7 }.encode(),
         Request::PushPartition { entries: vec![(42, vec![0.5, 0.25]), (7, vec![1.0])] }.encode(),
     ];
     for raw in &requests {
@@ -360,19 +359,14 @@ fn migration_rpcs_reject_every_truncation() {
             );
         }
     }
-    let responses = [
-        Response::Map { map: sample_map() }.encode(),
-        Response::Partition { entries: vec![(1, vec![1.0, 0.5]), (9, vec![0.25])] }.encode(),
-    ];
-    for raw in &responses {
-        assert!(Response::decode(raw).is_ok(), "pristine response must decode");
-        for cut in 0..raw.len() {
-            assert!(
-                Response::decode(&raw[..cut]).is_err(),
-                "accepted a {cut}-byte truncation of a {}-byte response",
-                raw.len()
-            );
-        }
+    let raw = Response::Map { map: sample_map() }.encode();
+    assert!(Response::decode(&raw).is_ok(), "pristine response must decode");
+    for cut in 0..raw.len() {
+        assert!(
+            Response::decode(&raw[..cut]).is_err(),
+            "accepted a {cut}-byte truncation of a {}-byte response",
+            raw.len()
+        );
     }
 }
 

@@ -1,178 +1,109 @@
 //! Elastic membership over real sockets: epoch-stamped partition maps,
 //! live partition migration, and chaos fail-over.
 //!
-//! The acceptance gate for the membership plane:
+//! The acceptance gate for the membership plane is the control-plane
+//! property suite the simulator also runs
+//! (`crates/cluster/tests/common/control_plane_props.rs`), instantiated
+//! here for `NetCluster` — the runtime that ships:
 //!
 //! - a node joins a serving cluster and takes partitions over with the
-//!   dual-write / checkpoint / catch-up / cut-over / tail-replay state
-//!   machine, losing **no acknowledged observe** and double-applying
+//!   chunk-stream / dual-write / catch-up / cut-over / tail-replay state
+//!   machine, then a member is killed *and its disk wiped* and failed out
+//!   of the map, losing **no acknowledged observe** and double-applying
 //!   none — the final weights are bit-identical to a local replay of the
 //!   ack stream;
-//! - killing a member *and its disk* after a rebalance fails it out of
-//!   the map with zero acked loss (survivor replicas re-own and
-//!   backfill);
-//! - a front with a stale map is rejected with `WrongEpoch`, refreshes
-//!   via `GetMap`, and retries — at-most-once observes included;
 //! - twin clusters fed the same workload through a join + rebalance
-//!   converge to bit-identical weights at the same epoch (the migration
-//!   plan and replay order are deterministic).
+//!   converge to bit-identical weights at the same epoch;
+//! - whatever aborts a migration, the rollback is bit-identical to never
+//!   having tried; a racing cancel ends in a legal state; membership
+//!   errors are typed; non-finite labels are refused without a trace.
+//!
+//! Plus the one socket-only protocol: a front with a stale map is
+//! rejected with `WrongEpoch`, refreshes via `GetMap`, and retries —
+//! at-most-once observes included.
 
 use std::time::Duration;
 
-use velox_cluster::transport::{Transport, TransportError};
-use velox_cluster::{lms_update, MigrationOutcome, NodeId};
+use velox_cluster::transport::Transport;
+use velox_cluster::{ChaosControl, ControlPlane, NodeId, FRONT_PEER};
 use velox_net::{NetCluster, NetClusterConfig, Request, Response};
 use velox_storage::ScratchDir;
 
-const DIM: usize = 3;
-const LR: f64 = 0.1;
-const USERS: u64 = 13;
+#[macro_use]
+#[path = "../../cluster/tests/common/control_plane_props.rs"]
+mod props;
 
-fn item_features(item: u64) -> Vec<f64> {
-    (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 5) as f64 / 4.0).collect()
+struct NetTwin {
+    net: NetCluster,
+    _wal: ScratchDir,
 }
 
-fn seeded_items() -> Vec<(u64, Vec<f64>)> {
-    (0..24u64).map(|i| (i, item_features(i))).collect()
+impl props::Twin for NetTwin {
+    type Plane = NetCluster;
+
+    fn build() -> Self {
+        let wal = ScratchDir::new("control-plane-props");
+        let net = NetCluster::start(NetClusterConfig {
+            n_nodes: 3,
+            max_nodes: 4,
+            user_replication: 2,
+            lr: props::LR,
+            wal_root: Some(wal.path().to_path_buf()),
+            workers: 8,
+            request_timeout: Duration::from_secs(2),
+            // One 4-dim entry is 44 B on the wire: a few users per chunk,
+            // so a migration takes several boundary checks.
+            checkpoint_chunk_bytes: 160,
+            ..Default::default()
+        })
+        .expect("start loopback cluster");
+        net.publish_item_features((0..props::ITEMS).map(|i| (i, props::features(i))).collect());
+        NetTwin { net, _wal: wal }
+    }
+
+    fn plane(&self) -> &NetCluster {
+        &self.net
+    }
+
+    fn transport(&self) -> &dyn Transport {
+        &self.net
+    }
+
+    fn join(&self) -> NodeId {
+        self.net.join_node().expect("join")
+    }
+
+    /// A kill here is a kill *and* a lost disk: only replicas' shipped
+    /// logs can bring the node's partitions back.
+    fn kill(&self, node: NodeId) {
+        self.net.kill_node_lose_disk(node);
+    }
+
+    /// Over sockets a cut link is not an abort: the stream re-pulls the
+    /// same cursor until the link heals. One that never heals runs into
+    /// the migration deadline instead.
+    fn jam_checkpoint_link(&self, src: NodeId, _dst: NodeId) -> &'static str {
+        self.net.link_chaos().partition(FRONT_PEER, src as u32);
+        self.net.set_migration_deadline(Some(Duration::from_millis(150)));
+        "deadline exceeded"
+    }
+
+    fn heal_links(&self) {
+        self.net.link_chaos().heal_all();
+    }
+
+    fn log_lens(&self) -> Vec<usize> {
+        (0..3).map(|n| self.net.node_state(n).expect("live node").log_len()).collect()
+    }
 }
 
-fn start_net(wal_root: Option<&ScratchDir>, max_nodes: usize) -> NetCluster {
-    let cluster = NetCluster::start(NetClusterConfig {
-        n_nodes: 3,
-        max_nodes,
-        user_replication: 2,
-        lr: LR,
-        wal_root: wal_root.map(|d| d.path().to_path_buf()),
-        workers: 8,
-        request_timeout: Duration::from_secs(2),
-        ..Default::default()
-    })
-    .expect("start loopback cluster");
-    cluster.publish_item_features(seeded_items());
-    cluster
-}
-
-/// A deterministic workload: (uid, item, label) triples.
-fn workload(offset: u64, n: u64) -> Vec<(u64, u64, f64)> {
-    (offset..offset + n)
-        .map(|i| (i % USERS, i % 24, if (i * i) % 3 == 0 { 1.0 } else { 0.0 }))
-        .collect()
-}
-
-/// Local replay of the acked stream: what every user's weights must be
-/// if no acked observe was lost and none was applied twice.
-fn expected_weights(acked: &[(u64, u64, f64)]) -> Vec<(u64, Vec<f64>)> {
-    let mut w: std::collections::HashMap<u64, Vec<f64>> = std::collections::HashMap::new();
-    for &(uid, item, y) in acked {
-        lms_update(w.entry(uid).or_default(), &item_features(item), y, LR);
-    }
-    let mut out: Vec<(u64, Vec<f64>)> = w.into_iter().collect();
-    out.sort_by_key(|(uid, _)| *uid);
-    out
-}
-
-fn assert_weights_match(net: &NetCluster, acked: &[(u64, u64, f64)], what: &str) {
-    for (uid, expect) in expected_weights(acked) {
-        let got = net
-            .fetch_weights(uid)
-            .expect("fetch weights")
-            .unwrap_or_else(|| panic!("{what}: user {uid} has no weights — acked records lost"));
-        assert_eq!(
-            got, expect,
-            "{what}: user {uid} weights diverge from the acked stream \
-             (lost or double-applied records)"
-        );
-    }
-}
-
-#[test]
-fn join_and_rebalance_lose_no_acked_observe() {
-    let net = start_net(None, 4);
-    let mut acked: Vec<(u64, u64, f64)> = Vec::new();
-    for (uid, item, y) in workload(0, 150) {
-        net.observe(uid, item, y).expect("observe before join");
-        acked.push((uid, item, y));
-    }
-    assert_eq!(net.map_epoch(), 1, "bootstrap map is epoch 1");
-
-    let joined = net.join_node().expect("join");
-    assert_eq!(joined, 3, "first free slot");
-    let moved = net.rebalance_join(joined).expect("rebalance");
-    assert!(!moved.is_empty(), "a 3→4 rebalance must move partitions");
-    assert_eq!(
-        net.map_epoch(),
-        2 + 2 * moved.len() as u64,
-        "join bumps once, each migration bumps twice (dual-write + cutover)"
-    );
-
-    // The joined node owns what the plan moved; traffic keeps flowing.
-    let map = net.map();
-    for &p in &moved {
-        assert_eq!(map.owner_of_partition(p), joined, "cutover re-owned partition {p}");
-    }
-    for (uid, item, y) in workload(1000, 100) {
-        net.observe(uid, item, y).expect("observe after rebalance");
-        acked.push((uid, item, y));
-    }
-    for uid in 0..USERS {
-        let p = net.predict(uid, uid % 24).expect("predict after rebalance");
-        assert!(!p.cold_start, "no user may go cold through a rebalance");
-    }
-    assert_weights_match(&net, &acked, "after join+rebalance");
-
-    let view = net.membership().expect("net transport exposes membership");
-    assert_eq!(view.members, vec![0, 1, 2, 3]);
-    assert_eq!(view.migrations.len(), moved.len());
-    assert!(view.migrations.iter().all(|m| m.phase == "done"));
-    assert!(view.migrations.iter().all(|m| m.to == joined));
-    assert!(
-        view.migrations.iter().all(|m| m.epoch_end > m.epoch_start),
-        "every migration spans a dual-write and a cutover epoch bump"
-    );
-}
-
-#[test]
-fn owner_death_with_disk_loss_fails_over_with_zero_loss() {
-    let wal = ScratchDir::new("rebalance-failover");
-    let net = start_net(Some(&wal), 4);
-    let mut acked: Vec<(u64, u64, f64)> = Vec::new();
-    for (uid, item, y) in workload(0, 150) {
-        net.observe(uid, item, y).expect("observe");
-        acked.push((uid, item, y));
-    }
-    let joined = net.join_node().expect("join");
-    net.rebalance_join(joined).expect("rebalance");
-
-    // Kill a founding member and wipe its disk: recovery from local state
-    // is impossible, only replicas hold its partitions now.
-    let victim: NodeId = 0;
-    net.kill_node_lose_disk(victim);
-    let backfilled = net.fail_over_dead(victim).expect("fail over");
-    let view = net.membership().expect("membership");
-    assert_eq!(view.members, vec![1, 2, 3], "dead member left the map");
-    assert!(
-        net.map().members().iter().all(|&m| m != victim),
-        "no partition may reference the dead node"
-    );
-    let _ = backfilled; // may be 0 if every survivor already replicated
-
-    for (uid, item, y) in workload(2000, 100) {
-        net.observe(uid, item, y).expect("observe after fail-over");
-        acked.push((uid, item, y));
-    }
-    for uid in 0..USERS {
-        let p = net.predict(uid, uid % 24).expect("predict after fail-over");
-        assert!(!p.cold_start, "no user may go cold through owner death");
-    }
-    assert_weights_match(&net, &acked, "after kill_lose_disk+fail_over");
-}
+control_plane_suite!(NetTwin);
 
 #[test]
 fn stale_front_is_rejected_refreshes_and_retries() {
-    let net = start_net(None, 3);
-    for (uid, item, y) in workload(0, 60) {
-        net.observe(uid, item, y).expect("observe");
-    }
+    let twin = <NetTwin as props::Twin>::build();
+    props::apply(&twin, 0, 60);
+    let net = &twin.net;
     let map0 = net.map();
     // Build a newer map behind the front's back and install it on the
     // nodes only — exactly what a second control plane (or an operator
@@ -201,151 +132,4 @@ fn stale_front_is_rejected_refreshes_and_retries() {
     let view = net.membership().expect("membership");
     assert!(view.wrong_epoch >= 1, "nodes counted the stale-epoch rejection");
     assert_eq!(view.epoch, map1.epoch());
-}
-
-/// First partition owned by `node` under the cluster's current map.
-fn partition_owned_by(net: &NetCluster, node: NodeId) -> u32 {
-    let map = net.map();
-    (0..map.n_partitions())
-        .find(|&p| map.owner_of_partition(p) == node)
-        .expect("every founding member owns at least one partition")
-}
-
-#[test]
-fn cancelled_migration_rolls_back_without_an_epoch_bump_and_retry_commits() {
-    let net = start_net(None, 4);
-    let mut acked: Vec<(u64, u64, f64)> = Vec::new();
-    for (uid, item, y) in workload(0, 120) {
-        net.observe(uid, item, y).expect("observe");
-        acked.push((uid, item, y));
-    }
-    let joined = net.join_node().expect("join");
-    let epoch0 = net.map_epoch();
-    let p = partition_owned_by(&net, 0);
-
-    // Pre-armed operator cancel: consumed at the first chunk boundary,
-    // before any map install.
-    assert!(!net.request_migration_cancel(), "no migration in flight yet");
-    let err = net.migrate_partition(p, joined).expect_err("cancel must abort");
-    assert!(err.to_string().contains("operator cancel"), "unexpected abort: {err}");
-    assert_eq!(net.map_epoch(), epoch0, "abort must not bump the epoch");
-    assert_eq!(net.map().owner_of_partition(p), 0, "source stays authoritative");
-
-    let view = net.membership().expect("membership");
-    let last = view.migrations.last().expect("abort lands in the ledger");
-    assert_eq!(last.phase, "aborted");
-    assert_eq!(last.epoch_end, 0, "aborted migrations never reach an end epoch");
-    assert!(
-        matches!(&last.outcome, MigrationOutcome::Aborted(r) if r.contains("operator cancel")),
-        "ledger outcome: {:?}",
-        last.outcome
-    );
-    let (_, aborts, _) = net.migration_chunk_stats();
-    assert_eq!(aborts, 1);
-
-    // Traffic keeps flowing and the acked stream is intact.
-    for (uid, item, y) in workload(3000, 80) {
-        net.observe(uid, item, y).expect("observe after abort");
-        acked.push((uid, item, y));
-    }
-    assert_weights_match(&net, &acked, "after cancelled migration");
-
-    // The same partition migrates cleanly on retry.
-    let status = net.migrate_partition(p, joined).expect("retry commits");
-    assert_eq!(status.outcome, MigrationOutcome::Committed);
-    assert!(status.chunks_streamed >= 1, "the checkpoint streamed in chunks");
-    assert_eq!(net.map_epoch(), epoch0 + 2, "commit bumps dual-write + cutover");
-    assert_eq!(net.map().owner_of_partition(p), joined);
-    for (uid, item, y) in workload(4000, 80) {
-        net.observe(uid, item, y).expect("observe after retry");
-        acked.push((uid, item, y));
-    }
-    assert_weights_match(&net, &acked, "after retried migration");
-}
-
-#[test]
-fn zero_deadline_aborts_every_migration_before_any_install() {
-    let net = NetCluster::start(NetClusterConfig {
-        n_nodes: 3,
-        max_nodes: 4,
-        user_replication: 2,
-        lr: LR,
-        workers: 8,
-        request_timeout: Duration::from_secs(2),
-        migration_deadline: Duration::ZERO,
-        ..Default::default()
-    })
-    .expect("start cluster");
-    net.publish_item_features(seeded_items());
-    for (uid, item, y) in workload(0, 60) {
-        net.observe(uid, item, y).expect("observe");
-    }
-    let joined = net.join_node().expect("join");
-    let epoch0 = net.map_epoch();
-    let p = partition_owned_by(&net, 0);
-    let err = net.migrate_partition(p, joined).expect_err("zero deadline must abort");
-    assert!(err.to_string().contains("deadline exceeded"), "unexpected abort: {err}");
-    assert_eq!(net.map_epoch(), epoch0, "abort must not bump the epoch");
-    assert_eq!(net.map().owner_of_partition(p), 0, "source stays authoritative");
-    // Serving is unaffected: predicts and observes still flow.
-    net.predict(5, 2).expect("predict after deadline abort");
-    net.observe(5, 2, 1.0).expect("observe after deadline abort");
-}
-
-#[test]
-fn membership_control_surface_rejects_bad_operations() {
-    let net = start_net(None, 4);
-    // Unknown slot id: outside 0..max_nodes entirely.
-    match net.rebalance_join_node(99) {
-        Err(TransportError::Rejected(msg)) => assert!(msg.contains("unknown node"), "{msg}"),
-        other => panic!("expected Rejected, got {other:?}"),
-    }
-    match net.fail_over_node(99) {
-        Err(TransportError::Rejected(msg)) => assert!(msg.contains("unknown node"), "{msg}"),
-        other => panic!("expected Rejected, got {other:?}"),
-    }
-    // A provisioned slot that never joined is not a member.
-    match net.fail_over_node(3) {
-        Err(TransportError::Rejected(msg)) => assert!(msg.contains("not a member"), "{msg}"),
-        other => panic!("expected Rejected, got {other:?}"),
-    }
-    // Failing over a live member is refused.
-    match net.fail_over_node(0) {
-        Err(TransportError::Rejected(msg)) => assert!(msg.contains("not down"), "{msg}"),
-        other => panic!("expected Rejected, got {other:?}"),
-    }
-    // The kill switch round-trips through the transport surface.
-    net.set_auto_rebalance(true);
-    assert!(net.auto_rebalance_enabled());
-    assert!(net.membership().expect("membership").auto_rebalance);
-    net.set_auto_rebalance(false);
-    assert!(!net.auto_rebalance_enabled());
-    assert!(!net.membership().expect("membership").auto_rebalance);
-    // Cancelling with nothing in flight reports idle (and arms the next
-    // migration's first boundary check — covered by the cancel test).
-    assert!(!net.cancel_migration());
-}
-
-#[test]
-fn twin_clusters_converge_bit_identically_across_epoch_bumps() {
-    let run = |tag: &str| {
-        let wal = ScratchDir::new(tag);
-        let net = start_net(Some(&wal), 4);
-        for (uid, item, y) in workload(0, 120) {
-            net.observe(uid, item, y).expect("observe");
-        }
-        let joined = net.join_node().expect("join");
-        let moved = net.rebalance_join(joined).expect("rebalance");
-        for (uid, item, y) in workload(500, 80) {
-            net.observe(uid, item, y).expect("observe");
-        }
-        let weights: Vec<(u64, Option<Vec<f64>>)> =
-            (0..USERS).map(|uid| (uid, net.fetch_weights(uid).expect("fetch"))).collect();
-        (net.map_epoch(), moved, weights)
-    };
-    let (epoch_a, moved_a, weights_a) = run("twin-a");
-    let (epoch_b, moved_b, weights_b) = run("twin-b");
-    assert_eq!(epoch_a, epoch_b, "twin clusters bump through identical epochs");
-    assert_eq!(moved_a, moved_b, "the rebalance plan is deterministic");
-    assert_eq!(weights_a, weights_b, "weights are bit-identical across twins");
 }

@@ -205,8 +205,8 @@ impl ModelManager {
     }
 
     /// Registers a backend under a name that must NOT already exist —
-    /// "create", not "create a version". Mirrors
-    /// `ModelRegistry::register`'s duplicate refusal.
+    /// "create", not "create a version"; a taken name is refused with
+    /// [`RegistryError::DuplicateModel`].
     pub fn register_new(
         &self,
         name: &str,

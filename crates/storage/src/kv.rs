@@ -265,54 +265,6 @@ impl<V: Clone> Namespace<V> {
     }
 }
 
-/// A collection of named namespaces — one per logical table — forming the
-/// node-local storage manager.
-pub struct KvStore<V> {
-    namespaces: RwLock<HashMap<String, Arc<Namespace<V>>>>,
-}
-
-impl<V: Clone> KvStore<V> {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        KvStore { namespaces: RwLock::new(HashMap::new()) }
-    }
-
-    /// Returns the namespace, creating it when absent.
-    pub fn namespace(&self, name: &str) -> Arc<Namespace<V>> {
-        if let Some(ns) = self.namespaces.read().unwrap().get(name) {
-            return Arc::clone(ns);
-        }
-        let mut map = self.namespaces.write().unwrap();
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Namespace::new(name))))
-    }
-
-    /// Returns an existing namespace or an error.
-    pub fn existing_namespace(&self, name: &str) -> Result<Arc<Namespace<V>>> {
-        self.namespaces
-            .read()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StorageError::NamespaceNotFound(name.to_string()))
-    }
-
-    /// Drops a namespace entirely. Returns whether it existed.
-    pub fn drop_namespace(&self, name: &str) -> bool {
-        self.namespaces.write().unwrap().remove(name).is_some()
-    }
-
-    /// Names of all namespaces, unordered.
-    pub fn namespace_names(&self) -> Vec<String> {
-        self.namespaces.read().unwrap().keys().cloned().collect()
-    }
-}
-
-impl<V: Clone> Default for KvStore<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,23 +401,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(ns.get(42), Some(8000));
-    }
-
-    #[test]
-    fn store_namespace_lifecycle() {
-        let store: KvStore<i32> = KvStore::new();
-        assert!(store.existing_namespace("w").is_err());
-        let ns = store.namespace("w");
-        ns.put(1, 1);
-        // Same Arc comes back.
-        let ns2 = store.namespace("w");
-        assert_eq!(ns2.get(1), Some(1));
-        assert!(store.existing_namespace("w").is_ok());
-        let mut names = store.namespace_names();
-        names.sort();
-        assert_eq!(names, vec!["w"]);
-        assert!(store.drop_namespace("w"));
-        assert!(!store.drop_namespace("w"));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! for offline retraining (§3, Figure 2). This crate rebuilds that storage
 //! layer with the same operational surface:
 //!
-//! - [`kv::KvStore`] / [`kv::Namespace`]: sharded, concurrently-accessible,
-//!   **versioned** key–value tables. A namespace's contents can be swapped
+//! - [`kv::Namespace`]: a sharded, concurrently-accessible,
+//!   **versioned** key–value table. Its contents can be swapped
 //!   atomically for a retrained copy (the paper's "incrementing the version
 //!   and transparently upgrading incoming requests").
 //! - [`obslog::ObservationLog`]: an append-only log of `observe()` calls,
@@ -48,7 +48,7 @@ pub mod wal;
 
 pub use checkpoint::{CheckpointData, CheckpointStore};
 pub use crc::{crc32, crc32_begin, crc32_feed, crc32_finish};
-pub use kv::{KvStore, Namespace, VersionedValue};
+pub use kv::{Namespace, VersionedValue};
 pub use lru::LruCache;
 pub use obslog::{Observation, ObservationLog};
 pub use tmp::ScratchDir;
@@ -57,8 +57,6 @@ pub use wal::{FsyncPolicy, Wal, WalAppendTiming, WalConfig, WalRecovery};
 /// Errors surfaced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// A namespace was addressed that has not been created.
-    NamespaceNotFound(String),
     /// A snapshot/restore payload failed to decode.
     Corrupt(String),
     /// An operation referenced a version that does not exist (e.g. rollback
@@ -73,7 +71,6 @@ pub enum StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::NamespaceNotFound(ns) => write!(f, "namespace not found: {ns}"),
             StorageError::Corrupt(what) => write!(f, "corrupt payload: {what}"),
             StorageError::VersionNotFound(v) => write!(f, "version not found: {v}"),
             StorageError::Io(what) => write!(f, "durable-state io error: {what}"),
