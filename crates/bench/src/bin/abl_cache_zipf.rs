@@ -9,17 +9,16 @@
 //! cost model (local 1 µs, remote 300 µs), versus the no-cache baseline.
 
 use velox_bench::{print_header, print_row};
+use velox_cluster::{LOCAL_READ_US, REMOTE_READ_US};
 use velox_data::{WorkloadConfig, ZipfGenerator};
 use velox_storage::LruCache;
 
 const CATALOG: usize = 100_000;
 const REQUESTS: usize = 500_000;
-const LOCAL_US: f64 = 1.0;
-const REMOTE_US: f64 = 300.0;
 
 fn main() {
     println!("# ABL-CACHE: LRU hit rate under Zipfian item popularity (§5)");
-    println!("\ncatalog {CATALOG} items, {REQUESTS} requests, remote read {REMOTE_US} µs vs local {LOCAL_US} µs");
+    println!("\ncatalog {CATALOG} items, {REQUESTS} requests, remote read {REMOTE_READ_US} µs vs local {LOCAL_READ_US} µs");
 
     print_header(
         "Hit rate and mean read cost",
@@ -40,9 +39,9 @@ fn main() {
             for _ in 0..REQUESTS {
                 let item = gen.next_item();
                 if cache.get(&item).is_some() {
-                    cost += LOCAL_US;
+                    cost += LOCAL_READ_US;
                 } else {
-                    cost += REMOTE_US;
+                    cost += REMOTE_READ_US;
                     cache.put(item, ());
                 }
             }
@@ -54,7 +53,7 @@ fn main() {
                 format!("{cap_pct}%"),
                 format!("{hit_rate:.3}"),
                 format!("{mean_cost:.1} µs"),
-                format!("{:.1}x cheaper", REMOTE_US / mean_cost),
+                format!("{:.1}x cheaper", REMOTE_READ_US / mean_cost),
             ]);
         }
     }

@@ -151,10 +151,7 @@ fn run_cell(
     threads: usize,
     run: Duration,
 ) -> Cell {
-    let tier = ServeTier::with_config(ServeConfig {
-        batch: mode.batch_config(flush),
-        ..Default::default()
-    });
+    let tier = ServeTier::with_config(ServeConfig { batch: mode.batch_config(flush) });
     tier.register(BACKEND, Arc::clone(backend)).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));

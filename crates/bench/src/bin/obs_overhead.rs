@@ -15,7 +15,7 @@ use velox_batch::AlsConfig;
 use velox_bench::{fmt_us, measure, print_header, print_row, FixtureRng};
 use velox_core::{Item, Velox, VeloxConfig};
 use velox_models::MatrixFactorizationModel;
-use velox_obs::{Counter, Histogram, SpanTimer, TimerMode};
+use velox_obs::{Counter, Histogram, SpanTimer};
 
 /// Times `iters` repetitions of `f` and returns ns per op.
 fn ns_per_op<F: FnMut()>(iters: u64, mut f: F) -> f64 {
@@ -48,7 +48,7 @@ fn primitives() {
     ]);
     let hist = Arc::new(Histogram::new());
     print_row(&[
-        "SpanTimer new+drop (precise)".into(),
+        "SpanTimer new+drop".into(),
         format!(
             "{:.1}",
             ns_per_op(2_000_000, || {
@@ -56,53 +56,7 @@ fn primitives() {
             })
         ),
     ]);
-    print_row(&[
-        "SpanTimer new+drop (coarse)".into(),
-        format!(
-            "{:.1}",
-            ns_per_op(2_000_000, || {
-                let _span = SpanTimer::with_mode(&hist, TimerMode::Coarse);
-            })
-        ),
-    ]);
     std::hint::black_box(counter.get());
-}
-
-/// End-to-end effect of the timer mode on the most timer-sensitive route:
-/// a fully-cached predict is two map lookups plus a SpanTimer, so the
-/// clock-read cost is a visible fraction of the whole call.
-fn timer_modes() {
-    print_header("cached predict by timer mode (d = 64)", &["timer mode", "ns/op"]);
-    for (name, mode) in [("precise", TimerMode::Precise), ("coarse", TimerMode::Coarse)] {
-        let d = 64usize;
-        let mut rng = FixtureRng::new(11);
-        let mut table = HashMap::new();
-        for item in 0..256u64 {
-            table.insert(item, rng.vector(d));
-        }
-        let model = MatrixFactorizationModel::from_table(
-            "bench",
-            table,
-            0.0,
-            AlsConfig { rank: d, ..Default::default() },
-        )
-        .unwrap();
-        let mut weights = HashMap::new();
-        weights.insert(0u64, rng.vector(d));
-        let mut config = VeloxConfig::single_node();
-        config.obs.timer_mode = mode;
-        let velox = Velox::deploy(Arc::new(model), weights, config);
-        velox.predict(0, &Item::Id(1)).unwrap(); // warm the prediction cache
-        print_row(&[
-            name.to_string(),
-            format!(
-                "{:.1}",
-                ns_per_op(1_000_000, || {
-                    std::hint::black_box(velox.predict(0, &Item::Id(1)).unwrap());
-                })
-            ),
-        ]);
-    }
 }
 
 fn cached_topk() {
@@ -143,6 +97,5 @@ fn cached_topk() {
 fn main() {
     println!("# obs_overhead: cost of the metrics layer");
     primitives();
-    timer_modes();
     cached_topk();
 }

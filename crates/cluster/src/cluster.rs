@@ -9,8 +9,8 @@
 //!   a read from another node is a *remote* read unless the reading node's
 //!   LRU item cache holds it.
 //!
-//! Costs are virtual time: each access adds `local_read_us` or
-//! `remote_read_us` to the caller's [`AccessKind`]-tagged accounting and to
+//! Costs are virtual time: each access adds [`LOCAL_READ_US`] or
+//! [`REMOTE_READ_US`] to the caller's [`AccessKind`]-tagged accounting and to
 //! per-node counters. Nothing sleeps; experiments convert virtual
 //! microseconds into reported latency. This keeps the ABL-PART / ABL-CACHE /
 //! FIG4 experiments deterministic and fast while preserving the paper's
@@ -29,16 +29,18 @@ use crate::partition::{
     HashPartitioner, MembershipError, NodeId, PartitionError, PartitionMap, Router, RoutingPolicy,
 };
 
-/// Cluster topology and cost-model configuration.
+/// Virtual cost of a node-local read (microseconds).
+pub const LOCAL_READ_US: f64 = 1.0;
+/// Virtual cost of a remote read (microseconds) — dominated by the network
+/// round-trip in the real system. Intra-datacenter RTT ≈ a few hundred µs;
+/// the ratio to local memory access is what matters for the experiments.
+pub const REMOTE_READ_US: f64 = 300.0;
+
+/// Cluster topology configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of simulated nodes.
     pub n_nodes: usize,
-    /// Virtual cost of a node-local read (microseconds).
-    pub local_read_us: f64,
-    /// Virtual cost of a remote read (microseconds) — dominated by the
-    /// network round-trip in the real system.
-    pub remote_read_us: f64,
     /// Capacity of each node's LRU item-feature cache (entries).
     pub item_cache_capacity: usize,
     /// How requests are routed to serving nodes.
@@ -70,10 +72,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             n_nodes: 4,
-            local_read_us: 1.0,
-            // Intra-datacenter RTT ≈ a few hundred µs; the ratio to local
-            // memory access is what matters for the experiments.
-            remote_read_us: 300.0,
             item_cache_capacity: 1024,
             routing: RoutingPolicy::ByUser,
             item_replication: 1,
@@ -263,7 +261,6 @@ impl Cluster {
     /// Builds a cluster from `config`.
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.n_nodes > 0);
-        assert!(config.remote_read_us >= config.local_read_us);
         let capacity = config.max_nodes.max(config.n_nodes);
         let nodes = (0..capacity)
             .map(|i| Node {
@@ -318,11 +315,6 @@ impl Cluster {
             rebalance_enabled: AtomicBool::new(true),
             migration_link_chaos: Mutex::new(None),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
     }
 
     /// Number of provisioned node slots (members plus join headroom).
@@ -617,11 +609,11 @@ impl Cluster {
         let us = match kind {
             AccessKind::Local | AccessKind::CacheHit => {
                 self.nodes[at].local_reads.inc();
-                self.config.local_read_us
+                LOCAL_READ_US
             }
             AccessKind::Remote => {
                 self.nodes[at].remote_reads.inc();
-                self.config.remote_read_us
+                REMOTE_READ_US
             }
             AccessKind::Failover => {
                 // Failover reads go over the network to the surviving
@@ -629,7 +621,7 @@ impl Cluster {
                 // plus their own counter.
                 self.nodes[at].remote_reads.inc();
                 self.nodes[at].failover_reads.inc();
-                self.config.remote_read_us
+                REMOTE_READ_US
             }
         };
         self.virtual_read_nanos.fetch_add((us * 1000.0) as u64, Ordering::Relaxed);
@@ -686,15 +678,6 @@ impl Cluster {
         }
     }
 
-    /// Reads a user's weights from serving node `at`. Local when `at` is
-    /// the user's home (always true under `ByUser` routing), remote
-    /// otherwise. Returns the weights, how the access was satisfied, and
-    /// the virtual cost in microseconds.
-    pub fn get_user_weights(&self, at: NodeId, uid: u64) -> (Option<Vec<f64>>, AccessKind, f64) {
-        let read = self.read_user_weights(at, uid);
-        (read.value, read.kind, read.cost_us)
-    }
-
     /// Applies an in-place update to a user's weights (upserting via
     /// `default` when absent), fanning the result out to every live
     /// replica. Under `ByUser` routing and full health this is the paper's
@@ -725,16 +708,6 @@ impl Cluster {
             }
         }
         Some(cost)
-    }
-
-    /// [`Cluster::try_update_user_weights`], charging a remote read when
-    /// every replica is down (legacy callers that cannot buffer).
-    pub fn update_user_weights<F, D>(&self, at: NodeId, uid: u64, default: D, f: F) -> f64
-    where
-        F: FnOnce(&mut Vec<f64>),
-        D: FnOnce() -> Vec<f64>,
-    {
-        self.try_update_user_weights(at, uid, default, f).unwrap_or(self.config.remote_read_us)
     }
 
     /// Bulk-publishes a new user-weight table (offline retrain output):
@@ -884,18 +857,6 @@ impl Cluster {
             failover: false,
             unavailable: true,
         }
-    }
-
-    /// Reads an item's features from serving node `at`:
-    /// local replica → cache → remote fetch (which populates the cache).
-    /// Returns the features, the access kind, and the virtual cost (µs).
-    pub fn get_item_features(
-        &self,
-        at: NodeId,
-        item_id: u64,
-    ) -> (Option<Vec<f64>>, AccessKind, f64) {
-        let read = self.read_item_features(at, item_id);
-        (read.value, read.kind, read.cost_us)
     }
 
     /// Invalidates every node's item cache (manual cache flush).
@@ -1135,10 +1096,10 @@ mod tests {
         }
         for uid in 0..100u64 {
             let node = c.route_request(uid);
-            let (w, kind, cost) = c.get_user_weights(node, uid);
-            assert_eq!(w.unwrap(), vec![uid as f64]);
-            assert_eq!(kind, AccessKind::Local, "ByUser routing must make W reads local");
-            assert_eq!(cost, c.config().local_read_us);
+            let read = c.read_user_weights(node, uid);
+            assert_eq!(read.value.unwrap(), vec![uid as f64]);
+            assert_eq!(read.kind, AccessKind::Local, "ByUser routing must make W reads local");
+            assert_eq!(read.cost_us, LOCAL_READ_US);
         }
         assert_eq!(c.stats().local_fraction(), 1.0);
     }
@@ -1151,7 +1112,7 @@ mod tests {
         }
         for uid in 0..200u64 {
             let node = c.route_request(uid);
-            let _ = c.get_user_weights(node, uid);
+            let _ = c.read_user_weights(node, uid);
         }
         let frac = c.stats().local_fraction();
         // With 4 nodes, ~25% of random routes land on the home node.
@@ -1164,9 +1125,9 @@ mod tests {
         let c = cluster(2, RoutingPolicy::ByUser);
         c.put_item_features(7, vec![7.0]);
         let home = c.home_of_item(7);
-        let (f, kind, _) = c.get_item_features(home, 7);
-        assert_eq!(f.unwrap(), vec![7.0]);
-        assert_eq!(kind, AccessKind::Local);
+        let read = c.read_item_features(home, 7);
+        assert_eq!(read.value.unwrap(), vec![7.0]);
+        assert_eq!(read.kind, AccessKind::Local);
     }
 
     #[test]
@@ -1174,25 +1135,24 @@ mod tests {
         let c = cluster(2, RoutingPolicy::ByUser);
         c.put_item_features(7, vec![7.0]);
         let other = 1 - c.home_of_item(7);
-        let (_, kind1, cost1) = c.get_item_features(other, 7);
-        assert_eq!(kind1, AccessKind::Remote);
-        assert_eq!(cost1, c.config().remote_read_us);
-        let (f2, kind2, cost2) = c.get_item_features(other, 7);
-        assert_eq!(kind2, AccessKind::CacheHit);
-        assert_eq!(f2.unwrap(), vec![7.0]);
-        assert!(cost2 < cost1);
+        let first = c.read_item_features(other, 7);
+        assert_eq!(first.kind, AccessKind::Remote);
+        assert_eq!(first.cost_us, REMOTE_READ_US);
+        let second = c.read_item_features(other, 7);
+        assert_eq!(second.kind, AccessKind::CacheHit);
+        assert_eq!(second.value.unwrap(), vec![7.0]);
+        assert!(second.cost_us < first.cost_us);
     }
 
     #[test]
     fn missing_item_is_remote_miss_without_cache_pollution() {
         let c = cluster(2, RoutingPolicy::ByUser);
         let other = 1 - c.home_of_item(99);
-        let (f, kind, _) = c.get_item_features(other, 99);
-        assert!(f.is_none());
-        assert_eq!(kind, AccessKind::Remote);
+        let read = c.read_item_features(other, 99);
+        assert!(read.value.is_none());
+        assert_eq!(read.kind, AccessKind::Remote);
         // Still a miss next time (absence is not cached).
-        let (_, kind2, _) = c.get_item_features(other, 99);
-        assert_eq!(kind2, AccessKind::Remote);
+        assert_eq!(c.read_item_features(other, 99).kind, AccessKind::Remote);
     }
 
     #[test]
@@ -1200,11 +1160,11 @@ mod tests {
         let c = cluster(2, RoutingPolicy::ByUser);
         c.put_item_features(1, vec![1.0]);
         let other = 1 - c.home_of_item(1);
-        let _ = c.get_item_features(other, 1); // cache it remotely
+        let _ = c.read_item_features(other, 1); // cache it remotely
         c.publish_item_features(vec![(1, vec![2.0])]);
-        let (f, kind, _) = c.get_item_features(other, 1);
-        assert_eq!(f.unwrap(), vec![2.0], "stale cache served after publish");
-        assert_eq!(kind, AccessKind::Remote, "cache must have been invalidated");
+        let read = c.read_item_features(other, 1);
+        assert_eq!(read.value.unwrap(), vec![2.0], "stale cache served after publish");
+        assert_eq!(read.kind, AccessKind::Remote, "cache must have been invalidated");
     }
 
     #[test]
@@ -1212,10 +1172,11 @@ mod tests {
         let c = cluster(4, RoutingPolicy::ByUser);
         let uid = 5;
         let home = c.home_of_user(uid);
-        c.update_user_weights(home, uid, || vec![0.0], |w| w[0] += 1.0);
-        c.update_user_weights(home, uid, || vec![0.0], |w| w[0] += 1.0);
-        let (w, _, _) = c.get_user_weights(home, uid);
-        assert_eq!(w.unwrap(), vec![2.0]);
+        for _ in 0..2 {
+            let cost = c.try_update_user_weights(home, uid, || vec![0.0], |w| w[0] += 1.0);
+            assert_eq!(cost, Some(LOCAL_READ_US));
+        }
+        assert_eq!(c.read_user_weights(home, uid).value.unwrap(), vec![2.0]);
         let stats = c.stats();
         assert_eq!(stats.nodes.iter().map(|n| n.remote_reads).sum::<u64>(), 0);
     }
@@ -1250,9 +1211,9 @@ mod tests {
         }
         for node in 0..4 {
             for item in 0..50u64 {
-                let (f, kind, _) = c.get_item_features(node, item);
-                assert_eq!(f.unwrap(), vec![item as f64]);
-                assert_eq!(kind, AccessKind::Local, "full replication: always local");
+                let read = c.read_item_features(node, item);
+                assert_eq!(read.value.unwrap(), vec![item as f64]);
+                assert_eq!(read.kind, AccessKind::Local, "full replication: always local");
             }
         }
         assert_eq!(c.stats().local_fraction(), 1.0);
@@ -1266,12 +1227,12 @@ mod tests {
         let replicas = c.replica_nodes_of_item(9);
         assert_eq!(replicas.len(), 2);
         for node in 0..4usize {
-            let (f, kind, _) = c.get_item_features(node, 9);
-            assert_eq!(f.unwrap(), vec![9.0]);
+            let read = c.read_item_features(node, 9);
+            assert_eq!(read.value.unwrap(), vec![9.0]);
             if replicas.contains(&node) {
-                assert_eq!(kind, AccessKind::Local, "replica node {node}");
+                assert_eq!(read.kind, AccessKind::Local, "replica node {node}");
             } else {
-                assert_eq!(kind, AccessKind::Remote, "non-replica node {node}");
+                assert_eq!(read.kind, AccessKind::Remote, "non-replica node {node}");
             }
         }
     }
@@ -1283,9 +1244,9 @@ mod tests {
         c.put_item_features(1, vec![1.0]);
         c.publish_item_features(vec![(1, vec![2.0])]);
         for node in c.replica_nodes_of_item(1) {
-            let (f, kind, _) = c.get_item_features(node, 1);
-            assert_eq!(f.unwrap(), vec![2.0], "replica {node} must see the new version");
-            assert_eq!(kind, AccessKind::Local);
+            let read = c.read_item_features(node, 1);
+            assert_eq!(read.value.unwrap(), vec![2.0], "replica {node} must see the new version");
+            assert_eq!(read.kind, AccessKind::Local);
         }
     }
 
@@ -1306,9 +1267,9 @@ mod tests {
         let c = cluster(2, RoutingPolicy::ByUser);
         c.put_item_features(1, vec![1.0]);
         let other = 1 - c.home_of_item(1);
-        let _ = c.get_item_features(other, 1); // remote: 300µs
+        let _ = c.read_item_features(other, 1); // remote: 300µs
         let home = c.home_of_item(1);
-        let _ = c.get_item_features(home, 1); // local: 1µs
+        let _ = c.read_item_features(home, 1); // local: 1µs
         let stats = c.stats();
         assert!((stats.virtual_read_us - 301.0).abs() < 1e-6, "{}", stats.virtual_read_us);
     }
@@ -1318,7 +1279,7 @@ mod tests {
         let c = cluster(2, RoutingPolicy::ByUser);
         c.put_user_weights(1, vec![1.0]);
         let node = c.route_request(1);
-        let _ = c.get_user_weights(node, 1);
+        let _ = c.read_user_weights(node, 1);
         c.reset_stats();
         let stats = c.stats();
         assert_eq!(stats.nodes.iter().map(|n| n.requests_served).sum::<u64>(), 0);
@@ -1359,7 +1320,7 @@ mod tests {
         for &node in &replicas {
             assert_eq!(c.nodes[node].user_weights.get(3).unwrap(), vec![3.0]);
         }
-        c.update_user_weights(replicas[0], 3, Vec::new, |w| w[0] = 9.0);
+        c.try_update_user_weights(replicas[0], 3, Vec::new, |w| w[0] = 9.0).unwrap();
         for &node in &replicas {
             assert_eq!(c.nodes[node].user_weights.get(3).unwrap(), vec![9.0], "replica {node}");
         }

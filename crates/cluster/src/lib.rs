@@ -47,7 +47,10 @@ pub mod partition;
 pub mod retry;
 pub mod transport;
 
-pub use cluster::{AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats};
+pub use cluster::{
+    AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats, LOCAL_READ_US,
+    REMOTE_READ_US,
+};
 pub use detector::{DetectorConfig, FailureDetector, PeerLiveness, PeerState};
 pub use fault::{FaultAction, FaultClock, FaultEvent, FaultPlan, HealthTransition, NodeHealth};
 pub use migrate::{ChunkStep, ControlPlane, MigrationIo, Migrator};

@@ -1,8 +1,6 @@
 //! Deployment configuration for a Velox instance.
 
 use velox_cluster::ClusterConfig;
-use velox_obs::ObsConfig;
-use velox_online::UpdateStrategy;
 
 use crate::durability::DurabilityConfig;
 
@@ -24,8 +22,6 @@ pub enum BanditChoice {
 pub struct VeloxConfig {
     /// Ridge regularization λ for online user-weight updates (Eq. 2).
     pub lambda: f64,
-    /// Online update algorithm (naive re-solve vs. Sherman–Morrison).
-    pub update_strategy: UpdateStrategy,
     /// Prediction-cache capacity (entries across all users).
     pub prediction_cache_capacity: usize,
     /// Feature-cache capacity for computed feature functions (entries).
@@ -67,15 +63,12 @@ pub struct VeloxConfig {
     /// [`Velox::deploy_durable`](crate::Velox::deploy_durable) to make
     /// acknowledged observations crash-safe.
     pub durability: Option<DurabilityConfig>,
-    /// Observability knobs (span-timer clock discipline).
-    pub obs: ObsConfig,
 }
 
 impl Default for VeloxConfig {
     fn default() -> Self {
         VeloxConfig {
             lambda: 1.0,
-            update_strategy: UpdateStrategy::ShermanMorrison,
             prediction_cache_capacity: 64 * 1024,
             feature_cache_capacity: 16 * 1024,
             staleness_threshold: 0.5,
@@ -91,7 +84,6 @@ impl Default for VeloxConfig {
             training_workers: 4,
             seed: 0xC1D1,
             durability: None,
-            obs: ObsConfig::default(),
         }
     }
 }
@@ -119,7 +111,6 @@ mod tests {
         let c = VeloxConfig::default();
         assert!(c.lambda > 0.0);
         assert!(c.prediction_cache_capacity > 0);
-        assert_eq!(c.update_strategy, UpdateStrategy::ShermanMorrison);
         assert!(matches!(c.bandit, BanditChoice::LinUcb(_)));
     }
 

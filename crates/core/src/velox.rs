@@ -13,7 +13,7 @@ use velox_batch::JobExecutor;
 use velox_cluster::{Cluster, ClusterStats, FaultPlan, NodeHealth};
 use velox_linalg::{Matrix, Vector};
 use velox_models::{Item, ModelError, TrainingExample, VeloxModel};
-use velox_obs::{Counter, EventKind, Histogram, Registry, SpanTimer, Timer, TimerMode};
+use velox_obs::{Counter, EventKind, Histogram, Registry, SpanTimer, Timer};
 use velox_online::{
     PerUserErrorTracker, PrequentialEvaluator, StalenessDetector, UpdateStrategy, UserOnlineModel,
 };
@@ -200,6 +200,51 @@ pub struct SystemStats {
 /// components make stale entries unreachable instead of requiring scans.
 type PredKey = (u64, u64, u64, u64);
 
+/// One walk down the degradation ladder for a user's serving weights.
+struct ServingWeights {
+    weights: Vector,
+    /// Nothing of the user's own was found: `weights` is the population
+    /// mean.
+    bootstrapped: bool,
+    cost_us: f64,
+    level: DegradationLevel,
+}
+
+/// What one scoring call (a predict, a batch, a top-K, a repopulation)
+/// knows about the model lineage, shared by every pair it scores. Only a
+/// prediction-cache miss needs the model object, so `predict` leaves it
+/// unset and the scorer takes it on the first miss — a hit touches neither
+/// the model lock nor a weight read.
+struct ModelRead {
+    version: u64,
+    model: Option<Arc<dyn VeloxModel>>,
+}
+
+/// One user's share of a scoring call: what the cache key needs up front,
+/// and the one weight read every miss of that user in the call shares.
+struct UserRead {
+    uid: u64,
+    /// The user's weight-update counter, third component of the cache key.
+    /// Read before the weights it keys, so a racing observe can only strand
+    /// an entry under a superseded key, never file an old score under the
+    /// new one.
+    version: u64,
+    /// Serving node; routed on the first miss when the caller has not.
+    node: Option<usize>,
+    /// Read on the first miss unless the caller already holds it.
+    weights: Option<ServingWeights>,
+}
+
+/// The scorer's answer for one pair.
+struct Scored {
+    response: PredictResponse,
+    /// `f(x, θ)` of a pair that missed the cache (top-K's variances reuse
+    /// it).
+    features: Option<Vector>,
+    /// Whether the miss's score entered the prediction cache.
+    filled: bool,
+}
+
 /// One retained model version for rollback: the model object plus the full
 /// user-weight table at swap time.
 struct HistoryEntry {
@@ -292,8 +337,6 @@ pub struct Velox {
     /// Lets a slow automatic checkpoint shed later triggers instead of
     /// queueing observe threads behind the durability mutex.
     checkpoint_in_flight: AtomicBool,
-    /// Span-timer clock discipline on the hot serving paths.
-    timer_mode: TimerMode,
     recovery_replayed: Arc<Counter>,
     recovery_replay_duration: Arc<Histogram>,
     checkpoints_total: Arc<Counter>,
@@ -324,15 +367,11 @@ impl Velox {
         // One registry per deployment; serving-path handles are created
         // here once and then updated lock-free.
         let registry = Registry::new();
-        let strategy = match config.update_strategy {
-            UpdateStrategy::Naive => "naive",
-            UpdateStrategy::ShermanMorrison => "sherman_morrison",
-        };
         let predict_latency = registry.histogram("velox_predict_latency_ns");
         let top_k_latency = registry.histogram("velox_top_k_latency_ns");
         let observe_latency = registry.histogram("velox_observe_latency_ns");
-        let online_update_latency =
-            registry.histogram_with("velox_online_update_latency_ns", &[("strategy", strategy)]);
+        let online_update_latency = registry
+            .histogram_with("velox_online_update_latency_ns", &[("strategy", "sherman_morrison")]);
         let pred_cache_hits = registry.counter("velox_prediction_cache_hits_total");
         let pred_cache_misses = registry.counter("velox_prediction_cache_misses_total");
         let feat_cache_hits = registry.counter("velox_feature_cache_hits_total");
@@ -354,7 +393,6 @@ impl Velox {
         let checkpoints_total = registry.counter("velox_checkpoints_total");
         let checkpoint_failures = registry.counter("velox_checkpoint_failures_total");
         cluster.register_metrics(&registry);
-        let timer_mode = config.obs.timer_mode;
 
         let velox = Velox {
             model: RwLock::new(Arc::clone(&model)),
@@ -404,7 +442,6 @@ impl Velox {
             redo_shed,
             durability: Mutex::new(None),
             checkpoint_in_flight: AtomicBool::new(false),
-            timer_mode,
             recovery_replayed,
             recovery_replay_duration,
             checkpoints_total,
@@ -435,7 +472,7 @@ impl Velox {
             velox.registry.register_counter("velox_kv_reads_total", &[("table", ns.0)], ns.1);
             velox.registry.register_counter("velox_kv_writes_total", &[("table", ns.0)], ns.2);
         }
-        velox.install_user_weights(&initial_weights);
+        velox.install_weight_table(&initial_weights);
         velox
     }
 
@@ -444,13 +481,18 @@ impl Velox {
         &self.registry
     }
 
-    fn install_user_weights(&self, weights: &HashMap<u64, Vector>) {
-        // Serving weights and the bootstrap mean are installed eagerly;
-        // per-user *online* state (the O(d²) inverse) is created lazily on
-        // a user's first observe, with these weights as the prior — pure
-        // serving never pays the online-learning memory cost.
+    /// Installs a whole user-weight table, at deploy and at every version
+    /// swap: the serving table is replaced wholesale (a user absent from
+    /// `weights` must not survive the change) and the stale cache and the
+    /// bootstrap mean follow. Per-user *online* state (the O(d²) inverse)
+    /// is not created here but lazily on a user's first observe, with these
+    /// weights as the prior — pure serving never pays the online-learning
+    /// memory cost.
+    fn install_weight_table(&self, weights: &HashMap<u64, Vector>) {
+        self.cluster.publish_user_weights(
+            weights.iter().map(|(&uid, w)| (uid, w.as_slice().to_vec())).collect(),
+        );
         for (&uid, w) in weights {
-            self.cluster.put_user_weights(uid, w.as_slice().to_vec());
             self.stale_weights.put(uid, w.clone());
             self.bootstrap.contribute(uid, w);
         }
@@ -479,7 +521,7 @@ impl Velox {
         let fresh = Arc::new(Mutex::new(UserOnlineModel::from_prior(
             &prior,
             self.config.lambda,
-            self.config.update_strategy,
+            UpdateStrategy::ShermanMorrison,
         )));
         // update_with keeps creation atomic under racing callers.
         self.user_state.update_with(uid, || Arc::clone(&fresh), |_| {});
@@ -498,15 +540,10 @@ impl Velox {
     /// the quality trackers or staleness detector.
     pub fn ingest_history(&self, examples: &[TrainingExample]) -> Result<(), VeloxError> {
         {
-            // Log under the swap gate so no example can fall between a
-            // retrain's snapshot and its replay boundary.
             let _gate = self.swap_gate.read().unwrap();
             for ex in examples {
-                if let Some(id) = ex.item.id() {
-                    self.log_observation(ex.uid, id, ex.y)?;
-                }
+                self.log_example(ex.clone())?;
             }
-            self.training_log.lock().unwrap().extend(examples.iter().cloned());
         }
         self.apply_examples_to_online_state(examples)?;
         self.maybe_checkpoint();
@@ -526,10 +563,6 @@ impl Velox {
     /// Whether the staleness detector currently flags the model.
     pub fn is_stale(&self) -> bool {
         self.stale_flag.load(Ordering::Acquire)
-    }
-
-    fn item_cache_id(item: &Item) -> Option<u64> {
-        item.id()
     }
 
     /// Resolves `f(x, θ)` for an item at a serving node, through the
@@ -592,23 +625,29 @@ impl Velox {
     /// Reads the user's serving weights at a node, walking the degradation
     /// ladder: live replica → stale cached copy → bootstrap mean. Falls
     /// back to the bootstrap mean for unknown users even at full health.
-    /// Returns `(weights, bootstrapped, cost µs, degradation level)`.
-    fn serving_weights(&self, at_node: usize, uid: u64) -> (Vector, bool, f64, DegradationLevel) {
+    fn serving_weights(&self, at_node: usize, uid: u64) -> ServingWeights {
         let read = self.cluster.read_user_weights(at_node, uid);
-        if !read.unavailable {
+        let (found, level) = if !read.unavailable {
             let level =
                 if read.failover { DegradationLevel::Replica } else { DegradationLevel::Full };
-            return match read.value {
-                Some(w) => (Vector::from_vec(w), false, read.cost_us, level),
-                None => (self.bootstrap.mean_weights(), true, read.cost_us, level),
-            };
-        }
-        match self.stale_weights.get(&uid) {
-            Some(w) => (w, false, read.cost_us, DegradationLevel::StaleCache),
-            None => {
-                (self.bootstrap.mean_weights(), true, read.cost_us, DegradationLevel::Bootstrap)
+            (read.value.map(Vector::from_vec), level)
+        } else {
+            match self.stale_weights.get(&uid) {
+                Some(w) => (Some(w), DegradationLevel::StaleCache),
+                None => (None, DegradationLevel::Bootstrap),
             }
+        };
+        ServingWeights {
+            bootstrapped: found.is_none(),
+            weights: found.unwrap_or_else(|| self.bootstrap.mean_weights()),
+            cost_us: read.cost_us,
+            level,
         }
+    }
+
+    /// Starts a user's share of a scoring call.
+    fn user_read(&self, uid: u64, node: Option<usize>) -> UserRead {
+        UserRead { uid, version: self.user_versions.get(uid).unwrap_or(0), node, weights: None }
     }
 
     /// Counts one served request at its degradation level.
@@ -624,53 +663,90 @@ impl Velox {
         matches!(level, DegradationLevel::Full | DegradationLevel::Replica)
     }
 
-    /// Point prediction for `(uid, item)` — Listing 1's `predict`.
-    pub fn predict(&self, uid: u64, item: &Item) -> Result<PredictResponse, VeloxError> {
-        let _span = SpanTimer::with_mode(&self.predict_latency, self.timer_mode);
-        let node = self.cluster.route_request(uid);
-        self.publish_fault_transitions();
-        let model_version = self.model_version();
-        let user_version = self.user_versions.get(uid).unwrap_or(0);
-
-        // Prediction cache (only catalog items are cacheable; an
-        // uncacheable raw-item lookup counts as a miss, so
-        // hits + misses == predict calls exactly).
-        let key = Self::item_cache_id(item).map(|id| (uid, id, user_version, model_version));
-        if let Some(k) = key {
-            if let Some(score) = self.prediction_cache.get(&k) {
-                self.pred_cache_hits.inc();
-                // Only full/replica-fidelity scores enter the cache, so a
-                // hit is by construction a full-fidelity answer.
-                self.note_degradation(DegradationLevel::Full);
-                return Ok(PredictResponse {
-                    score,
-                    cached: true,
-                    bootstrapped: false,
-                    virtual_cost_us: 0.0,
-                    degradation: DegradationLevel::Full,
-                });
-            }
+    /// Scores one `(user, item)` pair: the one place the serving path
+    /// computes `wᵤᵀ f(x, θ)`, and the one place the prediction cache is
+    /// probed and filled. `predict`, `predict_batch`, `top_k` and the
+    /// post-retrain repopulation differ only in the per-call state they
+    /// hand in and in how they count the answer.
+    ///
+    /// The reported cost covers the reads this pair caused: its features,
+    /// plus the weight read when this pair was the one to make it.
+    fn score(
+        &self,
+        call: &mut ModelRead,
+        user: &mut UserRead,
+        item: &Item,
+    ) -> Result<Scored, VeloxError> {
+        let uid = user.uid;
+        // Only catalog items are cacheable.
+        let key = item.id().map(|id| (uid, id, user.version, call.version));
+        if let Some(score) = key.and_then(|k| self.prediction_cache.get(&k)) {
+            // Only full/replica-fidelity scores enter the cache, so a hit
+            // is by construction a full-fidelity answer.
+            let response = PredictResponse {
+                score,
+                cached: true,
+                bootstrapped: false,
+                virtual_cost_us: 0.0,
+                degradation: DegradationLevel::Full,
+            };
+            return Ok(Scored { response, features: None, filled: false });
         }
 
-        self.pred_cache_misses.inc();
-        let model = Arc::clone(&*self.model.read().unwrap());
-        let (weights, bootstrapped, w_cost, level) = self.serving_weights(node, uid);
-        let (features, f_cost) = self.features_for(&model, model_version, node, item)?;
-        let score = weights.dot(&features)?;
+        let model = call.model.get_or_insert_with(|| self.current_model());
+        let node = *user.node.get_or_insert_with(|| self.cluster.route_request(uid));
+        let first_read = user.weights.is_none();
+        let read = user.weights.get_or_insert_with(|| self.serving_weights(node, uid));
+        let w_cost = if first_read { read.cost_us } else { 0.0 };
+        let (features, f_cost) = self.features_for(model, call.version, node, item)?;
+        let score = read.weights.dot(&features)?;
         // Bootstrapped scores are served from the *population mean*, which
         // moves whenever any user's weights change — state the cache key
         // cannot see. Never cache them; likewise degraded scores.
-        if let (Some(k), false, true) = (key, bootstrapped, Self::cacheable(level)) {
-            self.prediction_cache.put(k, score);
-        }
-        self.note_degradation(level);
-        Ok(PredictResponse {
+        let filled = match key {
+            Some(k) if !read.bootstrapped && Self::cacheable(read.level) => {
+                self.prediction_cache.put(k, score);
+                true
+            }
+            _ => false,
+        };
+        let response = PredictResponse {
             score,
             cached: false,
-            bootstrapped,
+            bootstrapped: read.bootstrapped,
             virtual_cost_us: w_cost + f_cost,
-            degradation: level,
-        })
+            degradation: read.level,
+        };
+        Ok(Scored { response, features: Some(features), filled })
+    }
+
+    /// One request of `predict` / `predict_batch`: scores the pair and
+    /// counts it once in the cache counters (an uncacheable raw item and a
+    /// lookup that failed count as misses, so hits + misses == requests
+    /// exactly) and, when answered, once under its degradation level.
+    fn predict_pair(
+        &self,
+        call: &mut ModelRead,
+        user: &mut UserRead,
+        item: &Item,
+    ) -> Result<PredictResponse, VeloxError> {
+        let scored = self.score(call, user, item);
+        match &scored {
+            Ok(s) if s.response.cached => self.pred_cache_hits.inc(),
+            _ => self.pred_cache_misses.inc(),
+        }
+        let response = scored?.response;
+        self.note_degradation(response.degradation);
+        Ok(response)
+    }
+
+    /// Point prediction for `(uid, item)` — Listing 1's `predict`.
+    pub fn predict(&self, uid: u64, item: &Item) -> Result<PredictResponse, VeloxError> {
+        let _span = SpanTimer::new(&self.predict_latency);
+        let node = self.cluster.route_request(uid);
+        self.publish_fault_transitions();
+        let mut call = ModelRead { version: self.model_version(), model: None };
+        self.predict_pair(&mut call, &mut self.user_read(uid, Some(node)), item)
     }
 
     /// One coalesced predict pass over many `(uid, item)` pairs — the
@@ -678,77 +754,32 @@ impl Velox {
     /// drains its queue into this).
     ///
     /// The pass is **bit-identical** to calling [`Velox::predict`] once per
-    /// pair in order: it uses the same weight reads, the same feature
-    /// resolution, and the same `wᵤᵀ f(x, θ)` dot (identical op order), and
-    /// it consults and fills the prediction cache exactly like the single
-    /// path. What it *amortizes* is the per-call overhead: one model
-    /// snapshot, one version load, and one serving-weight read per distinct
-    /// user in the batch instead of per request — which is where the
+    /// pair in order — both are the same scorer. What it *amortizes* is the
+    /// per-call overhead: one model snapshot, one version load, and one
+    /// routing decision and serving-weight read per distinct user in the
+    /// batch instead of per request — which is where the
     /// batched-vs-unbatched throughput gap in SERVE-BATCH comes from.
     pub fn predict_batch(
         &self,
         requests: &[(u64, Item)],
     ) -> Vec<Result<PredictResponse, VeloxError>> {
-        let _span = SpanTimer::with_mode(&self.predict_latency, self.timer_mode);
+        let _span = SpanTimer::new(&self.predict_latency);
         self.publish_fault_transitions();
         // One snapshot of the model lineage for the whole batch: no request
         // in it can observe a half-swapped version.
-        let model_version = self.model_version();
-        let model = Arc::clone(&*self.model.read().unwrap());
-
-        // Per-user read cache for this batch only. Weight reads are
+        let mut call =
+            ModelRead { version: self.model_version(), model: Some(self.current_model()) };
+        // Per-user reads for this batch only. Weight reads are
         // deterministic given cluster state, so reusing the first read for
         // later requests of the same user changes nothing numerically.
-        let mut weights_by_user: HashMap<u64, (usize, Vector, bool, f64, DegradationLevel)> =
-            HashMap::new();
-        let mut out = Vec::with_capacity(requests.len());
-        for (uid, item) in requests {
-            let uid = *uid;
-            let user_version = self.user_versions.get(uid).unwrap_or(0);
-            let key = Self::item_cache_id(item).map(|id| (uid, id, user_version, model_version));
-            if let Some(k) = key {
-                if let Some(score) = self.prediction_cache.get(&k) {
-                    self.pred_cache_hits.inc();
-                    self.note_degradation(DegradationLevel::Full);
-                    out.push(Ok(PredictResponse {
-                        score,
-                        cached: true,
-                        bootstrapped: false,
-                        virtual_cost_us: 0.0,
-                        degradation: DegradationLevel::Full,
-                    }));
-                    continue;
-                }
-            }
-            self.pred_cache_misses.inc();
-            let (node, weights, bootstrapped, w_cost, level) = match weights_by_user.get(&uid) {
-                Some((node, w, b, _, l)) => (*node, w.clone(), *b, 0.0, *l),
-                None => {
-                    let node = self.cluster.route_request(uid);
-                    let (w, b, c, l) = self.serving_weights(node, uid);
-                    weights_by_user.insert(uid, (node, w.clone(), b, c, l));
-                    (node, w, b, c, l)
-                }
-            };
-            let result = self.features_for(&model, model_version, node, item).and_then(
-                |(features, f_cost)| {
-                    let score = weights.dot(&features)?;
-                    if let (Some(k), false, true) = (key, bootstrapped, Self::cacheable(level)) {
-                        self.prediction_cache.put(k, score);
-                    }
-                    self.note_degradation(level);
-                    Ok(PredictResponse {
-                        score,
-                        cached: false,
-                        bootstrapped,
-                        virtual_cost_us: w_cost + f_cost,
-                        degradation: level,
-                    })
-                },
-            );
-            out.push(result);
-        }
-        out
+        let mut users: HashMap<u64, UserRead> = HashMap::new();
+        requests
+            .iter()
+            .map(|(uid, item)| {
+                let user = users.entry(*uid).or_insert_with(|| self.user_read(*uid, None));
+                self.predict_pair(&mut call, user, item)
+            })
+            .collect()
     }
 
     /// Evaluates a candidate set for a user and picks the item to serve —
@@ -758,16 +789,20 @@ impl Velox {
         if items.is_empty() {
             return Err(VeloxError::EmptyCandidateSet);
         }
-        let _span = SpanTimer::with_mode(&self.top_k_latency, self.timer_mode);
+        let _span = SpanTimer::new(&self.top_k_latency);
         let node = self.cluster.route_request(uid);
         self.publish_fault_transitions();
-        let model_version = self.model_version();
-        let user_version = self.user_versions.get(uid).unwrap_or(0);
-        let model = Arc::clone(&*self.model.read().unwrap());
+        let mut call =
+            ModelRead { version: self.model_version(), model: Some(self.current_model()) };
 
-        // Read the user's weights once for the whole candidate set.
-        let (weights, bootstrapped, w_cost, level) = self.serving_weights(node, uid);
-        let mut virtual_cost = w_cost;
+        // Read the user's weights once for the whole candidate set — up
+        // front, because the answer reports their level even when every
+        // candidate is a cache hit.
+        let mut user = self.user_read(uid, Some(node));
+        let read = self.serving_weights(node, uid);
+        let level = read.level;
+        let mut virtual_cost = read.cost_us;
+        user.weights = Some(read);
         let mut cached = 0usize;
 
         // The user's online state provides per-candidate uncertainty for
@@ -790,40 +825,25 @@ impl Velox {
         let mut missed: Vec<usize> = Vec::new();
         let mut missed_features: Vec<f64> = Vec::new();
         for (idx, item) in items.iter().enumerate() {
-            let key = Self::item_cache_id(item).map(|id| (uid, id, user_version, model_version));
-            let score = match key.and_then(|k| self.prediction_cache.get(&k)) {
-                Some(score) => {
-                    cached += 1;
-                    score
+            let Scored { response, features, .. } = self.score(&mut call, &mut user, item)?;
+            cached += response.cached as usize;
+            virtual_cost += response.virtual_cost_us;
+            if let (Some(features), true) = (features, online.is_some()) {
+                if missed.is_empty() {
+                    missed_features.reserve((items.len() - idx) * features.len());
                 }
-                None => {
-                    let (features, f_cost) =
-                        self.features_for(&model, model_version, node, item)?;
-                    virtual_cost += f_cost;
-                    let score = weights.dot(&features)?;
-                    // Same rule as `predict`: bootstrap-mean and degraded
-                    // scores are uncacheable.
-                    if let (Some(k), false, true) = (key, bootstrapped, Self::cacheable(level)) {
-                        self.prediction_cache.put(k, score);
-                    }
-                    if online.is_some() {
-                        if missed.is_empty() {
-                            missed_features.reserve((items.len() - idx) * features.len());
-                        }
-                        missed.push(idx);
-                        missed_features.extend_from_slice(features.as_slice());
-                    }
-                    score
-                }
-            };
-            candidates.push(Candidate { score, variance: 0.0 });
+                missed.push(idx);
+                missed_features.extend_from_slice(features.as_slice());
+            }
+            candidates.push(Candidate { score: response.score, variance: 0.0 });
         }
         // One lock for the whole candidate set: every variance comes from
         // the same `A⁻¹`, which the blocked kernel streams once per block
         // of candidates instead of once per candidate.
         if let (Some(state), false) = (&online, missed.is_empty()) {
-            // The dot above held every row to the weights' length.
-            let rows = Matrix::from_row_major(missed.len(), weights.len(), missed_features)?;
+            // The scorer's dot held every row to the weights' length.
+            let d = missed_features.len() / missed.len();
+            let rows = Matrix::from_row_major(missed.len(), d, missed_features)?;
             if let Ok(variances) = state.lock().unwrap().variance_many(&rows) {
                 for (&idx, variance) in missed.iter().zip(variances) {
                     candidates[idx].variance = variance;
@@ -848,6 +868,7 @@ impl Velox {
                 None => (self.bandit.lock().unwrap().select(&candidates), false),
             };
 
+        // One request, counted once, at the level its weights were read.
         self.note_degradation(level);
         Ok(TopKResponse {
             ranked,
@@ -863,7 +884,7 @@ impl Velox {
     /// the user's weights online (Eq. 2), tracks model quality, and
     /// (optionally) triggers offline retraining on staleness.
     pub fn observe(&self, uid: u64, item: &Item, y: f64) -> Result<ObserveOutcome, VeloxError> {
-        let _span = SpanTimer::with_mode(&self.observe_latency, self.timer_mode);
+        let _span = SpanTimer::new(&self.observe_latency);
         // Before anything is logged, deferred or folded into the moments.
         if !y.is_finite() {
             return Err(VeloxError::NonFiniteInput("y"));
@@ -886,72 +907,47 @@ impl Velox {
         // overwrite a user's freshly retrained weights in the new table,
         // and the observation could miss both the batch snapshot and the
         // post-swap replay.
-        let gated: Option<(f64, bool, f64)> = {
-            let _gate = self.swap_gate.read().unwrap();
-            let model_version = self.model_version();
-            let model = Arc::clone(&*self.model.read().unwrap());
+        let gate = self.swap_gate.read().unwrap();
+        let model_version = self.model_version();
+        let model = self.current_model();
+        let features = match self.features_for(&model, model_version, node, item) {
             // An unreachable item partition also defers: the update needs
-            // f(x, θ). (The gate is released before deferring — the redo
-            // path takes it itself.)
-            match self.features_for(&model, model_version, node, item) {
-                Err(VeloxError::Unavailable(_)) => None,
-                Err(e) => return Err(e),
-                Ok((features, _f_cost)) => {
-                    // Get or create the user's online state (bootstrap prior
-                    // for new users — §5's mean-weight heuristic).
-                    let state_arc = self.user_state_arc(uid);
-
-                    // Prequential evaluation: predict before updating.
-                    let (predicted_before, trained, loss, new_weights) = {
-                        let mut state = state_arc.lock().unwrap();
-                        let predicted_before = state.predict(&features)?;
-                        let loss = model.loss(y, predicted_before, item, uid);
-                        let trained = self.prequential.lock().unwrap().record(loss);
-                        if trained {
-                            let update_timer = Timer::start();
-                            state.observe(&features, y)?;
-                            update_timer.observe(&self.online_update_latency);
-                        }
-                        (predicted_before, trained, loss, state.weights().clone())
-                    };
-
-                    if trained {
-                        // Push the updated weights to every live replica (a
-                        // local write at the home shard under ByUser routing)
-                        // and bump the cache version. A `None` here means the
-                        // last replica died mid-observation; the online state
-                        // already holds the update and writes through on the
-                        // next trained observe, so only the serving copy lags.
-                        let _ = self.cluster.try_update_user_weights(node, uid, Vec::new, |w| {
-                            *w = new_weights.as_slice().to_vec()
-                        });
-                        self.user_versions.update_with(uid, || 0, |v| *v += 1);
-                        self.bootstrap.contribute(uid, &new_weights);
-                        self.stale_weights.put(uid, new_weights.clone());
-                    }
-
-                    // Durable observation log (catalog items) + training log
-                    // (all). With a WAL attached, the record hits disk (per
-                    // the fsync policy) before this call can return Ok — the
-                    // acknowledgment is the durability boundary.
-                    if let Some(id) = item.id() {
-                        self.log_observation(uid, id, y)?;
-                    }
-                    self.training_log.lock().unwrap().push(TrainingExample {
-                        uid,
-                        item: item.clone(),
-                        y,
-                    });
-                    Some((predicted_before, trained, loss))
-                }
+            // f(x, θ). (The gate is released first — the redo path takes
+            // it itself.)
+            Err(VeloxError::Unavailable(_)) => {
+                drop(gate);
+                return self.defer_observation(uid, item, y);
             }
+            Err(e) => return Err(e),
+            Ok((features, _f_cost)) => features,
         };
-        let Some((predicted_before, trained, loss)) = gated else {
-            return self.defer_observation(uid, item, y);
-        };
+        // Get or create the user's online state (bootstrap prior for new
+        // users — §5's mean-weight heuristic).
+        let state_arc = self.user_state_arc(uid);
 
-        // Quality tracking and staleness (gate released: the auto-retrain
-        // below acquires the gate exclusively via swap_in).
+        // Prequential evaluation: predict before updating.
+        let (predicted_before, trained, loss, new_weights) = {
+            let mut state = state_arc.lock().unwrap();
+            let predicted_before = state.predict(&features)?;
+            let loss = model.loss(y, predicted_before, item, uid);
+            let trained = self.prequential.lock().unwrap().record(loss);
+            if trained {
+                let update_timer = Timer::start();
+                state.observe(&features, y)?;
+                update_timer.observe(&self.online_update_latency);
+            }
+            (predicted_before, trained, loss, state.weights().clone())
+        };
+        if trained {
+            self.publish_weights(uid, &new_weights, Some(node));
+        }
+        // The acknowledgment is the durability boundary: this call cannot
+        // return Ok before the record is logged.
+        self.log_example(TrainingExample { uid, item: item.clone(), y })?;
+        // Quality tracking and staleness run with the gate released: the
+        // auto-retrain below acquires it exclusively via swap_in.
+        drop(gate);
+
         self.error_tracker.lock().unwrap().record(uid, loss);
         let stale = self.staleness.lock().unwrap().push(loss);
         if stale && !self.stale_flag.swap(true, Ordering::AcqRel) {
@@ -995,13 +991,14 @@ impl Velox {
         item: &Item,
         y: f64,
     ) -> Result<ObserveOutcome, VeloxError> {
+        let example = TrainingExample { uid, item: item.clone(), y };
         {
             let mut queue = self.redo_queue.lock().unwrap();
             if queue.len() >= self.config.redo_queue_capacity {
                 self.redo_shed.inc();
                 return Err(VeloxError::Unavailable("redo queue full; observation shed".into()));
             }
-            queue.push_back(TrainingExample { uid, item: item.clone(), y });
+            queue.push_back(example.clone());
         }
         self.redo_buffered.inc();
         // The observation is still real feedback: it enters the durable
@@ -1011,10 +1008,7 @@ impl Velox {
         // logged exactly once and applied exactly once.
         {
             let _gate = self.swap_gate.read().unwrap();
-            if let Some(id) = item.id() {
-                self.log_observation(uid, id, y)?;
-            }
-            self.training_log.lock().unwrap().push(TrainingExample { uid, item: item.clone(), y });
+            self.log_example(example)?;
         }
         self.maybe_checkpoint();
         Ok(ObserveOutcome {
@@ -1192,7 +1186,7 @@ impl Velox {
         let snapshot_len = data.len();
         self.registry.event(EventKind::RetrainStart { observations: snapshot_len as u64 });
         let retrain_timer = Timer::start();
-        let old_model = Arc::clone(&*self.model.read().unwrap());
+        let old_model = self.current_model();
 
         // Computational models featurize raw payloads; resolve catalog
         // references for them before handing the data to the trainer.
@@ -1229,22 +1223,15 @@ impl Velox {
         // repopulate the caches on swap).
         let hot_keys: Vec<PredKey> = self.prediction_cache.keys();
 
-        // Retire the old version.
         let old_version = self.version.load(Ordering::Acquire);
-        {
-            let mut history = self.history.lock().unwrap();
-            history.push(HistoryEntry {
-                version: old_version,
-                model: old_model,
-                user_weights: current_weights
-                    .iter()
-                    .map(|(u, w)| (*u, w.as_slice().to_vec()))
-                    .collect(),
-            });
-            if history.len() > VERSION_HISTORY {
-                history.remove(0);
-            }
-        }
+        self.retire_version(HistoryEntry {
+            version: old_version,
+            model: old_model,
+            user_weights: current_weights
+                .iter()
+                .map(|(u, w)| (*u, w.as_slice().to_vec()))
+                .collect(),
+        });
 
         let missed_boundary = self.swap_in(new_model, result.user_weights, old_version + 1);
         // Replay the observations that arrived mid-retrain (they were
@@ -1269,6 +1256,16 @@ impl Velox {
         Ok(new_version)
     }
 
+    /// Retains a superseded version for rollback, dropping the oldest past
+    /// [`VERSION_HISTORY`].
+    fn retire_version(&self, entry: HistoryEntry) {
+        let mut history = self.history.lock().unwrap();
+        history.push(entry);
+        if history.len() > VERSION_HISTORY {
+            history.remove(0);
+        }
+    }
+
     /// Installs `model` + `weights` as version `new_version` and resets
     /// serving/quality state accordingly. Returns the training-log length
     /// at swap time (captured under the exclusive swap gate), i.e. the
@@ -1291,18 +1288,11 @@ impl Velox {
         self.version.store(new_version, Ordering::Release);
         self.registry.event(EventKind::VersionSwap { from, to: new_version });
 
-        // New user weights: the serving table swaps wholesale (stale users
-        // must not survive the version change) and the bootstrap mean is
-        // refreshed. Online state is discarded — each user's history is
-        // inside the batch model now, and fresh state is recreated lazily
-        // on their next observe, with the retrained weights as its prior.
-        self.cluster.publish_user_weights(
-            weights.iter().map(|(&uid, w)| (uid, w.as_slice().to_vec())).collect(),
-        );
-        for (&uid, w) in &weights {
-            self.stale_weights.put(uid, w.clone());
-            self.bootstrap.contribute(uid, w);
-        }
+        // New user weights. Online state is discarded — each user's
+        // history is inside the batch model now, and fresh state is
+        // recreated lazily on their next observe, with the retrained
+        // weights as its prior.
+        self.install_weight_table(&weights);
         self.user_state.publish_version(Vec::new());
         // Bump every user's cache version in one publish.
         let bumped: Vec<(u64, u64)> = weights.keys().map(|&uid| (uid, new_version << 32)).collect();
@@ -1326,7 +1316,7 @@ impl Velox {
         examples: &[TrainingExample],
     ) -> Result<(), VeloxError> {
         let _gate = self.swap_gate.read().unwrap();
-        let model = Arc::clone(&*self.model.read().unwrap());
+        let model = self.current_model();
         let model_version = self.model_version();
         let mut touched: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for ex in examples {
@@ -1340,33 +1330,23 @@ impl Velox {
         for uid in touched {
             let state_arc = self.user_state_arc(uid);
             let w = state_arc.lock().unwrap().weights().clone();
-            self.cluster.put_user_weights(uid, w.as_slice().to_vec());
-            self.stale_weights.put(uid, w.clone());
-            self.user_versions.update_with(uid, || 0, |v| *v += 1);
-            self.bootstrap.contribute(uid, &w);
+            self.publish_weights(uid, &w, None);
         }
         Ok(())
     }
 
     /// Recomputes predictions for previously-hot `(uid, item)` pairs under
-    /// the *new* model so the cache is warm when traffic resumes.
+    /// the *new* model so the cache is warm when traffic resumes. This is
+    /// not a request: each pair is scored at its user's home node, and
+    /// nothing is counted.
     fn repopulate_prediction_cache(&self, old_keys: &[PredKey]) {
-        let model_version = self.model_version();
-        let model = Arc::clone(&*self.model.read().unwrap());
+        let mut call =
+            ModelRead { version: self.model_version(), model: Some(self.current_model()) };
         let mut entries = 0u64;
         for &(uid, item_id, _, _) in old_keys {
-            let node = self.cluster.home_of_user(uid);
-            let user_version = self.user_versions.get(uid).unwrap_or(0);
-            let (weights, bootstrapped, _, level) = self.serving_weights(node, uid);
-            if bootstrapped || !Self::cacheable(level) {
-                continue;
-            }
-            let item = Item::Id(item_id);
-            if let Ok((features, _)) = self.features_for(&model, model_version, node, &item) {
-                if let Ok(score) = weights.dot(&features) {
-                    self.prediction_cache.put((uid, item_id, user_version, model_version), score);
-                    entries += 1;
-                }
+            let mut user = self.user_read(uid, Some(self.cluster.home_of_user(uid)));
+            if let Ok(scored) = self.score(&mut call, &mut user, &Item::Id(item_id)) {
+                entries += scored.filled as u64;
             }
         }
         self.registry.event(EventKind::CacheRepopulation { entries });
@@ -1386,19 +1366,11 @@ impl Velox {
         let old_version = self.version.load(Ordering::Acquire);
         // Current state goes to history so the rollback is itself
         // reversible.
-        {
-            let current_model = Arc::clone(&*self.model.read().unwrap());
-            let current_weights = self.cluster.export_user_weights();
-            let mut history = self.history.lock().unwrap();
-            history.push(HistoryEntry {
-                version: old_version,
-                model: current_model,
-                user_weights: current_weights,
-            });
-            if history.len() > VERSION_HISTORY {
-                history.remove(0);
-            }
-        }
+        self.retire_version(HistoryEntry {
+            version: old_version,
+            model: self.current_model(),
+            user_weights: self.cluster.export_user_weights(),
+        });
         let weights: HashMap<u64, Vector> =
             entry.user_weights.into_iter().map(|(u, w)| (u, Vector::from_vec(w))).collect();
         self.swap_in(entry.model, weights, old_version + 1);
@@ -1498,14 +1470,46 @@ impl Velox {
         &self.config
     }
 
-    /// Logs an observation durably (WAL-first when one is attached) and
-    /// counts it. The counter moves only after the record is on disk, so
-    /// anything an external observer can see acknowledged really is
-    /// persistent (under per-record fsync).
-    fn log_observation(&self, uid: u64, item_id: u64, y: f64) -> Result<(), VeloxError> {
-        self.obslog.try_append(uid, item_id, y)?;
-        self.observations_total.inc();
+    /// Commits one observation to both logs: the durable observation log
+    /// (catalog items only; WAL-first when one is attached) and the
+    /// training log offline retrains read (every item). The observation
+    /// counter moves only after the record is on disk, so anything an
+    /// external observer can see acknowledged really is persistent (under
+    /// per-record fsync).
+    ///
+    /// A serving caller holds the swap gate (shared), so no example can
+    /// fall between a retrain's snapshot and its replay boundary.
+    fn log_example(&self, example: TrainingExample) -> Result<(), VeloxError> {
+        if let Some(id) = example.item.id() {
+            self.obslog.try_append(example.uid, id, example.y)?;
+            self.observations_total.inc();
+        }
+        self.training_log.lock().unwrap().push(example);
         Ok(())
+    }
+
+    /// Publishes one user's updated weights everywhere serving reads them:
+    /// the serving table, the prediction-cache key version, the bootstrap
+    /// mean and the last-known-good cache.
+    ///
+    /// A live observe passes the node serving it and updates that node's
+    /// copy in place — charged to the cost model (local at the home shard
+    /// under ByUser routing) and fanned out to the live replicas. When the
+    /// last replica died mid-observation that write finds nowhere to land;
+    /// the online state already holds the update and writes through on the
+    /// next trained observe, so only the serving copy lags. A replay passes
+    /// `None` and writes every replica, uncharged.
+    fn publish_weights(&self, uid: u64, weights: &Vector, serving_node: Option<usize>) {
+        let w = weights.as_slice().to_vec();
+        match serving_node {
+            Some(node) => {
+                let _ = self.cluster.try_update_user_weights(node, uid, Vec::new, |slot| *slot = w);
+            }
+            None => self.cluster.put_user_weights(uid, w),
+        }
+        self.user_versions.update_with(uid, || 0, |v| *v += 1);
+        self.bootstrap.contribute(uid, weights);
+        self.stale_weights.put(uid, weights.clone());
     }
 
     /// Deploys with durability: opens (or creates) the WAL and checkpoint
@@ -1539,39 +1543,44 @@ impl Velox {
         )?;
         let checkpoint = store.load_latest()?;
 
-        let (velox, checkpoint_seq, checkpoint_wal_offset) =
-            match &checkpoint {
-                Some(c) => {
-                    if c.blobs.len() != 4 {
-                        return Err(VeloxError::Storage(StorageError::Corrupt(format!(
-                            "checkpoint {} carries {} blobs, expected 4",
-                            c.seq,
-                            c.blobs.len()
-                        ))));
+        let (velox, checkpoint_seq, checkpoint_wal_offset) = match &checkpoint {
+            Some(c) => {
+                if c.blobs.len() != 4 {
+                    return Err(VeloxError::Storage(StorageError::Corrupt(format!(
+                        "checkpoint {} carries {} blobs, expected 4",
+                        c.seq,
+                        c.blobs.len()
+                    ))));
+                }
+                let snapshot = DeploymentSnapshot {
+                    model_version: c.model_version,
+                    user_weights: c.blobs[0].clone(),
+                    item_table: c.blobs[1].clone(),
+                    catalog: c.blobs[2].clone(),
+                };
+                let model = factory(Some(&snapshot))?;
+                let velox = Velox::restore(model, &snapshot, config)?;
+                // The checkpoint carries the observation log too (4th
+                // blob), so retraining history survives WAL truncation.
+                // Taken while the timestamps continue the log's offset
+                // sequence exactly.
+                for o in decode_observations(c.blobs[3].clone())? {
+                    if o.timestamp != velox.obslog.len() {
+                        break;
                     }
-                    let snapshot = DeploymentSnapshot {
-                        model_version: c.model_version,
-                        user_weights: c.blobs[0].clone(),
-                        item_table: c.blobs[1].clone(),
-                        catalog: c.blobs[2].clone(),
-                    };
-                    let model = factory(Some(&snapshot))?;
-                    let velox = Velox::restore(model, &snapshot, config)?;
-                    // The checkpoint carries the observation log too (4th
-                    // blob), so retraining history survives WAL truncation.
-                    let base = decode_observations(c.blobs[3].clone())?;
-                    let seeded = velox.obslog.seed(&base) as usize;
-                    velox.observations_total.add(seeded as u64);
-                    velox.training_log.lock().unwrap().extend(base[..seeded].iter().map(|o| {
-                        TrainingExample { uid: o.uid, item: Item::Id(o.item_id), y: o.y }
-                    }));
-                    (velox, Some(c.seq), c.wal_offset)
+                    velox.log_example(TrainingExample {
+                        uid: o.uid,
+                        item: Item::Id(o.item_id),
+                        y: o.y,
+                    })?;
                 }
-                None => {
-                    let model = factory(None)?;
-                    (Velox::deploy(model, initial_weights, config), None, 0)
-                }
-            };
+                (velox, Some(c.seq), c.wal_offset)
+            }
+            None => {
+                let model = factory(None)?;
+                (Velox::deploy(model, initial_weights, config), None, 0)
+            }
+        };
 
         let mut wal_config = WalConfig::new(durability_config.dir.join("wal"));
         wal_config.fsync = durability_config.fsync;
@@ -1588,13 +1597,12 @@ impl Velox {
             if record.timestamp < velox.obslog.len() {
                 continue;
             }
-            if velox.obslog.seed(std::slice::from_ref(record)) == 0 {
+            if record.timestamp > velox.obslog.len() {
                 break;
             }
-            velox.observations_total.inc();
             let example =
                 TrainingExample { uid: record.uid, item: Item::Id(record.item_id), y: record.y };
-            velox.training_log.lock().unwrap().push(example.clone());
+            velox.log_example(example.clone())?;
             // An individually unappliable record (its item vanished from
             // the catalog, say) must not halt recovery: the observation is
             // preserved in the log; only its online update is lost.
@@ -1732,7 +1740,7 @@ impl Velox {
         let version = self.model_version();
         let index = self.catalog_index(version)?;
         let node = self.cluster.route_request(uid);
-        let (weights, _bootstrapped, _, _level) = self.serving_weights(node, uid);
+        let weights = self.serving_weights(node, uid).weights;
         let (results, _stats) = index.top_k(&weights, k)?;
         Ok(results.into_iter().map(|s| (s.id, s.score)).collect())
     }

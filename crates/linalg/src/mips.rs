@@ -81,9 +81,7 @@ impl MipsIndex {
         if norms_unsorted.iter().any(|n| !n.is_finite()) {
             return Err(LinalgError::NonFinite { op: "MipsIndex::build" });
         }
-        order.sort_by(|&a, &b| {
-            norms_unsorted[b].partial_cmp(&norms_unsorted[a]).expect("finite norms")
-        });
+        order.sort_by(|&a, &b| norms_unsorted[b].total_cmp(&norms_unsorted[a]));
         let mut ids = Vec::with_capacity(items.len());
         let mut vectors = Vec::with_capacity(items.len());
         let mut norms = Vec::with_capacity(items.len());
@@ -155,7 +153,9 @@ impl MipsIndex {
             .into_iter()
             .map(|std::cmp::Reverse(HeapEntry(score, id))| ScoredItem { id, score })
             .collect();
-        results.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+        // `total_cmp`: finite inputs can still overflow to a NaN score
+        // (inf − inf); a total order misranks it but never panics.
+        results.sort_by(|a, b| b.score.total_cmp(&a.score));
         Ok((results, MipsQueryStats { scanned, total: self.len() }))
     }
 
@@ -175,7 +175,7 @@ impl MipsIndex {
             .zip(&self.vectors)
             .map(|(&id, v)| ScoredItem { id, score: dot_slices(query.as_slice(), v.as_slice()) })
             .collect();
-        all.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+        all.sort_by(|a, b| b.score.total_cmp(&a.score));
         all.truncate(k.max(1).min(self.len()));
         Ok(all)
     }
@@ -195,7 +195,7 @@ impl PartialOrd for HeapEntry {
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("finite scores").then_with(|| self.1.cmp(&other.1))
+        self.0.total_cmp(&other.0).then_with(|| self.1.cmp(&other.1))
     }
 }
 
@@ -309,6 +309,25 @@ mod tests {
             idx.top_k(&Vector::from_vec(vec![f64::NAN, 0.0]), 1),
             Err(LinalgError::NonFinite { .. })
         ));
+    }
+
+    /// Finite vectors with finite norms whose products still overflow:
+    /// 1e153·1e200 = +inf, and inf − inf = NaN. Both scans must return.
+    #[test]
+    fn overflowing_products_return_instead_of_panicking() {
+        let items = vec![
+            (0u64, Vector::from_vec(vec![1e153, 1e153])),
+            (1u64, Vector::from_vec(vec![1e153, -1e153])),
+            (2u64, Vector::from_vec(vec![1.0, 2.0])),
+        ];
+        let idx = MipsIndex::build(items).unwrap();
+        let q = Vector::from_vec(vec![1e200, -1e200]);
+        for k in [1usize, 2, 3] {
+            let (pruned, _) = idx.top_k(&q, k).unwrap();
+            assert_eq!(pruned.len(), k);
+            assert_eq!(idx.top_k_full_scan(&q, k).unwrap().len(), k);
+        }
+        assert!(idx.top_k_full_scan(&q, 3).unwrap().iter().any(|s| s.score.is_nan()));
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //!   p99 / max are derived without ever taking a lock on the record path.
 //! - [`Timer`] and [`time_scope!`]: a cheap span timer (two `Instant`
 //!   reads) that records into a histogram either explicitly or on scope
-//!   exit. [`SpanTimer::with_mode`] + [`TimerMode::Coarse`] swap the real
-//!   clock for a cached one ([`CoarseClock`]) when even two clock reads
-//!   are too much for the span being measured.
+//!   exit.
 //! - [`EventLog`]: a bounded ring buffer of typed lifecycle events
 //!   ([`EventKind`]) — version swaps, retrain start/finish, rollbacks,
 //!   staleness trips, cache repopulations — so "what did the system do and
@@ -56,7 +54,7 @@ pub mod trace;
 pub use events::{Event, EventKind, EventLog};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSample, MetricValue, Registry, RegistrySnapshot};
-pub use timer::{CoarseClock, ObsConfig, SpanTimer, Timer, TimerMode, COARSE_REFRESH_INTERVAL};
+pub use timer::{SpanTimer, Timer};
 pub use trace::{
     build_tree, structure, ActiveSpan, KeepDecision, KeepReason, KeptTrace, RootSpan, SpanKind,
     SpanRecord, SpanRing, SpanStatus, TraceConfig, TraceContext, TraceNode, Tracer, FRONT_NODE,

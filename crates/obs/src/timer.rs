@@ -1,78 +1,9 @@
-//! Cheap span timers for hot paths.
-//!
-//! Two clock disciplines are available. [`TimerMode::Precise`] (the
-//! default) reads the monotonic clock at span start and end — two
-//! `Instant::now()` calls, ~130 ns total on the predict path, with
-//! nanosecond-accurate samples. [`TimerMode::Coarse`] instead reads a
-//! process-wide cached clock ([`CoarseClock`]) that only touches the real
-//! clock every [`COARSE_REFRESH_INTERVAL`]th read: span *counts* stay
-//! exact and long spans (retrains, recovery) stay accurate, but
-//! sub-refresh-interval spans mostly record as 0 ns. Use it when the
-//! timer's own overhead is a measurable fraction of the span, as on fully
-//! cached predict hits — the before/after numbers live in `obs_overhead`.
+//! Cheap span timers for hot paths: two monotonic clock reads per span
+//! (~130 ns on the predict path), nanosecond-accurate samples.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::Histogram;
-
-/// Which clock discipline span timers use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimerMode {
-    /// Two real monotonic clock reads per span: exact durations.
-    #[default]
-    Precise,
-    /// Cached-clock reads ([`CoarseClock`]): near-zero overhead, exact
-    /// counts, durations quantized to the refresh cadence.
-    Coarse,
-}
-
-/// Observability knobs threaded from configuration into hot paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ObsConfig {
-    /// Clock discipline for request-path span timers.
-    pub timer_mode: TimerMode,
-}
-
-/// Real-clock reads happen once per this many [`CoarseClock::now_ns`]
-/// calls; the rest return the cached value.
-pub const COARSE_REFRESH_INTERVAL: u64 = 64;
-
-static COARSE_ANCHOR: OnceLock<Instant> = OnceLock::new();
-static COARSE_CACHED_NS: AtomicU64 = AtomicU64::new(0);
-static COARSE_TICK: AtomicU64 = AtomicU64::new(0);
-
-/// A process-wide, monotonically non-decreasing, low-resolution clock.
-///
-/// `now_ns` is one relaxed `fetch_add` plus one relaxed load in the common
-/// case; every [`COARSE_REFRESH_INTERVAL`]th call pays a real
-/// `Instant::now()` and publishes it (via `fetch_max`, so the reading
-/// never goes backwards under concurrency).
-pub struct CoarseClock;
-
-impl CoarseClock {
-    /// Nanoseconds since the first use of the coarse clock, at cached
-    /// resolution.
-    #[inline]
-    pub fn now_ns() -> u64 {
-        let tick = COARSE_TICK.fetch_add(1, Ordering::Relaxed);
-        if tick.is_multiple_of(COARSE_REFRESH_INTERVAL) {
-            Self::refresh()
-        } else {
-            COARSE_CACHED_NS.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Forces a real clock read and publishes it. Returns the fresh value.
-    #[inline]
-    pub fn refresh() -> u64 {
-        let anchor = COARSE_ANCHOR.get_or_init(Instant::now);
-        let ns = anchor.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        COARSE_CACHED_NS.fetch_max(ns, Ordering::Relaxed);
-        ns
-    }
-}
 
 /// An explicit stopwatch: start it, then record the elapsed nanoseconds
 /// into a histogram (or just read them). Two monotonic clock reads total.
@@ -113,41 +44,21 @@ impl Timer {
 #[derive(Debug)]
 pub struct SpanTimer<'a> {
     hist: &'a Histogram,
-    start: StartPoint,
-}
-
-#[derive(Debug)]
-enum StartPoint {
-    Precise(Instant),
-    Coarse(u64),
+    start: Instant,
 }
 
 impl<'a> SpanTimer<'a> {
-    /// Starts a precise span recording into `hist` on drop.
+    /// Starts a span recording into `hist` on drop.
     #[inline]
     pub fn new(hist: &'a Histogram) -> Self {
-        Self::with_mode(hist, TimerMode::Precise)
-    }
-
-    /// Starts a span under the given clock discipline.
-    #[inline]
-    pub fn with_mode(hist: &'a Histogram, mode: TimerMode) -> Self {
-        let start = match mode {
-            TimerMode::Precise => StartPoint::Precise(Instant::now()),
-            TimerMode::Coarse => StartPoint::Coarse(CoarseClock::now_ns()),
-        };
-        SpanTimer { hist, start }
+        SpanTimer { hist, start: Instant::now() }
     }
 }
 
 impl Drop for SpanTimer<'_> {
     #[inline]
     fn drop(&mut self) {
-        let ns = match self.start {
-            StartPoint::Precise(start) => start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            StartPoint::Coarse(start) => CoarseClock::now_ns().saturating_sub(start),
-        };
-        self.hist.record(ns);
+        self.hist.record(self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 }
 
@@ -191,43 +102,6 @@ mod tests {
             assert_eq!(h.count(), 0, "nothing recorded until drop");
         }
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn coarse_spans_count_exactly_and_never_go_negative() {
-        let h = Histogram::new();
-        for _ in 0..200 {
-            let _span = SpanTimer::with_mode(&h, TimerMode::Coarse);
-        }
-        assert_eq!(h.count(), 200, "coarse mode must not lose span counts");
-    }
-
-    #[test]
-    fn coarse_clock_is_monotonic() {
-        let mut last = 0u64;
-        for _ in 0..(COARSE_REFRESH_INTERVAL * 10) {
-            let now = CoarseClock::now_ns();
-            assert!(now >= last, "coarse clock went backwards: {now} < {last}");
-            last = now;
-        }
-    }
-
-    #[test]
-    fn coarse_spans_still_measure_long_durations() {
-        let h = Histogram::new();
-        {
-            let _span = SpanTimer::with_mode(&h, TimerMode::Coarse);
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            // Enough reads to guarantee at least one real refresh before drop.
-            for _ in 0..=COARSE_REFRESH_INTERVAL {
-                CoarseClock::now_ns();
-            }
-        }
-        assert!(
-            h.snapshot().max >= 1_000_000,
-            "a 5 ms span should register at millisecond scale, got {} ns",
-            h.snapshot().max
-        );
     }
 
     #[test]

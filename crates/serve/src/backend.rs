@@ -102,13 +102,6 @@ pub trait PredictBackend: Send + Sync {
         requests.iter().map(|(uid, item)| self.predict_one(*uid, item)).collect()
     }
 
-    /// Applies one feedback observation. Returns the prequential loss
-    /// when the backend computes one (used as the bandit reward signal);
-    /// `Ok(None)` means the caller should derive a loss itself.
-    fn observe(&self, _uid: u64, _item: &Item, _y: f64) -> Result<Option<f64>, ServeError> {
-        Ok(None)
-    }
-
     /// The wrapped `Velox` deployment, when this backend is one. Lets the
     /// tier drive the existing retrain/version-swap lifecycle through the
     /// manager without downcasting.
@@ -166,11 +159,6 @@ impl PredictBackend for VeloxBackend {
                 .map_err(ServeError::from)
             })
             .collect()
-    }
-
-    fn observe(&self, uid: u64, item: &Item, y: f64) -> Result<Option<f64>, ServeError> {
-        let out = self.velox.observe(uid, item, y)?;
-        Ok(if out.loss.is_nan() { None } else { Some(out.loss) })
     }
 
     fn velox(&self) -> Option<Arc<Velox>> {
@@ -250,12 +238,6 @@ impl PredictBackend for TransportBackend {
             })
             .collect();
         keys.into_iter().map(|k| k.and_then(|i| answers[i].clone())).collect()
-    }
-
-    fn observe(&self, uid: u64, item: &Item, y: f64) -> Result<Option<f64>, ServeError> {
-        let id = Self::item_id(item)?;
-        self.transport.observe(uid, id, y)?;
-        Ok(None)
     }
 }
 

@@ -108,8 +108,7 @@ impl ManagerSnapshot {
         self.lineages.contains_key(name)
     }
 
-    /// All registered names, sorted (deterministic candidate order for
-    /// bandit selection).
+    /// All registered names, sorted (a deterministic listing order).
     pub fn names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.lineages.keys().cloned().collect();
         names.sort();

@@ -1,11 +1,9 @@
-//! The serving tier: batching queues in front of the backend registry,
-//! plus bandit selection across backends.
+//! The serving tier: batching queues in front of the backend registry.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use velox_bandit::{BanditPolicy, Candidate, EpsilonGreedyPolicy};
 use velox_core::Item;
 use velox_obs::{Registry, Tracer};
 
@@ -20,20 +18,10 @@ use crate::manager::{ManagerSnapshot, ModelManager};
 pub const CLUSTER_BACKEND: &str = "cluster";
 
 /// Serving-tier configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
     /// Batching-queue configuration applied to every lane.
     pub batch: BatchConfig,
-    /// Exploration rate of the cross-backend selection policy.
-    pub epsilon: f64,
-    /// Seed for the selection policy.
-    pub seed: u64,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig { batch: BatchConfig::default(), epsilon: 0.05, seed: 42 }
-    }
 }
 
 /// Listing entry for one registered backend (the `GET /models` payload).
@@ -55,15 +43,8 @@ pub struct BackendStatus {
     pub lane: LaneStats,
 }
 
-struct RewardStat {
-    n: u64,
-    mean_loss: f64,
-    m2: f64,
-}
-
-/// The serving tier: a [`ModelManager`] of versioned backends, one
-/// adaptive batching lane per backend name, and a bandit policy that
-/// selects across backends using observed prequential loss.
+/// The serving tier: a [`ModelManager`] of versioned backends and one
+/// adaptive batching lane per backend name.
 ///
 /// Wrap it in an `Arc` and share freely; every `predict` blocks the
 /// calling thread until its batch is served.
@@ -74,8 +55,6 @@ pub struct ServeTier {
     tracer: Arc<Tracer>,
     lanes: Mutex<HashMap<String, Arc<Lane>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    policy: Mutex<Box<dyn BanditPolicy + Send>>,
-    rewards: Mutex<HashMap<String, RewardStat>>,
 }
 
 impl ServeTier {
@@ -102,8 +81,6 @@ impl ServeTier {
             tracer,
             lanes: Mutex::new(HashMap::new()),
             workers: Mutex::new(Vec::new()),
-            policy: Mutex::new(Box::new(EpsilonGreedyPolicy::new(config.epsilon, config.seed))),
-            rewards: Mutex::new(HashMap::new()),
         })
     }
 
@@ -201,73 +178,6 @@ impl ServeTier {
         let snapshot = self.manager.snapshot();
         let entry = snapshot.resolve(name)?;
         entry.backend.predict_one(uid, item)
-    }
-
-    /// Applies feedback to `name`'s serving backend and records the
-    /// prequential loss as the backend's selection reward. Backends that
-    /// don't report a loss get a squared-error loss against their own
-    /// pre-update prediction.
-    pub fn observe(&self, name: &str, uid: u64, item: &Item, y: f64) -> Result<f64, ServeError> {
-        let snapshot = self.manager.snapshot();
-        let entry = snapshot.resolve(name)?;
-        let loss = match entry.backend.observe(uid, item, y)? {
-            Some(loss) => loss,
-            None => {
-                let pred = entry.backend.predict_one(uid, item)?;
-                let e = y - pred.score;
-                e * e
-            }
-        };
-        if loss.is_finite() {
-            let mut rewards = self.rewards.lock().unwrap();
-            let stat = rewards.entry(name.to_string()).or_insert(RewardStat {
-                n: 0,
-                mean_loss: 0.0,
-                m2: 0.0,
-            });
-            stat.n += 1;
-            let delta = loss - stat.mean_loss;
-            stat.mean_loss += delta / stat.n as f64;
-            stat.m2 += delta * (loss - stat.mean_loss);
-        }
-        Ok(loss)
-    }
-
-    /// Bandit-selects a backend by observed loss (lower mean loss =
-    /// higher reward; unobserved backends get an optimistic prior) and
-    /// serves the request through its batching lane. Returns the chosen
-    /// backend name with the prediction. Feed outcomes back through
-    /// [`ServeTier::observe`] with the returned name.
-    pub fn select_predict(
-        &self,
-        uid: u64,
-        item: &Item,
-    ) -> Result<(String, ServedPredict), ServeError> {
-        let names = self.manager.snapshot().names();
-        if names.is_empty() {
-            return Err(ServeError::Registry(velox_models::RegistryError::UnknownModel(
-                "<any>".to_string(),
-            )));
-        }
-        let candidates: Vec<Candidate> = {
-            let rewards = self.rewards.lock().unwrap();
-            names
-                .iter()
-                .map(|name| match rewards.get(name) {
-                    Some(stat) if stat.n > 0 => {
-                        let var = if stat.n > 1 { stat.m2 / (stat.n - 1) as f64 } else { 1.0 };
-                        Candidate { score: -stat.mean_loss, variance: var / stat.n as f64 }
-                    }
-                    // Optimistic prior: unobserved backends score high so
-                    // every backend gets explored at least once.
-                    _ => Candidate { score: f64::MAX, variance: 1.0 },
-                })
-                .collect()
-        };
-        let choice = self.policy.lock().unwrap().select(&candidates);
-        let name = names[choice.min(names.len() - 1)].clone();
-        let prediction = self.predict(&name, uid, item)?;
-        Ok((name, prediction))
     }
 
     /// Retrains a Velox-backed `name` through the existing offline

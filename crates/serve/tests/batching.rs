@@ -120,7 +120,6 @@ fn tier_coalesces_concurrent_predicts_into_batches() {
             initial_batch: 1,
             additive_step: 4,
         },
-        ..Default::default()
     };
     let tier = ServeTier::with_config(config);
     // A deliberately slow scorer so the queue builds up behind the first
@@ -182,7 +181,6 @@ fn aimd_backs_off_to_singleton_batches_on_slo_violation() {
             initial_batch: 16,
             additive_step: 4,
         },
-        ..Default::default()
     };
     let tier = ServeTier::with_config(config);
     tier.register("m", Arc::new(CustomScorer::from_fn(|_, _| Ok(1.0)))).unwrap();
@@ -204,7 +202,6 @@ fn concurrent_version_swap_never_serves_a_half_swapped_model() {
             initial_batch: 1,
             additive_step: 2,
         },
-        ..Default::default()
     });
     // v1 scores +f(uid, item); v2 scores -f(uid, item). Any mixing of the
     // two inside one answer would produce a third value.
@@ -270,34 +267,6 @@ fn shutdown_refuses_new_work_with_typed_error() {
     tier.predict("m", 1, &Item::Id(1)).unwrap();
     tier.shutdown();
     assert_eq!(tier.predict("m", 1, &Item::Id(1)).unwrap_err(), ServeError::ShuttingDown);
-}
-
-#[test]
-fn bandit_selection_converges_to_the_better_backend() {
-    let tier = ServeTier::with_config(ServeConfig { epsilon: 0.1, seed: 7, ..Default::default() });
-    // "good" predicts the label exactly; "bad" is off by 2.
-    let label = |uid: u64, id: u64| ((uid + id) % 5) as f64;
-    tier.register(
-        "good",
-        Arc::new(CustomScorer::from_fn(move |u, i| Ok(label(u, i.id().unwrap())))),
-    )
-    .unwrap();
-    tier.register(
-        "bad",
-        Arc::new(CustomScorer::from_fn(move |u, i| Ok(label(u, i.id().unwrap()) + 2.0))),
-    )
-    .unwrap();
-    let mut picks: HashMap<String, u32> = HashMap::new();
-    for i in 0..300u64 {
-        let item = Item::Id(i % 16);
-        let (name, _) = tier.select_predict(i % 8, &item).expect("selection");
-        *picks.entry(name.clone()).or_default() += 1;
-        tier.observe(&name, i % 8, &item, label(i % 8, i % 16)).expect("feedback");
-    }
-    assert!(
-        picks.get("good").copied().unwrap_or(0) > picks.get("bad").copied().unwrap_or(0),
-        "selection should favor the lower-loss backend: {picks:?}"
-    );
 }
 
 #[test]

@@ -109,7 +109,6 @@ fn assert_tier_bit_identity(transport: Arc<dyn Transport + Send + Sync>, label: 
             initial_batch: 1,
             additive_step: 4,
         },
-        ..Default::default()
     });
     tier.register("cluster", Arc::new(TransportBackend::new(transport))).unwrap();
 

@@ -197,25 +197,6 @@ impl ObservationLog {
         self.wal.lock().unwrap().as_ref().map(|w| w.stats())
     }
 
-    /// Pre-populates an empty (or partially seeded) log during recovery.
-    /// Records are accepted while their timestamps continue the log's
-    /// offset sequence exactly; the first out-of-sequence record stops the
-    /// seed. Returns how many records were taken. Single-threaded use only
-    /// (recovery runs before the instance serves traffic).
-    pub fn seed(&self, records: &[Observation]) -> u64 {
-        let mut taken = 0u64;
-        for r in records {
-            let expected = self.next_offset.load(Ordering::SeqCst);
-            if r.timestamp != expected {
-                break;
-            }
-            self.insert(expected, r.clone());
-            self.next_offset.store(expected + 1, Ordering::SeqCst);
-            taken += 1;
-        }
-        taken
-    }
-
     /// Number of offsets handed out (includes in-flight appends).
     pub fn len(&self) -> u64 {
         self.next_offset.load(Ordering::SeqCst)
@@ -450,18 +431,6 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         reader.join().unwrap();
         assert_eq!(log.committed_len(), 12000);
-    }
-
-    #[test]
-    fn seed_takes_contiguous_prefix_only() {
-        let log = ObservationLog::new();
-        let mk = |ts: u64| Observation { uid: ts, item_id: ts, y: 0.0, timestamp: ts };
-        let taken = log.seed(&[mk(0), mk(1), mk(3)]);
-        assert_eq!(taken, 2, "ts=3 breaks the sequence");
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.committed_len(), 2);
-        // Appends continue after the seeded prefix.
-        assert_eq!(log.append(7, 7, 7.0), 2);
     }
 
     #[test]

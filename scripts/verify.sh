@@ -13,6 +13,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace (offline)"
 cargo test --workspace --release --offline -q
 
+# The benchmark harness checks itself (fmt, clippy, its unit tests, a smoke
+# run of all four workloads with every correctness check on) — and, because
+# it reaches the system only through `velox::` re-exports, compiling it
+# proves the seam listed in benchmark/README.md survived this change.
+echo "==> benchmark/check.sh: harness self-check + the velox:: seam still compiles (offline)"
+bash benchmark/check.sh
+
 echo "==> net serving latency smoke (offline)"
 cargo run --release --offline -q -p velox-bench --bin abl_net -- --smoke > /dev/null
 

@@ -1,8 +1,9 @@
 //! End-to-end durability tests over the public facade: acknowledged
 //! observations survive process death (simulated by dropping the deployment
 //! and rebooting from the same directory), recovery is idempotent, torn WAL
-//! tails are handled at every byte offset, and a corrupt checkpoint falls
-//! back to an older one whose WAL coverage is still intact.
+//! tails are handled at every byte offset, a corrupt checkpoint falls
+//! back to an older one whose WAL coverage is still intact, and a hole in
+//! the WAL stops the replay at the hole.
 
 use std::collections::HashMap;
 use std::fs;
@@ -309,4 +310,38 @@ fn fsync_policy_is_honored_and_counted() {
         let (_revived, report) = boot_with(config);
         assert_eq!(report.replayed, 12, "{policy:?}");
     }
+}
+
+/// (7) Replay takes records only while their offsets continue the log's
+/// sequence exactly: a WAL segment lost from the middle leaves readable
+/// records on the far side of the hole, and recovery must stop at the hole
+/// rather than splice them on — then keep serving.
+#[test]
+fn a_hole_in_the_wal_stops_replay_at_the_hole() {
+    let scratch = ScratchDir::new("dur-hole");
+    let state = scratch.join("state");
+    let mut durability = DurabilityConfig::new(state.clone());
+    durability.wal_segment_bytes = (16 + 2 * 40) as u64; // two records per segment
+    let config = VeloxConfig { durability: Some(durability), ..VeloxConfig::single_node() };
+
+    let (velox, _) = boot_with(config.clone());
+    register(&velox);
+    observe_n(&velox, 0, 6);
+    drop(velox);
+
+    let mut segments: Vec<PathBuf> = fs::read_dir(state.join("wal"))
+        .expect("wal dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().map(|e| e == "log").unwrap_or(false))
+        .collect();
+    segments.sort();
+    assert_eq!(segments.len(), 3, "six records, two per segment: {segments:?}");
+    fs::remove_file(&segments[1]).expect("lose the middle segment");
+
+    let (revived, report) = boot_with(config);
+    assert_eq!(report.replayed, 2, "records 0 and 1; 4 and 5 lie past the hole");
+    assert_eq!(revived.stats().observations, 2);
+    register(&revived);
+    revived.observe(1, &Item::Id(0), 0.5).expect("observe after the hole");
+    assert_eq!(revived.stats().observations, 3);
 }

@@ -220,6 +220,11 @@ fn catalog_topk_index_rebuilds_after_retrain() {
 /// A seeded factor-table deployment (no ALS run) under the default LinUCB
 /// policy: d = 22 so every dot has a two-element tail, one node.
 fn deploy_table() -> Arc<Velox> {
+    deploy_table_on(ClusterConfig { n_nodes: 1, ..Default::default() })
+}
+
+/// The same deployment on another topology.
+fn deploy_table_on(cluster: ClusterConfig) -> Arc<Velox> {
     const D: usize = 22;
     let mut rng = VeloxRng::seed_from(0x70_9C);
     let mut vector = |scale: f64| {
@@ -234,7 +239,8 @@ fn deploy_table() -> Arc<Velox> {
         AlsConfig { rank: D, ..Default::default() },
     )
     .unwrap();
-    Arc::new(Velox::deploy(Arc::new(model), weights, VeloxConfig::single_node()))
+    let config = VeloxConfig { cluster, ..VeloxConfig::single_node() };
+    Arc::new(Velox::deploy(Arc::new(model), weights, config))
 }
 
 /// What `topk_over_mixed_cached_and_uncached_candidates_is_pinned` read at
@@ -322,4 +328,152 @@ fn non_finite_feedback_is_rejected_and_leaves_the_user_untouched() {
     };
     assert_eq!(bits(&got), bits(&want));
     assert!(got.ranked.iter().all(|(_, score)| score.is_finite()));
+}
+
+/// One pass of `items` for `uid` through one scoring entry point: every
+/// score's bits in candidate order, which answers were cache hits, and the
+/// degradation level the answer reported for its misses.
+struct Pass {
+    bits: Vec<u64>,
+    hits: usize,
+    miss_level: Option<DegradationLevel>,
+    bootstrapped: bool,
+}
+
+fn pass_of(responses: Vec<PredictResponse>) -> Pass {
+    let miss = responses.iter().find(|r| !r.cached);
+    Pass {
+        bits: responses.iter().map(|r| r.score.to_bits()).collect(),
+        hits: responses.iter().filter(|r| r.cached).count(),
+        miss_level: miss.map(|r| r.degradation),
+        bootstrapped: miss.is_some_and(|r| r.bootstrapped),
+    }
+}
+
+/// `predict`, `predict_batch` and `top_k` are one scorer behind three
+/// entry points. Three identical deployments each answer the same pairs
+/// through one of them — pairs that are cached, uncached, a bootstrapped
+/// user's, replica-served (home killed) and stale-cache-served (every
+/// replica killed) — and must agree on every score bit, on which answers
+/// were hits (so: on what each pass left in the cache), and on the
+/// degradation level; each deployment counts hits + misses == pairs asked.
+///
+/// Scores that are never cached are asked of one deployment through all
+/// three entry points instead: asking changes nothing there, and a
+/// bootstrap mean is only bit-stable within a deployment (it sums the
+/// initial weights in `HashMap` order).
+#[test]
+fn every_scoring_entry_point_agrees_on_bits_cache_fills_and_levels() {
+    let twins: Vec<Arc<Velox>> = (0..3)
+        .map(|_| {
+            let velox = deploy_table_on(ClusterConfig {
+                n_nodes: 4,
+                user_replication: 2,
+                item_replication: 4,
+                ..Default::default()
+            });
+            // Online state for user 3, so top-k's variance path runs too.
+            for step in 0..9u64 {
+                velox
+                    .observe(3, &Item::Id((step * 11) % 60), (step % 4) as f64 * 0.6 - 0.9)
+                    .unwrap();
+            }
+            velox
+        })
+        .collect();
+    const EACH_ITS_OWN: [usize; 3] = [0, 1, 2];
+    const ALL_ON_ONE: [usize; 3] = [0, 0, 0];
+    let mut asked = [0u64; 3];
+
+    // Asks `items` of `predict` on twin `on[0]`, `predict_batch` on `on[1]`
+    // and `top_k` on `on[2]`; returns what they agreed on.
+    let mut ask = |on: [usize; 3], uid: u64, items: &[u64], what: &str| -> Pass {
+        on.iter().for_each(|&twin| asked[twin] += items.len() as u64);
+        let one = pass_of(
+            items.iter().map(|&i| twins[on[0]].predict(uid, &Item::Id(i)).unwrap()).collect(),
+        );
+        // One batch: the user is repeated in every request of it.
+        let requests: Vec<(u64, Item)> = items.iter().map(|&i| (uid, Item::Id(i))).collect();
+        let batch = pass_of(
+            twins[on[1]].predict_batch(&requests).into_iter().map(|r| r.unwrap()).collect(),
+        );
+        let candidates: Vec<Item> = items.iter().map(|&i| Item::Id(i)).collect();
+        let top = twins[on[2]].top_k(uid, &candidates).unwrap();
+        let mut top_bits = vec![0u64; items.len()];
+        for &(idx, score) in &top.ranked {
+            top_bits[idx] = score.to_bits();
+        }
+
+        assert_eq!(batch.bits, one.bits, "{what}: predict_batch vs predict");
+        assert_eq!(top_bits, one.bits, "{what}: top_k vs predict");
+        assert_eq!(batch.hits, one.hits, "{what}: hits, predict_batch vs predict");
+        assert_eq!(top.cached_fraction, one.hits as f64 / items.len() as f64, "{what}: top_k hits");
+        assert_eq!(batch.miss_level, one.miss_level, "{what}: level, predict_batch vs predict");
+        if let Some(level) = one.miss_level {
+            assert_eq!(top.degradation, level, "{what}: level, top_k vs predict");
+        }
+        assert_eq!(batch.bootstrapped, one.bootstrapped, "{what}");
+        one
+    };
+
+    // Uncached, then a mix of cached and uncached with one pair repeated
+    // inside the call (its second occurrence is a hit on the first's fill).
+    let cold = ask(EACH_ITS_OWN, 0, &[0, 1, 2, 3], "uncached");
+    assert_eq!((cold.hits, cold.miss_level), (0, Some(DegradationLevel::Full)));
+    let mixed = ask(EACH_ITS_OWN, 0, &[0, 1, 2, 3, 4, 5, 6, 7, 5], "cached + uncached");
+    assert_eq!(mixed.hits, 5);
+    assert_eq!(mixed.bits[..4], cold.bits[..], "a hit returns the bits that were filled");
+    assert_eq!(ask(EACH_ITS_OWN, 3, &[10, 11, 12, 13, 14], "user with online state").hits, 0);
+
+    // A bootstrapped user's scores come from the population mean: never
+    // cached, so every entry point, asked in turn, misses every time.
+    let unknown = ask(ALL_ON_ONE, 9999, &[0, 1, 2, 1], "bootstrapped user");
+    assert!(unknown.bootstrapped);
+    assert_eq!((unknown.hits, unknown.miss_level), (0, Some(DegradationLevel::Full)));
+
+    // Home node down, one replica left: served at `Replica`, still cacheable.
+    let home = twins[0].cluster().home_of_user(1);
+    twins.iter().for_each(|velox| velox.kill_node(home));
+    let failover = ask(EACH_ITS_OWN, 1, &[20, 21, 22, 23], "replica-served");
+    assert_eq!((failover.hits, failover.miss_level), (0, Some(DegradationLevel::Replica)));
+    assert_eq!(ask(EACH_ITS_OWN, 1, &[20, 21, 22, 23], "replica-served, again").hits, 4);
+
+    // Every replica down: served from the stale-weight cache, and a degraded
+    // score must not outlive the outage in the prediction cache.
+    for node in twins[0].cluster().replica_nodes_of_user(2) {
+        twins.iter().for_each(|velox| velox.kill_node(node));
+    }
+    let stale = ask(ALL_ON_ONE, 2, &[30, 31, 32, 31], "stale-cache-served");
+    assert_eq!((stale.hits, stale.miss_level), (0, Some(DegradationLevel::StaleCache)));
+
+    for (velox, asked) in twins.iter().zip(asked) {
+        let (hits, misses, _) = velox.stats().prediction_cache;
+        assert_eq!(hits + misses, asked, "every pair is one hit or one miss");
+    }
+}
+
+/// The fourth caller: after a retrain the scorer refills what was hot. The
+/// repopulated entry is a hit whose bits equal what a twin that had nothing
+/// hot — and so nothing repopulated — computes cold under its new model.
+#[test]
+fn repopulated_entries_equal_a_twins_cold_scores() {
+    let (hot, cold) = (deploy_table(), deploy_table());
+    for velox in [&hot, &cold] {
+        for step in 0..24u64 {
+            let y = ((step * 5) % 7) as f64 * 0.4 - 1.1;
+            velox.observe(step % 4, &Item::Id((step * 13) % 60), y).unwrap();
+        }
+    }
+    let pairs = [(0u64, 2u64), (3, 7), (3, 41), (1, 59)];
+    for (uid, item) in pairs {
+        hot.predict(uid, &Item::Id(item)).unwrap();
+    }
+    assert_eq!(hot.retrain_offline().unwrap(), 2);
+    assert_eq!(cold.retrain_offline().unwrap(), 2);
+    for (uid, item) in pairs {
+        let warm = hot.predict(uid, &Item::Id(item)).unwrap();
+        let fresh = cold.predict(uid, &Item::Id(item)).unwrap();
+        assert!(warm.cached && !fresh.cached, "({uid}, {item})");
+        assert_eq!(warm.score.to_bits(), fresh.score.to_bits(), "({uid}, {item})");
+    }
 }
