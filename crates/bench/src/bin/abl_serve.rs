@@ -124,14 +124,14 @@ impl Mode {
         }
     }
 
-    fn batch_config(self, flush: Duration) -> BatchConfig {
+    fn batch_config(self) -> BatchConfig {
         match self {
             // `initial_batch: 1` with `max_batch: 1` pins the lane to one
             // request per pass; the AIMD controller has nowhere to go.
             Mode::Direct | Mode::Unbatched => {
                 BatchConfig { slo: SLO, max_batch: 1, initial_batch: 1, ..Default::default() }
             }
-            Mode::Adaptive => BatchConfig { slo: SLO, flush_timeout: flush, ..Default::default() },
+            Mode::Adaptive => BatchConfig { slo: SLO, ..Default::default() },
         }
     }
 }
@@ -144,14 +144,8 @@ struct Cell {
     hist_batches: u64,
 }
 
-fn run_cell(
-    backend: &Arc<dyn PredictBackend>,
-    mode: Mode,
-    flush: Duration,
-    threads: usize,
-    run: Duration,
-) -> Cell {
-    let tier = ServeTier::with_config(ServeConfig { batch: mode.batch_config(flush) });
+fn run_cell(backend: &Arc<dyn PredictBackend>, mode: Mode, threads: usize, run: Duration) -> Cell {
+    let tier = ServeTier::with_config(ServeConfig { batch: mode.batch_config() });
     tier.register(BACKEND, Arc::clone(backend)).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -204,7 +198,6 @@ fn run_cell(
 fn sweep(
     title: &str,
     backend: &Arc<dyn PredictBackend>,
-    flush: Duration,
     levels: &[usize],
     run: Duration,
 ) -> HashMap<&'static str, Cell> {
@@ -216,9 +209,9 @@ fn sweep(
             &["serving path", "req/s", "p50", "p99", "mean batch", "SLO violations"],
         );
         // Warm connection pools and caches at this concurrency level.
-        let _ = run_cell(backend, Mode::Direct, flush, threads.min(4), Duration::from_millis(80));
+        let _ = run_cell(backend, Mode::Direct, threads.min(4), Duration::from_millis(80));
         for mode in [Mode::Direct, Mode::Unbatched, Mode::Adaptive] {
-            let cell = run_cell(backend, mode, flush, threads, run);
+            let cell = run_cell(backend, mode, threads, run);
             let (batch, violations) = if mode == Mode::Direct {
                 ("—".to_string(), "—".to_string())
             } else {
@@ -263,16 +256,13 @@ fn main() {
     println!("realistic same-datacenter deployment instead of same-core loopback.");
 
     let (rpc, cluster) = rpc_backend();
-    // The default 200µs flush timeout is tuned for RPC-backed lanes: it
-    // is small against the ~tens-of-µs round trip it coalesces over.
-    let at_top = sweep("TCP cluster backend", &rpc, Duration::from_micros(200), levels, run);
+    let at_top = sweep("TCP cluster backend", &rpc, levels, run);
 
     if !smoke {
         // In-process contrast: the batch amortizes only the queue
-        // hand-off and per-user weight reads, so the flush window must
-        // shrink with the µs-scale service time.
+        // hand-off and per-user weight reads.
         let inproc = inproc_backend();
-        sweep("in-process Velox backend", &inproc, Duration::from_micros(5), levels, run);
+        sweep("in-process Velox backend", &inproc, levels, run);
     }
 
     println!("\nWith batching disabled every request pays its own queue hand-off,");

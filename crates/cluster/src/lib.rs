@@ -35,10 +35,13 @@
 //! experiment. [`migrate`] is the elastic-membership control plane — live
 //! migration, abort/rollback, join rebalance and fail-over — written once
 //! against an I/O seam that this simulator and `velox-net` both fill.
+//! [`conn_pool`] is the one TCP accept loop and worker pool that
+//! `velox-net`'s frame server and `velox-rest`'s HTTP server both run on.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
+pub mod conn_pool;
 pub mod detector;
 pub mod fault;
 pub mod migrate;
@@ -51,6 +54,7 @@ pub use cluster::{
     AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats, LOCAL_READ_US,
     REMOTE_READ_US,
 };
+pub use conn_pool::{ConnPool, PoolConfig};
 pub use detector::{DetectorConfig, FailureDetector, PeerLiveness, PeerState};
 pub use fault::{FaultAction, FaultClock, FaultEvent, FaultPlan, HealthTransition, NodeHealth};
 pub use migrate::{ChunkStep, ControlPlane, MigrationIo, Migrator};

@@ -43,6 +43,30 @@ use crate::server::{Handler, NetServer, NetServerConfig, RpcContext};
 /// Observe acks remembered per node for exactly-once replay.
 const OBS_DEDUPE_WINDOW: usize = 65_536;
 
+/// An observe ack as a node's dedupe window keeps it: timestamp and
+/// replica count in one word — the acking node is always this one. Every
+/// observe leaves an entry at its owner and at each replica, so the
+/// window's entry size is a per-observe memory cost.
+#[derive(Debug, Clone, Copy)]
+struct WindowAck(u64);
+
+impl WindowAck {
+    /// `None` for an ack that does not fit — a timestamp past 2^56 or more
+    /// than 255 replicas, neither reachable in practice — which is then not
+    /// remembered, exactly like one that has aged out of the window.
+    fn pack(ts: u64, shipped_to: u32) -> Option<WindowAck> {
+        (ts >> 56 == 0 && shipped_to <= 0xff).then_some(WindowAck(ts << 8 | shipped_to as u64))
+    }
+
+    fn ts(self) -> u64 {
+        self.0 >> 8
+    }
+
+    fn shipped_to(self) -> u32 {
+        (self.0 & 0xff) as u32
+    }
+}
+
 /// One reachable node incarnation: its address plus the clients built for
 /// it so far, one per *calling* peer. Keying clients by caller is what
 /// makes partitions directional — the front's link to node 2 and node 0's
@@ -274,12 +298,38 @@ pub struct NodeConfig {
     pub tracer: Arc<Tracer>,
 }
 
-/// The log half of a node's state: the WAL handle, every record this
-/// node holds (own writes + shipped-in), and the idempotency set.
+/// The log half of a node's state: the WAL handle and every record this
+/// node holds (own writes + shipped-in), ordered by `(timestamp, uid)`.
+/// A record is applied here exactly when it is held, so the ordered log
+/// is also the idempotency set: a binary search answers "already
+/// applied?" without a second copy of every key (a `(uid, ts)` hash set
+/// cost more memory per observe than the records themselves).
 struct LogInner {
     wal: Option<Wal>,
     records: Vec<Observation>,
-    applied: HashSet<(u64, u64)>,
+}
+
+impl LogInner {
+    fn position(&self, rec: &Observation) -> Result<usize, usize> {
+        self.records.binary_search_by(|r| (r.timestamp, r.uid).cmp(&(rec.timestamp, rec.uid)))
+    }
+
+    /// Whether `(rec.uid, rec.timestamp)` is already held (applied).
+    fn holds(&self, rec: &Observation) -> bool {
+        self.position(rec).is_ok()
+    }
+
+    /// The held records with `timestamp >= from`, in timestamp order.
+    fn since(&self, from: u64) -> &[Observation] {
+        &self.records[self.records.partition_point(|r| r.timestamp < from)..]
+    }
+
+    /// Holds `rec`. Records arrive close to timestamp order, so this is
+    /// an append or a short shift near the end.
+    fn insert(&mut self, rec: Observation) {
+        let at = self.position(&rec).unwrap_or_else(|at| at);
+        self.records.insert(at, rec);
+    }
 }
 
 /// What an owner owes one replica whose ship link failed. Queued records
@@ -315,7 +365,7 @@ pub struct NodeState {
     /// Recent observe acks by observation id: a replayed id (client retry
     /// or chaos duplication) answers with its original ack instead of a
     /// second weight update.
-    dedupe: Mutex<ObsDedupe<(u32, u64, u32)>>,
+    dedupe: Mutex<ObsDedupe<WindowAck>>,
     /// Per-replica ship debt, one slot per cluster node. Each slot's
     /// mutex is held across the drain + ship RPCs so records reach a
     /// replica in ship order even under concurrent observes.
@@ -394,19 +444,35 @@ impl NodeState {
     /// all merges. Returns how many records were new.
     pub fn merge_records(&self, records: &[Observation]) -> io::Result<u64> {
         let mut log = self.log.lock().unwrap();
-        let mut added = 0u64;
+        let mut fresh: Vec<Observation> = Vec::new();
         for rec in records {
             self.clock.fetch_max(rec.timestamp, Ordering::AcqRel);
-            if !log.applied.insert((rec.uid, rec.timestamp)) {
-                continue;
+            if !log.holds(rec) {
+                fresh.push(rec.clone());
             }
-            if let Some(wal) = log.wal.as_mut() {
-                wal.append(rec).map_err(|e| io::Error::other(e.to_string()))?;
-            }
-            log.records.push(rec.clone());
-            added += 1;
         }
-        Ok(added)
+        // A recovery merge can be the whole history: append it in bulk and
+        // re-sort once (two sorted runs merge in linear time) instead of
+        // shifting the log per record.
+        fresh.sort_by_key(|r| (r.timestamp, r.uid));
+        fresh.dedup_by_key(|r| (r.timestamp, r.uid));
+        let (mut appended, mut failure) = (0, None);
+        for rec in &fresh {
+            if let Some(wal) = log.wal.as_mut() {
+                if let Err(e) = wal.append(rec) {
+                    failure = Some(io::Error::other(e.to_string()));
+                    break;
+                }
+            }
+            appended += 1;
+        }
+        fresh.truncate(appended);
+        log.records.extend(fresh);
+        log.records.sort_by_key(|r| (r.timestamp, r.uid));
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(appended as u64),
+        }
     }
 
     /// Rebuilds the weight table by replaying every held record in
@@ -415,12 +481,10 @@ impl NodeState {
     pub fn rebuild_weights(&self) {
         let lr = self.config.lr;
         let log = self.log.lock().unwrap();
-        let mut records: Vec<&Observation> = log.records.iter().collect();
-        records.sort_by_key(|r| r.timestamp);
         let items = self.items.lock().unwrap();
         let mut weights = self.weights.lock().unwrap();
         weights.clear();
-        for rec in records {
+        for rec in &log.records {
             if let Some(x) = items.get(&rec.item_id) {
                 lms_update(weights.entry(rec.uid).or_default(), x, rec.y, lr);
             }
@@ -553,9 +617,13 @@ impl NodeState {
         if obs_id != 0 {
             let mut inflight = self.inflight.lock().unwrap();
             loop {
-                if let Some((node, ts, shipped_to)) = self.dedupe.lock().unwrap().hit(obs_id) {
+                if let Some(ack) = self.dedupe.lock().unwrap().hit(obs_id) {
                     self.config.metrics.duplicate_observes.inc();
-                    return Response::Observed { node, ts, shipped_to };
+                    return Response::Observed {
+                        node: self.config.node_id as u32,
+                        ts: ack.ts(),
+                        shipped_to: ack.shipped_to(),
+                    };
                 }
                 if inflight.insert(obs_id) {
                     break;
@@ -633,8 +701,7 @@ impl NodeState {
                     }
                 }
             }
-            log.applied.insert((uid, ts));
-            log.records.push(rec.clone());
+            log.insert(rec.clone());
             lms_update(self.weights.lock().unwrap().entry(uid).or_default(), &x, y, self.config.lr);
         }
         // Replicate outside the log lock (two owners shipping to each
@@ -671,7 +738,9 @@ impl NodeState {
                 }
             }
         }
-        self.dedupe.lock().unwrap().put(obs_id, (me as u32, ts, shipped_to));
+        if let Some(ack) = WindowAck::pack(ts, shipped_to) {
+            self.dedupe.lock().unwrap().put(obs_id, ack);
+        }
         self.config.metrics.observes.inc();
         tracer.finish(work);
         Response::Observed { node: me as u32, ts, shipped_to }
@@ -723,12 +792,7 @@ impl NodeState {
             ShipBacklog::Clear => return true,
             ShipBacklog::Queue(q) => q.iter().cloned().unzip(),
             ShipBacklog::ResyncFrom(ts) => {
-                let from = *ts;
-                let log = self.log.lock().unwrap();
-                let mut records: Vec<Observation> =
-                    log.records.iter().filter(|r| r.timestamp >= from).cloned().collect();
-                drop(log);
-                records.sort_by_key(|r| r.timestamp);
+                let records = self.log.lock().unwrap().since(*ts).to_vec();
                 let ids = vec![0u64; records.len()];
                 (records, ids)
             }
@@ -764,9 +828,7 @@ impl NodeState {
                 ShipBacklog::Clear => {}
                 ShipBacklog::Queue(q) => total += q.len(),
                 ShipBacklog::ResyncFrom(ts) => {
-                    let from = *ts;
-                    let log = self.log.lock().unwrap();
-                    total += log.records.iter().filter(|r| r.timestamp >= from).count();
+                    total += self.log.lock().unwrap().since(*ts).len();
                 }
             }
         }
@@ -803,11 +865,11 @@ impl NodeState {
             let obs_id = obs_ids.get(i).copied().unwrap_or(0);
             if obs_id != 0 {
                 let mut dedupe = self.dedupe.lock().unwrap();
-                if dedupe.hit(obs_id).is_none() {
-                    dedupe.put(obs_id, (self.config.node_id as u32, rec.timestamp, 0));
+                if let (None, Some(ack)) = (dedupe.hit(obs_id), WindowAck::pack(rec.timestamp, 0)) {
+                    dedupe.put(obs_id, ack);
                 }
             }
-            if !log.applied.insert((rec.uid, rec.timestamp)) {
+            if log.holds(rec) {
                 continue;
             }
             if let Some(wal) = log.wal.as_mut() {
@@ -818,7 +880,7 @@ impl NodeState {
                     };
                 }
             }
-            log.records.push(rec.clone());
+            log.insert(rec.clone());
             if let Some(x) = self.items.lock().unwrap().get(&rec.item_id).cloned() {
                 lms_update(self.weights.lock().unwrap().entry(rec.uid).or_default(), &x, rec.y, lr);
             }
@@ -828,11 +890,7 @@ impl NodeState {
     }
 
     fn respond_pull(&self, from_ts: u64) -> Response {
-        let log = self.log.lock().unwrap();
-        let mut records: Vec<Observation> =
-            log.records.iter().filter(|r| r.timestamp >= from_ts).cloned().collect();
-        records.sort_by_key(|r| r.timestamp);
-        Response::Log { records }
+        Response::Log { records: self.log.lock().unwrap().since(from_ts).to_vec() }
     }
 
     /// One bounded step of the resumable checkpoint stream: the held
@@ -902,9 +960,8 @@ impl NodeState {
         let lr = self.config.lr;
         let map = self.current_map();
         let log = self.log.lock().unwrap();
-        let mut records: Vec<&Observation> =
+        let records: Vec<&Observation> =
             log.records.iter().filter(|r| map.partition_of(r.uid) == partition).collect();
-        records.sort_by_key(|r| r.timestamp);
         let items = self.items.lock().unwrap();
         let mut weights = self.weights.lock().unwrap();
         for rec in &records {
@@ -1016,14 +1073,14 @@ impl NodeServer {
             wal = Some(w);
             recovery = Some(rec);
         }
-        let mut log = LogInner { wal, records: Vec::new(), applied: HashSet::new() };
+        let mut log = LogInner { wal, records: Vec::new() };
         let mut clock = 0u64;
         if let Some(rec) = &recovery {
             for obs in &rec.records {
                 clock = clock.max(obs.timestamp);
-                log.applied.insert((obs.uid, obs.timestamp));
                 log.records.push(obs.clone());
             }
+            log.records.sort_by_key(|r| (r.timestamp, r.uid));
         }
         let workers = config.workers;
         let n_nodes = config.n_nodes;
@@ -1062,5 +1119,39 @@ impl NodeServer {
     /// dropped with the handle; the WAL directory survives).
     pub fn shutdown(&mut self) {
         self.server.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn obs(uid: u64, timestamp: u64) -> Observation {
+        Observation { uid, item_id: 0, y: 0.0, timestamp }
+    }
+
+    #[test]
+    fn window_acks_round_trip_and_refuse_what_does_not_fit() {
+        let ack = WindowAck::pack((1 << 56) - 1, 255).expect("fits");
+        assert_eq!((ack.ts(), ack.shipped_to()), ((1 << 56) - 1, 255));
+        assert!(WindowAck::pack(1 << 56, 0).is_none());
+        assert!(WindowAck::pack(7, 256).is_none());
+    }
+
+    #[test]
+    fn the_ordered_log_is_its_own_idempotency_set() {
+        let mut log = LogInner { wal: None, records: Vec::new() };
+        for (uid, ts) in [(1, 5), (2, 3), (1, 9), (3, 5), (2, 7)] {
+            assert!(!log.holds(&obs(uid, ts)));
+            log.insert(obs(uid, ts));
+            assert!(log.holds(&obs(uid, ts)));
+        }
+        // Same timestamp, other user: a different record.
+        assert!(!log.holds(&obs(2, 5)));
+        let order: Vec<(u64, u64)> = log.records.iter().map(|r| (r.timestamp, r.uid)).collect();
+        assert_eq!(order, [(3, 2), (5, 1), (5, 3), (7, 2), (9, 1)]);
+        let since: Vec<u64> = log.since(6).iter().map(|r| r.timestamp).collect();
+        assert_eq!(since, [7, 9]);
+        assert!(log.since(10).is_empty());
     }
 }

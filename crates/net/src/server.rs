@@ -1,29 +1,21 @@
-//! Blocking TCP server with a fixed worker pool.
+//! Blocking TCP frame server on the shared connection pool.
 //!
-//! The shape follows the serving tier Clipper-style RPC front-ends use:
-//! an accept thread hands persistent connections to a pool of worker
-//! threads; each worker owns one connection at a time and runs its
-//! request/response loop (one frame in, one frame out) until the peer
-//! closes. No async runtime, no epoll — the cluster peers keep a handful
-//! of long-lived connections each, so pinning a worker per live
-//! connection is the simplest design that serves the paper's workload.
-//! Size `workers` above the expected number of concurrently connected
-//! peers; excess connections wait in the accept queue until a worker
-//! frees up (clients see a deadline miss, not a hang).
-//!
-//! Shutdown is prompt even with workers blocked in `read`: the server
-//! keeps a clone of every live connection in a slab and calls
-//! `TcpStream::shutdown` on each, which unblocks the owning worker.
+//! The accept loop, the bounded worker pool and the live-connection slab
+//! are [`velox_cluster::ConnPool`]'s — the same pool `velox-rest` serves
+//! HTTP on. What is this server's own is the per-connection loop (one
+//! frame in, one frame out, until the peer closes) and the shed reply: a
+//! connection that finds every worker busy and the accept queue full gets
+//! an [`ErrorCode::Overloaded`] frame and a close. Size `workers` above the
+//! expected number of concurrently connected peers; workers are spawned
+//! as connections arrive, never more than `workers`.
 
-use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use velox_obs::TraceContext;
+use velox_cluster::{ConnPool, PoolConfig};
+use velox_obs::{Counter, TraceContext};
 
 use crate::frame::{read_frame_ext, write_frame, FrameError};
 use crate::rpc::{ErrorCode, Request, Response};
@@ -85,135 +77,51 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Connections waiting for a worker.
-struct AcceptQueue {
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-}
-
 /// A running server; dropping it (or calling [`NetServer::shutdown`])
 /// stops the accept loop, unblocks every worker, and joins all threads.
 pub struct NetServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    accept_queue: Arc<AcceptQueue>,
-    shed: Arc<AtomicU64>,
-    threads: Vec<JoinHandle<()>>,
+    pool: ConnPool,
+    shed: Arc<Counter>,
 }
 
 impl NetServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `handler` on `config.workers` threads.
+    /// Binds `addr` (use port 0 for an ephemeral port) and serves
+    /// `handler` on up to `config.workers` threads.
     pub fn bind(
         addr: &str,
         handler: Arc<dyn Handler>,
         config: NetServerConfig,
     ) -> io::Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let accept_queue =
-            Arc::new(AcceptQueue { queue: Mutex::new(VecDeque::new()), ready: Condvar::new() });
-        let next_conn_id = Arc::new(AtomicU64::new(0));
-        let shed = Arc::new(AtomicU64::new(0));
-
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        {
-            let stop = Arc::clone(&stop);
-            let q = Arc::clone(&accept_queue);
-            let shed = Arc::clone(&shed);
-            let max_pending = config.max_pending.max(1);
-            threads.push(std::thread::spawn(move || {
-                for incoming in listener.incoming() {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = incoming else { continue };
-                    let _ = stream.set_nodelay(true);
-                    let backlog = q.queue.lock().unwrap().len();
-                    if backlog >= max_pending {
-                        shed.fetch_add(1, Ordering::Relaxed);
-                        shed_connection(stream);
-                        continue;
-                    }
-                    q.queue.lock().unwrap().push_back(stream);
-                    q.ready.notify_one();
-                }
-            }));
-        }
-
-        for _ in 0..config.workers.max(1) {
-            let stop = Arc::clone(&stop);
-            let q = Arc::clone(&accept_queue);
-            let conns = Arc::clone(&conns);
-            let ids = Arc::clone(&next_conn_id);
-            let handler = Arc::clone(&handler);
-            threads.push(std::thread::spawn(move || loop {
-                let stream = {
-                    let mut queue = q.queue.lock().unwrap();
-                    loop {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        if let Some(s) = queue.pop_front() {
-                            break s;
-                        }
-                        queue = q.ready.wait(queue).unwrap();
-                    }
-                };
-                let id = ids.fetch_add(1, Ordering::Relaxed);
-                if let Ok(clone) = stream.try_clone() {
-                    conns.lock().unwrap().insert(id, clone);
-                }
-                serve_connection(stream, &*handler, &stop);
-                conns.lock().unwrap().remove(&id);
-            }));
-        }
-
-        Ok(NetServer { addr: local, stop, conns, accept_queue, shed, threads })
+        let shed = Arc::new(Counter::new());
+        let pool = ConnPool::bind(
+            addr,
+            PoolConfig {
+                workers: config.workers.max(1),
+                max_pending: config.max_pending.max(1),
+                accepted: Arc::new(Counter::new()),
+                shed: Arc::clone(&shed),
+            },
+            move |stream, stop| serve_connection(stream, &*handler, stop),
+            shed_connection,
+        )?;
+        Ok(NetServer { pool, shed })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.pool.local_addr()
     }
 
     /// Connections shed with an `Overloaded` reply because the accept
     /// queue was full.
     pub fn shed_count(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.get()
     }
 
     /// Stops accepting, severs every live connection, and joins all
     /// threads. Idempotent.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        // Unblock workers parked on the queue. Holding the queue lock
-        // while notifying means a worker that checked `stop` before the
-        // swap has already reached `wait` and cannot miss the wakeup.
-        {
-            let _queue = self.accept_queue.queue.lock().unwrap();
-            self.accept_queue.ready.notify_all();
-        }
-        // ...and workers parked in read().
-        for (_, conn) in self.conns.lock().unwrap().drain() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.pool.shutdown();
     }
 }
 
@@ -276,6 +184,7 @@ pub fn frame_error_is_fatal(err: &FrameError) -> bool {
 mod tests {
     use super::*;
     use crate::frame::read_frame;
+    use std::time::Duration;
 
     fn echo_server() -> NetServer {
         NetServer::bind(

@@ -3,8 +3,13 @@
 //! The application tier in the paper consumes Velox over its RESTful
 //! interface; this client gives Rust applications a typed façade over that
 //! wire protocol — same `std::net` + in-crate JSON stack as the server, no
-//! HTTP dependency. One TCP connection per request (the server speaks
-//! `Connection: close`).
+//! HTTP dependency. The client keeps one HTTP/1.1 keep-alive connection
+//! and reuses it call after call; responses are framed by
+//! `Content-Length`, and a response that says `connection: close` — or a
+//! connection that errors, or that the server has closed while it sat
+//! idle — is dropped and the next call dials afresh. Nothing is re-sent on
+//! a new connection behind the caller's back: `/cluster/observe` is not
+//! idempotent, so redialing is the retry loop's decision alone.
 //!
 //! The client is resilient by default: transient failures (socket errors,
 //! 5xx, 429 shed responses) are retried with exponential backoff and
@@ -12,11 +17,12 @@
 //! that keeps failing, re-probing it after a cooldown.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::http::{read_response, HttpError};
 use crate::json::Json;
 
 /// Client-side errors.
@@ -66,6 +72,15 @@ impl std::error::Error for ClientError {}
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+impl From<HttpError> for ClientError {
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Io(e) => ClientError::Io(e),
+            HttpError::Malformed(m) => ClientError::Protocol(m),
+        }
     }
 }
 
@@ -153,17 +168,18 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Extracts a delta-seconds `Retry-After` header from a raw response head
-/// (status line + headers). The HTTP-date form is not supported — this
-/// workspace's servers only emit the seconds form.
-fn retry_after(head: &str) -> Option<Duration> {
-    head.lines().find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        if !name.trim().eq_ignore_ascii_case("retry-after") {
-            return None;
-        }
-        value.trim().parse::<u64>().ok().map(Duration::from_secs)
-    })
+/// Whether a kept connection can carry the next request: nothing is left
+/// over from the last response, and the server has not closed it since
+/// (idle timeout, shutdown) — a peek that would block means it is open.
+/// Checked before anything is written, so a stale connection costs a
+/// redial, never a lost or repeated request.
+fn reusable(conn: &BufReader<TcpStream>) -> bool {
+    let stream = conn.get_ref();
+    if !conn.buffer().is_empty() || stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let open = matches!(stream.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock);
+    stream.set_nonblocking(false).is_ok() && open
 }
 
 /// A point-prediction result.
@@ -242,6 +258,10 @@ pub struct VeloxClient {
     retry: RetryPolicy,
     breaker: BreakerConfig,
     resilience: Mutex<Resilience>,
+    /// The kept-alive connection, idle between calls. A call takes it out
+    /// for its duration, so concurrent calls on one client dial their own
+    /// and only one is kept afterwards.
+    conn: Mutex<Option<BufReader<TcpStream>>>,
 }
 
 impl VeloxClient {
@@ -268,6 +288,7 @@ impl VeloxClient {
             retry,
             breaker: BreakerConfig::default(),
             resilience: Mutex::new(Resilience { rng_state, breakers: HashMap::new() }),
+            conn: Mutex::new(None),
         }
     }
 
@@ -405,32 +426,46 @@ impl VeloxClient {
         }
     }
 
-    fn call_once(&self, method: &str, path: &str, body: &str) -> Result<Json, ClientError> {
+    fn dial(&self) -> Result<BufReader<TcpStream>, ClientError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
-        let mut stream = stream;
+        stream.set_nodelay(true)?;
+        Ok(BufReader::new(stream))
+    }
+
+    /// One request on the kept connection (or a fresh one). Any error
+    /// drops the connection; only a fully read, reusable response puts it
+    /// back.
+    fn call_once(&self, method: &str, path: &str, body: &str) -> Result<Json, ClientError> {
+        let kept = self.conn.lock().unwrap().take().filter(reusable);
+        let mut conn = match kept {
+            Some(conn) => conn,
+            None => self.dial()?,
+        };
         let request = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{body}",
             body.len()
         );
-        stream.write_all(request.as_bytes())?;
-        let mut response = String::new();
-        stream.read_to_string(&mut response)?;
-        let status: u16 = response
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ClientError::Protocol("missing status line".into()))?;
-        let (head, json_text) = response
-            .split_once("\r\n\r\n")
-            .ok_or_else(|| ClientError::Protocol("missing body".into()))?;
-        let json = Json::parse(json_text)
-            .map_err(|e| ClientError::Protocol(format!("bad JSON body: {e}")))?;
-        if status != 200 {
+        conn.get_mut().write_all(request.as_bytes())?;
+        let response = read_response(&mut conn)?;
+        if response.reusable {
+            self.conn.lock().unwrap().get_or_insert(conn);
+        }
+        let text = std::str::from_utf8(&response.body)
+            .map_err(|_| ClientError::Protocol("non-UTF-8 body".into()))?;
+        let json =
+            Json::parse(text).map_err(|e| ClientError::Protocol(format!("bad JSON body: {e}")))?;
+        if response.status != 200 {
             let message =
                 json.get("error").and_then(Json::as_str).unwrap_or("unknown error").to_string();
-            return Err(ClientError::Server { status, message, retry_after: retry_after(head) });
+            // Delta-seconds form only — this workspace's servers never send
+            // an HTTP-date.
+            let retry_after = response
+                .header("retry-after")
+                .and_then(|v| v.parse::<u64>().ok())
+                .map(Duration::from_secs);
+            return Err(ClientError::Server { status: response.status, message, retry_after });
         }
         Ok(json)
     }

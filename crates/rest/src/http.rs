@@ -1,13 +1,16 @@
-//! Minimal HTTP/1.1 framing over `std::net`.
+//! Minimal HTTP/1.1 framing over `std::net`, for both ends of the wire.
 //!
 //! Just enough protocol for a JSON API: request-line + headers +
-//! `Content-Length`-framed bodies in, status + headers + body out, one
-//! request per connection (`Connection: close`). Limits on line length,
-//! header count, and body size keep a misbehaving client from exhausting
-//! memory.
+//! `Content-Length`-framed bodies in, status + headers + body out. A
+//! connection stays open only when the request asks for it
+//! (`connection: keep-alive`); every other request is answered with
+//! `connection: close` and a close. Because one connection can carry many
+//! requests — and a client may write the next before reading the last
+//! answer — the reader is one [`BufRead`] per connection, never one per
+//! request. Limits on line length, header count, and body size keep a
+//! misbehaving peer from exhausting memory.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Read, Write};
 
 /// Maximum accepted request-body size (1 MiB).
 const MAX_BODY: usize = 1 << 20;
@@ -32,22 +35,49 @@ pub struct Request {
 impl Request {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Body decoded as UTF-8.
     pub fn body_str(&self) -> Result<&str, HttpError> {
         std::str::from_utf8(&self.body).map_err(|_| HttpError::Malformed("non-UTF-8 body".into()))
     }
+
+    /// Whether the client asked to keep the connection open
+    /// (`connection: keep-alive`). Absent that, the server closes.
+    pub fn keep_alive(&self) -> bool {
+        has_token(self.header("connection"), "keep-alive")
+    }
+}
+
+/// A parsed HTTP response, as the client reads it.
+#[derive(Debug)]
+pub struct Response {
+    /// Status code.
+    pub status: u16,
+    /// Lowercased header name → value.
+    pub headers: Vec<(String, String)>,
+    /// Response body bytes.
+    pub body: Vec<u8>,
+    /// Whether the connection may carry another request: the response was
+    /// `Content-Length`-framed and did not say `connection: close`.
+    pub reusable: bool,
+}
+
+impl Response {
+    /// Case-insensitive header lookup.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header(&self.headers, name)
+    }
 }
 
 /// Protocol-level errors.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket-level failure.
+    /// Socket-level failure, including a peer that closed before sending
+    /// anything (`UnexpectedEof`).
     Io(std::io::Error),
-    /// The request violated the protocol or a limit.
+    /// The message violated the protocol or a limit.
     Malformed(String),
 }
 
@@ -68,35 +98,78 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
-fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, HttpError> {
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
+}
+
+/// Whether a comma-separated header value lists `token` (case-insensitive).
+fn has_token(value: Option<&str>, token: &str) -> bool {
+    value.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+}
+
+fn read_line<R: BufRead>(reader: &mut R) -> Result<String, HttpError> {
     let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        let n = reader.read(&mut byte)?;
-        if n == 0 {
-            return Err(HttpError::Malformed("connection closed mid-line".into()));
-        }
-        if byte[0] == b'\n' {
-            // Strip only the CRLF terminator's \r; a \r elsewhere in the
-            // line is part of the value (or malformed input the route layer
-            // rejects), not framing.
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            break;
-        }
-        line.push(byte[0]);
-        if line.len() > MAX_LINE {
-            return Err(HttpError::Malformed("header line too long".into()));
-        }
+    reader.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') {
+        return Err(HttpError::Malformed(if line.len() > MAX_LINE {
+            "header line too long".into()
+        } else {
+            "connection closed mid-line".into()
+        }));
+    }
+    line.pop();
+    // Strip only the CRLF terminator's \r; a \r elsewhere in the line is
+    // part of the value (or malformed input the route layer rejects), not
+    // framing.
+    if line.last() == Some(&b'\r') {
+        line.pop();
     }
     String::from_utf8(line).map_err(|_| HttpError::Malformed("non-UTF-8 header".into()))
 }
 
-/// Reads one request from the stream.
-pub fn read_request(stream: &TcpStream) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let request_line = read_line(&mut reader)?;
+/// Reads a start line and the header block behind it. A peer that closes
+/// before the first byte is an `Io(UnexpectedEof)` — the orderly end of a
+/// kept connection — not a malformed message.
+fn read_head<R: BufRead>(reader: &mut R) -> Result<(String, Vec<(String, String)>), HttpError> {
+    if reader.fill_buf()?.is_empty() {
+        return Err(HttpError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
+    let start = read_line(reader)?;
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(reader)?;
+        if line.is_empty() {
+            return Ok((start, headers));
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(HttpError::Malformed("too many headers".into()));
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::Malformed(format!("bad header line: {line}")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+}
+
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    header(headers, "content-length")
+        .map(|v| v.parse::<usize>().map_err(|_| HttpError::Malformed("bad content-length".into())))
+        .transpose()
+}
+
+/// Reads exactly `len` body bytes, allocating only as they arrive.
+fn read_body<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::new();
+    reader.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(HttpError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
+    Ok(body)
+}
+
+/// Reads one request from a connection's reader.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
+    let (request_line, headers) = read_head(reader)?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
@@ -107,57 +180,46 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, HttpError> {
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("unsupported version {version}")));
     }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(&mut reader)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::Malformed("too many headers".into()));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header line: {line}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>().map_err(|_| HttpError::Malformed("bad content-length".into()))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    let content_length = content_length(&headers)?.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(HttpError::Malformed("body too large".into()));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let body = read_body(reader, content_length)?;
     Ok(Request { method, path, headers, body })
 }
 
-/// Writes a response with the given status, content type, and body, then
-/// closes.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> Result<(), HttpError> {
-    write_response_with_headers(stream, status, content_type, &[], body)
+/// Reads one response from a connection's reader. A response without
+/// `Content-Length` runs to the close and leaves the connection unusable.
+pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, HttpError> {
+    let (status_line, headers) = read_head(reader)?;
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| HttpError::Malformed("missing status line".into()))?;
+    let (body, framed) = match content_length(&headers)? {
+        Some(len) => (read_body(reader, len)?, true),
+        None => {
+            let mut body = Vec::new();
+            reader.read_to_end(&mut body)?;
+            (body, false)
+        }
+    };
+    let reusable = framed && !has_token(header(&headers, "connection"), "close");
+    Ok(Response { status, headers, body, reusable })
 }
 
-/// Like [`write_response`], with extra response headers (name, value)
-/// inserted before the body — e.g. `Retry-After` on a shed `503`.
-pub fn write_response_with_headers(
-    stream: &mut TcpStream,
+/// Writes one response — status, content type, `extra_headers` (e.g.
+/// `Retry-After` on a shed `503`), body — in a single write. The
+/// `connection` header says whether the server keeps the connection open
+/// afterwards; closing it is the caller's move.
+pub fn write_response<W: Write>(
+    w: &mut W,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &str,
+    keep_alive: bool,
 ) -> Result<(), HttpError> {
     let reason = match status {
         200 => "OK",
@@ -169,8 +231,9 @@ pub fn write_response_with_headers(
         503 => "Service Unavailable",
         _ => "Unknown",
     };
+    let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut response = format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n",
+        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {connection}\r\n",
         body.len()
     );
     for (name, value) in extra_headers {
@@ -181,126 +244,110 @@ pub fn write_response_with_headers(
     }
     response.push_str("\r\n");
     response.push_str(body);
-    stream.write_all(response.as_bytes())?;
-    stream.flush()?;
+    w.write_all(response.as_bytes())?;
+    w.flush()?;
     Ok(())
-}
-
-/// Writes a response with the given status and JSON body, then closes.
-pub fn write_json_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-) -> Result<(), HttpError> {
-    write_response(stream, status, "application/json", body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use std::io::BufReader;
 
-    /// Runs `client` against a one-shot server that parses a request and
-    /// returns it through the channel.
-    fn round_trip(raw: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-            s.flush().unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let result = read_request(&stream);
-        client.join().unwrap();
-        result
+    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+        read_request(&mut BufReader::new(raw))
     }
 
     #[test]
     fn parses_get() {
-        let req = round_trip(b"GET /models HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let req = parse(b"GET /models HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/models");
         assert_eq!(req.header("host"), Some("x"));
         assert_eq!(req.header("HOST"), Some("x"), "case-insensitive lookup");
         assert!(req.body.is_empty());
+        assert!(!req.keep_alive(), "no connection header means close");
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req =
-            round_trip(b"POST /models/m/predict HTTP/1.1\r\nContent-Length: 9\r\n\r\n{\"uid\":1}")
-                .unwrap();
+        let req = parse(b"POST /models/m/predict HTTP/1.1\r\nContent-Length: 9\r\n\r\n{\"uid\":1}")
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body_str().unwrap(), "{\"uid\":1}");
     }
 
     #[test]
     fn lowercases_method_and_headers() {
-        let req = round_trip(b"post /x HTTP/1.1\r\nX-Custom-Header: Value \r\n\r\n").unwrap();
+        let req = parse(b"post /x HTTP/1.1\r\nX-Custom-Header: Value \r\n\r\n").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.header("x-custom-header"), Some("Value"));
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(round_trip(b"\r\n\r\n").is_err());
-        assert!(round_trip(b"GET\r\n\r\n").is_err());
-        assert!(round_trip(b"GET / SPDY/3\r\n\r\n").is_err());
-        assert!(round_trip(b"GET / HTTP/1.1\r\nbadheader\r\n\r\n").is_err());
-        assert!(round_trip(b"GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n").is_err());
+        assert!(parse(b"\r\n\r\n").is_err());
+        assert!(parse(b"GET\r\n\r\n").is_err());
+        assert!(parse(b"GET / SPDY/3\r\n\r\n").is_err());
+        assert!(parse(b"GET / HTTP/1.1\r\nbadheader\r\n\r\n").is_err());
+        assert!(parse(b"GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n").is_err());
+        assert!(matches!(parse(b"GET / HTTP/1.1\r\nHost"), Err(HttpError::Malformed(_))));
+        assert!(matches!(parse(&[b'a'; MAX_LINE + 2]), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn a_close_before_the_first_byte_is_an_io_eof() {
+        match parse(b"") {
+            Err(HttpError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected Io(UnexpectedEof), got {other:?}"),
+        }
     }
 
     #[test]
     fn rejects_oversized_body_claim() {
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert!(round_trip(raw.as_bytes()).is_err());
+        assert!(parse(raw.as_bytes()).is_err());
     }
 
     #[test]
-    fn response_is_well_formed() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_request(&stream).unwrap();
-            write_json_response(&mut stream, 200, "{\"ok\":true}").unwrap();
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut response = String::new();
-        client.read_to_string(&mut response).unwrap();
-        server.join().unwrap();
-        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(response.contains("content-type: application/json"));
-        assert!(response.ends_with("{\"ok\":true}"));
+    fn pipelined_requests_share_one_reader() {
+        let raw = b"POST /a HTTP/1.1\r\nconnection: keep-alive\r\ncontent-length: 2\r\n\r\nhiGET /b HTTP/1.1\r\nConnection: Keep-Alive, Upgrade\r\n\r\n";
+        let mut reader = BufReader::new(&raw[..]);
+        let first = read_request(&mut reader).unwrap();
+        assert_eq!((first.path.as_str(), first.body.as_slice()), ("/a", &b"hi"[..]));
+        assert!(first.keep_alive());
+        let second = read_request(&mut reader).unwrap();
+        assert_eq!(second.path, "/b");
+        assert!(second.keep_alive(), "token lists are matched case-insensitively");
+        assert!(matches!(read_request(&mut reader), Err(HttpError::Io(_))));
     }
 
     #[test]
-    fn extra_headers_land_before_the_body() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_request(&stream).unwrap();
-            write_response_with_headers(
-                &mut stream,
-                503,
-                "application/json",
-                &[("retry-after", "2")],
-                "{\"error\":\"shed\"}",
-            )
+    fn response_round_trips_and_reports_reuse() {
+        let mut wire = Vec::new();
+        write_response(&mut wire, 200, "application/json", &[], "{\"ok\":true}", true).unwrap();
+        write_response(&mut wire, 503, "application/json", &[("retry-after", "2")], "{}", false)
             .unwrap();
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut response = String::new();
-        client.read_to_string(&mut response).unwrap();
-        server.join().unwrap();
-        assert!(response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        assert!(head.contains("retry-after: 2"));
-        assert_eq!(body, "{\"error\":\"shed\"}");
+        let text = String::from_utf8(wire.clone()).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.contains("content-type: application/json"));
+
+        let mut reader = BufReader::new(&wire[..]);
+        let kept = read_response(&mut reader).unwrap();
+        assert_eq!((kept.status, kept.body.as_slice()), (200, &b"{\"ok\":true}"[..]));
+        assert!(kept.reusable);
+        let shed = read_response(&mut reader).unwrap();
+        assert_eq!(shed.status, 503);
+        assert_eq!(shed.header("Retry-After"), Some("2"), "extra headers land before the body");
+        assert_eq!(shed.body, b"{}");
+        assert!(!shed.reusable, "connection: close is honoured");
+    }
+
+    #[test]
+    fn an_unframed_response_runs_to_the_close() {
+        let raw = b"HTTP/1.1 200 OK\r\n\r\n{\"models\":[]}";
+        let response = read_response(&mut BufReader::new(&raw[..])).unwrap();
+        assert_eq!(response.body, b"{\"models\":[]}");
+        assert!(!response.reusable);
     }
 }

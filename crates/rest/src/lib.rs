@@ -4,9 +4,11 @@
 //! completed an initial Velox prototype that exposes a RESTful client
 //! interface").
 //!
-//! A dependency-free HTTP/1.1 + JSON front end over [`VeloxServer`]: one
-//! listener thread accepts connections, a thread per connection parses the
-//! request, dispatches to the deployment, and writes a JSON response.
+//! A dependency-free HTTP/1.1 + JSON front end over [`VeloxServer`],
+//! served on the shared connection pool (`velox_cluster::ConnPool`): one
+//! accept thread, and a bounded set of workers that each serve one
+//! connection's requests — kept alive when the client asks — parsing,
+//! dispatching to the deployment, and writing a JSON response.
 //! JSON ([`json`]) and HTTP framing ([`http`]) are implemented in-crate on
 //! `std` only, per the workspace dependency policy.
 //!

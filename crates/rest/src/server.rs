@@ -1,13 +1,15 @@
-//! The REST server: route dispatch over a [`VeloxServer`].
+//! The REST server: route dispatch over a [`VeloxServer`], served on the
+//! shared connection pool ([`velox_cluster::ConnPool`]) with HTTP/1.1
+//! keep-alive.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use velox_cluster::{Transport, TransportError};
+use velox_cluster::{ConnPool, PoolConfig, Transport, TransportError};
 use velox_core::server::ModelSchema;
 use velox_core::{Velox, VeloxError, VeloxServer};
 use velox_linalg::Vector;
@@ -18,7 +20,7 @@ use velox_obs::{
 };
 use velox_serve::{ServeDetail, ServeError, ServeTier, CLUSTER_BACKEND};
 
-use crate::http::{read_request, write_response, write_response_with_headers, Request};
+use crate::http::{read_request, write_response, HttpError, Request};
 use crate::json::Json;
 
 /// The cluster backend a [`RestServer`] can front: any [`Transport`]
@@ -32,17 +34,23 @@ const METRICS_TYPE: &str = "text/plain; version=0.0.4";
 /// How many migration-ledger entries `/cluster/health` reports (newest
 /// last); the full count still appears as `migrations_total`.
 const MIGRATION_LEDGER_TAIL: usize = 32;
+/// How long each step of shedding a connection may hold the accept
+/// thread: draining the request the client already sent (so the close
+/// behind the answer does not reset it away), then writing the `503`.
+const SHED_DRAIN: Duration = Duration::from_millis(10);
 
 /// Tuning knobs for the REST listener.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum requests being processed at once. Connections accepted past
+    /// Maximum connections being served at once — each pins one pool
+    /// worker for as long as it is kept alive. Connections accepted past
     /// this limit are immediately answered `503` and closed (load
     /// shedding): under overload the server stays responsive and tells
     /// clients to back off, instead of queueing unboundedly until
     /// everything times out.
     pub max_in_flight: usize,
-    /// Per-connection read timeout (slowloris guard).
+    /// Per-connection read timeout (slowloris guard); also how long a
+    /// kept-alive connection may sit idle before the server closes it.
     pub read_timeout: std::time::Duration,
     /// Per-connection write timeout.
     pub write_timeout: std::time::Duration,
@@ -126,49 +134,43 @@ pub struct RestServer {
     serving: Option<Arc<ServeTier>>,
 }
 
-/// Decrements the in-flight gauge when a request thread exits, however it
-/// exits.
-struct InFlightGuard(Arc<Gauge>);
+/// Decrements the in-flight gauge when a request finishes, however it
+/// finishes.
+struct InFlightGuard<'a>(&'a Gauge);
 
-impl Drop for InFlightGuard {
+impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         self.0.add(-1);
     }
 }
 
 /// Handle to a running listener: address for clients, shutdown for tests
-/// and orderly exit.
+/// and orderly exit. Dropping it shuts the listener down too.
 pub struct RestHandle {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    pool: ConnPool,
 }
 
 impl RestHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.pool.local_addr()
     }
 
-    /// Stops accepting connections and joins the accept loop.
+    /// Stops accepting connections, severs kept-alive ones, and joins
+    /// every thread.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the accept loop with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.pool.shutdown();
     }
 }
 
-impl Drop for RestHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
+/// What every connection's request loop shares.
+struct Routes {
+    deployments: Arc<VeloxServer>,
+    registry: Arc<Registry>,
+    metrics_cache: MetricsCache,
+    cluster: Option<ClusterBackend>,
+    serving: Option<Arc<ServeTier>>,
+    in_flight: Arc<Gauge>,
 }
 
 impl RestServer {
@@ -216,77 +218,100 @@ impl RestServer {
     }
 
     /// Binds `addr` (use `127.0.0.1:0` for an ephemeral port) and serves
-    /// until the returned handle is shut down. One thread per connection.
+    /// until the returned handle is shut down, on up to `max_in_flight`
+    /// pool workers.
     pub fn serve(self, addr: &str) -> std::io::Result<RestHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let deployments = self.deployments;
-        let registry = self.registry;
         let config = self.config;
-        let cluster = self.cluster;
-        let serving = self.serving;
-        let in_flight = registry.gauge("velox_rest_in_flight_requests");
+        let registry = self.registry;
         let shed = registry.counter("velox_rest_shed_total");
-        let metrics_cache = Arc::new(MetricsCache::new(config.metrics_cache_ttl));
+        let accepted = registry.counter("velox_rest_connections_total");
+        let routes = Routes {
+            deployments: self.deployments,
+            metrics_cache: MetricsCache::new(config.metrics_cache_ttl),
+            cluster: self.cluster,
+            serving: self.serving,
+            in_flight: registry.gauge("velox_rest_in_flight_requests"),
+            registry,
+        };
         // Whole seconds, rounded up: Retry-After has one-second resolution
         // and "0" would tell clients to hammer a saturated server.
-        let retry_after_secs = config.shed_retry_after.as_secs_f64().ceil().max(1.0).to_string();
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(mut stream) = stream else { continue };
-                // A slow or idle client must not pin its thread forever
-                // (slowloris); the protocol is one short request-response.
-                let _ = stream.set_read_timeout(Some(config.read_timeout));
-                let _ = stream.set_write_timeout(Some(config.write_timeout));
-                if in_flight.get() >= config.max_in_flight as i64 {
-                    // Saturated: shed instead of queueing. The 503 is written
-                    // off-thread so a slow client can't stall the accept loop.
-                    // The request is drained first so closing doesn't RST the
-                    // connection before the client reads the answer.
-                    shed.inc();
-                    let retry_after = retry_after_secs.clone();
-                    std::thread::spawn(move || {
-                        let _ = read_request(&stream);
-                        let _ = write_response_with_headers(
-                            &mut stream,
-                            503,
-                            JSON_TYPE,
-                            &[("retry-after", retry_after.as_str())],
-                            &error_json("server saturated; request shed"),
-                        );
-                    });
-                    continue;
-                }
-                in_flight.add(1);
-                let guard = InFlightGuard(Arc::clone(&in_flight));
-                let deployments = Arc::clone(&deployments);
-                let registry = Arc::clone(&registry);
-                let metrics_cache = Arc::clone(&metrics_cache);
-                let cluster = cluster.clone();
-                let serving = serving.clone();
-                std::thread::spawn(move || {
-                    let _guard = guard;
-                    let (status, content_type, body) = match read_request(&stream) {
-                        Ok(request) => handle(
-                            &deployments,
-                            &registry,
-                            &metrics_cache,
-                            cluster.as_deref(),
-                            serving.as_ref(),
-                            &request,
-                        ),
-                        Err(e) => (400, JSON_TYPE, error_json(&format!("{e}"))),
-                    };
-                    let _ = write_response(&mut stream, status, content_type, &body);
-                });
+        let retry_after = config.shed_retry_after.as_secs_f64().ceil().max(1.0).to_string();
+        let (read_timeout, write_timeout) = (config.read_timeout, config.write_timeout);
+        let pool = ConnPool::bind(
+            addr,
+            PoolConfig { workers: config.max_in_flight, max_pending: 0, accepted, shed },
+            move |stream, stop| {
+                // A slow or idle client must not pin its worker forever
+                // (slowloris), kept alive or not.
+                let _ = stream.set_read_timeout(Some(read_timeout));
+                let _ = stream.set_write_timeout(Some(write_timeout));
+                serve_connection(&stream, &routes, stop);
+            },
+            move |stream| shed_connection(&stream, &retry_after),
+        )?;
+        Ok(RestHandle { pool })
+    }
+}
+
+/// One connection's request loop: one reader for its whole life, so
+/// pipelined bytes of the next request are never lost. Runs until the
+/// client stops asking for keep-alive, goes quiet past the read timeout,
+/// closes, or the server shuts down.
+fn serve_connection(stream: &TcpStream, routes: &Routes, stop: &AtomicBool) {
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    loop {
+        let (status, content_type, body, keep_alive) = match read_request(&mut reader) {
+            Ok(request) => {
+                let (status, content_type, body) = handle(routes, &request);
+                (status, content_type, body, request.keep_alive())
             }
-        });
-        Ok(RestHandle { addr: local, stop, accept_thread: Some(accept_thread) })
+            // Closed, timed out, or severed: nobody is waiting for an answer.
+            Err(HttpError::Io(_)) => return,
+            Err(e) => (400, JSON_TYPE, error_json(&format!("{e}")), false),
+        };
+        let keep_alive = keep_alive && !stop.load(Ordering::Acquire);
+        let written = write_response(&mut writer, status, content_type, &[], &body, keep_alive);
+        if written.is_err() || !keep_alive {
+            return;
+        }
+    }
+}
+
+/// Answers a connection past `max_in_flight` with `503` + `Retry-After`
+/// on the accept thread — no thread per shed connection. The request the
+/// client already sent is drained first, for at most [`SHED_DRAIN`], so
+/// the close behind the answer is a FIN rather than a reset that could
+/// destroy the answer before the client reads it.
+fn shed_connection(mut stream: &TcpStream, retry_after: &str) {
+    let deadline = Instant::now() + SHED_DRAIN;
+    let _ = stream.set_write_timeout(Some(SHED_DRAIN));
+    let _ = read_request(&mut BufReader::new(DeadlineReader { stream, deadline }));
+    let _ = write_response(
+        &mut stream,
+        503,
+        JSON_TYPE,
+        &[("retry-after", retry_after)],
+        &error_json("server saturated; request shed"),
+        false,
+    );
+}
+
+/// Reads from `stream` until `deadline`, then times out: however the
+/// client dribbles its bytes, draining it costs at most the deadline.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 
@@ -360,19 +385,18 @@ fn endpoint_of(method: &str, segments: &[&str]) -> &'static str {
 
 /// Times the request, routes the observability endpoints, and falls
 /// through to the JSON API dispatch.
-fn handle(
-    server: &VeloxServer,
-    registry: &Registry,
-    metrics_cache: &MetricsCache,
-    cluster: Option<&(dyn Transport + Send + Sync)>,
-    serving: Option<&Arc<ServeTier>>,
-    request: &Request,
-) -> (u16, &'static str, String) {
+fn handle(routes: &Routes, request: &Request) -> (u16, &'static str, String) {
+    routes.in_flight.add(1);
+    let _guard = InFlightGuard(&routes.in_flight);
+    let (server, registry) = (&*routes.deployments, &*routes.registry);
+    let (cluster, serving) = (routes.cluster.as_deref(), routes.serving.as_ref());
     let timer = Timer::start();
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let endpoint = endpoint_of(request.method.as_str(), &segments);
     let result = match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["metrics"]) => (200, METRICS_TYPE, metrics_cache.get(server, registry, serving)),
+        ("GET", ["metrics"]) => {
+            (200, METRICS_TYPE, routes.metrics_cache.get(server, registry, serving))
+        }
         ("GET", ["events"]) => (200, JSON_TYPE, events_json(server)),
         (_, ["cluster", ..]) => {
             let (status, body) = dispatch_cluster(cluster, serving, request, &segments);
@@ -859,8 +883,8 @@ fn dispatch_cluster(
             };
             // When the serving tier fronts the cluster (a backend under
             // the conventional "cluster" name), predicts coalesce through
-            // its batching lane; the lane worker emits the batch/backend
-            // spans instead of a per-request REST root.
+            // its batching lane; the lane's batched pass emits the
+            // batch/backend spans instead of a per-request REST root.
             if let Some(tier) = serving.filter(|t| t.has(CLUSTER_BACKEND)) {
                 return match tier.predict(CLUSTER_BACKEND, uid, &Item::Id(item_id)) {
                     Err(e) => serve_error(&e),

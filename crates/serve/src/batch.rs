@@ -42,14 +42,22 @@
 //! the SLO-violation counter and request-latency histogram report, so
 //! overload remains visible; it just doesn't drive the batch size down.
 //!
-//! ## Flush timeout
+//! ## Serve the lane when it is free
 //!
-//! Low-concurrency traffic must never wait out the SLO hoping for a
-//! fuller batch: the worker serves a partial batch once the *oldest*
-//! queued request has waited `flush_timeout`, and serves immediately when
-//! the queue reaches the target size.
+//! Nothing ever waits for a fuller batch. A request that finds the lane
+//! free is served at once, alone, on the caller's own thread — no hand-off
+//! to a worker and back. Batches form only from requests that queued
+//! *while the previous batch was in service* — Clipper's rule: a batch is
+//! delayed only when load has already built a queue. When a batch
+//! finishes, the lane passes to the oldest queued request's thread, which
+//! takes `min(queue length, batch target)` requests (itself first) and
+//! serves them as one pass. The AIMD target is the cap on what one pass
+//! takes, not a size to wait for: the target settles at clients + 1, so a
+//! timed wait for a fuller batch would expire on every batch and add its
+//! whole length to every low-load request.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -69,9 +77,6 @@ pub struct BatchConfig {
     /// latency histogram measure requests end-to-end (queue wait +
     /// service) against the same bound.
     pub slo: Duration,
-    /// Maximum extra wait for a fuller batch, measured from the oldest
-    /// queued request's enqueue time.
-    pub flush_timeout: Duration,
     /// Hard cap on the learned batch size.
     pub max_batch: usize,
     /// Initial batch-size target.
@@ -84,7 +89,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             slo: Duration::from_millis(5),
-            flush_timeout: Duration::from_micros(200),
             max_batch: 256,
             initial_batch: 1,
             additive_step: 1,
@@ -111,9 +115,30 @@ pub struct LaneStats {
     pub request_p99_ns: u64,
 }
 
+/// What a queued request's thread is waiting for.
+enum Turn {
+    Wait,
+    /// The lane passed to this request: serve the next batch.
+    Lead,
+    Done(Result<ServedPredict, ServeError>),
+}
+
 struct Slot {
-    result: Mutex<Option<Result<ServedPredict, ServeError>>>,
+    turn: Mutex<Turn>,
     cv: Condvar,
+}
+
+impl Slot {
+    fn set(&self, turn: Turn) {
+        *self.turn.lock().unwrap() = turn;
+        self.cv.notify_one();
+    }
+}
+
+struct Queue {
+    pending: VecDeque<Pending>,
+    /// A batch is in service; arrivals queue behind it.
+    busy: bool,
 }
 
 struct Pending {
@@ -123,13 +148,14 @@ struct Pending {
     slot: Arc<Slot>,
 }
 
-/// One backend's queue, AIMD state, and metrics. Shared between callers
-/// (enqueue) and the lane's worker thread (drain + serve).
+/// One backend's queue, AIMD state, and metrics, shared by the callers:
+/// whichever holds the lane serves the batch.
 pub(crate) struct Lane {
     name: String,
     config: BatchConfig,
-    queue: Mutex<VecDeque<Pending>>,
-    cv: Condvar,
+    manager: ModelManager,
+    tracer: Arc<Tracer>,
+    queue: Mutex<Queue>,
     batch_target: AtomicUsize,
     stop: AtomicBool,
     requests: Arc<Counter>,
@@ -139,16 +165,24 @@ pub(crate) struct Lane {
     batch_size_hist: Arc<Histogram>,
     batch_latency_ns: Arc<Histogram>,
     request_latency_ns: Arc<Histogram>,
+    queue_wait_ns: Arc<Histogram>,
 }
 
 impl Lane {
-    pub(crate) fn new(name: &str, config: BatchConfig, registry: &Registry) -> Arc<Lane> {
+    pub(crate) fn new(
+        name: &str,
+        config: BatchConfig,
+        registry: &Registry,
+        manager: ModelManager,
+        tracer: Arc<Tracer>,
+    ) -> Arc<Lane> {
         let labels: &[(&str, &str)] = &[("backend", name)];
         Arc::new(Lane {
             name: name.to_string(),
             config,
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
+            manager,
+            tracer,
+            queue: Mutex::new(Queue { pending: VecDeque::new(), busy: false }),
             batch_target: AtomicUsize::new(config.initial_batch.clamp(1, config.max_batch)),
             stop: AtomicBool::new(false),
             requests: registry.counter_with("velox_serve_requests_total", labels),
@@ -158,6 +192,7 @@ impl Lane {
             batch_size_hist: registry.histogram_with("velox_serve_batch_size", labels),
             batch_latency_ns: registry.histogram_with("velox_serve_batch_latency_ns", labels),
             request_latency_ns: registry.histogram_with("velox_serve_request_latency_ns", labels),
+            queue_wait_ns: registry.histogram_with("velox_serve_queue_wait_ns", labels),
         })
     }
 
@@ -169,78 +204,130 @@ impl Lane {
             batches,
             mean_batch: if batches == 0 { 0.0 } else { requests as f64 / batches as f64 },
             batch_target: self.batch_target.load(Ordering::Relaxed),
-            queue_depth: self.queue.lock().unwrap().len(),
+            queue_depth: self.queue.lock().unwrap().pending.len(),
             slo_violations: self.slo_violations.get(),
             request_p99_ns: self.request_latency_ns.snapshot().p99(),
         }
     }
 
-    /// Enqueues one request and blocks until its batch is served.
+    /// Enqueues one request and blocks until its batch is served — on
+    /// this thread, when the lane is free or passes to it.
     pub(crate) fn predict(&self, uid: u64, item: &Item) -> Result<ServedPredict, ServeError> {
-        if self.stop.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let slot = Arc::new(Slot { result: Mutex::new(None), cv: Condvar::new() });
-        {
+        let slot = Arc::new(Slot { turn: Mutex::new(Turn::Wait), cv: Condvar::new() });
+        let lead = {
             let mut q = self.queue.lock().unwrap();
-            q.push_back(Pending {
+            if self.stop.load(Ordering::Acquire) {
+                return Err(ServeError::ShuttingDown);
+            }
+            q.pending.push_back(Pending {
                 uid,
                 item: item.clone(),
                 enqueued: Instant::now(),
                 slot: Arc::clone(&slot),
             });
-            self.queue_depth.set(q.len() as i64);
-        }
-        self.cv.notify_one();
-        let mut done = slot.result.lock().unwrap();
-        while done.is_none() {
-            done = slot.cv.wait(done).unwrap();
-        }
-        done.take().unwrap()
-    }
-
-    pub(crate) fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// Blocks until a batch is ready per the flush policy, then drains it.
-    /// Returns `None` when the lane is shut down and drained.
-    fn next_batch(&self) -> Option<Vec<Pending>> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if q.is_empty() {
-                if self.stop.load(Ordering::Acquire) {
-                    return None;
+            self.queue_depth.set(q.pending.len() as i64);
+            !std::mem::replace(&mut q.busy, true)
+        };
+        if !lead {
+            let mut turn = slot.turn.lock().unwrap();
+            loop {
+                match std::mem::replace(&mut *turn, Turn::Wait) {
+                    Turn::Wait => turn = slot.cv.wait(turn).unwrap(),
+                    Turn::Lead => break,
+                    Turn::Done(result) => return result,
                 }
-                q = self.cv.wait(q).unwrap();
-                continue;
-            }
-            let target = self.batch_target.load(Ordering::Relaxed).clamp(1, self.config.max_batch);
-            if q.len() >= target || self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            // Partial batch: wait for more work, but only until the oldest
-            // request has been queued for the flush timeout.
-            let deadline = q.front().unwrap().enqueued + self.config.flush_timeout;
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, wait) = self.cv.wait_timeout(q, deadline - now).unwrap();
-            q = guard;
-            if q.is_empty() {
-                continue;
-            }
-            if wait.timed_out() {
-                break;
             }
         }
-        let target = self.batch_target.load(Ordering::Relaxed).clamp(1, self.config.max_batch);
-        let n = q.len().min(target).max(1);
-        let batch: Vec<Pending> = q.drain(..n).collect();
-        self.queue_depth.set(q.len() as i64);
-        Some(batch)
+        // This request is at the head of the queue, so the batch taken
+        // now answers it.
+        let batch = {
+            let mut q = self.queue.lock().unwrap();
+            let target = self.batch_target.load(Ordering::Relaxed).clamp(1, self.config.max_batch);
+            let n = q.pending.len().min(target);
+            let batch: Vec<Pending> = q.pending.drain(..n).collect();
+            self.queue_depth.set(q.pending.len() as i64);
+            batch
+        };
+        let results = self.serve(&batch);
+        let mut own = None;
+        for (pending, result) in batch.into_iter().zip(results) {
+            if Arc::ptr_eq(&pending.slot, &slot) {
+                own = Some(result);
+            } else {
+                pending.slot.set(Turn::Done(result));
+            }
+        }
+        // Pass the lane on only after this batch has its answers: the
+        // callers just answered re-enqueue meanwhile, so under closed-loop
+        // load the next pass is a full one rather than half of one.
+        let mut q = self.queue.lock().unwrap();
+        match q.pending.front() {
+            Some(next) => next.slot.set(Turn::Lead),
+            None => q.busy = false,
+        }
+        drop(q);
+        own.expect("a lane holder's own request heads its batch")
+    }
+
+    /// Refuses new work; requests already queued are still served.
+    pub(crate) fn shutdown(&self) {
+        let _q = self.queue.lock().unwrap();
+        self.stop.store(true, Ordering::Release);
+    }
+
+    /// One batched pass: one manager snapshot → one backend call →
+    /// metrics and AIMD adjust. Returns one result per request.
+    fn serve(&self, batch: &[Pending]) -> Vec<Result<ServedPredict, ServeError>> {
+        let root = self.tracer.ingress(SpanKind::Batch, FRONT_NODE);
+        let started = Instant::now();
+        // One manager snapshot per batch: an alias flip concurrent with
+        // this pass cannot be observed mid-batch.
+        let snapshot = self.manager.snapshot();
+        let requests: Vec<(u64, Item)> = batch.iter().map(|p| (p.uid, p.item.clone())).collect();
+        let mut results = match snapshot.resolve(&self.name) {
+            Ok(entry) => {
+                let ctx = root.as_ref().map(|r| r.ctx());
+                let span = self.tracer.child(ctx.as_ref(), SpanKind::Backend, FRONT_NODE);
+                // The pass runs on a caller's thread with others queued
+                // behind it: a panicking backend fails its batch rather
+                // than unwinding out of the lane and wedging it.
+                let results =
+                    catch_unwind(AssertUnwindSafe(|| entry.backend.predict_batch(&requests)))
+                        .unwrap_or_default();
+                self.tracer.finish(span);
+                results
+            }
+            Err(e) => {
+                if let Some(r) = root.as_ref() {
+                    let span = self.tracer.child(Some(&r.ctx()), SpanKind::Backend, FRONT_NODE);
+                    self.tracer.finish_status(span, SpanStatus::Error);
+                }
+                batch.iter().map(|_| Err(e.clone())).collect()
+            }
+        };
+        // Every request gets an answer, even from a backend that broke the
+        // one-result-per-request contract: its waiter would block forever.
+        results.resize_with(batch.len(), || {
+            Err(ServeError::Custom("backend gave no answer for this request".into()))
+        });
+        let service = started.elapsed();
+        self.batch_latency_ns.record_duration(service);
+        self.batch_size_hist.record(batch.len() as u64);
+        self.batches.inc();
+        self.requests.add(batch.len() as u64);
+        for pending in batch {
+            self.queue_wait_ns.record_duration(started.saturating_duration_since(pending.enqueued));
+            let latency = pending.enqueued.elapsed();
+            self.request_latency_ns.record_duration(latency);
+            if latency > self.config.slo {
+                self.slo_violations.inc();
+            }
+        }
+        self.adjust_target(batch.len(), service);
+        if let Some(r) = root {
+            self.tracer.end_root(r);
+        }
+        results
     }
 
     /// AIMD step after serving a batch. `service` is the batched pass's
@@ -256,61 +343,5 @@ impl Lane {
             target
         };
         self.batch_target.store(next, Ordering::Relaxed);
-    }
-}
-
-/// The lane's worker loop: drain → one snapshot → one batched backend
-/// pass → distribute results → AIMD adjust. Runs until shutdown.
-pub(crate) fn lane_worker(lane: Arc<Lane>, manager: ModelManager, tracer: Arc<Tracer>) {
-    while let Some(batch) = lane.next_batch() {
-        let root = tracer.ingress(SpanKind::Batch, FRONT_NODE);
-        let started = Instant::now();
-        // One manager snapshot per batch: an alias flip concurrent with
-        // this pass cannot be observed mid-batch.
-        let snapshot = manager.snapshot();
-        let requests: Vec<(u64, Item)> = batch.iter().map(|p| (p.uid, p.item.clone())).collect();
-        let results = match snapshot.resolve(&lane.name) {
-            Ok(entry) => {
-                let ctx = root.as_ref().map(|r| r.ctx());
-                let span = tracer.child(ctx.as_ref(), SpanKind::Backend, FRONT_NODE);
-                let results = entry.backend.predict_batch(&requests);
-                tracer.finish(span);
-                results
-            }
-            Err(e) => {
-                if let Some(r) = root.as_ref() {
-                    let span = tracer.child(Some(&r.ctx()), SpanKind::Backend, FRONT_NODE);
-                    tracer.finish_status(span, SpanStatus::Error);
-                }
-                batch.iter().map(|_| Err(e.clone())).collect()
-            }
-        };
-        let service = started.elapsed();
-        lane.batch_latency_ns.record_duration(service);
-        lane.batch_size_hist.record(batch.len() as u64);
-        lane.batches.inc();
-        lane.requests.add(batch.len() as u64);
-
-        for (pending, result) in batch.into_iter().zip(results) {
-            let latency = pending.enqueued.elapsed();
-            lane.request_latency_ns.record_duration(latency);
-            if latency > lane.config.slo {
-                lane.slo_violations.inc();
-            }
-            let mut done = pending.slot.result.lock().unwrap();
-            *done = Some(result);
-            pending.slot.cv.notify_one();
-        }
-        lane.adjust_target(requests.len(), service);
-        if let Some(r) = root {
-            tracer.end_root(r);
-        }
-    }
-    // Shutdown: fail any requests that raced past the stop flag.
-    let drained: Vec<Pending> = lane.queue.lock().unwrap().drain(..).collect();
-    for pending in drained {
-        let mut done = pending.slot.result.lock().unwrap();
-        *done = Some(Err(ServeError::ShuttingDown));
-        pending.slot.cv.notify_one();
     }
 }

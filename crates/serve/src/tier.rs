@@ -2,13 +2,12 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use velox_core::Item;
 use velox_obs::{Registry, Tracer};
 
 use crate::backend::{PredictBackend, ServedPredict, VeloxBackend};
-use crate::batch::{lane_worker, BatchConfig, Lane, LaneStats};
+use crate::batch::{BatchConfig, Lane, LaneStats};
 use crate::error::ServeError;
 use crate::manager::{ManagerSnapshot, ModelManager};
 
@@ -47,14 +46,14 @@ pub struct BackendStatus {
 /// adaptive batching lane per backend name.
 ///
 /// Wrap it in an `Arc` and share freely; every `predict` blocks the
-/// calling thread until its batch is served.
+/// calling thread until its batch is served — by that thread itself when
+/// the lane is free. The tier owns no threads.
 pub struct ServeTier {
     manager: ModelManager,
     config: ServeConfig,
     registry: Arc<Registry>,
     tracer: Arc<Tracer>,
     lanes: Mutex<HashMap<String, Arc<Lane>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ServeTier {
@@ -80,7 +79,6 @@ impl ServeTier {
             registry,
             tracer,
             lanes: Mutex::new(HashMap::new()),
-            workers: Mutex::new(Vec::new()),
         })
     }
 
@@ -95,19 +93,15 @@ impl ServeTier {
     }
 
     fn ensure_lane(&self, name: &str) {
-        let mut lanes = self.lanes.lock().unwrap();
-        if lanes.contains_key(name) {
-            return;
-        }
-        let lane = Lane::new(name, self.config.batch, &self.registry);
-        lanes.insert(name.to_string(), Arc::clone(&lane));
-        let manager = self.manager.clone();
-        let tracer = Arc::clone(&self.tracer);
-        let handle = std::thread::Builder::new()
-            .name(format!("serve-{name}"))
-            .spawn(move || lane_worker(lane, manager, tracer))
-            .expect("spawn serve lane worker");
-        self.workers.lock().unwrap().push(handle);
+        self.lanes.lock().unwrap().entry(name.to_string()).or_insert_with(|| {
+            Lane::new(
+                name,
+                self.config.batch,
+                &self.registry,
+                self.manager.clone(),
+                Arc::clone(&self.tracer),
+            )
+        });
     }
 
     fn lane(&self, name: &str) -> Option<Arc<Lane>> {
@@ -223,15 +217,11 @@ impl ServeTier {
             .collect()
     }
 
-    /// Stops every lane worker and fails queued requests with
-    /// [`ServeError::ShuttingDown`]. Idempotent; also runs on drop.
+    /// Refuses new predicts with [`ServeError::ShuttingDown`]; requests
+    /// already queued are still served. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         for lane in self.lanes.lock().unwrap().values() {
             lane.shutdown();
-        }
-        let workers: Vec<JoinHandle<()>> = self.workers.lock().unwrap().drain(..).collect();
-        for handle in workers {
-            let _ = handle.join();
         }
     }
 }

@@ -115,7 +115,6 @@ fn tier_coalesces_concurrent_predicts_into_batches() {
     let config = ServeConfig {
         batch: BatchConfig {
             slo: Duration::from_millis(250),
-            flush_timeout: Duration::from_micros(500),
             max_batch: 64,
             initial_batch: 1,
             additive_step: 4,
@@ -176,7 +175,6 @@ fn aimd_backs_off_to_singleton_batches_on_slo_violation() {
             // Impossible SLO: every batch violates, so multiplicative
             // decrease must pin the target at 1.
             slo: Duration::from_nanos(1),
-            flush_timeout: Duration::from_micros(100),
             max_batch: 64,
             initial_batch: 16,
             additive_step: 4,
@@ -197,7 +195,6 @@ fn concurrent_version_swap_never_serves_a_half_swapped_model() {
     let tier = ServeTier::with_config(ServeConfig {
         batch: BatchConfig {
             slo: Duration::from_millis(100),
-            flush_timeout: Duration::from_micros(200),
             max_batch: 32,
             initial_batch: 1,
             additive_step: 2,
@@ -287,4 +284,43 @@ fn tier_retrain_mirrors_the_velox_swap_at_the_manager_level() {
     );
     // The retrained model still serves.
     tier.predict("mf", 1, &Item::Id(3)).expect("predict after swap");
+}
+
+#[test]
+fn a_free_lane_serves_on_the_callers_thread() {
+    let tier = ServeTier::with_config(ServeConfig::default());
+    let served_on = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = Arc::clone(&served_on);
+    tier.register(
+        "m",
+        Arc::new(CustomScorer::from_fn(move |_, _| {
+            log.lock().unwrap().push(std::thread::current().id());
+            Ok(1.0)
+        })),
+    )
+    .unwrap();
+    for i in 0..3u64 {
+        tier.predict("m", i, &Item::Id(i)).unwrap();
+    }
+    // No hand-off to a worker: nothing was queued, so nothing waited.
+    let me = std::thread::current().id();
+    assert!(served_on.lock().unwrap().iter().all(|&id| id == me));
+    let wait =
+        tier.registry().snapshot().histogram("velox_serve_queue_wait_ns").expect("wait hist");
+    assert_eq!(wait.count, 3, "one queue-wait sample per request");
+}
+
+#[test]
+fn a_panicking_backend_fails_its_batch_and_the_lane_keeps_serving() {
+    let tier = ServeTier::with_config(ServeConfig::default());
+    tier.register(
+        "m",
+        Arc::new(CustomScorer::from_fn(|uid, _| {
+            assert!(uid != 13, "unlucky uid");
+            Ok(uid as f64)
+        })),
+    )
+    .unwrap();
+    assert!(matches!(tier.predict("m", 13, &Item::Id(0)), Err(ServeError::Custom(_))));
+    assert_eq!(tier.predict("m", 2, &Item::Id(0)).unwrap().score, 2.0);
 }

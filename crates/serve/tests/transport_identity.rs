@@ -104,7 +104,6 @@ fn assert_tier_bit_identity(transport: Arc<dyn Transport + Send + Sync>, label: 
     let tier = ServeTier::with_config(ServeConfig {
         batch: BatchConfig {
             slo: Duration::from_millis(250),
-            flush_timeout: Duration::from_micros(300),
             max_batch: 64,
             initial_batch: 1,
             additive_step: 4,
