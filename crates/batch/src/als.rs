@@ -14,11 +14,40 @@
 //! `xᵢ` — each scheduled across the [`JobExecutor`]. Per-entity solves use
 //! the same `velox-linalg` ridge machinery as the online path, so offline
 //! and online training are numerically consistent by construction.
+//!
+//! **How a train runs.** [`AlsModel::train_warm_start`] indexes the log once
+//! per train, by user and by item, in CSR form: per-entity offsets into two
+//! flat arrays of (other side's id, centred rating), filled by a stable
+//! counting sort so each entity's ratings stay in log order. Both factor
+//! tables live as flat row-major `n × rank` buffers while training. A
+//! half-step is one task per entity: [`ridge_fit_gather`] accumulates the
+//! entity's Gram matrix and `Xᵀy` straight from the fixed side's table —
+//! the rating relation joined against the factor array in place, nothing
+//! copied or allocated per rating — then shifts by `λ·n`, factors and
+//! solves. The training RMSE after each iteration is a parallel map
+//! (squared errors, a bounded wave of the log per stage) and a serial fold
+//! in log order.
+//!
+//! **Bits.** The output depends on the ratings, the initial factors and the
+//! config only — not on the worker count or the schedule: entities are
+//! solved independently, each over its ratings in log order, and the Gram
+//! kernel's accumulation-order contract makes the gathered solve equal, bit
+//! for bit, to stacking the rows into a matrix and calling `ridge_fit`. The
+//! curve is folded in the order a serial sum would use.
+//! `crates/batch/tests/als_bits.rs` keeps that stacked path as the
+//! reference and compares factor tables and curves with `f64::to_bits`.
 
+use velox_data::rng::mix64;
 use velox_data::Rating;
-use velox_linalg::{ridge_fit, Matrix, Vector};
+use velox_linalg::vector::dot_slices;
+use velox_linalg::{ridge_fit_gather, Vector};
 
 use crate::executor::JobExecutor;
+
+/// Ratings per stage of the training-RMSE map. Bounds the squared errors
+/// held at once to 1 MB; holding a whole 750 k-rating log's raised the
+/// retrain's peak RSS by 13 MB.
+const RMSE_WAVE: usize = 1 << 17;
 
 /// ALS hyper-parameters.
 #[derive(Debug, Clone)]
@@ -60,19 +89,70 @@ pub struct AlsModel {
 /// scaled by 1/√rank), independent of thread scheduling.
 fn init_factor(entity: u64, salt: u64, rank: usize) -> Vector {
     let scale = 1.0 / (rank as f64).sqrt();
-    let mut v = Vec::with_capacity(rank);
-    for k in 0..rank as u64 {
-        let mut z = entity
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(salt)
-            .wrapping_add(k.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
-        v.push((u - 0.5) * scale);
-    }
+    let base = entity.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(salt);
+    let v: Vec<f64> = (0..rank as u64)
+        .map(|k| {
+            let z = mix64(base.wrapping_add(k.wrapping_mul(0xBF58_476D_1CE4_E5B9)));
+            let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+            (u - 0.5) * scale
+        })
+        .collect();
     Vector::from_vec(v)
+}
+
+/// One side's view of the rating log in CSR form: entity `e`'s ratings are
+/// `other[offsets[e]..offsets[e + 1]]` (the other side's ids) with the
+/// matching centred values, in log order.
+struct RatingIndex {
+    offsets: Vec<usize>,
+    other: Vec<u32>,
+    value: Vec<f64>,
+}
+
+impl RatingIndex {
+    /// Groups `ratings` by the first id `ids` returns — a stable counting
+    /// sort — storing the second id and `value − mean` per rating.
+    fn build(ratings: &[Rating], n: usize, mean: f64, ids: impl Fn(&Rating) -> (u64, u64)) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for r in ratings {
+            offsets[ids(r).0 as usize + 1] += 1;
+        }
+        for e in 0..n {
+            offsets[e + 1] += offsets[e];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut other = vec![0u32; ratings.len()];
+        let mut value = vec![0.0; ratings.len()];
+        for r in ratings {
+            let (e, o) = ids(r);
+            let slot = &mut cursor[e as usize];
+            other[*slot] = o as u32;
+            value[*slot] = r.value - mean;
+            *slot += 1;
+        }
+        RatingIndex { offsets, other, value }
+    }
+
+    fn entities(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn ratings(&self, e: usize) -> (&[u32], &[f64]) {
+        let span = self.offsets[e]..self.offsets[e + 1];
+        (&self.other[span.clone()], &self.value[span])
+    }
+}
+
+fn flatten(rows: Vec<Vector>, rank: usize) -> Vec<f64> {
+    let mut table = Vec::with_capacity(rows.len() * rank);
+    for row in rows {
+        table.extend_from_slice(row.as_slice());
+    }
+    table
+}
+
+fn unflatten(table: &[f64], rank: usize) -> Vec<Vector> {
+    table.chunks_exact(rank).map(Vector::from).collect()
 }
 
 impl AlsModel {
@@ -104,11 +184,13 @@ impl AlsModel {
         config: AlsConfig,
         executor: &JobExecutor,
     ) -> Self {
-        assert!(config.rank > 0 && config.lambda > 0.0);
-        assert!(user_factors.iter().all(|w| w.len() == config.rank));
-        assert!(item_factors.iter().all(|x| x.len() == config.rank));
+        let rank = config.rank;
+        assert!(rank > 0 && config.lambda > 0.0);
+        assert!(user_factors.iter().all(|w| w.len() == rank));
+        assert!(item_factors.iter().all(|x| x.len() == rank));
         let n_users = user_factors.len();
         let n_items = item_factors.len();
+        assert!(u32::try_from(n_users.max(n_items)).is_ok(), "id spaces must fit in u32");
         for r in ratings {
             assert!((r.uid as usize) < n_users, "uid {} out of range", r.uid);
             assert!((r.item_id as usize) < n_items, "item {} out of range", r.item_id);
@@ -120,43 +202,30 @@ impl AlsModel {
             ratings.iter().map(|r| r.value).sum::<f64>() / ratings.len() as f64
         };
 
-        // Index observations both ways once.
-        let mut by_user: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n_users];
-        let mut by_item: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n_items];
-        for r in ratings {
-            let centered = r.value - global_mean;
-            by_user[r.uid as usize].push((r.item_id, centered));
-            by_item[r.item_id as usize].push((r.uid, centered));
-        }
-
-        let mut model = AlsModel {
-            user_factors,
-            item_factors,
-            global_mean,
-            config: config.clone(),
-            training_curve: Vec::with_capacity(config.iterations),
-        };
-
+        let by_user = RatingIndex::build(ratings, n_users, global_mean, |r| (r.uid, r.item_id));
+        let by_item = RatingIndex::build(ratings, n_items, global_mean, |r| (r.item_id, r.uid));
+        let mut users = flatten(user_factors, rank);
+        let mut items = flatten(item_factors, rank);
+        let mut training_curve = Vec::with_capacity(config.iterations);
         for _ in 0..config.iterations {
-            model.user_factors = half_step(
-                &by_user,
-                &model.item_factors,
-                config.rank,
-                config.lambda,
-                &model.user_factors,
+            users = half_step(&by_user, &items, &users, rank, config.lambda, executor);
+            items = half_step(&by_item, &users, &items, rank, config.lambda, executor);
+            training_curve.push(training_rmse(
+                ratings,
+                &users,
+                &items,
+                rank,
+                global_mean,
                 executor,
-            );
-            model.item_factors = half_step(
-                &by_item,
-                &model.user_factors,
-                config.rank,
-                config.lambda,
-                &model.item_factors,
-                executor,
-            );
-            model.training_curve.push(model.rmse(ratings));
+            ));
         }
-        model
+        AlsModel {
+            user_factors: unflatten(&users, rank),
+            item_factors: unflatten(&items, rank),
+            global_mean,
+            config,
+            training_curve,
+        }
     }
 
     /// Predicted rating `μ + wᵤᵀ xᵢ`.
@@ -197,32 +266,72 @@ impl AlsModel {
     }
 }
 
-/// One ALS half-step: for every left-entity with observations, ridge-solve
-/// its factor against the fixed right-entity factors. Entities with no
-/// observations keep `current`.
+/// One ALS half-step: for every left entity with ratings, ridge-solve its
+/// factor against the fixed right-side table (flat, `rank` columns), with
+/// λ scaled by the rating count (weighted-λ ALS, Zhou et al.), which keeps
+/// regularization strength per rating constant. Entities with no ratings
+/// keep their row of `current`; a solve that fails yields zeros.
 fn half_step(
-    by_left: &[Vec<(u64, f64)>],
-    right_factors: &[Vector],
+    by_left: &RatingIndex,
+    fixed: &[f64],
+    current: &[f64],
     rank: usize,
     lambda: f64,
-    current: &[Vector],
     executor: &JobExecutor,
-) -> Vec<Vector> {
-    let indices: Vec<usize> = (0..by_left.len()).collect();
-    executor.execute(indices, |_, &e| {
-        let obs = &by_left[e];
-        if obs.is_empty() {
-            return current[e].clone();
+) -> Vec<f64> {
+    let entities: Vec<usize> = (0..by_left.entities()).collect();
+    let solved = executor.execute(entities, |_, &e| {
+        let (ids, labels) = by_left.ratings(e);
+        if ids.is_empty() {
+            return None;
         }
-        let rows: Vec<Vector> =
-            obs.iter().map(|(j, _)| right_factors[*j as usize].clone()).collect();
-        let x = Matrix::from_rows(&rows).expect("non-empty, rank-consistent rows");
-        let y = Vector::from_vec(obs.iter().map(|(_, r)| *r).collect());
-        // λ scaled by the observation count (weighted-λ ALS, Zhou et al.),
-        // which keeps regularization strength per-observation constant.
-        let lam = lambda * obs.len() as f64;
-        ridge_fit(&x, &y, lam).unwrap_or_else(|_| Vector::zeros(rank))
-    })
+        let lam = lambda * ids.len() as f64;
+        Some(
+            ridge_fit_gather(fixed, rank, ids, labels, lam).unwrap_or_else(|_| Vector::zeros(rank)),
+        )
+    });
+    let mut next = Vec::with_capacity(current.len());
+    for (row, solved) in current.chunks_exact(rank).zip(&solved) {
+        next.extend_from_slice(solved.as_ref().map_or(row, Vector::as_slice));
+    }
+    next
+}
+
+/// RMSE of `μ + wᵤᵀxᵢ` over `ratings` (0.0 on an empty log) — the bits of
+/// [`AlsModel::rmse`] on the same tables. Each wave of the log is one
+/// stage: its squared errors are computed in parallel, one slice per
+/// worker, then added to the running sum serially in log order.
+fn training_rmse(
+    ratings: &[Rating],
+    users: &[f64],
+    items: &[f64],
+    rank: usize,
+    mean: f64,
+    executor: &JobExecutor,
+) -> f64 {
+    if ratings.is_empty() {
+        return 0.0;
+    }
+    let squared_errors = |slice: &[Rating]| -> Vec<f64> {
+        slice
+            .iter()
+            .map(|r| {
+                let w = &users[r.uid as usize * rank..][..rank];
+                let x = &items[r.item_id as usize * rank..][..rank];
+                let e = (mean + dot_slices(w, x)) - r.value;
+                e * e
+            })
+            .collect()
+    };
+    let per_task = RMSE_WAVE.div_ceil(executor.workers());
+    let sse: f64 = ratings
+        .chunks(RMSE_WAVE)
+        .flat_map(|wave| {
+            let slices: Vec<&[Rating]> = wave.chunks(per_task).collect();
+            executor.execute(slices, |_, slice| squared_errors(slice)).into_iter().flatten()
+        })
+        .sum();
+    (sse / ratings.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -278,10 +387,14 @@ mod tests {
         let par = JobExecutor::new(8);
         let m1 = AlsModel::train(&ds.ratings, 80, 120, config(), &seq);
         let m2 = AlsModel::train(&ds.ratings, 80, 120, config(), &par);
-        for (a, b) in m1.user_factors.iter().zip(&m2.user_factors) {
-            assert!(a.sub(b).unwrap().norm2() < 1e-12, "parallelism changed the model");
-        }
-        assert_eq!(m1.training_curve, m2.training_curve);
+        let bits = |table: &[Vector]| -> Vec<u64> {
+            table.iter().flat_map(|v| v.iter().map(|x| x.to_bits())).collect()
+        };
+        assert_eq!(bits(&m1.user_factors), bits(&m2.user_factors), "user factors");
+        assert_eq!(bits(&m1.item_factors), bits(&m2.item_factors), "item factors");
+        let curve =
+            |m: &AlsModel| -> Vec<u64> { m.training_curve.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(curve(&m1), curve(&m2), "training curve");
     }
 
     #[test]

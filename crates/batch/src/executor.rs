@@ -9,32 +9,17 @@
 //! atomic counter but results land in their task's slot.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
-use std::time::{Duration, Instant};
-
-/// Metrics for one executed stage.
-#[derive(Debug, Clone)]
-pub struct JobMetrics {
-    /// Number of tasks in the stage.
-    pub tasks: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock duration of the stage.
-    pub wall_time: Duration,
-}
 
 /// A fixed-parallelism task-stage executor.
 pub struct JobExecutor {
     workers: usize,
-    /// Cumulative metrics of every stage run on this executor.
-    history: Mutex<Vec<JobMetrics>>,
 }
 
 impl JobExecutor {
     /// Creates an executor with `workers` threads per stage (minimum 1).
     pub fn new(workers: usize) -> Self {
-        JobExecutor { workers: workers.max(1), history: Mutex::new(Vec::new()) }
+        JobExecutor { workers: workers.max(1) }
     }
 
     /// Creates an executor sized to the machine (`available_parallelism`),
@@ -63,7 +48,6 @@ impl JobExecutor {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let start = Instant::now();
         let n = inputs.len();
         let mut results: Vec<Option<R>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
@@ -94,14 +78,7 @@ impl JobExecutor {
                 }
             });
         }
-        let metrics = JobMetrics { tasks: n, workers: self.workers, wall_time: start.elapsed() };
-        self.history.lock().unwrap().push(metrics);
         results.into_iter().map(|r| r.expect("every task slot filled")).collect()
-    }
-
-    /// Metrics of all stages executed so far, in order.
-    pub fn stage_history(&self) -> Vec<JobMetrics> {
-        self.history.lock().unwrap().clone()
     }
 }
 
@@ -178,18 +155,6 @@ mod tests {
     fn zero_workers_clamps_to_one() {
         let ex = JobExecutor::new(0);
         assert_eq!(ex.workers(), 1);
-    }
-
-    #[test]
-    fn metrics_recorded_per_stage() {
-        let ex = JobExecutor::new(2);
-        ex.execute(vec![1, 2, 3], |_, &x: &i32| x);
-        ex.execute(vec![1], |_, &x: &i32| x);
-        let hist = ex.stage_history();
-        assert_eq!(hist.len(), 2);
-        assert_eq!(hist[0].tasks, 3);
-        assert_eq!(hist[1].tasks, 1);
-        assert_eq!(hist[0].workers, 2);
     }
 
     #[test]

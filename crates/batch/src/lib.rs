@@ -8,8 +8,8 @@
 //! crate rebuilds the slice of that framework the paper actually exercises:
 //!
 //! - [`executor::JobExecutor`]: a fixed-size worker pool executing the tasks
-//!   of a stage in parallel with per-job metrics (task counts, wall time) —
-//!   the moral equivalent of a Spark stage scheduler for a single node.
+//!   of a stage in parallel, results in task order — the moral equivalent
+//!   of a Spark stage scheduler for a single node.
 //! - [`als`]: Alternating Least Squares matrix factorization — the offline
 //!   trainer for the paper's collaborative-filtering running example. Each
 //!   half-step is a bag of independent per-entity ridge regressions
@@ -25,4 +25,4 @@ pub mod als;
 pub mod executor;
 
 pub use als::{AlsConfig, AlsModel};
-pub use executor::{JobExecutor, JobMetrics};
+pub use executor::JobExecutor;

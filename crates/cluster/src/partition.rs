@@ -18,6 +18,8 @@
 //! `p % n`, and `(z mod 16n) mod n == z mod n`), so a cluster that never
 //! rebalances routes exactly as before.
 
+use velox_data::rng::splitmix64;
+
 /// Identifies a node in the simulated cluster.
 pub type NodeId = usize;
 
@@ -152,16 +154,14 @@ pub struct HashPartitioner {
     salt: u64,
 }
 
-/// The salted splitmix64 finalizer shared by [`HashPartitioner`] and
-/// [`PartitionMap`]. Every backend must hash identically or routing and
-/// replica placement disagree.
+/// The salted splitmix64 hash shared by [`HashPartitioner`] and
+/// [`PartitionMap`]: the first output of a splitmix64 stream seeded with
+/// `id ^ salt`. Every backend must hash identically or routing and replica
+/// placement disagree.
 #[inline]
 fn mix(id: u64, salt: u64) -> u64 {
-    let mut z = id ^ salt;
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let mut state = id ^ salt;
+    splitmix64(&mut state)
 }
 
 impl HashPartitioner {

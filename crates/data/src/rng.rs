@@ -8,15 +8,23 @@
 //! — Gaussians for planted factors and noise, Zipf for item popularity —
 //! are implemented on top.
 
-/// SplitMix64: expands a 64-bit seed into well-mixed stream of words used
-/// to initialize the xoshiro state (and usable as a one-shot mixer).
+/// The splitmix64 finalizer: a bijective avalanche of one 64-bit word.
+/// ALS factor initialization hashes `(entity, component)` with it directly;
+/// [`splitmix64`] is it applied to a Weyl sequence.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// SplitMix64: advances `state` by the golden-ratio increment and returns
+/// the mixed word. Expands a seed into the xoshiro state, and is a small
+/// seedable generator on its own.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    mix64(*state)
 }
 
 /// A seeded random source with the distributions Velox's generators need.

@@ -41,7 +41,7 @@ pub mod vector;
 pub use cholesky::Cholesky;
 pub use matrix::Matrix;
 pub use mips::{MipsIndex, ScoredItem};
-pub use ridge::{ridge_fit, ridge_fit_gram, RidgeProblem};
+pub use ridge::{ridge_fit, ridge_fit_gather, ridge_fit_gram, RidgeProblem};
 pub use sherman_morrison::IncrementalRidge;
 pub use vector::Vector;
 

@@ -168,32 +168,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposed matrix–vector product `Aᵀ x`.
-    ///
-    /// Implemented as an axpy sweep over rows so the row-major layout is
-    /// still traversed contiguously.
-    pub fn matvec_transpose(&self, x: &Vector) -> Result<Vector> {
-        if x.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matvec_transpose",
-                expected: self.rows,
-                actual: x.len(),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let alpha = x[r];
-            if alpha == 0.0 {
-                continue;
-            }
-            let row = self.row(r);
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += alpha * v;
-            }
-        }
-        Ok(Vector::from_vec(out))
-    }
-
     /// Matrix product `A B`.
     ///
     /// ikj loop order: the inner loop streams a row of `B` and a row of the
@@ -226,31 +200,35 @@ impl Matrix {
     /// Gram matrix `AᵀA` (symmetric, `cols × cols`).
     ///
     /// This is the matrix Velox forms for every online user-weight solve
-    /// (Eq. 2); only the upper triangle is computed and then mirrored.
+    /// (Eq. 2). Accumulated by [`gram_fold`], whose order contract it keeps.
     pub fn gram(&self) -> Matrix {
-        let d = self.cols;
-        let mut g = Matrix::zeros(d, d);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..d {
-                let ri = row[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                let gi = &mut g.data[i * d..(i + 1) * d];
-                for j in i..d {
-                    gi[j] += ri * row[j];
-                }
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..d {
-            for j in (i + 1)..d {
-                let v = g.data[i * d + j];
-                g.data[j * d + i] = v;
-            }
-        }
+        let mut g = Matrix::zeros(self.cols, self.cols);
+        gram_fold(self.cols, self.rows, |r| self.row(r), None, &mut g, &mut []);
         g
+    }
+
+    /// The normal-equation operands `(AᵀA, Aᵀy)` of a least-squares
+    /// problem with one observation per row, in one sweep over the rows
+    /// (see [`gram_fold`]). Errors if `y.len() != rows`.
+    pub fn gram_xty(&self, y: &Vector) -> Result<(Matrix, Vector)> {
+        if y.len() != self.rows {
+            return Err(LinalgError::DimensionMismatch {
+                op: "gram_xty",
+                expected: self.rows,
+                actual: y.len(),
+            });
+        }
+        let mut g = Matrix::zeros(self.cols, self.cols);
+        let mut b = Vector::zeros(self.cols);
+        gram_fold(
+            self.cols,
+            self.rows,
+            |r| self.row(r),
+            Some(y.as_slice()),
+            &mut g,
+            b.as_mut_slice(),
+        );
+        Ok((g, b))
     }
 
     /// Transpose.
@@ -368,6 +346,104 @@ impl Matrix {
     }
 }
 
+/// [`Matrix::gram_xty`] over rows gathered from a row-major table:
+/// observation `r` is the row `table[ids[r]·d ..][..d]`, its label `y[r]`.
+///
+/// This is how an ALS half-step joins one entity's ratings against the
+/// fixed side's factor table in place, with no per-rating copy. Panics if
+/// `y.len() != ids.len()` or an id addresses a row past the table.
+pub(crate) fn gram_xty_gather(table: &[f64], d: usize, ids: &[u32], y: &[f64]) -> (Matrix, Vector) {
+    assert_eq!(ids.len(), y.len(), "one label per gathered row");
+    let mut g = Matrix::zeros(d, d);
+    let mut b = Vector::zeros(d);
+    let row = |r: usize| &table[ids[r] as usize * d..][..d];
+    gram_fold(d, ids.len(), row, Some(y), &mut g, b.as_mut_slice());
+    (g, b)
+}
+
+/// The one Gram accumulation loop: `gram += Σᵣ xᵣxᵣᵀ` over the `n` rows
+/// `row(0..n)` (each `d` long) and, with labels, `xty += Σᵣ yᵣxᵣ`.
+///
+/// **Accumulation-order contract.** Each element of the upper triangle,
+/// `g[i][j]` with `j ≥ i`, and each `xty[k]`, is a left fold over the rows
+/// in order `r = 0, 1, …, n − 1` from the caller's value (`+0.0` for a
+/// fresh matrix): `g[i][j] ← g[i][j] + xᵣ[i]·xᵣ[j]` and
+/// `xty[k] ← xty[k] + yᵣ·xᵣ[k]`, where a term is skipped when its left
+/// factor — `xᵣ[i]`, resp. `yᵣ` — is exactly `0.0` (either sign). The
+/// lower triangle is then a copy of the upper.
+///
+/// Any loop order that keeps each element's fold is bit-identical, so this
+/// one folds four rows into an element per load and store of it
+/// (`(((g + p₀) + p₁) + p₂) + p₃`), and drops to one row at a time when one
+/// of the four left factors is zero. That keeps the skip itself exact: a
+/// zero factor times an infinite or NaN component is never formed, so the
+/// bits match the one-row-at-a-time loop for every input, non-finite ones
+/// included.
+fn gram_fold<'a>(
+    d: usize,
+    n: usize,
+    row: impl Fn(usize) -> &'a [f64],
+    labels: Option<&[f64]>,
+    gram: &mut Matrix,
+    xty: &mut [f64],
+) {
+    debug_assert_eq!(gram.shape(), (d, d));
+    let g = &mut gram.data;
+    let blocked = n - n % 4;
+    for r in (0..blocked).step_by(4) {
+        let x = [&row(r)[..d], &row(r + 1)[..d], &row(r + 2)[..d], &row(r + 3)[..d]];
+        for i in 0..d {
+            fold_terms(&mut g[i * d + i..(i + 1) * d], x.map(|x| (x[i], &x[i..])));
+        }
+        if let Some(y) = labels {
+            fold_terms(xty, [(y[r], x[0]), (y[r + 1], x[1]), (y[r + 2], x[2]), (y[r + 3], x[3])]);
+        }
+    }
+    for r in blocked..n {
+        let x = &row(r)[..d];
+        for i in 0..d {
+            fold_term(&mut g[i * d + i..(i + 1) * d], x[i], &x[i..]);
+        }
+        if let Some(y) = labels {
+            fold_term(xty, y[r], x);
+        }
+    }
+    for i in 0..d {
+        for j in (i + 1)..d {
+            g[j * d + i] = g[i * d + j];
+        }
+    }
+}
+
+/// `acc[k] += cₜ·xₜ[k]` for the four terms `t` in order — one load and one
+/// store of `acc[k]` for four products — skipping zero coefficients.
+#[inline(always)]
+fn fold_terms(acc: &mut [f64], terms: [(f64, &[f64]); 4]) {
+    let [(a, xa), (b, xb), (c, xc), (e, xe)] = terms;
+    if a == 0.0 || b == 0.0 || c == 0.0 || e == 0.0 {
+        for (coef, x) in terms {
+            fold_term(acc, coef, x);
+        }
+        return;
+    }
+    let n = acc.len();
+    let xs = xa[..n].iter().zip(&xb[..n]).zip(&xc[..n]).zip(&xe[..n]);
+    for (s, (((&pa, &pb), &pc), &pe)) in acc.iter_mut().zip(xs) {
+        *s = *s + a * pa + b * pb + c * pc + e * pe;
+    }
+}
+
+/// `acc[k] += coef·x[k]`, or nothing when `coef` is exactly zero.
+#[inline(always)]
+fn fold_term(acc: &mut [f64], coef: f64, x: &[f64]) {
+    if coef == 0.0 {
+        return;
+    }
+    for (s, &v) in acc.iter_mut().zip(x) {
+        *s += coef * v;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,12 +487,24 @@ mod tests {
     }
 
     #[test]
-    fn matvec_transpose_matches_explicit_transpose() {
+    fn gram_xty_matches_explicit_transpose() {
         let m = m2x3();
-        let x = Vector::from_vec(vec![1.0, 2.0]);
-        let via_kernel = m.matvec_transpose(&x).unwrap();
-        let via_transpose = m.transpose().matvec(&x).unwrap();
-        assert_eq!(via_kernel, via_transpose);
+        let y = Vector::from_vec(vec![1.0, 2.0]);
+        let (g, b) = m.gram_xty(&y).unwrap();
+        assert_eq!(g, m.gram());
+        assert_eq!(b, m.transpose().matvec(&y).unwrap());
+        assert!(m.gram_xty(&Vector::zeros(3)).is_err());
+    }
+
+    #[test]
+    fn gather_reads_rows_by_id() {
+        let table = m2x3();
+        let y = [2.0, 0.5, -1.0];
+        let (g, b) = gram_xty_gather(table.as_slice(), 3, &[1, 0, 1], &y);
+        let stacked =
+            Matrix::from_row_major(3, 3, vec![4., 5., 6., 1., 2., 3., 4., 5., 6.]).unwrap();
+        let (g_ref, b_ref) = stacked.gram_xty(&Vector::from_vec(y.to_vec())).unwrap();
+        assert_eq!((g, b), (g_ref, b_ref));
     }
 
     #[test]

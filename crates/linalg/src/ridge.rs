@@ -14,7 +14,7 @@
 //! Sherman–Morrison path in [`crate::sherman_morrison`].
 
 use crate::cholesky::Cholesky;
-use crate::matrix::Matrix;
+use crate::matrix::{gram_xty_gather, Matrix};
 use crate::vector::Vector;
 use crate::{LinalgError, Result};
 
@@ -27,27 +27,47 @@ pub fn ridge_fit(x: &Matrix, y: &Vector, lambda: f64) -> Result<Vector> {
     if x.rows() == 0 {
         return Err(LinalgError::Empty { op: "ridge_fit" });
     }
-    if y.len() != x.rows() {
+    let (gram, xty) = x.gram_xty(y)?;
+    solve_shifted(gram, &xty, lambda)
+}
+
+/// [`ridge_fit`] with the design matrix gathered from a row-major table:
+/// observation `r` is row `ids[r]` of `table` (`d` columns), its target
+/// `y[r]` — the same bits as stacking those rows and calling `ridge_fit`.
+///
+/// Errors if `ids` is empty or `y.len() != ids.len()`, or if the shifted
+/// system is not positive definite.
+pub fn ridge_fit_gather(
+    table: &[f64],
+    d: usize,
+    ids: &[u32],
+    y: &[f64],
+    lambda: f64,
+) -> Result<Vector> {
+    if ids.is_empty() {
+        return Err(LinalgError::Empty { op: "ridge_fit_gather" });
+    }
+    if y.len() != ids.len() {
         return Err(LinalgError::DimensionMismatch {
-            op: "ridge_fit",
-            expected: x.rows(),
+            op: "ridge_fit_gather",
+            expected: ids.len(),
             actual: y.len(),
         });
     }
-    let mut gram = x.gram();
-    gram.add_scaled_identity(lambda)?;
-    let xty = x.matvec_transpose(y)?;
-    let ch = Cholesky::factor(&gram)?;
-    ch.solve(&xty)
+    let (gram, xty) = gram_xty_gather(table, d, ids, y);
+    solve_shifted(gram, &xty, lambda)
 }
 
 /// Solves the ridge system given precomputed sufficient statistics: the Gram
 /// matrix `XᵀX` (without the ridge shift) and the moment vector `Xᵀy`.
 pub fn ridge_fit_gram(gram: &Matrix, xty: &Vector, lambda: f64) -> Result<Vector> {
-    let mut a = gram.clone();
-    a.add_scaled_identity(lambda)?;
-    let ch = Cholesky::factor(&a)?;
-    ch.solve(xty)
+    solve_shifted(gram.clone(), xty, lambda)
+}
+
+/// `(gram + λI)⁻¹ xty` by Cholesky, shifting `gram` in place.
+fn solve_shifted(mut gram: Matrix, xty: &Vector, lambda: f64) -> Result<Vector> {
+    gram.add_scaled_identity(lambda)?;
+    Cholesky::factor(&gram)?.solve(xty)
 }
 
 /// A ridge-regression problem accumulated one observation at a time.

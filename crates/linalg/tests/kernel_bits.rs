@@ -2,7 +2,8 @@
 //! replaced.
 //!
 //! The vectorised `dot_slices`, the row-blocked `matvec_into`, the blocked
-//! `variance_many` and the fused two-pass Sherman–Morrison update promise
+//! `variance_many`, the fused two-pass Sherman–Morrison update and the
+//! four-row Gram / `Xᵀy` fold (with `ridge_fit` on top) promise
 //! the *same bits* (`f64::to_bits`) as the old one-element-at-a-time code:
 //! served scores, bandit choices and the benchmark's verification checksum
 //! all hang off that. The old formulas live on here, and only here, as the
@@ -16,7 +17,7 @@
 
 use velox_data::VeloxRng;
 use velox_linalg::vector::dot_slices;
-use velox_linalg::{IncrementalRidge, Matrix, Vector};
+use velox_linalg::{ridge_fit, ridge_fit_gather, Cholesky, IncrementalRidge, Matrix, Vector};
 
 /// Model dimensions: multiples of four, `d mod 4 ∈ {2, 3}`, and the two
 /// benchmark dimensions.
@@ -161,6 +162,114 @@ fn matvec_and_matvec_into_keep_the_scalar_kernels_bits() {
     }
     let m = Matrix::zeros(3, 4);
     assert!(m.matvec_into(&Vector::zeros(3), &mut out).is_err());
+}
+
+/// The one-row-at-a-time `Matrix::gram` that the four-row fold replaced:
+/// upper triangle, zero left factors skipped, then mirrored.
+fn ref_gram(a: &[f64], rows: usize, d: usize) -> Vec<f64> {
+    let mut g = vec![0.0; d * d];
+    for r in 0..rows {
+        let row = &a[r * d..(r + 1) * d];
+        for i in 0..d {
+            let ri = row[i];
+            if ri == 0.0 {
+                continue;
+            }
+            for j in i..d {
+                g[i * d + j] += ri * row[j];
+            }
+        }
+    }
+    for i in 0..d {
+        for j in (i + 1)..d {
+            g[j * d + i] = g[i * d + j];
+        }
+    }
+    g
+}
+
+/// The old `Matrix::matvec_transpose`: `Aᵀy` as one axpy per row, zero
+/// coefficients skipped.
+fn ref_matvec_transpose(a: &[f64], rows: usize, d: usize, y: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; d];
+    for r in 0..rows {
+        if y[r] == 0.0 {
+            continue;
+        }
+        for j in 0..d {
+            out[j] += y[r] * a[r * d + j];
+        }
+    }
+    out
+}
+
+/// [`values`] with one element in eight replaced by ±∞ — enough for
+/// `0·∞` to appear wherever a skipped term would have formed it. (No NaN
+/// inputs: two NaNs with different payloads meeting in one add may return
+/// either, by operand order, in any kernel.)
+fn values_with_infinities(rng: &mut VeloxRng, len: usize) -> Vec<f64> {
+    let mut v = values(rng, len);
+    for x in v.iter_mut() {
+        match rng.below(16) {
+            0 => *x = f64::INFINITY,
+            1 => *x = f64::NEG_INFINITY,
+            _ => {}
+        }
+    }
+    v
+}
+
+#[test]
+fn gram_and_gram_xty_keep_the_one_row_loops_bits() {
+    let mut rng = VeloxRng::seed_from(0xD07_0400);
+    for d in [1usize, 4, 5, 20, 203] {
+        for rows in 0..=9 {
+            for finite in [true, false] {
+                let a = if finite {
+                    values(&mut rng, rows * d)
+                } else {
+                    values_with_infinities(&mut rng, rows * d)
+                };
+                let y = values(&mut rng, rows);
+                let m = Matrix::from_row_major(rows, d, a.clone()).unwrap();
+                let at = format!("{rows}x{d}, finite {finite}");
+                let want = ref_gram(&a, rows, d);
+                assert_eq!(bits(m.gram().as_slice()), bits(&want), "gram {at}");
+                let (g, b) = m.gram_xty(&Vector::from_vec(y.clone())).unwrap();
+                assert_eq!(bits(g.as_slice()), bits(&want), "gram_xty gram {at}");
+                let want_b = ref_matvec_transpose(&a, rows, d, &y);
+                assert_eq!(bits(b.as_slice()), bits(&want_b), "gram_xty xty {at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn ridge_fit_and_its_gathered_form_keep_the_old_bits() {
+    let mut rng = VeloxRng::seed_from(0xD07_0500);
+    for d in [1usize, 4, 5, 20, 21] {
+        let table_rows = 12;
+        let table = values(&mut rng, table_rows * d);
+        for n in 1..=9 {
+            let ids: Vec<u32> = (0..n).map(|_| rng.below(table_rows as u64) as u32).collect();
+            let y = values(&mut rng, n);
+            let stacked: Vec<f64> = ids
+                .iter()
+                .flat_map(|&id| table[id as usize * d..(id as usize + 1) * d].iter().copied())
+                .collect();
+            let mut gram = Matrix::from_row_major(d, d, ref_gram(&stacked, n, d)).unwrap();
+            gram.add_scaled_identity(0.25 * n as f64).unwrap();
+            let xty = Vector::from_vec(ref_matvec_transpose(&stacked, n, d, &y));
+            let want = Cholesky::factor(&gram).unwrap().solve(&xty).unwrap();
+            let x = Matrix::from_row_major(n, d, stacked).unwrap();
+            let fit = ridge_fit(&x, &Vector::from_vec(y.clone()), 0.25 * n as f64).unwrap();
+            assert_eq!(bits(fit.as_slice()), bits(want.as_slice()), "ridge_fit d {d} n {n}");
+            let gathered = ridge_fit_gather(&table, d, &ids, &y, 0.25 * n as f64).unwrap();
+            assert_eq!(bits(gathered.as_slice()), bits(want.as_slice()), "gather d {d} n {n}");
+        }
+    }
+    assert!(ridge_fit_gather(&[], 3, &[], &[], 1.0).is_err());
+    assert!(ridge_fit_gather(&[0.0; 3], 3, &[0], &[], 1.0).is_err());
 }
 
 #[test]

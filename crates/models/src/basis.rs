@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 
 use velox_batch::JobExecutor;
+use velox_data::rng::splitmix64;
 use velox_linalg::Vector;
 
 use crate::{refit_user_weights, Item, ModelError, RetrainResult, TrainingExample, VeloxModel};
@@ -23,17 +24,10 @@ struct BasisRng {
 
 impl BasisRng {
     fn new(seed: u64) -> Self {
-        BasisRng { state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15) }
-    }
-    fn next_u64(&mut self) -> u64 {
-        let mut z = self.state;
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        BasisRng { state: seed }
     }
     fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        (splitmix64(&mut self.state) >> 11) as f64 / (1u64 << 53) as f64
     }
     fn gaussian(&mut self) -> f64 {
         // Box–Muller; fresh pair each call (throughput is irrelevant here,

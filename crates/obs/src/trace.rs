@@ -561,6 +561,10 @@ fn nonzero_id(id: u64) -> u64 {
     }
 }
 
+/// The first output of a splitmix64 stream seeded with `x`. A copy of
+/// `velox_data::rng::splitmix64`: velox-obs depends on no workspace crate,
+/// and giving it one would change the dependency graph the benchmark's
+/// lock file pins.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

@@ -157,9 +157,10 @@ struct Resilience {
     breakers: HashMap<String, BreakerEntry>,
 }
 
-/// splitmix64: small, seedable, and good enough for jitter. Kept local so
-/// the REST crate stays free of intra-workspace dependencies beyond
-/// velox-core.
+/// splitmix64: small, seedable, and good enough for jitter. A copy of
+/// `velox_data::rng::splitmix64`: velox-rest depends on velox-data only for
+/// its tests, and a normal dependency would change the dependency graph the
+/// benchmark's lock file pins.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -35,6 +35,9 @@ pub struct VersionedValue<V> {
 
 /// Cheap deterministic u64 hash (splitmix64 finalizer). Keys in Velox are
 /// entity ids, often sequential; this decorrelates them across shards.
+/// A copy of `velox_data::rng::splitmix64`'s first output: velox-storage
+/// depends on velox-data only for its tests, and a normal dependency would
+/// change the dependency graph the benchmark's lock file pins.
 #[inline]
 fn hash_key(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
