@@ -117,8 +117,7 @@ fn main() {
         lr: LR,
         wal_root: Some(scratch.path().to_path_buf()),
         workers: 8,
-        request_timeout: Duration::from_secs(2),
-        heartbeat_interval: Some(Duration::from_millis(20)),
+        heartbeat_interval: Duration::from_millis(20),
         hedge_predicts: true,
         client: NetClientConfig {
             per_try_timeout: Some(Duration::from_millis(100)),

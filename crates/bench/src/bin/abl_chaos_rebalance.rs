@@ -344,9 +344,7 @@ fn run_net(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
         user_replication: 2,
         lr: LR,
         workers: 4,
-        request_timeout: Duration::from_secs(2),
         checkpoint_chunk_bytes: CHUNK_BYTES,
-        migration_deadline: deadline,
         client: NetClientConfig {
             per_try_timeout: Some(Duration::from_millis(100)),
             retry: RetryPolicy {

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use velox_bench::{print_header, print_row};
 use velox_cluster::{Cluster, ClusterConfig, SimTransport, Transport};
 use velox_linalg::stats::LatencySummary;
-use velox_net::{NetCluster, NetClusterConfig, Request, Response};
+use velox_net::{NetClientConfig, NetCluster, NetClusterConfig, Request, Response};
 use velox_obs::{build_tree, SpanKind, TraceConfig, TraceNode};
 
 const N_USERS: u64 = 64;
@@ -144,7 +144,7 @@ fn hop_breakdown(iters: usize, smoke: bool) {
         lr: LR,
         wal_root: Some(wal_root.clone()),
         workers: 8,
-        request_timeout: Duration::from_secs(5),
+        client: NetClientConfig { request_timeout: Duration::from_secs(5), ..Default::default() },
         trace: TraceConfig::sample_all(),
         ..Default::default()
     })
@@ -237,7 +237,7 @@ fn main() {
         lr: LR,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(5),
+        client: NetClientConfig { request_timeout: Duration::from_secs(5), ..Default::default() },
         ..Default::default()
     })
     .expect("start loopback cluster");

@@ -32,7 +32,6 @@
 //! the ledger reached `done`, and the dead node left the map.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use velox_bench::membership::{
     replay_divergence, seeded_items, zipf_stream, Ledger, DIM, LR, MAX_NODES, N_ITEMS, N_NODES,
@@ -210,7 +209,6 @@ fn main() {
         lr: LR,
         wal_root: Some(scratch.path().to_path_buf()),
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");

@@ -64,7 +64,6 @@ fn rpc_backend() -> (Arc<dyn PredictBackend>, Arc<NetCluster>) {
         lr: 0.05,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");

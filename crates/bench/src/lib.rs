@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod membership;
 
 use std::time::Instant;

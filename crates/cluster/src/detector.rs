@@ -25,10 +25,10 @@ use velox_obs::{Gauge, Registry};
 pub enum PeerState {
     /// Responding to probes.
     Alive,
-    /// Missed `suspect_after` consecutive probes: deprioritized for
+    /// Missed [`SUSPECT_AFTER`] consecutive probes: deprioritized for
     /// routing but still tried as a fallback.
     Suspect,
-    /// Missed `dead_after` consecutive probes: skipped by routing until
+    /// Missed [`DEAD_AFTER`] consecutive probes: skipped by routing until
     /// a probe succeeds again.
     Dead,
 }
@@ -62,25 +62,15 @@ impl PeerState {
     }
 }
 
-/// Consecutive-miss thresholds for the two-stage verdict.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// Consecutive misses before a peer turns `Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive misses before a peer turns `Dead`.
-    pub dead_after: u32,
-    /// Consecutive *successes* required before a `Suspect`/`Dead` peer is
-    /// promoted back to `Alive` — flap damping, so a marginal link that
-    /// alternates hit/miss cannot oscillate routing on every probe. One
-    /// intervening failure resets the streak.
-    pub revive_after: u32,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { suspect_after: 2, dead_after: 5, revive_after: 3 }
-    }
-}
+/// Consecutive misses before a peer turns `Suspect`.
+pub const SUSPECT_AFTER: u32 = 2;
+/// Consecutive misses before a peer turns `Dead`.
+pub const DEAD_AFTER: u32 = 5;
+/// Consecutive *successes* required before a `Suspect`/`Dead` peer is
+/// promoted back to `Alive` — flap damping, so a marginal link that
+/// alternates hit/miss cannot oscillate routing on every probe. One
+/// intervening failure resets the streak.
+pub const REVIVE_AFTER: u32 = 3;
 
 /// One peer's liveness, as reported by `/cluster/health`.
 #[derive(Debug, Clone, Copy)]
@@ -120,23 +110,19 @@ struct Slot {
 
 /// Per-peer liveness from consecutive probe outcomes.
 pub struct FailureDetector {
-    config: DetectorConfig,
     slots: Vec<Slot>,
     exports: Mutex<Vec<Arc<Gauge>>>,
 }
 
 impl std::fmt::Debug for FailureDetector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FailureDetector")
-            .field("peers", &self.slots.len())
-            .field("config", &self.config)
-            .finish()
+        f.debug_struct("FailureDetector").field("peers", &self.slots.len()).finish()
     }
 }
 
 impl FailureDetector {
     /// A detector tracking `n_peers` peers.
-    pub fn new(n_peers: usize, config: DetectorConfig) -> Self {
+    pub fn new(n_peers: usize) -> Self {
         let slots = (0..n_peers)
             .map(|_| Slot {
                 core: Mutex::new(ProbeRuns::default()),
@@ -146,7 +132,7 @@ impl FailureDetector {
                 failures: AtomicU64::new(0),
             })
             .collect();
-        FailureDetector { config, slots, exports: Mutex::new(Vec::new()) }
+        FailureDetector { slots, exports: Mutex::new(Vec::new()) }
     }
 
     /// Number of peers tracked.
@@ -161,7 +147,7 @@ impl FailureDetector {
 
     /// Records a successful probe (or data-plane call) to `peer` with the
     /// observed round trip. A `Suspect`/`Dead` peer is only promoted back
-    /// to `Alive` after `revive_after` *consecutive* successes (flap
+    /// to `Alive` after [`REVIVE_AFTER`] *consecutive* successes (flap
     /// damping). Returns the previous state when this outcome revived the
     /// peer — the caller's cue to run heal work (e.g. drain a ship
     /// backlog).
@@ -179,7 +165,7 @@ impl FailureDetector {
         let mut runs = slot.core.lock().unwrap();
         runs.misses = 0;
         runs.streak = runs.streak.saturating_add(1);
-        if runs.streak < self.config.revive_after.max(1) {
+        if runs.streak < REVIVE_AFTER {
             return None; // not enough consecutive successes yet
         }
         let old = PeerState::decode(slot.state.swap(PeerState::Alive.encode(), Ordering::AcqRel));
@@ -202,9 +188,9 @@ impl FailureDetector {
         let mut runs = slot.core.lock().unwrap();
         runs.streak = 0;
         runs.misses = runs.misses.saturating_add(1);
-        let candidate = if runs.misses >= self.config.dead_after {
+        let candidate = if runs.misses >= DEAD_AFTER {
             PeerState::Dead
-        } else if runs.misses >= self.config.suspect_after {
+        } else if runs.misses >= SUSPECT_AFTER {
             PeerState::Suspect
         } else {
             PeerState::Alive
@@ -229,8 +215,8 @@ impl FailureDetector {
         let mut runs = slot.core.lock().unwrap();
         runs.misses = match state {
             PeerState::Alive => 0,
-            PeerState::Suspect => self.config.suspect_after,
-            PeerState::Dead => self.config.dead_after,
+            PeerState::Suspect => SUSPECT_AFTER,
+            PeerState::Dead => DEAD_AFTER,
         };
         runs.streak = 0;
         slot.state.store(state.encode(), Ordering::Release);
@@ -285,17 +271,29 @@ impl FailureDetector {
 mod tests {
     use super::*;
 
+    // What the tests below lean on: one miss is not a verdict, suspicion
+    // comes before death, and one success is not a revival.
+    const _: () = assert!(1 < SUSPECT_AFTER && SUSPECT_AFTER < DEAD_AFTER && REVIVE_AFTER > 1);
+
+    /// Records `n` misses for peer 0.
+    fn misses(d: &FailureDetector, n: u32) {
+        for _ in 0..n {
+            d.record_failure(0);
+        }
+    }
+
     #[test]
     fn thresholds_drive_two_stage_verdict() {
-        let d = FailureDetector::new(
-            2,
-            DetectorConfig { suspect_after: 2, dead_after: 4, revive_after: 1 },
-        );
+        let d = FailureDetector::new(2);
         assert_eq!(d.state(0), PeerState::Alive);
-        assert_eq!(d.record_failure(0), None); // 1 miss: still alive
-        assert_eq!(d.record_failure(0), Some(PeerState::Suspect)); // 2
-        assert_eq!(d.record_failure(0), None); // 3: still suspect
-        assert_eq!(d.record_failure(0), Some(PeerState::Dead)); // 4
+        for miss in 1..SUSPECT_AFTER {
+            assert_eq!(d.record_failure(0), None, "{miss} misses: still alive");
+        }
+        assert_eq!(d.record_failure(0), Some(PeerState::Suspect));
+        for miss in SUSPECT_AFTER + 1..DEAD_AFTER {
+            assert_eq!(d.record_failure(0), None, "{miss} misses: still suspect");
+        }
+        assert_eq!(d.record_failure(0), Some(PeerState::Dead));
         assert_eq!(d.record_failure(0), None); // stays dead
         assert_eq!(d.state(0), PeerState::Dead);
         assert_eq!(d.state(1), PeerState::Alive, "peers are independent");
@@ -303,35 +301,32 @@ mod tests {
 
     #[test]
     fn success_revives_and_reports_previous_state() {
-        let d = FailureDetector::new(
-            1,
-            DetectorConfig { suspect_after: 1, dead_after: 2, revive_after: 1 },
-        );
-        d.record_failure(0);
-        d.record_failure(0);
+        let d = FailureDetector::new(1);
+        misses(&d, DEAD_AFTER);
         assert_eq!(d.state(0), PeerState::Dead);
+        for _ in 1..REVIVE_AFTER {
+            assert_eq!(d.record_success(0, 120), None);
+        }
         assert_eq!(d.record_success(0, 120), Some(PeerState::Dead));
         assert_eq!(d.state(0), PeerState::Alive);
         assert_eq!(d.record_success(0, 80), None, "already alive: no transition");
         let snap = d.snapshot();
         assert_eq!(snap[0].last_rtt_us, 80);
-        assert_eq!(snap[0].failures, 2);
-        assert_eq!(snap[0].probes, 4);
+        assert_eq!(snap[0].failures, DEAD_AFTER as u64);
+        assert_eq!(snap[0].probes, (DEAD_AFTER + REVIVE_AFTER + 1) as u64);
     }
 
     #[test]
     fn revival_requires_consecutive_success_streak() {
-        let d = FailureDetector::new(
-            1,
-            DetectorConfig { suspect_after: 1, dead_after: 3, revive_after: 3 },
-        );
-        d.record_failure(0);
+        let d = FailureDetector::new(1);
+        misses(&d, SUSPECT_AFTER);
         assert_eq!(d.state(0), PeerState::Suspect);
-        // Two successes are not enough.
-        assert_eq!(d.record_success(0, 10), None);
-        assert_eq!(d.record_success(0, 10), None);
+        // One success short of the streak is not enough.
+        for _ in 1..REVIVE_AFTER {
+            assert_eq!(d.record_success(0, 10), None);
+        }
         assert_eq!(d.state(0), PeerState::Suspect, "still damped");
-        // The third consecutive success revives and reports the old state.
+        // The last success of the streak revives and reports the old state.
         assert_eq!(d.record_success(0, 10), Some(PeerState::Suspect));
         assert_eq!(d.state(0), PeerState::Alive);
     }
@@ -339,15 +334,10 @@ mod tests {
     #[test]
     fn flapping_link_cannot_oscillate_routing() {
         // hit/miss alternation: the success streak never reaches
-        // revive_after, so once suspect the peer stays suspect (and
-        // eventually the misses alone would have flapped it alive before
-        // this change).
-        let d = FailureDetector::new(
-            1,
-            DetectorConfig { suspect_after: 2, dead_after: 100, revive_after: 2 },
-        );
-        d.record_failure(0);
-        d.record_failure(0);
+        // REVIVE_AFTER and the miss run never passes one, so once suspect
+        // the peer stays suspect — neither revived nor killed.
+        let d = FailureDetector::new(1);
+        misses(&d, SUSPECT_AFTER);
         assert_eq!(d.state(0), PeerState::Suspect);
         for _ in 0..10 {
             d.record_success(0, 10);
@@ -356,14 +346,16 @@ mod tests {
             assert_eq!(d.state(0), PeerState::Suspect, "single miss must not demote to alive");
         }
         // A clean streak finally revives it.
-        assert_eq!(d.record_success(0, 10), None);
+        for _ in 1..REVIVE_AFTER {
+            assert_eq!(d.record_success(0, 10), None);
+        }
         assert_eq!(d.record_success(0, 10), Some(PeerState::Suspect));
         assert_eq!(d.state(0), PeerState::Alive);
     }
 
     #[test]
     fn force_overrides_probe_history() {
-        let d = FailureDetector::new(1, DetectorConfig::default());
+        let d = FailureDetector::new(1);
         d.force(0, PeerState::Dead);
         assert_eq!(d.state(0), PeerState::Dead);
         d.force(0, PeerState::Alive);

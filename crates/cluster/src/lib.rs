@@ -55,7 +55,7 @@ pub use cluster::{
     REMOTE_READ_US,
 };
 pub use conn_pool::{ConnPool, PoolConfig};
-pub use detector::{DetectorConfig, FailureDetector, PeerLiveness, PeerState};
+pub use detector::{FailureDetector, PeerLiveness, PeerState};
 pub use fault::{FaultAction, FaultClock, FaultEvent, FaultPlan, HealthTransition, NodeHealth};
 pub use migrate::{ChunkStep, ControlPlane, MigrationIo, Migrator};
 pub use netfault::{

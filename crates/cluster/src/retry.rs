@@ -13,8 +13,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use velox_data::VeloxRng;
-
 /// Budgeted exponential backoff with jitter.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
@@ -47,12 +45,15 @@ impl RetryPolicy {
     }
 
     /// Backoff to sleep before retry number `retry` (0-based: the wait
-    /// between attempt 1 and attempt 2 is `backoff(0, ..)`).
-    pub fn backoff(&self, retry: u32, rng: &mut VeloxRng) -> Duration {
+    /// between attempt 1 and attempt 2 is `backoff(0, ..)`), given one
+    /// uniform draw `uniform ∈ [0, 1)` from the caller's seeded generator.
+    /// This is the workspace's one backoff formula: both transports and
+    /// the REST client sleep what it returns.
+    pub fn backoff(&self, retry: u32, uniform: f64) -> Duration {
         let base = self.backoff_base.as_nanos() as u64;
         let exp = shl_sat(base, retry.min(32)).min(self.backoff_max.as_nanos() as u64);
         let jitter = self.jitter.clamp(0.0, 1.0);
-        let factor = 1.0 - jitter / 2.0 + rng.uniform() * jitter;
+        let factor = 1.0 - jitter / 2.0 + uniform * jitter;
         Duration::from_nanos((exp as f64 * factor) as u64)
     }
 }
@@ -138,6 +139,7 @@ pub fn obs_id_nonce() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use velox_data::VeloxRng;
 
     #[test]
     fn backoff_grows_and_caps() {
@@ -147,12 +149,11 @@ mod tests {
             backoff_max: Duration::from_millis(8),
             jitter: 0.0,
         };
-        let mut rng = VeloxRng::seed_from(1);
-        assert_eq!(p.backoff(0, &mut rng), Duration::from_millis(1));
-        assert_eq!(p.backoff(1, &mut rng), Duration::from_millis(2));
-        assert_eq!(p.backoff(2, &mut rng), Duration::from_millis(4));
-        assert_eq!(p.backoff(3, &mut rng), Duration::from_millis(8));
-        assert_eq!(p.backoff(10, &mut rng), Duration::from_millis(8), "capped");
+        assert_eq!(p.backoff(0, 0.3), Duration::from_millis(1));
+        assert_eq!(p.backoff(1, 0.3), Duration::from_millis(2));
+        assert_eq!(p.backoff(2, 0.3), Duration::from_millis(4));
+        assert_eq!(p.backoff(3, 0.3), Duration::from_millis(8));
+        assert_eq!(p.backoff(10, 0.3), Duration::from_millis(8), "capped");
     }
 
     #[test]
@@ -161,14 +162,14 @@ mod tests {
         let mut a = VeloxRng::seed_from(9);
         let mut b = VeloxRng::seed_from(9);
         for retry in 0..20 {
-            let d = p.backoff(retry, &mut a);
+            let d = p.backoff(retry, a.uniform());
             let nominal = p.backoff_base.as_nanos() as f64
                 * 2f64
                     .powi(retry as i32)
                     .min(p.backoff_max.as_nanos() as f64 / p.backoff_base.as_nanos() as f64);
             assert!(d.as_nanos() as f64 >= nominal * 0.74, "below jitter band at {retry}");
             assert!(d.as_nanos() as f64 <= nominal * 1.26, "above jitter band at {retry}");
-            assert_eq!(d, p.backoff(retry, &mut b), "jitter must be seed-deterministic");
+            assert_eq!(d, p.backoff(retry, b.uniform()), "jitter must be seed-deterministic");
         }
     }
 

@@ -387,6 +387,19 @@ impl SimTransport {
         }
     }
 
+    /// `item_id`'s features as node `at` reads them. An item the node
+    /// cannot read, or whose published features have a non-finite
+    /// component, is `Unavailable` — the socket node refuses to seed such
+    /// an item, and scoring or training on it would turn a user's weights
+    /// into NaN.
+    fn item_features(&self, at: NodeId, item_id: u64) -> Result<Vec<f64>, TransportError> {
+        let read = self.cluster.read_item_features(at, item_id);
+        match read.value {
+            Some(x) if !read.unavailable && x.iter().all(|v| v.is_finite()) => Ok(x),
+            _ => Err(TransportError::Unavailable),
+        }
+    }
+
     /// Marks one chaos-failed attempt: a `Retry` span marker plus
     /// jittered backoff when budget remains.
     fn note_chaos_retry(&self, entry_ctx: Option<&TraceContext>, attempt: u32, budget: u32) {
@@ -394,10 +407,7 @@ impl SimTransport {
         let marker = self.tracer.child(entry_ctx, SpanKind::Retry, FRONT_NODE);
         self.tracer.finish_status(marker, SpanStatus::Error);
         if attempt + 1 < budget {
-            let pause = {
-                let mut rng = self.retry_rng.lock().unwrap();
-                self.retry.backoff(attempt, &mut rng)
-            };
+            let pause = self.retry.backoff(attempt, self.retry_rng.lock().unwrap().uniform());
             // Simulated time, real sleeps: chaos plans keep backoff small.
             std::thread::sleep(pause);
         }
@@ -502,10 +512,7 @@ impl Transport for SimTransport {
             let work_span = tracer.child(recv_ctx.as_ref(), SpanKind::NodePredict, target as u32);
 
             let result = (|| {
-                let x = match self.cluster.read_item_features(target, item_id) {
-                    read if read.unavailable => return Err(TransportError::Unavailable),
-                    read => read.value.ok_or(TransportError::Unavailable)?,
-                };
+                let x = self.item_features(target, item_id)?;
                 let w_read = self.cluster.read_user_weights(target, uid);
                 if w_read.unavailable {
                     return Err(TransportError::Unavailable);
@@ -605,11 +612,7 @@ impl Transport for SimTransport {
                 Ok(ack)
             } else {
                 let fresh = (|| {
-                    let read = self.cluster.read_item_features(at, item_id);
-                    if read.unavailable {
-                        return Err(TransportError::Unavailable);
-                    }
-                    let x = read.value.ok_or(TransportError::Unavailable)?;
+                    let x = self.item_features(at, item_id)?;
                     let lr = self.lr;
                     self.cluster
                         .try_update_user_weights(at, uid, Vec::new, |w| lms_update(w, &x, y, lr))

@@ -45,22 +45,24 @@ pub struct DurabilityConfig {
     /// Take a checkpoint automatically once this many observations have
     /// accumulated past the last one (0 = manual checkpoints only).
     pub checkpoint_every: u64,
-    /// How many checkpoints to retain on disk. The WAL is truncated only
-    /// to the offset the *oldest* retained checkpoint covers, so every
-    /// retained checkpoint stays independently recoverable.
-    pub retain_checkpoints: usize,
 }
+
+/// How many checkpoints are retained on disk: the newest plus one
+/// fallback for when the newest is found corrupt. The WAL is truncated
+/// only to the offset the *oldest* retained checkpoint covers, so every
+/// retained checkpoint stays independently recoverable.
+pub(crate) const RETAIN_CHECKPOINTS: usize = 2;
+const _: () = assert!(RETAIN_CHECKPOINTS >= 2, "need a fallback checkpoint");
 
 impl DurabilityConfig {
     /// Durability rooted at `dir` with safe defaults: fsync per record,
-    /// 1 MiB segments, manual checkpoints, two checkpoints retained.
+    /// 1 MiB segments, manual checkpoints.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::PerRecord,
             wal_segment_bytes: 1 << 20,
             checkpoint_every: 0,
-            retain_checkpoints: 2,
         }
     }
 }
@@ -136,7 +138,6 @@ mod tests {
         let c = DurabilityConfig::new("/tmp/x");
         assert_eq!(c.fsync, FsyncPolicy::PerRecord, "default must be the no-loss policy");
         assert_eq!(c.checkpoint_every, 0, "checkpoints are explicit unless opted in");
-        assert!(c.retain_checkpoints >= 2, "need a fallback checkpoint");
     }
 
     #[test]

@@ -23,7 +23,9 @@ use velox_storage::{CheckpointStore, Namespace, ObservationLog, StorageError};
 
 use crate::bootstrap::BootstrapState;
 use crate::config::{BanditChoice, VeloxConfig};
-use crate::durability::{CheckpointReport, DurabilityConfig, DurabilityStats, RecoveryReport};
+use crate::durability::{
+    CheckpointReport, DurabilityConfig, DurabilityStats, RecoveryReport, RETAIN_CHECKPOINTS,
+};
 use crate::error::VeloxError;
 use crate::persistence::DeploymentSnapshot;
 use crate::sharded_cache::ShardedCache;
@@ -1537,10 +1539,8 @@ impl Velox {
     {
         let durability_config = config.durability.clone().ok_or(VeloxError::DurabilityDisabled)?;
         let timer = Timer::start();
-        let store = CheckpointStore::open(
-            durability_config.dir.join("checkpoints"),
-            durability_config.retain_checkpoints,
-        )?;
+        let store =
+            CheckpointStore::open(durability_config.dir.join("checkpoints"), RETAIN_CHECKPOINTS)?;
         let checkpoint = store.load_latest()?;
 
         let (velox, checkpoint_seq, checkpoint_wal_offset) = match &checkpoint {

@@ -268,6 +268,11 @@ impl Default for NodeMetrics {
     }
 }
 
+/// Records an owner queues per replica while its ship link is down
+/// before the queue collapses into a resync marker (re-ship from the log
+/// on heal).
+const SHIP_BACKLOG_CAP: usize = 1024;
+
 /// Configuration for one node server.
 pub struct NodeConfig {
     /// This node's id on the ring.
@@ -287,10 +292,6 @@ pub struct NodeConfig {
     pub wal_dir: Option<std::path::PathBuf>,
     /// Worker threads for the node's RPC server.
     pub workers: usize,
-    /// Records queued per replica while its ship link is down before the
-    /// queue collapses into a resync marker (re-ship from the log on
-    /// heal).
-    pub ship_backlog_cap: usize,
     /// Runtime-owned counters (survive restarts).
     pub metrics: NodeMetrics,
     /// Cluster-wide tracer (this node records into its own ring). Use
@@ -430,11 +431,30 @@ impl NodeState {
         })
     }
 
-    /// Installs item features (management plane; not logged).
-    pub fn seed_items(&self, entries: &[(u64, Vec<f64>)]) {
+    /// Installs item features (management plane; not logged). An entry
+    /// with a non-finite component is refused — scoring or training on it
+    /// would turn a user's weights, and every later score, into NaN — and
+    /// any earlier entry for that item is dropped with it, so the item
+    /// answers `Unavailable` until finite features are published. The
+    /// finite entries of the frame are installed either way; the reply is
+    /// `BadRequest` when anything was refused.
+    pub fn seed_items(&self, entries: &[(u64, Vec<f64>)]) -> Response {
         let mut items = self.items.lock().unwrap();
+        let mut refused = Vec::new();
         for (item_id, x) in entries {
-            items.insert(*item_id, x.clone());
+            if x.iter().all(|v| v.is_finite()) {
+                items.insert(*item_id, x.clone());
+            } else {
+                items.remove(item_id);
+                refused.push(*item_id);
+            }
+        }
+        if refused.is_empty() {
+            return Response::Ok;
+        }
+        Response::Error {
+            code: ErrorCode::BadRequest,
+            message: format!("items {refused:?} have non-finite features"),
         }
     }
 
@@ -750,7 +770,6 @@ impl NodeState {
     /// when the bounded queue is full. Tracks the queued-depth gauge and
     /// its high-watermark.
     fn push_backlog(&self, debt: &mut ShipBacklog, rec: Observation, obs_id: u64) {
-        let cap = self.config.ship_backlog_cap.max(1);
         let metrics = &self.config.metrics;
         metrics.ship_backlog_queued.inc();
         match debt {
@@ -759,7 +778,7 @@ impl NodeState {
                 metrics.ship_backlog_depth.add(1);
             }
             ShipBacklog::Queue(q) => {
-                if q.len() >= cap {
+                if q.len() >= SHIP_BACKLOG_CAP {
                     let oldest = q.front().map(|(r, _)| r.timestamp).unwrap_or(rec.timestamp);
                     metrics.ship_backlog_depth.add(-(q.len() as i64));
                     *debt = ShipBacklog::ResyncFrom(oldest.min(rec.timestamp));
@@ -999,10 +1018,7 @@ impl NodeState {
             }
             Request::ShipLog { records, obs_ids } => self.respond_ship(records, obs_ids, ctx),
             Request::PullLog { from_ts } => self.respond_pull(from_ts),
-            Request::SeedItems { entries } => {
-                self.seed_items(&entries);
-                Response::Ok
-            }
+            Request::SeedItems { entries } => self.seed_items(&entries),
             Request::PutWeights { uid, w } => {
                 self.weights.lock().unwrap().insert(uid, w);
                 Response::Ok

@@ -29,9 +29,9 @@ use velox_cluster::netfault::{ChaosControl, LinkChaos, LinkFaultPlan, FRONT_PEER
 use velox_cluster::retry::obs_id_nonce;
 use velox_cluster::transport::{Transport, TransportError, TransportObserve, TransportPredict};
 use velox_cluster::{
-    ChunkStep, ControlPlane, DetectorConfig, FailureDetector, FaultAction, FaultClock, FaultPlan,
-    MembershipError, MembershipView, MigrationIo, Migrator, NodeHealth, NodeId, PartitionError,
-    PartitionMap, PeerLiveness, PeerState, USER_SALT,
+    ChunkStep, ControlPlane, FailureDetector, FaultAction, FaultClock, FaultPlan, MembershipError,
+    MembershipView, MigrationIo, Migrator, NodeHealth, NodeId, PartitionError, PartitionMap,
+    PeerLiveness, PeerState, USER_SALT,
 };
 use velox_obs::{
     Counter, Gauge, Histogram, Registry, RootSpan, SpanKind, SpanStatus, TraceConfig, TraceContext,
@@ -62,25 +62,14 @@ pub struct NetClusterConfig {
     pub wal_root: Option<PathBuf>,
     /// Worker threads per node server.
     pub workers: usize,
-    /// Per-request deadline for front → node RPCs.
-    pub request_timeout: Duration,
-    /// Template for every RPC client the cluster builds (retry budget,
-    /// backoff, per-try cap, pool size); `request_timeout` above
-    /// overrides the template's deadline.
+    /// Template for every RPC client the cluster builds: the front → node
+    /// deadline, retry budget, backoff and per-try cap.
     pub client: NetClientConfig,
     /// Request-tracing policy. Off by default: untraced requests send
     /// byte-identical legacy frames and skip every span branch.
     pub trace: TraceConfig,
-    /// Heartbeat probe period for the failure detector; `None` disables
-    /// the prober (peers then only change liveness via kill/recover).
-    pub heartbeat_interval: Option<Duration>,
-    /// Per-probe deadline (connect + Health round trip).
-    pub heartbeat_timeout: Duration,
-    /// Consecutive-miss thresholds for suspect/dead.
-    pub detector: DetectorConfig,
-    /// Records an owner queues per partitioned replica before collapsing
-    /// the queue into a full log resync on heal.
-    pub ship_backlog_cap: usize,
+    /// Heartbeat probe period for the failure detector.
+    pub heartbeat_interval: Duration,
     /// Hedge slow predict reads: when the home replica has not answered
     /// within a p99-derived delay, race a second replica and take the
     /// first reply. Off by default (costs one helper thread per predict).
@@ -92,22 +81,10 @@ pub struct NetClusterConfig {
     /// probe path, not a dead node), so suites that partition and heal
     /// links keep ownership stable unless they opt in.
     pub auto_rebalance: bool,
-    /// Wall-clock budget for one [`ControlPlane::migrate_partition`]: a
-    /// migration that has not committed by then aborts and rolls back
-    /// (source stays authoritative, no epoch bump).
-    pub migration_deadline: Duration,
     /// In-flight budget for one checkpoint chunk (encoded entry bytes per
     /// `PullPartitionChunk`). Bounds every checkpoint transfer frame —
     /// the gauge `velox_net_checkpoint_frame_max` proves it.
     pub checkpoint_chunk_bytes: u32,
-    /// Consecutive Dead-and-Down evaluations of a member before
-    /// auto-rebalance acts on the verdict (hysteresis against detector
-    /// flaps).
-    pub rebalance_hysteresis: u32,
-    /// Failed or aborted auto fail-overs tolerated before auto-rebalance
-    /// gives up until an operator re-enables it (each failure also backs
-    /// off exponentially).
-    pub rebalance_retry_cap: u32,
 }
 
 impl Default for NetClusterConfig {
@@ -119,22 +96,30 @@ impl Default for NetClusterConfig {
             lr: 0.1,
             wal_root: None,
             workers: 8,
-            request_timeout: Duration::from_secs(2),
             client: NetClientConfig::default(),
             trace: TraceConfig::off(),
-            heartbeat_interval: Some(Duration::from_millis(50)),
-            heartbeat_timeout: Duration::from_millis(100),
-            detector: DetectorConfig::default(),
-            ship_backlog_cap: 1024,
+            heartbeat_interval: Duration::from_millis(50),
             hedge_predicts: false,
             auto_rebalance: false,
-            migration_deadline: Duration::from_secs(30),
             checkpoint_chunk_bytes: 64 * 1024,
-            rebalance_hysteresis: 3,
-            rebalance_retry_cap: 5,
         }
     }
 }
+
+/// Per-probe deadline (connect + Health round trip).
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(100);
+/// Wall-clock budget for one [`ControlPlane::migrate_partition`]: a
+/// migration that has not committed by then aborts and rolls back (source
+/// stays authoritative, no epoch bump). Tests and benches tighten it at
+/// run time with [`ControlPlane::set_migration_deadline`].
+const MIGRATION_DEADLINE: Duration = Duration::from_secs(30);
+/// Consecutive Dead-and-Down evaluations of a member before auto-rebalance
+/// acts on the verdict (hysteresis against detector flaps).
+const REBALANCE_HYSTERESIS: u64 = 3;
+/// Failed or aborted auto fail-overs tolerated before auto-rebalance gives
+/// up until an operator re-enables it (each failure also backs off
+/// exponentially).
+const REBALANCE_RETRY_CAP: u32 = 5;
 
 /// Exponential-backoff ledger for the automatic fail-over path.
 struct AutoRebalanceBackoff {
@@ -250,7 +235,7 @@ impl NetCluster {
         let tracer = Tracer::new(capacity, config.trace);
         let chaos = Arc::new(LinkChaos::new(LinkFaultPlan::default()));
         let peers = Arc::new(PeerTable::with_chaos(capacity, Arc::clone(&chaos)));
-        let detector = Arc::new(FailureDetector::new(capacity, config.detector));
+        let detector = Arc::new(FailureDetector::new(capacity));
         // Every slot starts empty and `Down`; founding members are brought
         // up below exactly like later joins and recoveries.
         let slots = (0..capacity)
@@ -269,7 +254,7 @@ impl NetCluster {
         let map_epoch_gauge = Arc::new(Gauge::new());
         map_epoch_gauge.set(map.epoch() as i64);
         let auto_rebalance = config.auto_rebalance;
-        let migrator = Migrator::new(Some(config.migration_deadline), Arc::clone(&tracer));
+        let migrator = Migrator::new(Some(MIGRATION_DEADLINE), Arc::clone(&tracer));
         let cluster = NetCluster {
             map: RwLock::new(map),
             capacity,
@@ -307,18 +292,14 @@ impl NetCluster {
             cluster.publish_node(&mut slot, node, server);
         }
         // The prober starts once there is something to probe.
-        let hb_thread = cluster.config.heartbeat_interval.map(|interval| {
-            spawn_heartbeat(
-                Arc::clone(&cluster.peers),
-                Arc::clone(&cluster.detector),
-                Arc::clone(&cluster.chaos),
-                Arc::clone(&cluster.hb_stop),
-                interval,
-                cluster.config.heartbeat_timeout,
-                capacity,
-            )
-        });
-        *cluster.hb_thread.lock().unwrap() = hb_thread;
+        *cluster.hb_thread.lock().unwrap() = Some(spawn_heartbeat(
+            Arc::clone(&cluster.peers),
+            Arc::clone(&cluster.detector),
+            Arc::clone(&cluster.chaos),
+            Arc::clone(&cluster.hb_stop),
+            cluster.config.heartbeat_interval,
+            capacity,
+        ));
         Ok(cluster)
     }
 
@@ -443,7 +424,6 @@ impl NetCluster {
                 lr: self.config.lr,
                 wal_dir: self.config.wal_root.as_ref().map(|r| r.join(format!("node-{node}"))),
                 workers: self.config.workers,
-                ship_backlog_cap: self.config.ship_backlog_cap,
                 metrics,
                 tracer: Arc::clone(&self.tracer),
             },
@@ -459,12 +439,7 @@ impl NetCluster {
     /// Makes a started `server` the live incarnation of `node`: endpoint
     /// published, health `Up`, detector told.
     fn publish_node(&self, slot: &mut NodeSlot, node: NodeId, server: NodeServer) {
-        // The shared client template under the cluster's request deadline.
-        let client = NetClientConfig {
-            request_timeout: self.config.request_timeout,
-            ..self.config.client.clone()
-        };
-        self.peers.set(node, Some((server.local_addr(), client)));
+        self.peers.set(node, Some((server.local_addr(), self.config.client.clone())));
         slot.server = Some(server);
         self.health[node].store(NodeHealth::Up.encode(), Ordering::Release);
         self.detector.force(node as u32, PeerState::Alive);
@@ -574,16 +549,14 @@ impl NetCluster {
     /// - **kill switch** — a REST-togglable enable bit gates the whole
     ///   path;
     /// - **hysteresis** — a member must be `Dead` *and* process-down for
-    ///   [`NetClusterConfig::rebalance_hysteresis`] consecutive
-    ///   evaluations before the map is touched, so one detector flap
-    ///   cannot evict a live node;
+    ///   [`REBALANCE_HYSTERESIS`] consecutive evaluations before the map
+    ///   is touched, so one detector flap cannot evict a live node;
     /// - **at-most-one** — fail-over is skipped while a migration is in
     ///   flight;
     /// - **backoff + retry cap** — each failed automatic fail-over backs
-    ///   off exponentially, and after
-    ///   [`NetClusterConfig::rebalance_retry_cap`] consecutive failures
-    ///   the automatic path disables itself until an operator re-enables
-    ///   it.
+    ///   off exponentially, and after [`REBALANCE_RETRY_CAP`] consecutive
+    ///   failures the automatic path disables itself until an operator
+    ///   re-enables it.
     fn maybe_auto_fail_over(&self) {
         if !self.auto_rebalance_enabled.load(Ordering::Acquire) {
             return;
@@ -594,7 +567,7 @@ impl NetCluster {
         }
         {
             let bo = self.auto_backoff.lock().unwrap();
-            if bo.failures >= self.config.rebalance_retry_cap {
+            if bo.failures >= REBALANCE_RETRY_CAP {
                 return;
             }
             if let Some(until) = bo.hold_until {
@@ -607,7 +580,6 @@ impl NetCluster {
         if members.len() <= 1 {
             return;
         }
-        let needed = self.config.rebalance_hysteresis.max(1) as u64;
         for m in members {
             let verdict = self.detector.state(m as u32) == PeerState::Dead
                 && self.node_health(m) == NodeHealth::Down;
@@ -616,7 +588,7 @@ impl NetCluster {
                 continue;
             }
             let streak = self.dead_streak[m].fetch_add(1, Ordering::AcqRel) + 1;
-            if streak < needed {
+            if streak < REBALANCE_HYSTERESIS {
                 continue;
             }
             self.dead_streak[m].store(0, Ordering::Release);
@@ -1021,7 +993,6 @@ fn spawn_heartbeat(
     chaos: Arc<LinkChaos>,
     stop: Arc<AtomicBool>,
     interval: Duration,
-    timeout: Duration,
     n_nodes: usize,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
@@ -1039,7 +1010,7 @@ fn spawn_heartbeat(
                     continue;
                 }
                 let started = Instant::now();
-                if probe_health(addr, timeout) {
+                if probe_health(addr) {
                     detector.record_success(node as u32, started.elapsed().as_micros() as u64);
                 } else {
                     detector.record_failure(node as u32);
@@ -1058,14 +1029,15 @@ fn spawn_heartbeat(
     })
 }
 
-/// One probe: dial, Health, read the ack — all within `timeout`.
-fn probe_health(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(mut conn) = std::net::TcpStream::connect_timeout(&addr, timeout) else {
+/// One probe: dial, Health, read the ack — each step within
+/// [`HEARTBEAT_TIMEOUT`].
+fn probe_health(addr: SocketAddr) -> bool {
+    let Ok(mut conn) = std::net::TcpStream::connect_timeout(&addr, HEARTBEAT_TIMEOUT) else {
         return false;
     };
     let _ = conn.set_nodelay(true);
-    if conn.set_read_timeout(Some(timeout)).is_err()
-        || conn.set_write_timeout(Some(timeout)).is_err()
+    if conn.set_read_timeout(Some(HEARTBEAT_TIMEOUT)).is_err()
+        || conn.set_write_timeout(Some(HEARTBEAT_TIMEOUT)).is_err()
     {
         return false;
     }
@@ -1255,7 +1227,8 @@ impl Transport for NetCluster {
                     }
                     // Hedge lost too — fall back to whatever the primary
                     // produces within the remaining deadline.
-                    let remaining = self.config.request_timeout.saturating_sub(timer.elapsed());
+                    let remaining =
+                        self.config.client.request_timeout.saturating_sub(timer.elapsed());
                     primary_reply = rx.recv_timeout(remaining).ok().map(|reply| (reply, 2));
                 }
                 match primary_reply {

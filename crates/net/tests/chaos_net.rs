@@ -57,8 +57,7 @@ fn start_net_chaos(hedge: bool) -> NetCluster {
         lr: LR,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
-        heartbeat_interval: Some(Duration::from_millis(20)),
+        heartbeat_interval: Duration::from_millis(20),
         hedge_predicts: hedge,
         client: NetClientConfig {
             per_try_timeout: Some(Duration::from_millis(150)),
@@ -451,8 +450,8 @@ fn tcp_chaos_is_deterministic_under_a_fixed_seed() {
                 lr: LR,
                 wal_root: None,
                 workers: 8,
-                request_timeout: Duration::from_secs(4),
                 client: NetClientConfig {
+                    request_timeout: Duration::from_secs(4),
                     per_try_timeout: Some(Duration::from_secs(2)),
                     retry: RetryPolicy {
                         max_attempts: 2,
@@ -460,7 +459,6 @@ fn tcp_chaos_is_deterministic_under_a_fixed_seed() {
                         backoff_max: Duration::from_millis(20),
                         jitter: 0.2,
                     },
-                    ..Default::default()
                 },
                 ..Default::default()
             })
@@ -548,7 +546,6 @@ fn saturated_server_sheds_new_connections_with_overloaded() {
             request_timeout: Duration::from_millis(600),
             per_try_timeout: Some(Duration::from_millis(150)),
             retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::none() },
-            ..Default::default()
         },
     );
     let timer = Instant::now();

@@ -13,9 +13,8 @@
 //! - a scripted `FaultPlan` kills and recovers real servers mid-workload.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use velox_cluster::transport::{SimTransport, Transport};
+use velox_cluster::transport::{SimTransport, Transport, TransportError};
 use velox_cluster::{Cluster, ClusterConfig, FaultAction, FaultEvent, FaultPlan};
 use velox_net::{NetCluster, NetClusterConfig, Request, Response};
 use velox_storage::ScratchDir;
@@ -38,7 +37,6 @@ fn start_net(wal_root: Option<&ScratchDir>, user_replication: usize) -> NetClust
         lr: LR,
         wal_root: wal_root.map(|d| d.path().to_path_buf()),
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");
@@ -132,6 +130,56 @@ fn tcp_backend_agrees_with_in_process_simulator() {
                 a.score,
                 b.score
             );
+        }
+    }
+}
+
+/// An item published with a non-finite feature component is
+/// `Unavailable` on both backends, for predicts and observes alike — never
+/// a NaN score, never a poisoned weight vector — including an item whose
+/// earlier, finite features it replaces. Finite items published in the
+/// same batch still serve.
+#[test]
+fn non_finite_item_features_are_unavailable_on_both_backends() {
+    let sim_cluster = Arc::new(Cluster::new(ClusterConfig {
+        n_nodes: 3,
+        user_replication: 2,
+        item_replication: 3,
+        ..Default::default()
+    }));
+    let sim = SimTransport::new(Arc::clone(&sim_cluster), LR);
+    let net = start_net(None, 2);
+    let bad_items = 100..104u64;
+    let republished = 103;
+    sim_cluster.publish_item_features(vec![(republished, item_features(3))]);
+    net.publish_item_features(vec![(republished, item_features(3))]);
+    let mut entries: Vec<(u64, Vec<f64>)> = bad_items
+        .clone()
+        .zip([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN])
+        .map(|(item, v)| (item, vec![0.5, v, 0.25]))
+        .collect();
+    entries.push((104, item_features(4)));
+    sim_cluster.publish_item_features(entries.clone());
+    net.publish_item_features(entries);
+
+    let backends: [(&str, &dyn Transport); 2] = [("sim", &sim), ("net", &net)];
+    for (name, t) in backends {
+        for uid in 0..7u64 {
+            for item in bad_items.clone() {
+                let predict = t.predict(uid, item).map(|p| p.score);
+                assert!(
+                    matches!(predict, Err(TransportError::Unavailable)),
+                    "{name}: predict uid {uid} item {item} gave {predict:?}"
+                );
+                let observe = t.observe(uid, item, 1.0).map(|o| o.ts);
+                assert!(
+                    matches!(observe, Err(TransportError::Unavailable)),
+                    "{name}: observe uid {uid} item {item} gave {observe:?}"
+                );
+            }
+            t.observe(uid, 104, 1.0).unwrap_or_else(|e| panic!("{name}: observe 104: {e:?}"));
+            let p = t.predict(uid, 104).unwrap_or_else(|e| panic!("{name}: predict 104: {e:?}"));
+            assert!(p.score.is_finite() && !p.cold_start, "{name}: uid {uid} scored {p:?}");
         }
     }
 }

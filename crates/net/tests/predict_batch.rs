@@ -4,8 +4,6 @@
 //! cannot answer must fall back to the single-predict path's precise
 //! error.
 
-use std::time::Duration;
-
 use velox_cluster::{Transport, TransportError};
 use velox_net::{NetCluster, NetClusterConfig};
 
@@ -23,7 +21,6 @@ fn start_cluster() -> NetCluster {
         lr: 0.1,
         wal_root: None,
         workers: 4,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");

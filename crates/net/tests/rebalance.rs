@@ -50,7 +50,6 @@ impl props::Twin for NetTwin {
             lr: props::LR,
             wal_root: Some(wal.path().to_path_buf()),
             workers: 8,
-            request_timeout: Duration::from_secs(2),
             // One 4-dim entry is 44 B on the wire: a few users per chunk,
             // so a migration takes several boundary checks.
             checkpoint_chunk_bytes: 160,

@@ -16,7 +16,6 @@
 //!    extension.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use velox_cluster::transport::Transport;
 use velox_cluster::{Cluster, ClusterConfig, SimTransport};
@@ -42,7 +41,6 @@ fn start_net(trace: TraceConfig) -> NetCluster {
         lr: LR,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         trace,
         ..Default::default()
     })
@@ -178,7 +176,6 @@ fn wal_spans_attribute_fsync_time_when_durability_is_on() {
         lr: LR,
         wal_root: Some(dir.clone()),
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         trace: TraceConfig::sample_all(),
         ..Default::default()
     })

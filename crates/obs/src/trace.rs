@@ -29,11 +29,11 @@
 //! # Ring sizing
 //!
 //! Each node (plus the cluster front) owns one [`SpanRing`] of
-//! `ring_capacity` slots (rounded up to a power of two, default 4096). A
-//! slot is 56 bytes, so the default is ~230 KiB per node. A traced observe
-//! produces ~8 spans across three rings; 4096 slots per ring therefore
-//! retain on the order of the last few thousand requests — enough for a
-//! scrape-and-fetch monitoring loop at serving rates.
+//! `RING_CAPACITY` = 4096 slots. A slot is 56 bytes, so that is ~230 KiB
+//! per node. A traced observe produces ~8 spans across three rings; 4096
+//! slots per ring therefore retain on the order of the last few thousand
+//! requests — enough for a scrape-and-fetch monitoring loop at serving
+//! rates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -522,11 +522,12 @@ pub struct TraceConfig {
     /// exceeds this many nanoseconds. When `None`, only head-sampled
     /// requests record at all.
     pub slow_threshold_ns: Option<u64>,
-    /// Slots per node ring (rounded up to a power of two).
-    pub ring_capacity: usize,
-    /// Entries in the kept-trace index.
-    pub kept_capacity: usize,
 }
+
+/// Slots per node ring.
+const RING_CAPACITY: usize = 4096;
+/// Entries in the kept-trace index.
+const KEPT_CAPACITY: usize = 256;
 
 impl Default for TraceConfig {
     fn default() -> Self {
@@ -534,8 +535,6 @@ impl Default for TraceConfig {
             enabled: true,
             sample_one_in: 64,
             slow_threshold_ns: Some(10_000_000), // 10 ms
-            ring_capacity: 4096,
-            kept_capacity: 256,
         }
     }
 }
@@ -599,7 +598,7 @@ impl Tracer {
     /// Creates a tracer for `n_nodes` serving nodes (plus the front ring).
     pub fn new(n_nodes: usize, config: TraceConfig) -> Arc<Tracer> {
         let rings = if config.enabled {
-            (0..=n_nodes).map(|_| SpanRing::new(config.ring_capacity)).collect()
+            (0..=n_nodes).map(|_| SpanRing::new(RING_CAPACITY)).collect()
         } else {
             Vec::new()
         };
@@ -818,9 +817,8 @@ impl Tracer {
             };
             let mut kept_ring = self.kept.lock().unwrap();
             kept_ring.push(entry);
-            let cap = self.config.kept_capacity.max(1);
-            if kept_ring.len() > cap {
-                let excess = kept_ring.len() - cap;
+            if kept_ring.len() > KEPT_CAPACITY {
+                let excess = kept_ring.len() - KEPT_CAPACITY;
                 kept_ring.drain(..excess);
             }
         }
@@ -1116,15 +1114,12 @@ mod tests {
 
     #[test]
     fn kept_index_is_bounded() {
-        let tracer = Tracer::new(
-            1,
-            TraceConfig { sample_one_in: 1, kept_capacity: 4, ..TraceConfig::default() },
-        );
-        for _ in 0..10 {
+        let tracer = Tracer::new(1, TraceConfig::sample_all());
+        for _ in 0..KEPT_CAPACITY + 10 {
             let root = tracer.ingress(SpanKind::RestRequest, FRONT_NODE).unwrap();
             tracer.end_root(root);
         }
-        assert_eq!(tracer.kept().len(), 4);
+        assert_eq!(tracer.kept().len(), KEPT_CAPACITY);
     }
 
     #[test]

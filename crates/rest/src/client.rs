@@ -22,6 +22,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+pub use velox_cluster::RetryPolicy;
+
 use crate::http::{read_response, HttpError};
 use crate::json::Json;
 
@@ -84,34 +86,21 @@ impl From<HttpError> for ClientError {
     }
 }
 
-/// Retry tuning for transient failures.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per call (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a uniform
-    /// factor in `[1 - jitter, 1 + jitter]` so synchronized clients don't
-    /// retry in lockstep.
-    pub jitter: f64,
-    /// Seed for the jitter RNG (deterministic backoff schedules in tests).
-    pub seed: u64,
-}
+/// The retry schedule [`VeloxClient::new`] starts with: three attempts,
+/// waiting 25 ms before the first retry and doubling up to 1 s, each wait
+/// scaled by a uniform factor in `[0.8, 1.2)` so synchronized clients don't
+/// retry in lockstep. Override only the budget with
+/// `RetryPolicy { max_attempts, ..REST_RETRY }`.
+pub const REST_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    backoff_base: Duration::from_millis(25),
+    backoff_max: Duration::from_secs(1),
+    jitter: 0.4,
+};
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-            jitter: 0.2,
-            seed: 0xC1_1E_47,
-        }
-    }
-}
+/// Seed for every client's jitter generator (deterministic backoff
+/// schedules in tests).
+const JITTER_SEED: u64 = 0xC1_1E_47;
 
 /// Circuit-breaker tuning.
 #[derive(Debug, Clone)]
@@ -280,15 +269,13 @@ impl VeloxClient {
                     .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.'),
             "model name must be URL-path-safe ([A-Za-z0-9._-])"
         );
-        let retry = RetryPolicy::default();
-        let rng_state = retry.seed;
         VeloxClient {
             addr,
             model,
             timeout: Duration::from_secs(10),
-            retry,
+            retry: REST_RETRY,
             breaker: BreakerConfig::default(),
-            resilience: Mutex::new(Resilience { rng_state, breakers: HashMap::new() }),
+            resilience: Mutex::new(Resilience { rng_state: JITTER_SEED, breakers: HashMap::new() }),
             conn: Mutex::new(None),
         }
     }
@@ -299,9 +286,8 @@ impl VeloxClient {
         self
     }
 
-    /// Overrides the retry policy.
+    /// Overrides the retry policy ([`REST_RETRY`] until then).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.resilience.get_mut().unwrap().rng_state = retry.seed;
         self.retry = retry;
         self
     }
@@ -379,14 +365,11 @@ impl VeloxClient {
 
     /// Exponential backoff with jitter for retry `attempt` (1-based).
     fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self.retry.base_backoff.as_secs_f64() * 2f64.powi(attempt as i32 - 1);
-        let capped = exp.min(self.retry.max_backoff.as_secs_f64());
-        let unit = {
+        let uniform = {
             let mut resilience = self.resilience.lock().unwrap();
             (splitmix64(&mut resilience.rng_state) >> 11) as f64 / (1u64 << 53) as f64
         };
-        let factor = 1.0 + self.retry.jitter * (2.0 * unit - 1.0);
-        Duration::from_secs_f64((capped * factor).max(0.0))
+        self.retry.backoff(attempt - 1, uniform)
     }
 
     /// One call with retries and breaker accounting. The breaker is
@@ -760,4 +743,24 @@ pub struct ClientBackend {
     pub mean_batch: f64,
     /// Requests that exceeded the lane's latency SLO.
     pub slo_violations: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The schedule `VeloxClient::new` has always had: before REST retry
+    /// `k` the wait lies in 25 · 2^(k−1) ms ± 20 %, the nominal wait
+    /// capped at 1 s.
+    #[test]
+    fn rest_retry_keeps_its_schedule() {
+        let near = |d: Duration, ms: f64| (d.as_secs_f64() * 1e3 - ms).abs() < 1e-6;
+        for k in 1..=7u32 {
+            let nominal = (25.0 * 2f64.powi(k as i32 - 1)).min(1_000.0);
+            let (low, high) = (REST_RETRY.backoff(k - 1, 0.0), REST_RETRY.backoff(k - 1, 1.0));
+            assert!(near(low, nominal * 0.8), "retry {k}: shortest wait {low:?}");
+            assert!(near(high, nominal * 1.2), "retry {k}: longest wait {high:?}");
+        }
+        assert_eq!(REST_RETRY.max_attempts, 3);
+    }
 }

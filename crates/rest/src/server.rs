@@ -38,6 +38,8 @@ const MIGRATION_LEDGER_TAIL: usize = 32;
 /// thread: draining the request the client already sent (so the close
 /// behind the answer does not reset it away), then writing the `503`.
 const SHED_DRAIN: Duration = Duration::from_millis(10);
+/// Per-connection write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Tuning knobs for the REST listener.
 #[derive(Debug, Clone)]
@@ -52,8 +54,6 @@ pub struct ServerConfig {
     /// Per-connection read timeout (slowloris guard); also how long a
     /// kept-alive connection may sit idle before the server closes it.
     pub read_timeout: std::time::Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: std::time::Duration,
     /// How long a rendered `GET /metrics` exposition may be served from
     /// cache. Rendering merges and re-sorts every deployment's registry —
     /// linear in metric count — so an aggressive scraper (or many) could
@@ -72,7 +72,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_in_flight: 256,
             read_timeout: std::time::Duration::from_secs(30),
-            write_timeout: std::time::Duration::from_secs(30),
             metrics_cache_ttl: std::time::Duration::from_millis(250),
             shed_retry_after: std::time::Duration::from_secs(1),
         }
@@ -236,7 +235,7 @@ impl RestServer {
         // Whole seconds, rounded up: Retry-After has one-second resolution
         // and "0" would tell clients to hammer a saturated server.
         let retry_after = config.shed_retry_after.as_secs_f64().ceil().max(1.0).to_string();
-        let (read_timeout, write_timeout) = (config.read_timeout, config.write_timeout);
+        let read_timeout = config.read_timeout;
         let pool = ConnPool::bind(
             addr,
             PoolConfig { workers: config.max_in_flight, max_pending: 0, accepted, shed },
@@ -244,7 +243,7 @@ impl RestServer {
                 // A slow or idle client must not pin its worker forever
                 // (slowloris), kept alive or not.
                 let _ = stream.set_read_timeout(Some(read_timeout));
-                let _ = stream.set_write_timeout(Some(write_timeout));
+                let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                 serve_connection(&stream, &routes, stop);
             },
             move |stream| shed_connection(&stream, &retry_after),

@@ -46,7 +46,6 @@ impl Front {
                 lr: 0.1,
                 wal_root: None,
                 workers: 8,
-                request_timeout: Duration::from_secs(2),
                 ..Default::default()
             })
             .expect("start loopback cluster"),

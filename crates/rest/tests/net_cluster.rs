@@ -31,7 +31,6 @@ fn start_net_cluster() -> Arc<NetCluster> {
         lr: LR,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");
@@ -170,7 +169,6 @@ fn membership_routes_reject_rebalance_and_commit_over_http() {
         lr: LR,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");

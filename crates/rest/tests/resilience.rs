@@ -184,10 +184,9 @@ impl Drop for FlakyServer {
 fn fast_retry(max_attempts: u32) -> RetryPolicy {
     RetryPolicy {
         max_attempts,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(5),
-        jitter: 0.2,
-        seed: 42,
+        backoff_base: Duration::from_millis(1),
+        backoff_max: Duration::from_millis(5),
+        jitter: 0.4,
     }
 }
 

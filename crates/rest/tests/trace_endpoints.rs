@@ -3,7 +3,6 @@
 //! ingress, and `GET /traces/slow` indexes kept traces.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use velox_core::server::VeloxServer;
 use velox_net::{NetCluster, NetClusterConfig};
@@ -25,7 +24,6 @@ fn start_traced_rest() -> (RestHandle, VeloxClient) {
         lr: 0.1,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         trace: TraceConfig::sample_all(),
         ..Default::default()
     })

@@ -48,7 +48,6 @@ fn tcp_transport() -> Arc<dyn Transport + Send + Sync> {
         lr: LR,
         wal_root: None,
         workers: 8,
-        request_timeout: Duration::from_secs(2),
         ..Default::default()
     })
     .expect("start loopback cluster");
