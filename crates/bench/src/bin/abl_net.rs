@@ -102,8 +102,9 @@ fn predict_hops(agg: &mut HopAgg, root: &TraceNode) -> bool {
 
 /// Decomposes one observe trace: `cluster_observe(route,
 /// rpc_call(server_recv(node_observe(wal_append, wal_fsync?,
-/// ship_replica(server_recv(ship_apply))))))`. The fsync span only exists
-/// on appends the WAL policy actually synced.
+/// ship_replica(server_recv(ship_apply))))))`. The fsync span is the
+/// local wait no ship round trip hid: zero-length when the owner's sync
+/// ran inside the ship, absent without a WAL.
 fn observe_hops(agg: &mut HopAgg, root: &TraceNode) -> bool {
     let Some(rpc) = child_of(root, SpanKind::RpcCall) else { return false };
     let Some(sr) = child_of(rpc, SpanKind::ServerRecv) else { return false };

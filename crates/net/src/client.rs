@@ -310,6 +310,32 @@ impl NetClient {
         trace: Option<&TraceContext>,
         mode: RetryMode,
     ) -> Result<Response, NetError> {
+        self.call_with(req, deadline, trace, mode, None)
+    }
+
+    /// [`NetClient::call_traced`] that runs `while_waiting` after the
+    /// request frame is on the wire and before the reply is read — once,
+    /// on the first attempt that sends — so the caller's own work overlaps
+    /// the peer's. Its time is not charged to the attempt's deadline. A
+    /// call that never sends a frame never runs it; the caller checks.
+    pub fn call_overlapped(
+        &self,
+        req: &Request,
+        trace: Option<&TraceContext>,
+        while_waiting: &mut dyn FnMut(),
+    ) -> Result<Response, NetError> {
+        let deadline = self.config.request_timeout;
+        self.call_with(req, deadline, trace, RetryMode::Idempotent, Some(while_waiting))
+    }
+
+    fn call_with(
+        &self,
+        req: &Request,
+        deadline: Duration,
+        trace: Option<&TraceContext>,
+        mode: RetryMode,
+        mut while_waiting: Option<&mut dyn FnMut()>,
+    ) -> Result<Response, NetError> {
         let started = Instant::now();
         let payload = req.encode();
         let budget = self.config.retry.max_attempts.max(1);
@@ -361,7 +387,16 @@ impl NetClient {
                     continue;
                 }
             };
-            match round_trip(&mut conn, &payload, try_started, try_budget, trace, &verdict) {
+            let outcome = round_trip(
+                &mut conn,
+                &payload,
+                try_started,
+                try_budget,
+                trace,
+                &verdict,
+                &mut while_waiting,
+            );
+            match outcome {
                 Ok(Response::Error { code: ErrorCode::Overloaded, .. }) => {
                     // The server shed us before reading the request and
                     // closed the connection: provably not applied.
@@ -427,17 +462,20 @@ fn only_delay(v: &LinkVerdict) -> bool {
 
 /// Sends one frame and reads one reply, arming socket timeouts from the
 /// remaining attempt budget before each blocking step and applying the
-/// chaos verdict to the real socket. Errors carry a `sent` flag: whether
-/// the request bytes may have reached the server (ambiguous delivery).
+/// chaos verdict to the real socket. Runs `while_waiting` (taking it)
+/// between a delivered send and the read. Errors carry a `sent` flag:
+/// whether the request bytes may have reached the server (ambiguous
+/// delivery).
 fn round_trip(
     conn: &mut TcpStream,
     payload: &[u8],
-    started: Instant,
+    mut started: Instant,
     deadline: Duration,
     trace: Option<&TraceContext>,
     verdict: &LinkVerdict,
+    while_waiting: &mut Option<&mut dyn FnMut()>,
 ) -> Result<Response, (NetError, bool)> {
-    let arm = |conn: &TcpStream| -> Result<(), NetError> {
+    let arm = |conn: &TcpStream, started: Instant| -> Result<(), NetError> {
         let remaining = deadline.checked_sub(started.elapsed()).ok_or(NetError::Timeout)?;
         if remaining.is_zero() {
             return Err(NetError::Timeout);
@@ -446,12 +484,12 @@ fn round_trip(
         conn.set_read_timeout(Some(remaining)).map_err(|e| NetError::Io(e.to_string()))?;
         Ok(())
     };
-    arm(conn).map_err(|e| (e, false))?;
+    arm(conn, started).map_err(|e| (e, false))?;
 
     if verdict.delay_us > 0 {
         let delay = Duration::from_micros(verdict.delay_us).min(deadline);
         std::thread::sleep(delay);
-        arm(conn).map_err(|e| (e, false))?;
+        arm(conn, started).map_err(|e| (e, false))?;
     }
 
     if verdict.drop {
@@ -508,7 +546,14 @@ fn round_trip(
         return Err((NetError::Timeout, true));
     }
 
-    arm(conn).map_err(|e| (e, true))?;
+    if let Some(work) = while_waiting.take() {
+        // The peer is on the request: overlap the caller's own work with
+        // it, off the attempt's clock.
+        let paused = Instant::now();
+        work();
+        started += paused.elapsed();
+    }
+    arm(conn, started).map_err(|e| (e, true))?;
     let reply = read_frame(conn).map_err(|e| (classify(e), true))?;
     let resp = Response::decode(&reply).map_err(|e| (NetError::Corrupt(e.to_string()), true))?;
     Ok(resp)

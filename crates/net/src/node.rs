@@ -9,19 +9,38 @@
 //!
 //! ## Durability and ordering
 //!
-//! An observe is acknowledged only after (1) the record is appended to
-//! the owner's WAL and (2) a `ShipLog` round trip to every *reachable*
-//! replica completed — so losing the owner's disk still leaves every
-//! acknowledged record in a replica's WAL. Records carry a logical
+//! An observe is acknowledged only after (1) the record is durable in the
+//! owner's WAL and (2) a `ShipLog` round trip to every *reachable*
+//! replica completed — and a replica answers `Ok` only once the records
+//! are durable in *its* WAL — so losing the owner's disk still leaves
+//! every acknowledged record in a replica's WAL. Records carry a logical
 //! timestamp from the owner's clock; the clock is `fetch_max`-ed with
 //! every shipped/pulled record so an acting owner (failover writer)
 //! always assigns timestamps above everything it has seen, and recovery
 //! replays strictly in timestamp order. The `(uid, ts)` pair identifies a
 //! record: replay and re-shipping are idempotent.
 //!
-//! Weight updates happen under the log lock, so replaying the log in
-//! timestamp order reproduces the exact floating-point op sequence — the
-//! property the backends-agree and recovery tests lean on.
+//! The WAL write, the log insert and the weight update happen under the
+//! log lock, so replaying the log in timestamp order reproduces the exact
+//! floating-point op sequence — the property the backends-agree and
+//! recovery tests lean on. The `fdatasync` does not: it runs after the
+//! lock is released, and at the owner it runs while the first replica
+//! works on the `ShipLog` frame already on the wire, so the two WALs'
+//! syncs overlap instead of running back to back.
+//!
+//! A record is therefore applied in memory before it is durable, and a
+//! failed WAL write or sync **poisons the node's log**: that observe (or
+//! ship) answers `Internal` and leaves no dedupe-window entry, and every
+//! later append at the node — own observes, shipped and merged records —
+//! answers the WAL's same poisoned error. No sync is retried (the storage
+//! layer never re-issues a failed `fdatasync`), so the in-memory state
+//! never outlives a disk that lost its writes by more than the failed
+//! request. A poisoned node also fails its `Health` probe, so the front's
+//! failure detector routes its users to a replica acting as owner within a
+//! few heartbeats. The failed observe's record may already be at the
+//! replica (the ship runs alongside the sync): like any request that
+//! failed after delivery, it may or may not survive, which the node's
+//! restart — WAL scan and `PullLog` from the replicas — settles.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -33,8 +52,10 @@ use velox_cluster::netfault::{LinkChaos, FRONT_PEER};
 use velox_cluster::retry::ObsDedupe;
 use velox_cluster::transport::{dot, lms_update, non_finite_label};
 use velox_cluster::{NodeId, PartitionMap};
-use velox_obs::{trace::now_ns, Counter, Gauge, Registry, SpanKind, TraceContext, Tracer};
-use velox_storage::{Observation, Wal, WalConfig, WalRecovery};
+use velox_obs::{
+    trace::now_ns, Counter, Gauge, Histogram, Registry, SpanKind, TraceContext, Tracer,
+};
+use velox_storage::{Observation, Wal, WalConfig, WalRecovery, WalStats};
 
 use crate::client::{ChaosLink, ClientMetrics, NetClient, NetClientConfig};
 use crate::rpc::{build_chunk, BatchScore, ErrorCode, Request, Response};
@@ -186,6 +207,10 @@ pub struct NodeMetrics {
     pub wrong_epoch: Arc<Counter>,
     /// Partition maps adopted via `InstallMap` (newer-epoch installs only).
     pub map_installs: Arc<Counter>,
+    /// The node's WAL counters: appends, `fdatasync`s (one per own observe
+    /// and per `ShipLog` frame) and each fsync's duration — which the
+    /// trace no longer shows where the ship round trip hides it.
+    pub wal: WalStats,
 }
 
 impl NodeMetrics {
@@ -204,6 +229,7 @@ impl NodeMetrics {
             ship_backlog_hwm: Arc::new(Gauge::new()),
             wrong_epoch: Arc::new(Counter::new()),
             map_installs: Arc::new(Counter::new()),
+            wal: WalStats { fsync_ns: Some(Arc::new(Histogram::new())), ..WalStats::new() },
         }
     }
 
@@ -259,6 +285,19 @@ impl NodeMetrics {
             &labels,
             Arc::clone(&self.map_installs),
         );
+        registry.register_counter(
+            "velox_net_wal_appends_total",
+            &labels,
+            Arc::clone(&self.wal.appends),
+        );
+        registry.register_counter(
+            "velox_net_wal_fsyncs_total",
+            &labels,
+            Arc::clone(&self.wal.fsyncs),
+        );
+        if let Some(fsync_ns) = &self.wal.fsync_ns {
+            registry.register_histogram("velox_net_wal_fsync_ns", &labels, Arc::clone(fsync_ns));
+        }
     }
 }
 
@@ -299,14 +338,13 @@ pub struct NodeConfig {
     pub tracer: Arc<Tracer>,
 }
 
-/// The log half of a node's state: the WAL handle and every record this
-/// node holds (own writes + shipped-in), ordered by `(timestamp, uid)`.
-/// A record is applied here exactly when it is held, so the ordered log
-/// is also the idempotency set: a binary search answers "already
-/// applied?" without a second copy of every key (a `(uid, ts)` hash set
-/// cost more memory per observe than the records themselves).
+/// The log half of a node's state: every record this node holds (own
+/// writes + shipped-in), ordered by `(timestamp, uid)`. A record is
+/// applied here exactly when it is held, so the ordered log is also the
+/// idempotency set: a binary search answers "already applied?" without a
+/// second copy of every key (a `(uid, ts)` hash set cost more memory per
+/// observe than the records themselves).
 struct LogInner {
-    wal: Option<Wal>,
     records: Vec<Observation>,
 }
 
@@ -359,6 +397,8 @@ pub struct NodeState {
     map: RwLock<Arc<PartitionMap>>,
     weights: Mutex<HashMap<u64, Vec<f64>>>,
     items: Mutex<HashMap<u64, Vec<f64>>>,
+    /// Written under `log` (so disk order is log order), synced outside it.
+    wal: Option<Wal>,
     log: Mutex<LogInner>,
     /// Last logical timestamp assigned or seen (Lamport-style).
     clock: AtomicU64,
@@ -478,9 +518,9 @@ impl NodeState {
         fresh.dedup_by_key(|r| (r.timestamp, r.uid));
         let (mut appended, mut failure) = (0, None);
         for rec in &fresh {
-            if let Some(wal) = log.wal.as_mut() {
-                if let Err(e) = wal.append(rec) {
-                    failure = Some(io::Error::other(e.to_string()));
+            if let Some(wal) = &self.wal {
+                if let Err(e) = wal.write(rec) {
+                    failure = Some(e.to_string());
                     break;
                 }
             }
@@ -489,10 +529,24 @@ impl NodeState {
         fresh.truncate(appended);
         log.records.extend(fresh);
         log.records.sort_by_key(|r| (r.timestamp, r.uid));
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(appended as u64),
+        drop(log);
+        match failure.map_or_else(|| self.sync_wal(), Err) {
+            Ok(()) => Ok(appended as u64),
+            Err(why) => Err(io::Error::other(why)),
         }
+    }
+
+    /// Flushes everything written to this node's WAL so far (a no-op
+    /// without one). Once the WAL is poisoned, its error.
+    fn sync_wal(&self) -> Result<(), String> {
+        self.wal.as_ref().map_or(Ok(()), |wal| wal.sync().map_err(|e| e.to_string()))
+    }
+
+    /// `Internal` once this node's WAL is poisoned (module docs); `None`
+    /// while it accepts writes, and always without a WAL.
+    fn wal_refusal(&self) -> Option<Response> {
+        let e = self.wal.as_ref()?.check().err()?;
+        Some(Response::Error { code: ErrorCode::Internal, message: e.to_string() })
     }
 
     /// Rebuilds the weight table by replaying every held record in
@@ -661,9 +715,9 @@ impl NodeState {
         resp
     }
 
-    /// The owner-side apply: WAL append, LMS update, replica ship, and
-    /// dedupe-window publication. Callers hold the `inflight` claim for
-    /// `obs_id` (when non-zero) across this call.
+    /// The owner-side apply: WAL write, LMS update, replica ship with the
+    /// local sync overlapped, and dedupe-window publication. Callers hold
+    /// the `inflight` claim for `obs_id` (when non-zero) across this call.
     fn apply_observe(
         &self,
         uid: u64,
@@ -687,45 +741,31 @@ impl NodeState {
         let rec = Observation { uid, item_id, y, timestamp: ts };
         {
             let mut log = self.log.lock().unwrap();
-            if let Some(wal) = log.wal.as_mut() {
+            if let Some(wal) = &self.wal {
                 let append_start = if work_ctx.is_some() { now_ns() } else { 0 };
-                match wal.append_timed(&rec) {
-                    Ok(timing) => {
-                        // WAL spans are externally timed: the storage layer
-                        // measured the write and the (possibly skipped)
-                        // fsync, so attribute exactly those windows.
-                        let append_end = append_start + timing.append_ns;
-                        tracer.record(
-                            work_ctx.as_ref(),
-                            SpanKind::WalAppend,
-                            me as u32,
-                            append_start,
-                            append_end,
-                        );
-                        if timing.fsync_ns > 0 {
-                            tracer.record(
-                                work_ctx.as_ref(),
-                                SpanKind::WalFsync,
-                                me as u32,
-                                append_end,
-                                append_end + timing.fsync_ns,
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        tracer.finish_status(work, velox_obs::SpanStatus::Error);
-                        return Response::Error {
-                            code: ErrorCode::Internal,
-                            message: format!("wal append failed: {e}"),
-                        };
-                    }
+                let written = wal.write(&rec);
+                if work_ctx.is_some() {
+                    let (kind, end) = (SpanKind::WalAppend, now_ns());
+                    tracer.record(work_ctx.as_ref(), kind, me as u32, append_start, end);
+                }
+                if let Err(e) = written {
+                    tracer.finish_status(work, velox_obs::SpanStatus::Error);
+                    return Response::Error { code: ErrorCode::Internal, message: e.to_string() };
                 }
             }
             log.insert(rec.clone());
             lms_update(self.weights.lock().unwrap().entry(uid).or_default(), &x, y, self.config.lr);
         }
         // Replicate outside the log lock (two owners shipping to each
-        // other must not deadlock); idempotent replay keeps this safe.
+        // other must not deadlock); idempotent replay keeps this safe. The
+        // local sync runs inside the first ship that reaches the wire,
+        // while that replica applies and syncs; the ack waits for both.
+        let mut durable: Option<Result<(), String>> = None;
+        let mut sync_while_shipping = || {
+            if durable.is_none() {
+                durable = Some(self.sync_wal());
+            }
+        };
         let mut shipped_to = 0u32;
         for replica in self.replica_nodes_of_user(uid) {
             if replica == me {
@@ -746,7 +786,7 @@ impl NodeState {
             let ship_span = tracer.child(work_ctx.as_ref(), SpanKind::ShipReplica, me as u32);
             let ship_ctx = ship_span.as_ref().map(|s| s.ctx());
             let ship = Request::ShipLog { records: vec![rec.clone()], obs_ids: vec![obs_id] };
-            match peer.call_traced(&ship, ship_ctx.as_ref()) {
+            match peer.call_overlapped(&ship, ship_ctx.as_ref(), &mut sync_while_shipping) {
                 Ok(Response::Ok) => {
                     shipped_to += 1;
                     tracer.finish(ship_span);
@@ -757,6 +797,21 @@ impl NodeState {
                     tracer.finish_status(ship_span, velox_obs::SpanStatus::Error);
                 }
             }
+        }
+        // No ship sent a frame (no replica, a backlogged or failed link):
+        // wait for the local sync on its own. The `WalFsync` span is only
+        // the wait no ship round trip hid — zero-length when one did.
+        let traced_wal = self.wal.is_some() && work_ctx.is_some();
+        let fsync_start = if traced_wal { now_ns() } else { 0 };
+        let hidden = durable.is_some();
+        let durable = durable.unwrap_or_else(|| self.sync_wal());
+        if traced_wal {
+            let fsync_end = if hidden { fsync_start } else { now_ns() };
+            tracer.record(work_ctx.as_ref(), SpanKind::WalFsync, me as u32, fsync_start, fsync_end);
+        }
+        if let Err(message) = durable {
+            tracer.finish_status(work, velox_obs::SpanStatus::Error);
+            return Response::Error { code: ErrorCode::Internal, message };
         }
         if let Some(ack) = WindowAck::pack(ts, shipped_to) {
             self.dedupe.lock().unwrap().put(obs_id, ack);
@@ -871,7 +926,13 @@ impl NodeState {
         resp
     }
 
+    /// Applies shipped records under the log lock, then answers `Ok` only
+    /// once they are durable here — including records already held that
+    /// another thread wrote but has not yet synced.
     fn apply_shipped(&self, records: Vec<Observation>, obs_ids: Vec<u64>) -> Response {
+        if let Some(refusal) = self.wal_refusal() {
+            return refusal;
+        }
         let lr = self.config.lr;
         let mut log = self.log.lock().unwrap();
         for (i, rec) in records.iter().enumerate() {
@@ -891,12 +952,9 @@ impl NodeState {
             if log.holds(rec) {
                 continue;
             }
-            if let Some(wal) = log.wal.as_mut() {
-                if let Err(e) = wal.append(rec) {
-                    return Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("replica wal append failed: {e}"),
-                    };
+            if let Some(wal) = &self.wal {
+                if let Err(e) = wal.write(rec) {
+                    return Response::Error { code: ErrorCode::Internal, message: e.to_string() };
                 }
             }
             log.insert(rec.clone());
@@ -905,7 +963,11 @@ impl NodeState {
             }
             self.config.metrics.ship_in_records.inc();
         }
-        Response::Ok
+        drop(log);
+        match self.sync_wal() {
+            Ok(()) => Response::Ok,
+            Err(message) => Response::Error { code: ErrorCode::Internal, message },
+        }
     }
 
     fn respond_pull(&self, from_ts: u64) -> Response {
@@ -1023,7 +1085,9 @@ impl NodeState {
                 self.weights.lock().unwrap().insert(uid, w);
                 Response::Ok
             }
-            Request::Health => Response::Ok,
+            // A poisoned WAL fails the liveness probe: the front's detector
+            // then routes this node's users to an acting owner.
+            Request::Health => self.wal_refusal().unwrap_or(Response::Ok),
             Request::GetMap => Response::Map { map: (*self.current_map()).clone() },
             Request::InstallMap { map } => {
                 self.install_map(Arc::new(map));
@@ -1086,10 +1150,10 @@ impl NodeServer {
         if let Some(dir) = &config.wal_dir {
             let (w, rec) =
                 Wal::open(WalConfig::new(dir)).map_err(|e| io::Error::other(e.to_string()))?;
-            wal = Some(w);
+            wal = Some(w.with_stats(config.metrics.wal.clone()));
             recovery = Some(rec);
         }
-        let mut log = LogInner { wal, records: Vec::new() };
+        let mut log = LogInner { records: Vec::new() };
         let mut clock = 0u64;
         if let Some(rec) = &recovery {
             for obs in &rec.records {
@@ -1105,6 +1169,7 @@ impl NodeServer {
             config,
             weights: Mutex::new(HashMap::new()),
             items: Mutex::new(HashMap::new()),
+            wal,
             log: Mutex::new(log),
             clock: AtomicU64::new(clock),
             peers,
@@ -1146,6 +1211,70 @@ mod tests {
         Observation { uid, item_id: 0, y: 0.0, timestamp }
     }
 
+    /// A failed local sync answers `Internal` and leaves no dedupe-window
+    /// entry (a same-id retry is not acked from it, nor applied again);
+    /// every later append at the node answers the WAL's poisoned error, and
+    /// so does the liveness probe.
+    #[test]
+    fn a_failed_wal_sync_poisons_the_node_log() {
+        let dir = velox_storage::ScratchDir::new("velox-node-poison");
+        let seeded = Observation { uid: 3, item_id: 7, y: 1.0, timestamp: 1 };
+        let (mut wal, _) = Wal::open(WalConfig::new(dir.path())).unwrap();
+        wal.append(&seeded).unwrap();
+        drop(wal);
+        let metrics = NodeMetrics::new();
+        let (mut node, _) = NodeServer::start(
+            NodeConfig {
+                node_id: 0,
+                n_nodes: 1,
+                map: Arc::new(PartitionMap::bootstrap(1, 1, velox_cluster::USER_SALT).unwrap()),
+                lr: 0.1,
+                wal_dir: Some(dir.path().to_path_buf()),
+                workers: 1,
+                metrics: metrics.clone(),
+                tracer: Tracer::disabled(),
+            },
+            Arc::new(PeerTable::new(1)),
+        )
+        .unwrap();
+        // The node opens the segment it recovered on its first write; by
+        // then the path names a device that takes writes but refuses
+        // `fdatasync`, as a failing disk would.
+        let segment = std::fs::read_dir(dir.path()).unwrap().next().unwrap().unwrap().path();
+        std::fs::remove_file(&segment).unwrap();
+        std::os::unix::fs::symlink("/dev/null", &segment).unwrap();
+        let state = Arc::clone(node.state());
+        assert_eq!(state.seed_items(&[(7, vec![1.0, 0.5])]), Response::Ok);
+        assert_eq!(state.dispatch(Request::Health, None), Response::Ok);
+        let observe = |obs_id| {
+            let req =
+                Request::Observe { uid: 3, item_id: 7, y: 1.0, no_forward: true, obs_id, epoch: 0 };
+            state.dispatch(req, None)
+        };
+        let weights = || state.dispatch(Request::FetchWeights { uid: 3 }, None);
+
+        let failed = observe(2);
+        match &failed {
+            Response::Error { code: ErrorCode::Internal, message } => {
+                assert!(message.contains("fsync wal segment"), "{message}")
+            }
+            other => panic!("a failed sync must answer Internal, got {other:?}"),
+        }
+        assert_eq!(state.log_len(), 2, "applied in memory before the sync failed");
+        let after_failure = weights();
+        assert_eq!(observe(2), failed, "no ack in the dedupe window to replay");
+        assert_eq!(weights(), after_failure, "and no second update");
+        assert_eq!(observe(3), failed, "every later append fails the same way");
+        let shipped = Observation { uid: 4, item_id: 7, y: 0.5, timestamp: 9 };
+        let ship = Request::ShipLog { records: vec![shipped.clone()], obs_ids: vec![0] };
+        assert_eq!(state.dispatch(ship, None), failed);
+        assert!(state.merge_records(&[shipped]).is_err());
+        assert_eq!(state.dispatch(Request::Health, None), failed, "the probe fails too");
+        assert_eq!(state.log_len(), 2, "nothing was applied after the failure");
+        assert_eq!((metrics.wal.appends.get(), metrics.wal.fsyncs.get()), (1, 0));
+        node.shutdown();
+    }
+
     #[test]
     fn window_acks_round_trip_and_refuse_what_does_not_fit() {
         let ack = WindowAck::pack((1 << 56) - 1, 255).expect("fits");
@@ -1156,7 +1285,7 @@ mod tests {
 
     #[test]
     fn the_ordered_log_is_its_own_idempotency_set() {
-        let mut log = LogInner { wal: None, records: Vec::new() };
+        let mut log = LogInner { records: Vec::new() };
         for (uid, ts) in [(1, 5), (2, 3), (1, 9), (3, 5), (2, 7)] {
             assert!(!log.holds(&obs(uid, ts)));
             log.insert(obs(uid, ts));

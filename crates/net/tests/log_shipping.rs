@@ -15,9 +15,9 @@
 use std::sync::Arc;
 
 use velox_cluster::transport::{SimTransport, Transport, TransportError};
-use velox_cluster::{Cluster, ClusterConfig, FaultAction, FaultEvent, FaultPlan};
+use velox_cluster::{Cluster, ClusterConfig, FaultAction, FaultEvent, FaultPlan, PeerState};
 use velox_net::{NetCluster, NetClusterConfig, Request, Response};
-use velox_storage::ScratchDir;
+use velox_storage::{Observation, ScratchDir, Wal, WalConfig};
 
 const DIM: usize = 3;
 const LR: f64 = 0.1;
@@ -247,6 +247,115 @@ fn kill_owner_lose_disk_loses_no_acknowledged_observation() {
         }
         other => panic!("unexpected reply {other:?}"),
     }
+}
+
+/// The ack rule with the local fsync overlapping the ship and both WALs
+/// syncing outside the log lock: two concurrent clients' acknowledged
+/// observes are all in the owner's WAL *and* in the replica's WAL, and each
+/// node's WAL counters agree with what its directory holds.
+#[test]
+fn acked_observes_are_in_both_wals() {
+    let scratch = ScratchDir::new("velox-net-both-wals");
+    let net = start_net(Some(&scratch), 2);
+    let acked: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2u64)
+            .map(|client| {
+                let net = &net;
+                s.spawn(move || {
+                    (0..250u64)
+                        .map(|i| {
+                            let uid = (client * 250 + i) % 11;
+                            let ack = net.observe(uid, i % 24, (i % 3) as f64).expect("observe");
+                            assert_eq!(ack.shipped_to, 1, "ack implies the replica holds it");
+                            (uid, ack.ts)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    assert_eq!(acked.len(), 500);
+    let replicas: Vec<Vec<usize>> =
+        acked.iter().map(|(uid, _)| net.replica_nodes_of_user(*uid)).collect();
+    let metrics: Vec<_> = (0..3).map(|node| net.node_metrics(node)).collect();
+    net.shutdown();
+
+    let held: Vec<std::collections::HashSet<(u64, u64)>> = (0..3)
+        .map(|node| {
+            let (_, recovery) =
+                Wal::open(WalConfig::new(scratch.path().join(format!("node-{node}"))))
+                    .expect("reopen node wal");
+            assert!(recovery.torn.is_none(), "node {node}: {:?}", recovery.torn);
+            let wal = &metrics[node].wal;
+            assert_eq!(wal.appends.get(), recovery.records.len() as u64, "node {node}");
+            assert!(wal.fsyncs.get() <= wal.appends.get(), "node {node}: more fsyncs than appends");
+            eprintln!(
+                "node {node}: {} WAL appends, {} fsyncs",
+                wal.appends.get(),
+                wal.fsyncs.get()
+            );
+            recovery.records.iter().map(|r| (r.uid, r.timestamp)).collect()
+        })
+        .collect();
+    for ((uid, ts), nodes) in acked.iter().zip(&replicas) {
+        assert_eq!(nodes.len(), 2);
+        for &node in nodes {
+            assert!(
+                held[node].contains(&(*uid, *ts)),
+                "acked ({uid}, {ts}) missing from node {node}'s WAL"
+            );
+        }
+    }
+}
+
+/// A node whose WAL fails stops taking writes, but its users keep
+/// observing: the node fails its `Health` probe, and within a few
+/// heartbeats the front routes them to the replica acting as owner.
+#[test]
+fn a_poisoned_owners_users_fail_over_to_an_acting_owner() {
+    let scratch = ScratchDir::new("velox-net-poisoned");
+    let victim = 0usize;
+    // The victim finds one segment in its WAL directory at start and opens
+    // it on its first write. By then the segment's path names a device
+    // that takes writes but refuses `fdatasync`, as a failing disk would.
+    let dir = scratch.path().join(format!("node-{victim}"));
+    let (mut wal, _) = Wal::open(WalConfig::new(&dir)).expect("seed wal");
+    wal.append(&Observation { uid: 0, item_id: 0, y: 0.0, timestamp: 1 }).expect("seed record");
+    drop(wal);
+    let net = start_net(Some(&scratch), 2);
+    let segment = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+    std::fs::remove_file(&segment).unwrap();
+    std::os::unix::fs::symlink("/dev/null", &segment).unwrap();
+
+    let uid = (0..).find(|&u| net.home_of_user(u) == victim).unwrap();
+    let failed = net.observe(uid, 1, 1.0).expect_err("the victim cannot make it durable");
+    assert!(failed.to_string().contains("fsync wal segment"), "{failed}");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let first = loop {
+        match net.observe(uid, 2, 1.0) {
+            Ok(ack) => break ack,
+            Err(e) if std::time::Instant::now() < deadline => {
+                assert!(e.to_string().contains("wal poisoned"), "{e}");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            Err(e) => panic!("the victim's users never failed over: {e}"),
+        }
+    };
+    assert_ne!(first.node, victim);
+    assert_ne!(net.detector().state(victim as u32), PeerState::Alive);
+    let mut last = first.ts;
+    for i in 0..20u64 {
+        let ack = net.observe(uid, i % 24, 0.5).expect("observe at the acting owner");
+        assert_eq!(ack.node, first.node, "the acting owner keeps the partition");
+        assert!(ack.ts > last);
+        last = ack.ts;
+    }
+    match net.client(victim).unwrap().call(&Request::Health).expect("health") {
+        Response::Error { message, .. } => assert!(message.contains("wal poisoned"), "{message}"),
+        other => panic!("a poisoned node must fail its health probe, got {other:?}"),
+    }
+    net.shutdown();
 }
 
 /// Recovery with an intact disk replays the local WAL and only tops up

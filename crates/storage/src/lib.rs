@@ -52,7 +52,7 @@ pub use kv::{Namespace, VersionedValue};
 pub use lru::LruCache;
 pub use obslog::{Observation, ObservationLog};
 pub use tmp::ScratchDir;
-pub use wal::{FsyncPolicy, Wal, WalAppendTiming, WalConfig, WalRecovery};
+pub use wal::{FsyncPolicy, Wal, WalAppendTiming, WalConfig, WalRecovery, WalStats};
 
 /// Errors surfaced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -42,13 +42,49 @@
 //! lost), `Batched { every }` bounds the loss window to `every` records,
 //! and `Off` leaves flushing to the OS page cache. The cost of each is
 //! quantified in EXPERIMENTS.md `RECOVERY-DURABILITY`.
+//!
+//! ## Writing and syncing
+//!
+//! Writing and syncing are separate steps, so a caller that writes under
+//! its own lock can wait for the disk after releasing it. [`Wal::write`]
+//! puts a record in the current segment; writes serialize on an internal
+//! lock, so the on-disk order is the order of the calls. [`Wal::sync`]
+//! `fdatasync`s the current segment, which covers every record written
+//! before the call: a record in an earlier segment was synced when that
+//! segment was closed. [`Wal::append`] is a write plus whatever sync the
+//! policy owes.
+//!
+//! A failed write or `fdatasync` poisons the log: every later write and
+//! sync returns the same error, and no `fdatasync` is ever retried (after
+//! a failed one Linux may have dropped the dirty pages, so a retry could
+//! report success for data that is gone). Syncs run one at a time for the
+//! same reason: a failed sync consumes the file's error, and one that
+//! overlapped it could report success. Reopening the directory is the
+//! recovery.
+//!
+//! ## Preallocation
+//!
+//! A record written inside the file's current length makes `fdatasync` a
+//! flush of data pages. A record that grows the file also makes it commit
+//! the new length to the filesystem journal: on ext4 that took a sync from
+//! ~47 to ~67 µs. So a segment is extended with zeros
+//! [`PREALLOC_RECORDS`] records ahead of its last record, never past the
+//! last whole record that fits `segment_max_bytes`, and the scan reads a
+//! run of zeros at least one record long, where a record would start and
+//! reaching the end of the file, as the segment's clean end. A handle
+//! locks the segment it appends to (`flock`), and dropping the handle
+//! trims the zeros: a cleanly closed segment holds exactly its records,
+//! and no other handle can have appended behind them. A handle that finds
+//! the last segment locked by another starts a new one.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-use velox_obs::Counter;
+use velox_obs::{Counter, Histogram};
 
 use crate::crc::crc32;
 use crate::obslog::Observation;
@@ -68,6 +104,9 @@ pub(crate) const RECORD_LEN: usize = 8 + PAYLOAD_LEN;
 /// larger is corruption (keeps a flipped length bit from causing a huge
 /// read-ahead).
 const MAX_PAYLOAD_LEN: u32 = 1 << 20;
+/// Records' worth of zeros a segment is extended by at a time (module
+/// docs: preallocation): 64 KB, one file-length commit per 1 600 records.
+const PREALLOC_RECORDS: u64 = 1_600;
 
 /// When (relative to the append that was just acknowledged) the log file
 /// is flushed to stable storage.
@@ -148,15 +187,26 @@ pub struct WalStats {
     pub fsyncs: Arc<Counter>,
     /// Payload + framing bytes written.
     pub bytes_written: Arc<Counter>,
+    /// Duration of every `fdatasync` issued, in nanoseconds; `None`
+    /// records nothing.
+    pub fsync_ns: Option<Arc<Histogram>>,
 }
 
 impl WalStats {
-    fn new() -> Self {
+    /// Fresh zeroed counters, no fsync histogram.
+    pub fn new() -> Self {
         WalStats {
             appends: Arc::new(Counter::new()),
             fsyncs: Arc::new(Counter::new()),
             bytes_written: Arc::new(Counter::new()),
+            fsync_ns: None,
         }
+    }
+}
+
+impl Default for WalStats {
+    fn default() -> Self {
+        WalStats::new()
     }
 }
 
@@ -166,24 +216,59 @@ struct SegmentInfo {
 }
 
 struct OpenSegment {
-    file: File,
+    file: Arc<File>,
+    /// Header and records: where the next record goes.
     bytes: u64,
+    /// The file's length: `bytes` plus the zeros written ahead of them.
+    allocated: u64,
 }
 
-/// The write-ahead log handle. Not internally synchronized — callers
-/// (`ObservationLog`) serialize appends behind their own lock so the
-/// on-disk order matches the in-memory offset order.
-pub struct Wal {
-    config: WalConfig,
+/// The append side of the log, behind the writer lock.
+struct Writer {
     /// All live segments in log order; the last one is the append target.
     segments: Vec<SegmentInfo>,
+    /// The open append target. `None` until the first write: opening the
+    /// last segment is left to it, so [`Wal::open`] stays a scan.
     current: Option<OpenSegment>,
+    /// Header and records of the last segment as [`Wal::open`] found it:
+    /// where the first write resumes.
+    tail: u64,
+}
+
+/// The sync side of the log, behind the sync lock, which each `fdatasync`
+/// holds (module docs). Taken after the writer lock, never before it.
+struct Syncer {
+    /// The segment new records go to: the one a sync flushes.
+    file: Option<Arc<File>>,
+    /// The first failed write or sync; once set, the log is poisoned.
+    failed: Option<String>,
+}
+
+/// The write-ahead log handle. Shareable: writes serialize on an internal
+/// lock, and so do syncs (module docs). Callers that need their in-memory
+/// order to match the on-disk order (`ObservationLog`, a node's log)
+/// write under their own lock and may sync after releasing it.
+pub struct Wal {
+    config: WalConfig,
+    writer: Mutex<Writer>,
+    syncer: Mutex<Syncer>,
+    /// Mirrors `syncer.failed.is_some()`, so a write need not wait out a
+    /// sync in flight to learn the log is healthy.
+    poisoned: AtomicBool,
+    /// Records [`Wal::append`] wrote since the `Batched` policy last synced.
     unsynced: u32,
     stats: WalStats,
+    /// Makes the next `fdatasync`s fail as a disk error would.
+    #[cfg(test)]
+    fail_syncs: AtomicBool,
 }
 
 fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{ctx}: {e}"))
+}
+
+fn poisoned(why: &str) -> StorageError {
+    StorageError::Io(format!("wal poisoned by an earlier failure: {why}"))
 }
 
 /// Best-effort directory fsync (makes renames/creates durable on Linux).
@@ -242,6 +327,10 @@ fn scan_segment(buf: &[u8], path: &Path) -> SegmentScan {
     let mut pos = HEADER_LEN;
     loop {
         if pos == buf.len() {
+            return SegmentScan { records, valid_len: pos, stop: None };
+        }
+        if buf.len() - pos >= RECORD_LEN && buf[pos..].iter().all(|&b| b == 0) {
+            // Preallocated zeros no record reached (module docs).
             return SegmentScan { records, valid_len: pos, stop: None };
         }
         if buf.len() - pos < 8 {
@@ -320,6 +409,7 @@ impl Wal {
         let mut segments = Vec::new();
         let mut quarantined = 0usize;
         let mut scanned = 0usize;
+        let mut tail = 0u64;
         for (start_ts, path) in &files {
             if torn.is_some() {
                 // Everything after the first corruption can no longer be
@@ -351,31 +441,35 @@ impl Wal {
                         f.sync_all().map_err(|e| io_err("sync repaired segment", e))?;
                     }
                     segments.push(SegmentInfo { start_ts: *start_ts, path: path.clone() });
+                    tail = scan.valid_len as u64;
                 }
             } else {
                 segments.push(SegmentInfo { start_ts: *start_ts, path: path.clone() });
+                tail = scan.valid_len as u64;
             }
         }
         sync_dir(&config.dir);
 
-        // Reopen the last surviving segment for appending.
-        let current = match segments.last() {
-            Some(last) => {
-                let mut file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .open(&last.path)
-                    .map_err(|e| io_err("open wal segment for append", e))?;
-                let bytes =
-                    file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek wal segment", e))?;
-                Some(OpenSegment { file, bytes })
-            }
-            None => None,
-        };
-
         let recovery = WalRecovery { records, torn, segments_scanned: scanned, quarantined };
-        let wal = Wal { config, segments, current, unsynced: 0, stats: WalStats::new() };
+        let wal = Wal {
+            config,
+            writer: Mutex::new(Writer { segments, current: None, tail }),
+            syncer: Mutex::new(Syncer { file: None, failed: None }),
+            poisoned: AtomicBool::new(false),
+            unsynced: 0,
+            stats: WalStats::new(),
+            #[cfg(test)]
+            fail_syncs: AtomicBool::new(false),
+        };
         Ok((wal, recovery))
+    }
+
+    /// Counts into `stats` instead of the log's own counters
+    /// (builder-style), so counters that outlive this handle — a node's,
+    /// across restarts — keep one series.
+    pub fn with_stats(mut self, stats: WalStats) -> Wal {
+        self.stats = stats;
+        self
     }
 
     /// Shared counter handles (for registry adoption).
@@ -385,7 +479,7 @@ impl Wal {
 
     /// Number of live segment files.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.writer.lock().unwrap().segments.len()
     }
 
     /// The configured fsync policy.
@@ -393,24 +487,173 @@ impl Wal {
         self.config.fsync
     }
 
-    fn rotate(&mut self, start_ts: u64) -> Result<()> {
+    /// Makes `file` the append target, for the writer and for syncs.
+    fn install(&self, w: &mut Writer, file: File, bytes: u64, allocated: u64) {
+        let file = Arc::new(file);
+        self.syncer.lock().unwrap().file = Some(Arc::clone(&file));
+        w.current = Some(OpenSegment { file, bytes, allocated });
+    }
+
+    /// Ensures the append target has room for one more record, opening
+    /// the last segment on the first write and rotating when it is full.
+    fn make_room(&self, w: &mut Writer, ts: u64) -> Result<()> {
+        if w.current.is_none() {
+            if let Some(last) = w.segments.last() {
+                let file = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .open(&last.path)
+                    .map_err(|e| io_err("open wal segment for append", e))?;
+                // Locked: another live handle appends there (module docs),
+                // so this one rotates to a segment of its own.
+                if file.try_lock().is_ok() {
+                    let allocated =
+                        file.metadata().map_err(|e| io_err("stat wal segment", e))?.len();
+                    let tail = w.tail;
+                    self.install(w, file, tail, allocated);
+                }
+            }
+        }
+        match &w.current {
+            Some(seg) if seg.bytes + RECORD_LEN as u64 <= self.config.segment_max_bytes => Ok(()),
+            _ => self.rotate(w, ts),
+        }
+    }
+
+    fn rotate(&self, w: &mut Writer, start_ts: u64) -> Result<()> {
         self.sync()?; // never abandon unsynced bytes in a closed segment
         let path = segment_path(&self.config.dir, start_ts);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create_new(true)
             .write(true)
             .read(true)
             .open(&path)
             .map_err(|e| io_err("create wal segment", e))?;
+        // Nobody else can hold a file this call just created.
+        let _ = file.try_lock();
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&MAGIC_WAL.to_be_bytes());
         header.extend_from_slice(&FORMAT.to_be_bytes());
         header.extend_from_slice(&start_ts.to_be_bytes());
-        file.write_all(&header).map_err(|e| io_err("write segment header", e))?;
+        file.write_all_at(&header, 0).map_err(|e| io_err("write segment header", e))?;
         sync_dir(&self.config.dir);
-        self.segments.push(SegmentInfo { start_ts, path });
-        self.current = Some(OpenSegment { file, bytes: HEADER_LEN as u64 });
+        w.segments.push(SegmentInfo { start_ts, path });
+        self.install(w, file, HEADER_LEN as u64, HEADER_LEN as u64);
         Ok(())
+    }
+
+    /// End of the last whole record that fits `segment_max_bytes`: how far
+    /// a segment is ever preallocated.
+    fn last_fit(&self) -> u64 {
+        let (header, record) = (HEADER_LEN as u64, RECORD_LEN as u64);
+        header + self.config.segment_max_bytes.saturating_sub(header) / record * record
+    }
+
+    /// Records the first failure (under the sync lock) and returns the
+    /// poisoned-log error.
+    fn poison(&self, syncer: &mut Syncer, why: String) -> StorageError {
+        self.poisoned.store(true, Ordering::Release);
+        poisoned(syncer.failed.get_or_insert(why))
+    }
+
+    /// `Ok` while the log accepts writes; once a write or sync has failed,
+    /// the poisoned-log error every later call returns.
+    pub fn check(&self) -> Result<()> {
+        if !self.poisoned.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let syncer = self.syncer.lock().unwrap();
+        Err(poisoned(syncer.failed.as_deref().unwrap_or_default()))
+    }
+
+    /// Writes one record into the current segment (rotating first when it
+    /// is full) without syncing it.
+    pub fn write(&self, obs: &Observation) -> Result<()> {
+        let mut w = self.writer.lock().unwrap();
+        self.check()?;
+        self.make_room(&mut w, obs.timestamp)?;
+
+        let mut payload = [0u8; PAYLOAD_LEN];
+        payload[0..8].copy_from_slice(&obs.timestamp.to_be_bytes());
+        payload[8..16].copy_from_slice(&obs.uid.to_be_bytes());
+        payload[16..24].copy_from_slice(&obs.item_id.to_be_bytes());
+        payload[24..32].copy_from_slice(&obs.y.to_be_bytes());
+        let mut rec = [0u8; RECORD_LEN];
+        rec[0..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_be_bytes());
+        rec[4..8].copy_from_slice(&crc32(&payload).to_be_bytes());
+        rec[8..].copy_from_slice(&payload);
+
+        let last_fit = self.last_fit();
+        let seg = w.current.as_mut().expect("make_room ensured a segment");
+        let end = seg.bytes + RECORD_LEN as u64;
+        if end > seg.allocated {
+            let ahead = seg.allocated + PREALLOC_RECORDS * RECORD_LEN as u64;
+            let to = ahead.min(last_fit).max(end);
+            let zeros = vec![0u8; (to - seg.allocated) as usize];
+            seg.file
+                .write_all_at(&zeros, seg.allocated)
+                .map_err(|e| io_err("preallocate wal segment", e))?;
+            seg.allocated = to;
+        }
+        if let Err(e) = seg.file.write_all_at(&rec, seg.bytes) {
+            // A short write leaves a torn record that every later record
+            // would sit behind, unreachable to recovery.
+            let mut syncer = self.syncer.lock().unwrap();
+            return Err(self.poison(&mut syncer, format!("append wal record: {e}")));
+        }
+        seg.bytes += RECORD_LEN as u64;
+        self.stats.appends.inc();
+        self.stats.bytes_written.add(RECORD_LEN as u64);
+        Ok(())
+    }
+
+    /// Flushes every record written so far to stable storage (a no-op
+    /// under [`FsyncPolicy::Off`], which never syncs explicitly). Waits for
+    /// a sync in flight before issuing its own.
+    pub fn sync(&self) -> Result<()> {
+        let mut syncer = self.syncer.lock().unwrap();
+        if let Some(why) = &syncer.failed {
+            return Err(poisoned(why));
+        }
+        let Some(file) = &syncer.file else { return Ok(()) };
+        if self.config.fsync == FsyncPolicy::Off {
+            return Ok(());
+        }
+        let started = Instant::now();
+        if let Err(e) = self.fdatasync(file) {
+            return Err(self.poison(&mut syncer, format!("fsync wal segment: {e}")));
+        }
+        self.stats.fsyncs.inc();
+        if let Some(hist) = &self.stats.fsync_ns {
+            hist.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        }
+        Ok(())
+    }
+
+    fn fdatasync(&self, file: &File) -> std::io::Result<()> {
+        #[cfg(test)]
+        if self.fail_syncs.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected fdatasync failure"));
+        }
+        file.sync_data()
+    }
+
+    /// Whether the policy owes a sync for the record just appended: always
+    /// under `PerRecord`, every `every` records under `Batched`, never
+    /// under `Off`.
+    fn sync_owed(&mut self) -> bool {
+        match self.config.fsync {
+            FsyncPolicy::PerRecord => true,
+            FsyncPolicy::Batched { every } => {
+                self.unsynced += 1;
+                let owed = every > 0 && self.unsynced >= every;
+                if owed {
+                    self.unsynced = 0;
+                }
+                owed
+            }
+            FsyncPolicy::Off => false,
+        }
     }
 
     /// Appends one record, honoring the fsync policy. On return `Ok`, the
@@ -425,62 +668,17 @@ impl Wal {
     /// [`FsyncPolicy`]). Two extra `Instant` reads over plain `append` —
     /// noise next to the write syscall it times.
     pub fn append_timed(&mut self, obs: &Observation) -> Result<WalAppendTiming> {
-        let append_started = std::time::Instant::now();
-        let needs_rotation = match &self.current {
-            None => true,
-            Some(seg) => seg.bytes + RECORD_LEN as u64 > self.config.segment_max_bytes,
-        };
-        if needs_rotation {
-            self.rotate(obs.timestamp)?;
-        }
-
-        let mut payload = [0u8; PAYLOAD_LEN];
-        payload[0..8].copy_from_slice(&obs.timestamp.to_be_bytes());
-        payload[8..16].copy_from_slice(&obs.uid.to_be_bytes());
-        payload[16..24].copy_from_slice(&obs.item_id.to_be_bytes());
-        payload[24..32].copy_from_slice(&obs.y.to_be_bytes());
-        let mut rec = [0u8; RECORD_LEN];
-        rec[0..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_be_bytes());
-        rec[4..8].copy_from_slice(&crc32(&payload).to_be_bytes());
-        rec[8..].copy_from_slice(&payload);
-
-        let seg = self.current.as_mut().expect("rotation ensured a segment");
-        seg.file.write_all(&rec).map_err(|e| io_err("append wal record", e))?;
-        seg.bytes += RECORD_LEN as u64;
-        self.stats.appends.inc();
-        self.stats.bytes_written.add(RECORD_LEN as u64);
+        let append_started = Instant::now();
+        self.write(obs)?;
         let append_ns = append_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
-        let fsyncs_before = self.stats.fsyncs.get();
-        let sync_started = std::time::Instant::now();
-        match self.config.fsync {
-            FsyncPolicy::PerRecord => self.sync()?,
-            FsyncPolicy::Batched { every } => {
-                self.unsynced += 1;
-                if every > 0 && self.unsynced >= every {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Off => {}
+        let mut fsync_ns = 0;
+        if self.sync_owed() {
+            let sync_started = Instant::now();
+            self.sync()?;
+            fsync_ns = sync_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         }
-        let fsync_ns = if self.stats.fsyncs.get() > fsyncs_before {
-            sync_started.elapsed().as_nanos().min(u64::MAX as u128) as u64
-        } else {
-            0
-        };
         Ok(WalAppendTiming { append_ns, fsync_ns })
-    }
-
-    /// Flushes the current segment to stable storage.
-    pub fn sync(&mut self) -> Result<()> {
-        if let Some(seg) = &mut self.current {
-            if self.unsynced > 0 || matches!(self.config.fsync, FsyncPolicy::PerRecord) {
-                seg.file.sync_data().map_err(|e| io_err("fsync wal segment", e))?;
-                self.stats.fsyncs.inc();
-            }
-        }
-        self.unsynced = 0;
-        Ok(())
     }
 
     /// Deletes segments wholly covered by a checkpoint: every segment
@@ -488,9 +686,10 @@ impl Wal {
     /// records have timestamp `< covered_ts`). The newest segment is never
     /// deleted. Returns how many files were removed.
     pub fn truncate_covered(&mut self, covered_ts: u64) -> Result<usize> {
+        let segments = &mut self.writer.get_mut().unwrap().segments;
         let mut removed = 0usize;
-        while self.segments.len() >= 2 && self.segments[1].start_ts <= covered_ts {
-            let seg = self.segments.remove(0);
+        while segments.len() >= 2 && segments[1].start_ts <= covered_ts {
+            let seg = segments.remove(0);
             fs::remove_file(&seg.path).map_err(|e| io_err("remove covered segment", e))?;
             removed += 1;
         }
@@ -498,6 +697,19 @@ impl Wal {
             sync_dir(&self.config.dir);
         }
         Ok(removed)
+    }
+}
+
+impl Drop for Wal {
+    /// Trims the preallocated zeros off the segment this handle appends to
+    /// and holds the lock of (module docs), unsynced: a crash before the
+    /// trim reaches the disk leaves zeros the scan reads as the clean end.
+    fn drop(&mut self) {
+        if let Ok(Writer { current: Some(seg), .. }) = self.writer.get_mut() {
+            if seg.allocated > seg.bytes {
+                let _ = seg.file.set_len(seg.bytes);
+            }
+        }
     }
 }
 
@@ -641,6 +853,71 @@ mod tests {
         assert_eq!(stats.fsyncs.get(), 2, "9 appends at every=4 → 2 syncs");
         wal.sync().unwrap();
         assert_eq!(wal.stats().fsyncs.get(), 3);
+    }
+
+    #[test]
+    fn a_failed_fsync_poisons_the_log_for_good() {
+        let dir = ScratchDir::new("velox-wal");
+        let (mut wal, _) = open(dir.path(), FsyncPolicy::PerRecord, 1 << 20);
+        wal.append(&obs(0)).unwrap();
+        wal.write(&obs(1)).unwrap();
+        assert_eq!(wal.check(), Ok(()));
+        wal.fail_syncs.store(true, Ordering::Relaxed);
+        let err = wal.sync().unwrap_err();
+        assert!(err.to_string().contains("injected fdatasync failure"), "{err}");
+        // The disk "recovers", but the log never trusts another sync: the
+        // same error, no fdatasync issued, no write accepted.
+        wal.fail_syncs.store(false, Ordering::Relaxed);
+        assert_eq!(wal.check().unwrap_err(), err);
+        assert_eq!(wal.sync().unwrap_err(), err);
+        assert_eq!(wal.write(&obs(2)).unwrap_err(), err);
+        assert_eq!(wal.append(&obs(2)).unwrap_err(), err);
+        assert_eq!(wal.stats().fsyncs.get(), 1, "only the first record's sync ran");
+        assert_eq!(wal.stats().appends.get(), 2);
+    }
+
+    #[test]
+    fn preallocated_zeros_read_as_the_clean_end_and_drop_trims_them() {
+        let dir = ScratchDir::new("velox-wal");
+        let path = segment_path(dir.path(), 0);
+        let (mut wal, _) = open(dir.path(), FsyncPolicy::PerRecord, 1 << 20);
+        for ts in 0..3 {
+            wal.append(&obs(ts)).unwrap();
+        }
+        let data = (HEADER_LEN + 3 * RECORD_LEN) as u64;
+        let ahead = data + (PREALLOC_RECORDS - 3) * RECORD_LEN as u64;
+        assert_eq!(fs::metadata(&path).unwrap().len(), ahead);
+
+        // A crash now leaves the zeros: the scan stops there, cleanly, and
+        // the next record goes where the zeros began.
+        let crashed = ScratchDir::new("velox-wal");
+        fs::copy(&path, segment_path(crashed.path(), 0)).unwrap();
+        let (mut revived, rec) = open(crashed.path(), FsyncPolicy::PerRecord, 1 << 20);
+        assert_eq!(rec.records, (0..3).map(obs).collect::<Vec<_>>());
+        assert!(rec.torn.is_none(), "{:?}", rec.torn);
+        revived.append(&obs(3)).unwrap();
+        drop(revived);
+        let (_, rec) = open(crashed.path(), FsyncPolicy::PerRecord, 1 << 20);
+        assert_eq!(rec.records, (0..4).map(obs).collect::<Vec<_>>());
+
+        drop(wal);
+        assert_eq!(fs::metadata(&path).unwrap().len(), data, "a clean close holds its records");
+    }
+
+    #[test]
+    fn a_segment_another_handle_appends_to_is_left_to_it() {
+        let dir = ScratchDir::new("velox-wal");
+        let (mut first, _) = open(dir.path(), FsyncPolicy::PerRecord, 1 << 20);
+        first.append(&obs(0)).unwrap();
+        let (mut second, rec) = open(dir.path(), FsyncPolicy::PerRecord, 1 << 20);
+        assert_eq!(rec.records, vec![obs(0)]);
+        second.append(&obs(1)).unwrap();
+        assert_eq!(second.segment_count(), 2, "the second handle rotated to its own segment");
+        drop(second);
+        drop(first);
+        let (_, rec) = open(dir.path(), FsyncPolicy::PerRecord, 1 << 20);
+        assert_eq!(rec.records, vec![obs(0), obs(1)]);
+        assert!(rec.torn.is_none(), "{:?}", rec.torn);
     }
 
     #[test]
