@@ -40,7 +40,6 @@ const N_USERS: u64 = 32;
 const N_ITEMS: u64 = 64;
 const DIM: usize = 8;
 const N_NODES: usize = 3;
-const LR: f64 = 0.05;
 
 fn item_features(item: u64) -> Vec<f64> {
     (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 17) as f64 / 16.0).collect()
@@ -114,7 +113,6 @@ fn main() {
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: Some(scratch.path().to_path_buf()),
         workers: 8,
         heartbeat_interval: Duration::from_millis(20),

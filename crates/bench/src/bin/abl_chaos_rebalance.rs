@@ -35,7 +35,7 @@
 //! cleanly on the same cluster — aborts must not poison later attempts.
 //!
 //! Verification is the strongest available: the acked `(uid, item, y)`
-//! stream replays locally through the shared [`lms_update`] and every
+//! stream replays locally through the shared [`ridge_observe`] and every
 //! user's weights must match the cluster **bit-for-bit** (zero acked
 //! loss, zero double-applies); every backend runs **twice** with the
 //! same seed and the two runs' final `(epoch, weights)` must be
@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use velox_bench::membership::{
-    partition_owned_by, replay_divergence, seeded_items, zipf_stream, Ledger, DIM, LR, MAX_NODES,
+    partition_owned_by, replay_divergence, seeded_items, zipf_stream, Ledger, DIM, MAX_NODES,
     N_ITEMS, N_NODES, N_USERS, ZIPF_SKEW,
 };
 use velox_bench::print_header;
@@ -342,7 +342,6 @@ fn run_net(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
         n_nodes: N_NODES,
         max_nodes: MAX_NODES,
         user_replication: 2,
-        lr: LR,
         workers: 4,
         checkpoint_chunk_bytes: CHUNK_BYTES,
         client: NetClientConfig {
@@ -390,7 +389,7 @@ fn run_sim(scale: u64, verbose: bool) -> (Vec<String>, Fingerprint) {
     for (item, x) in seeded_items() {
         cluster.put_item_features(item, x);
     }
-    let sim = SimTransport::new(Arc::clone(&cluster), LR);
+    let sim = SimTransport::new(Arc::clone(&cluster), 0.0);
     // A link-fault engine for the checkpoint path only, so serving traffic
     // is untouched by the cut.
     let chaos = Arc::new(LinkChaos::new(LinkFaultPlan::scripted(Vec::new())));

@@ -39,7 +39,6 @@ const N_USERS: u64 = 64;
 const N_ITEMS: u64 = 256;
 const DIM: usize = 16;
 const N_NODES: usize = 3;
-const LR: f64 = 0.05;
 
 fn item_features(item: u64) -> Vec<f64> {
     (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 17) as f64 / 16.0).collect()
@@ -142,7 +141,6 @@ fn hop_breakdown(iters: usize, smoke: bool) {
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: Some(wal_root.clone()),
         workers: 8,
         client: NetClientConfig { request_timeout: Duration::from_secs(5), ..Default::default() },
@@ -231,11 +229,10 @@ fn main() {
     for (item, x) in seeded_items() {
         sim_cluster.put_item_features(item, x);
     }
-    let sim = SimTransport::new(sim_cluster, LR);
+    let sim = SimTransport::new(sim_cluster, 0.0);
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         client: NetClientConfig { request_timeout: Duration::from_secs(5), ..Default::default() },

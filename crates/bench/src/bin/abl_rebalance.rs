@@ -21,7 +21,7 @@
 //!
 //! The zero-loss check is the strongest one available: the acked
 //! `(uid, item, y)` stream is replayed locally with the shared
-//! [`lms_update`] routine and every user's final weights must match the
+//! [`ridge_observe`] routine and every user's final weights must match the
 //! cluster **bit-for-bit** — a lost acked record or a double-applied
 //! one diverges the floats.
 //!
@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use velox_bench::membership::{
-    replay_divergence, seeded_items, zipf_stream, Ledger, DIM, LR, MAX_NODES, N_ITEMS, N_NODES,
+    replay_divergence, seeded_items, zipf_stream, Ledger, DIM, MAX_NODES, N_ITEMS, N_NODES,
     N_USERS, ZIPF_SKEW,
 };
 use velox_bench::print_header;
@@ -206,7 +206,6 @@ fn main() {
         n_nodes: N_NODES,
         max_nodes: MAX_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: Some(scratch.path().to_path_buf()),
         workers: 8,
         ..Default::default()
@@ -232,7 +231,7 @@ fn main() {
     for (item, x) in seeded_items() {
         cluster.put_item_features(item, x);
     }
-    let sim = SimTransport::new(Arc::clone(&cluster), LR);
+    let sim = SimTransport::new(Arc::clone(&cluster), 0.0);
     let sim_ops = NodeOps {
         join: Box::new(|| cluster.join_node()),
         // The simulator holds no disk; a kill already forgets the node's

@@ -61,7 +61,6 @@ fn rpc_backend() -> (Arc<dyn PredictBackend>, Arc<NetCluster>) {
     let cluster = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication: 2,
-        lr: 0.05,
         wal_root: None,
         workers: 8,
         ..Default::default()

@@ -45,7 +45,6 @@ const N_USERS: u64 = 64;
 const N_ITEMS: u64 = 256;
 const DIM: usize = 16;
 const N_NODES: usize = 3;
-const LR: f64 = 0.05;
 /// Sanity ceiling on the overhead ratio (%) — it only trips if tracing
 /// becomes a different kind of expensive.
 const OVERHEAD_GATE_PCT: f64 = 10.0;
@@ -69,7 +68,6 @@ fn start_cluster(trace: TraceConfig) -> NetCluster {
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         client: NetClientConfig { request_timeout: Duration::from_secs(5), ..Default::default() },

@@ -7,9 +7,10 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use velox_cluster::transport::Transport;
-use velox_cluster::{lms_update, NodeId, PartitionMap};
+use velox_cluster::{ridge_observe, NodeId, PartitionMap};
 use velox_data::{WorkloadConfig, ZipfGenerator};
 use velox_linalg::stats::LatencySummary;
+use velox_linalg::Vector;
 
 use crate::print_row;
 
@@ -23,8 +24,6 @@ pub const DIM: usize = 8;
 pub const N_NODES: usize = 3;
 /// Slots, founding members plus join headroom.
 pub const MAX_NODES: usize = 4;
-/// Learning rate of the served LMS model.
-pub const LR: f64 = 0.05;
 /// Item-popularity skew.
 pub const ZIPF_SKEW: f64 = 1.0;
 
@@ -122,13 +121,15 @@ impl Ledger {
 /// weights diverge from the bit-exact expectation (lost or
 /// double-applied acked records).
 pub fn replay_divergence(t: &dyn Transport, acked: &[(u64, u64, f64)]) -> u64 {
-    let mut replay: HashMap<u64, Vec<f64>> = HashMap::new();
+    let mut replay = HashMap::new();
     for &(uid, item, y) in acked {
-        lms_update(replay.entry(uid).or_default(), &item_features(item), y, LR);
+        let _ = ridge_observe(&mut replay, uid, &Vector::from_vec(item_features(item)), y);
     }
     let diverged = replay
         .iter()
-        .filter(|(uid, expect)| !matches!(t.fetch_weights(**uid), Ok(Some(got)) if &got == *expect))
+        .filter(|(uid, expect)| {
+            !matches!(t.fetch_weights(**uid), Ok(Some(got)) if got == expect.weights().as_slice())
+        })
         .count();
     diverged as u64
 }

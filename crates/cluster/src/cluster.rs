@@ -201,17 +201,6 @@ impl ClusterStats {
         loads.iter().fold(0.0f64, |m, &l| m.max(l)) / mean
     }
 
-    /// Aggregate item-cache hit rate across nodes (0.0 with no accesses).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.nodes.iter().map(|n| n.cache.0).sum();
-        let misses: u64 = self.nodes.iter().map(|n| n.cache.1).sum();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
-
     /// Total failover reads across all nodes.
     pub fn failover_reads(&self) -> u64 {
         self.nodes.iter().map(|n| n.failover_reads).sum()
@@ -678,28 +667,21 @@ impl Cluster {
         }
     }
 
-    /// Applies an in-place update to a user's weights (upserting via
-    /// `default` when absent), fanning the result out to every live
+    /// Applies an in-place update to a user's weights (upserting an empty
+    /// vector when absent), fanning the result out to every live
     /// replica. Under `ByUser` routing and full health this is the paper's
     /// "all writes are local" property; when `at` differs from the serving
     /// replica the write is charged as remote. Returns `None` when no live
     /// replica exists — the caller should buffer the update for redo.
-    pub fn try_update_user_weights<F, D>(
-        &self,
-        at: NodeId,
-        uid: u64,
-        default: D,
-        f: F,
-    ) -> Option<f64>
+    pub fn try_update_user_weights<F>(&self, at: NodeId, uid: u64, f: F) -> Option<f64>
     where
         F: FnOnce(&mut Vec<f64>),
-        D: FnOnce() -> Vec<f64>,
     {
         let live = self.live_user_replicas(uid);
         let (&first, rest) = live.split_first()?;
         let kind = if first == at { AccessKind::Local } else { AccessKind::Remote };
         let cost = self.charge(at, kind);
-        self.nodes[first].user_weights.update_with(uid, default, f);
+        self.nodes[first].user_weights.update_with(uid, Vec::new, f);
         if !rest.is_empty() {
             if let Some(w) = self.nodes[first].user_weights.get(uid) {
                 for &node in rest {
@@ -856,13 +838,6 @@ impl Cluster {
             cost_us: spike,
             failover: false,
             unavailable: true,
-        }
-    }
-
-    /// Invalidates every node's item cache (manual cache flush).
-    pub fn invalidate_item_caches(&self) {
-        for node in &self.nodes {
-            node.item_cache.lock().unwrap().clear();
         }
     }
 
@@ -1172,8 +1147,9 @@ mod tests {
         let c = cluster(4, RoutingPolicy::ByUser);
         let uid = 5;
         let home = c.home_of_user(uid);
+        c.put_user_weights(uid, vec![0.0]);
         for _ in 0..2 {
-            let cost = c.try_update_user_weights(home, uid, || vec![0.0], |w| w[0] += 1.0);
+            let cost = c.try_update_user_weights(home, uid, |w| w[0] += 1.0);
             assert_eq!(cost, Some(LOCAL_READ_US));
         }
         assert_eq!(c.read_user_weights(home, uid).value.unwrap(), vec![2.0]);
@@ -1320,7 +1296,7 @@ mod tests {
         for &node in &replicas {
             assert_eq!(c.nodes[node].user_weights.get(3).unwrap(), vec![3.0]);
         }
-        c.try_update_user_weights(replicas[0], 3, Vec::new, |w| w[0] = 9.0).unwrap();
+        c.try_update_user_weights(replicas[0], 3, |w| w[0] = 9.0).unwrap();
         for &node in &replicas {
             assert_eq!(c.nodes[node].user_weights.get(3).unwrap(), vec![9.0], "replica {node}");
         }

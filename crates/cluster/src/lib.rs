@@ -40,6 +40,10 @@
 
 #![warn(missing_docs)]
 
+/// The workspace's data helpers (and, through them, its dense kernels),
+/// re-exported for crates that reach `velox-data` only through this one.
+pub use velox_data as data;
+
 pub mod cluster;
 pub mod conn_pool;
 pub mod detector;
@@ -67,6 +71,6 @@ pub use partition::{
 };
 pub use retry::{obs_id_nonce, ObsDedupe, RetryPolicy};
 pub use transport::{
-    dot, lms_update, non_finite_label, SimTransport, Transport, TransportError, TransportObserve,
-    TransportPredict,
+    fits, non_finite_label, ridge_observe, score, SimTransport, Transport, TransportError,
+    TransportObserve, TransportPredict, RIDGE_LAMBDA,
 };

@@ -5,7 +5,7 @@
 //! instead of retry-storming. Idempotency is explicit — predicts and
 //! weight reads retry freely; observes must never be blindly replayed
 //! past the point where they may have been applied (a duplicate
-//! Sherman–Morrison/LMS step corrupts the model). The safe replay path
+//! Sherman–Morrison step corrupts the model). The safe replay path
 //! is a client-chosen observation id plus an [`ObsDedupe`] window at the
 //! applier, which turns an ambiguous "did my ack get lost?" retry into
 //! an exactly-once operation.

@@ -9,15 +9,20 @@
 //! socket path computes *bit-identical* scores to the simulator
 //! (`velox-net`'s backends-agree test).
 //!
-//! The model served over the transport is the paper's online user model: a
-//! per-user weight vector `wᵤ` over fixed item features `x`, scored as
-//! `wᵤ·x` and updated online with least-mean-squares ([`lms_update`]).
-//! Both backends share the exact update routine so floating-point op order
-//! cannot diverge between them.
+//! The model served over the transport is the paper's online user model
+//! (Eq. 2): per user, a ridge regression `wᵤ` over fixed item features
+//! `x`, scored as `wᵤ·x` and updated online with Sherman–Morrison
+//! rank-one updates ([`ridge_observe`]). It is the learner the in-process
+//! `Velox` runs — the same `IncrementalRidge`, the same λ
+//! ([`RIDGE_LAMBDA`]) and the same dot kernel ([`score`]) — so the
+//! in-process deployment, the simulator and the socket cluster serve the
+//! same model, bit for bit.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use velox_data::linalg::{vector::dot_slices, IncrementalRidge, LinalgError, Vector};
 use velox_data::VeloxRng;
 use velox_obs::{
     ActiveSpan, RootSpan, SpanKind, SpanStatus, TraceConfig, TraceContext, Tracer, FRONT_NODE,
@@ -119,7 +124,7 @@ pub trait Transport {
     }
 
     /// Applies one online observation `(uid, item_id, y)` at the owning
-    /// node via [`lms_update`] and acknowledges it.
+    /// node via [`ridge_observe`] and acknowledges it.
     fn observe(&self, uid: u64, item_id: u64, y: f64) -> Result<TransportObserve, TransportError>;
 
     /// Fetches the current weight vector for `uid` (`None` when the user
@@ -241,34 +246,67 @@ pub fn non_finite_label(y: f64) -> String {
     format!("label y = {y} is not finite")
 }
 
-/// Dot product in index order — the one accumulation order both backends
-/// use, so scores agree bit-for-bit across transports.
-pub fn dot(w: &[f64], x: &[f64]) -> f64 {
-    w.iter().zip(x).map(|(wi, xi)| wi * xi).sum()
+/// Ridge constant λ of every worker's online model (Eq. 2).
+/// `VeloxConfig::default()` reads it too, so every deployment fits the
+/// same model.
+pub const RIDGE_LAMBDA: f64 = 1.0;
+
+/// Folds one observation `(x, y)` into `uid`'s online state — one
+/// Sherman–Morrison update of `IncrementalRidge`, exactly what `Velox`
+/// applies — creating the state at the zero prior on first sight. The one
+/// learner both backends run and every acked-stream replay checks
+/// against. An `x` whose length differs from the user's state is refused
+/// and leaves the state untouched.
+pub fn ridge_observe<'a>(
+    users: &'a mut HashMap<u64, IncrementalRidge>,
+    uid: u64,
+    x: &Vector,
+    y: f64,
+) -> Result<&'a IncrementalRidge, LinalgError> {
+    let user = users.entry(uid).or_insert_with(|| IncrementalRidge::new(x.len(), RIDGE_LAMBDA));
+    user.observe(x, y)?;
+    Ok(user)
 }
 
-/// One least-mean-squares step: `w += lr·(y − w·x)·x`, growing `w` with
-/// zeros to `x`'s length first. Shared by every transport backend so the
-/// floating-point op order is identical everywhere.
-pub fn lms_update(w: &mut Vec<f64>, x: &[f64], y: f64, lr: f64) {
-    if w.len() < x.len() {
-        w.resize(x.len(), 0.0);
+/// The refusal both backends give an item whose features differ in length
+/// from the user's model — scoring it would read past one of them, and
+/// training on it has no meaning — or `Ok` when the widths agree.
+fn same_width(user_dim: usize, item_dim: usize) -> Result<(), String> {
+    if user_dim == item_dim {
+        return Ok(());
     }
-    let err = y - dot(w, x);
-    for (wi, xi) in w.iter_mut().zip(x) {
-        *wi += lr * err * xi;
-    }
+    Err(format!("item has {item_dim} features, the user's model {user_dim}"))
+}
+
+/// Whether `uid`'s online state can take `x`: always for a user not seen
+/// yet. Checked before an observe is logged or applied.
+pub fn fits(users: &HashMap<u64, IncrementalRidge>, uid: u64, x: &Vector) -> Result<(), String> {
+    users.get(&uid).map_or(Ok(()), |user| same_width(user.dim(), x.len()))
+}
+
+/// How both backends score `x` for a user with weights `w`: `w·x` through
+/// the kernel `Velox` scores with, paired with `cold_start` — a user not
+/// seen yet (`None`) scores the all-zeros prior's 0. Refused when the
+/// widths differ.
+pub fn score(w: Option<&[f64]>, x: &[f64]) -> Result<(f64, bool), String> {
+    let Some(w) = w else { return Ok((0.0, true)) };
+    same_width(w.len(), x.len())?;
+    Ok((dot_slices(w, x), false))
 }
 
 /// The in-process backend: [`Transport`] over the simulated [`Cluster`].
 ///
 /// Routing, replication, failover, and fault injection all come from the
-/// simulator; this adapter adds only the model math (scoring and
-/// [`lms_update`]) and a monotone observation clock, mirroring what
-/// `velox-net`'s node servers do on real sockets.
+/// simulator; this adapter adds only the model — each user's
+/// `IncrementalRidge`, whose weights it writes into the cluster's slots
+/// the way `Velox` publishes them — and a monotone observation clock,
+/// mirroring what `velox-net`'s node servers do on real sockets.
 pub struct SimTransport {
     cluster: Arc<Cluster>,
-    lr: f64,
+    /// Each user's online state. Predict, fail-over and migration read
+    /// the weights the cluster's slots hold; only observes read this, and
+    /// only while its weights are still the slot's.
+    users: Mutex<HashMap<u64, IncrementalRidge>>,
     ts: AtomicU64,
     tracer: Arc<Tracer>,
     // Network-fault mirror: the same link chaos engine, retry budget, and
@@ -292,22 +330,24 @@ pub struct SimTransport {
 }
 
 impl SimTransport {
-    /// Wraps `cluster`, applying observes with learning rate `lr`.
-    /// Tracing is off; use [`SimTransport::with_trace`] to record spans.
+    /// Wraps `cluster`. `lr` is ignored (the model has no learning rate);
+    /// the parameter stays for callers that pass one. Tracing is off; use
+    /// [`SimTransport::with_trace`] to record spans.
     pub fn new(cluster: Arc<Cluster>, lr: f64) -> Self {
-        Self::build(cluster, lr, Tracer::disabled())
+        let _ = lr;
+        Self::build(cluster, Tracer::disabled())
     }
 
     /// Like [`SimTransport::new`] but with request tracing per `trace`.
     /// The simulator emits the same span chain as the TCP runtime —
     /// route, failover, RPC, server receive, node work, log shipping —
     /// so span trees are structurally comparable across backends.
-    pub fn with_trace(cluster: Arc<Cluster>, lr: f64, trace: TraceConfig) -> Self {
+    pub fn with_trace(cluster: Arc<Cluster>, trace: TraceConfig) -> Self {
         let tracer = Tracer::new(cluster.n_nodes(), trace);
-        Self::build(cluster, lr, tracer)
+        Self::build(cluster, tracer)
     }
 
-    fn build(cluster: Arc<Cluster>, lr: f64, tracer: Arc<Tracer>) -> Self {
+    fn build(cluster: Arc<Cluster>, tracer: Arc<Tracer>) -> Self {
         let map = Mutex::new(cluster.map());
         let chaos = Arc::new(LinkChaos::default());
         // The migration path consults the same link-fault engine the
@@ -316,7 +356,7 @@ impl SimTransport {
         cluster.set_migration_link_chaos(Arc::clone(&chaos));
         SimTransport {
             cluster,
-            lr,
+            users: Mutex::new(HashMap::new()),
             ts: AtomicU64::new(0),
             tracer,
             chaos,
@@ -517,9 +557,7 @@ impl Transport for SimTransport {
                 if w_read.unavailable {
                     return Err(TransportError::Unavailable);
                 }
-                let cold_start = w_read.value.is_none();
-                let w = w_read.value.unwrap_or_default();
-                Ok((dot(&w, &x), cold_start))
+                score(w_read.value.as_deref(), &x).map_err(TransportError::Rejected)
             })();
 
             let status = if result.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
@@ -605,18 +643,42 @@ impl Transport for SimTransport {
 
             // Replayed id: the node already applied this observation on a
             // previous attempt whose ack was lost — return the original
-            // ack instead of a second LMS step.
+            // ack instead of a second update.
             let replayed = self.obs_dedupe.lock().unwrap().hit(obs_id);
             let result = if let Some(ack) = replayed {
                 self.dedupe_hits.fetch_add(1, Ordering::Relaxed);
                 Ok(ack)
             } else {
                 let fresh = (|| {
-                    let x = self.item_features(at, item_id)?;
-                    let lr = self.lr;
+                    let x = Vector::from_vec(self.item_features(at, item_id)?);
+                    let mut users = self.users.lock().unwrap();
+                    let mut applied = Ok(());
+                    // Runs only when a replica is live, and writes the new
+                    // `w` into the slot as `Velox::publish_weights` does.
+                    // The slot is the truth: a state whose weights are no
+                    // longer the slot's restarts from it — from the zero
+                    // prior when a crash emptied it, as at a TCP node.
+                    let update = |slot: &mut Vec<f64>| {
+                        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        let current = users.get(&uid).map(|u| bits(u.weights().as_slice()));
+                        if current.is_some_and(|w| w != bits(slot)) {
+                            users.remove(&uid);
+                        }
+                        if !slot.is_empty() && !users.contains_key(&uid) {
+                            let prior = Vector::from_vec(slot.clone());
+                            users.insert(uid, IncrementalRidge::from_prior(&prior, RIDGE_LAMBDA));
+                        }
+                        applied = fits(&users, uid, &x);
+                        if applied.is_ok() {
+                            if let Ok(user) = ridge_observe(&mut users, uid, &x, y) {
+                                *slot = user.weights().as_slice().to_vec();
+                            }
+                        }
+                    };
                     self.cluster
-                        .try_update_user_weights(at, uid, Vec::new, |w| lms_update(w, &x, y, lr))
+                        .try_update_user_weights(at, uid, update)
                         .ok_or(TransportError::Unavailable)?;
+                    applied.map_err(TransportError::Rejected)?;
                     Ok(self.ts.fetch_add(1, Ordering::Relaxed) + 1)
                 })();
 
@@ -753,7 +815,7 @@ mod tests {
         for item in 0..16u64 {
             cluster.put_item_features(item, vec![1.0, (item % 4) as f64, 0.5]);
         }
-        SimTransport::new(cluster, 0.1)
+        SimTransport::new(cluster, 0.0)
     }
 
     #[test]
@@ -811,7 +873,7 @@ mod tests {
         for item in 0..16u64 {
             cluster.put_item_features(item, vec![1.0, (item % 4) as f64, 0.5]);
         }
-        let t = SimTransport::new(Arc::clone(&cluster), 0.1);
+        let t = SimTransport::new(Arc::clone(&cluster), 0.0);
         for uid in 0..64u64 {
             t.observe(uid, uid % 16, 1.0).unwrap();
         }
@@ -832,16 +894,5 @@ mod tests {
         assert!(view.members.contains(&new));
         assert!(!view.migrations.is_empty());
         assert!(view.migrations.iter().all(|m| m.phase == "done"));
-    }
-
-    #[test]
-    fn lms_update_grows_and_converges() {
-        let mut w = Vec::new();
-        let x = [1.0, 2.0];
-        for _ in 0..200 {
-            lms_update(&mut w, &x, 1.0, 0.05);
-        }
-        assert_eq!(w.len(), 2);
-        assert!((dot(&w, &x) - 1.0).abs() < 1e-3);
     }
 }

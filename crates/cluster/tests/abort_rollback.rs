@@ -36,7 +36,7 @@ impl props::Twin for SimTwin {
         for item in 0..props::ITEMS {
             cluster.put_item_features(item, props::features(item));
         }
-        let sim = SimTransport::new(Arc::clone(&cluster), props::LR);
+        let sim = SimTransport::new(Arc::clone(&cluster), 0.0);
         SimTwin { cluster, sim }
     }
 

@@ -16,15 +16,16 @@
 //!   match each other *and* a local replay of the acked stream exactly;
 //! - the ledger records `Aborted{reason}` with phase `aborted`.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use velox_cluster::transport::{Transport, TransportError};
 use velox_cluster::{
-    lms_update, ControlPlane, MembershipError, MigrationIo, MigrationOutcome, NodeId,
+    ridge_observe, ControlPlane, MembershipError, MigrationIo, MigrationOutcome, NodeId,
 };
+use velox_data::linalg::Vector;
 
 pub const DIM: usize = 4;
-pub const LR: f64 = 0.05;
 pub const USERS: u64 = 40;
 pub const ITEMS: u64 = 16;
 
@@ -33,9 +34,8 @@ pub fn features(item: u64) -> Vec<f64> {
 }
 
 /// One runtime under test: three founding nodes, capacity four,
-/// replication two, every item of [`features`] seeded, learning rate
-/// [`LR`], and checkpoint chunks small enough that a migration takes
-/// several boundary checks.
+/// replication two, every item of [`features`] seeded, and checkpoint
+/// chunks small enough that a migration takes several boundary checks.
 pub trait Twin: Sized {
     type Plane: ControlPlane + Sync;
     fn build() -> Self;
@@ -71,13 +71,13 @@ fn weights<T: Twin>(twin: &T) -> Vec<(u64, Option<Vec<f64>>)> {
 /// What every user's weights must be if no acked observe was lost and
 /// none was applied twice.
 fn local_replay(slices: &[(u64, u64)]) -> Vec<(u64, Option<Vec<f64>>)> {
-    let mut w: Vec<Option<Vec<f64>>> = vec![None; USERS as usize];
+    let mut users = HashMap::new();
     for &(offset, n) in slices {
         for (uid, item, y) in workload(offset, n) {
-            lms_update(w[uid as usize].get_or_insert_with(Vec::new), &features(item), y, LR);
+            ridge_observe(&mut users, uid, &Vector::from_vec(features(item)), y).unwrap();
         }
     }
-    (0..USERS).zip(w).collect()
+    (0..USERS).map(|uid| (uid, users.get(&uid).map(|u| u.weights().as_slice().to_vec()))).collect()
 }
 
 /// First partition owned by `node` under the current map.

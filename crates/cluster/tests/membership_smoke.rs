@@ -4,12 +4,13 @@
 //! (`tests/membership_smoke.rs`) so tier-1 `cargo test -q` exercises
 //! `velox_cluster::migrate`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox_cluster::transport::{SimTransport, Transport};
-use velox_cluster::{lms_update, Cluster, ClusterConfig, ControlPlane, MigrationOutcome};
+use velox_cluster::{ridge_observe, Cluster, ClusterConfig, ControlPlane, MigrationOutcome};
+use velox_data::linalg::Vector;
 
-const LR: f64 = 0.1;
 const USERS: u64 = 32;
 
 fn features(item: u64) -> Vec<f64> {
@@ -29,13 +30,13 @@ fn two_node_join_rebalance_fail_over_keeps_every_acked_observe() {
     for item in 0..8 {
         cluster.put_item_features(item, features(item));
     }
-    let sim = SimTransport::new(Arc::clone(&cluster), LR);
-    let mut expect: Vec<Vec<f64>> = vec![Vec::new(); USERS as usize];
+    let sim = SimTransport::new(Arc::clone(&cluster), 0.0);
+    let mut expect = HashMap::new();
     let mut traffic = |from: u64| {
         for i in from..from + 96 {
             let (uid, item, y) = (i % USERS, i % 8, (i % 3) as f64);
             sim.observe(uid, item, y).expect("observe");
-            lms_update(&mut expect[uid as usize], &features(item), y, LR);
+            ridge_observe(&mut expect, uid, &Vector::from_vec(features(item)), y).unwrap();
         }
     };
 
@@ -58,7 +59,7 @@ fn two_node_join_rebalance_fail_over_keeps_every_acked_observe() {
     for uid in 0..USERS {
         assert_eq!(
             sim.fetch_weights(uid).expect("fetch").as_ref(),
-            Some(&expect[uid as usize]),
+            Some(&expect[&uid].weights().as_slice().to_vec()),
             "user {uid} lost or double-applied an acked observe"
         );
         assert!(!sim.predict(uid, uid % 8).expect("predict").cold_start);

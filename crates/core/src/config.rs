@@ -1,6 +1,6 @@
 //! Deployment configuration for a Velox instance.
 
-use velox_cluster::ClusterConfig;
+use velox_cluster::{ClusterConfig, RIDGE_LAMBDA};
 
 use crate::durability::DurabilityConfig;
 
@@ -68,7 +68,8 @@ pub struct VeloxConfig {
 impl Default for VeloxConfig {
     fn default() -> Self {
         VeloxConfig {
-            lambda: 1.0,
+            // The λ the simulator and the socket nodes fit with.
+            lambda: RIDGE_LAMBDA,
             prediction_cache_capacity: 64 * 1024,
             feature_cache_capacity: 16 * 1024,
             staleness_threshold: 0.5,

@@ -1505,7 +1505,7 @@ impl Velox {
         let w = weights.as_slice().to_vec();
         match serving_node {
             Some(node) => {
-                let _ = self.cluster.try_update_user_weights(node, uid, Vec::new, |slot| *slot = w);
+                let _ = self.cluster.try_update_user_weights(node, uid, |slot| *slot = w);
             }
             None => self.cluster.put_user_weights(uid, w),
         }

@@ -24,6 +24,10 @@
 
 #![warn(missing_docs)]
 
+/// The dense kernels and the online learner, re-exported so crates that
+/// reach this one (but not `velox-linalg` directly) can use them.
+pub use velox_linalg as linalg;
+
 pub mod ratings;
 pub mod rng;
 pub mod split;

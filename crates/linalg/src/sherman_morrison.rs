@@ -66,6 +66,22 @@ impl IncrementalRidge {
         }
     }
 
+    /// A model whose solution before any observation is `prior`: `A = λI`
+    /// and `b = λ·prior`, so the ridge prior mean is `prior` and later
+    /// observations blend data evidence with it (Bayesian linear
+    /// regression). How a user's offline-trained weights become online
+    /// state without their raw history.
+    ///
+    /// # Panics
+    /// Panics if `lambda <= 0`, as [`new`](Self::new) does.
+    pub fn from_prior(prior: &Vector, lambda: f64) -> Self {
+        let mut model = Self::new(prior.len(), lambda);
+        let mut b = prior.clone();
+        b.scale(lambda);
+        model.reset_moments(b).expect("the prior sets the dimension");
+        model
+    }
+
     /// Reconstructs an incremental model from batch sufficient statistics
     /// (`gram = XᵀX`, `xty = Xᵀy`). O(d³) — done once when a user's model is
     /// loaded from storage or after an offline retrain, after which all

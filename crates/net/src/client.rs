@@ -87,11 +87,6 @@ impl NetError {
     pub fn definitely_not_delivered(&self) -> bool {
         matches!(self, NetError::ConnectFailed(_) | NetError::Overloaded)
     }
-
-    /// True when an idempotent request may reasonably be retried.
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, NetError::Corrupt(_))
-    }
 }
 
 impl std::fmt::Display for NetError {

@@ -4,8 +4,10 @@
 //! (§3): the shard of the user-weight table its partition owns (plus the
 //! shards shipped to it as a replica), a full copy of the item-feature
 //! table, a local write-ahead log, and the serving logic — score `wᵤ·x`,
-//! apply online LMS updates, and replicate acknowledged observations to
-//! the partition's replica set before acking (`ShipLog`).
+//! fold each observation into the user's `IncrementalRidge` with the
+//! Sherman–Morrison update the in-process `Velox` runs (Eq. 2,
+//! [`ridge_observe`]), and replicate acknowledged observations to the
+//! partition's replica set before acking (`ShipLog`).
 //!
 //! ## Durability and ordering
 //!
@@ -20,10 +22,18 @@
 //! replays strictly in timestamp order. The `(uid, ts)` pair identifies a
 //! record: replay and re-shipping are idempotent.
 //!
-//! The WAL write, the log insert and the weight update happen under the
-//! log lock, so replaying the log in timestamp order reproduces the exact
-//! floating-point op sequence — the property the backends-agree and
-//! recovery tests lean on. The `fdatasync` does not: it runs after the
+//! The timestamp, the WAL write, the log insert and the update happen
+//! under the log lock, so a node applies each user's own-written records
+//! in timestamp order, and replaying the log in timestamp order reproduces
+//! the exact floating-point op sequence — the property the backends-agree
+//! and recovery tests lean on. The same critical section hands out each
+//! replica's ship turn, so an owner's records reach a replica in
+//! timestamp order too. Records from elsewhere (an acting owner, a healed
+//! backlog, a migration's log tail) can still arrive late; a `ShipLog`
+//! frame that gives a user a record older than one already applied
+//! re-derives that user from its own records once the frame is in
+//! (`velox_net_ship_repaired_users_total` counts them). The `fdatasync`
+//! runs outside the lock: after the
 //! lock is released, and at the owner it runs while the first replica
 //! works on the `ShipLog` frame already on the wire, so the two WALs'
 //! syncs overlap instead of running back to back.
@@ -50,8 +60,9 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use velox_cluster::netfault::{LinkChaos, FRONT_PEER};
 use velox_cluster::retry::ObsDedupe;
-use velox_cluster::transport::{dot, lms_update, non_finite_label};
+use velox_cluster::transport::{fits, non_finite_label, ridge_observe, score, RIDGE_LAMBDA};
 use velox_cluster::{NodeId, PartitionMap};
+use velox_data::linalg::{IncrementalRidge, Vector};
 use velox_obs::{
     trace::now_ns, Counter, Gauge, Histogram, Registry, SpanKind, TraceContext, Tracer,
 };
@@ -189,6 +200,9 @@ pub struct NodeMetrics {
     pub forwards: Arc<Counter>,
     /// Log records received (and newly applied) via `ShipLog`.
     pub ship_in_records: Arc<Counter>,
+    /// Users a `ShipLog` frame gave a record older than one already
+    /// applied, each re-derived from its own records once the frame was in.
+    pub ship_repaired_users: Arc<Counter>,
     /// `ShipLog` sends that failed (replica unreachable before deadline).
     pub ship_failures: Arc<Counter>,
     /// Observes answered from the dedupe window (a retry or a chaos
@@ -221,6 +235,7 @@ impl NodeMetrics {
             observes: Arc::new(Counter::new()),
             forwards: Arc::new(Counter::new()),
             ship_in_records: Arc::new(Counter::new()),
+            ship_repaired_users: Arc::new(Counter::new()),
             ship_failures: Arc::new(Counter::new()),
             duplicate_observes: Arc::new(Counter::new()),
             ship_backlog_queued: Arc::new(Counter::new()),
@@ -237,64 +252,29 @@ impl NodeMetrics {
     pub fn register(&self, registry: &Registry, node: NodeId) {
         let id = node.to_string();
         let labels = [("node", id.as_str())];
-        registry.register_counter("velox_net_predicts_total", &labels, Arc::clone(&self.predicts));
-        registry.register_counter("velox_net_observes_total", &labels, Arc::clone(&self.observes));
-        registry.register_counter("velox_net_forwards_total", &labels, Arc::clone(&self.forwards));
-        registry.register_counter(
-            "velox_net_ship_in_records_total",
-            &labels,
-            Arc::clone(&self.ship_in_records),
-        );
-        registry.register_counter(
-            "velox_net_ship_failures_total",
-            &labels,
-            Arc::clone(&self.ship_failures),
-        );
-        registry.register_counter(
-            "velox_net_duplicate_observes_total",
-            &labels,
-            Arc::clone(&self.duplicate_observes),
-        );
-        registry.register_counter(
-            "velox_net_ship_backlog_queued_total",
-            &labels,
-            Arc::clone(&self.ship_backlog_queued),
-        );
-        registry.register_counter(
-            "velox_net_ship_catch_up_records_total",
-            &labels,
-            Arc::clone(&self.ship_catch_up_records),
-        );
-        registry.register_gauge(
-            "velox_net_ship_backlog_depth",
-            &labels,
-            Arc::clone(&self.ship_backlog_depth),
-        );
-        registry.register_gauge(
-            "velox_net_ship_backlog_hwm",
-            &labels,
-            Arc::clone(&self.ship_backlog_hwm),
-        );
-        registry.register_counter(
-            "velox_net_wrong_epoch_total",
-            &labels,
-            Arc::clone(&self.wrong_epoch),
-        );
-        registry.register_counter(
-            "velox_net_map_installs_total",
-            &labels,
-            Arc::clone(&self.map_installs),
-        );
-        registry.register_counter(
-            "velox_net_wal_appends_total",
-            &labels,
-            Arc::clone(&self.wal.appends),
-        );
-        registry.register_counter(
-            "velox_net_wal_fsyncs_total",
-            &labels,
-            Arc::clone(&self.wal.fsyncs),
-        );
+        for (name, counter) in [
+            ("predicts_total", &self.predicts),
+            ("observes_total", &self.observes),
+            ("forwards_total", &self.forwards),
+            ("ship_in_records_total", &self.ship_in_records),
+            ("ship_repaired_users_total", &self.ship_repaired_users),
+            ("ship_failures_total", &self.ship_failures),
+            ("duplicate_observes_total", &self.duplicate_observes),
+            ("ship_backlog_queued_total", &self.ship_backlog_queued),
+            ("ship_catch_up_records_total", &self.ship_catch_up_records),
+            ("wrong_epoch_total", &self.wrong_epoch),
+            ("map_installs_total", &self.map_installs),
+            ("wal_appends_total", &self.wal.appends),
+            ("wal_fsyncs_total", &self.wal.fsyncs),
+        ] {
+            registry.register_counter(&format!("velox_net_{name}"), &labels, Arc::clone(counter));
+        }
+        for (name, gauge) in [
+            ("ship_backlog_depth", &self.ship_backlog_depth),
+            ("ship_backlog_hwm", &self.ship_backlog_hwm),
+        ] {
+            registry.register_gauge(&format!("velox_net_{name}"), &labels, Arc::clone(gauge));
+        }
         if let Some(fsync_ns) = &self.wal.fsync_ns {
             registry.register_histogram("velox_net_wal_fsync_ns", &labels, Arc::clone(fsync_ns));
         }
@@ -324,8 +304,6 @@ pub struct NodeConfig {
     /// `holds_user` all come from the node's current map, which later
     /// `InstallMap` frames advance.
     pub map: Arc<PartitionMap>,
-    /// LMS learning rate.
-    pub lr: f64,
     /// WAL directory for this node; `None` runs without local durability
     /// (acknowledged records then live only in replicas' WALs).
     pub wal_dir: Option<std::path::PathBuf>,
@@ -343,19 +321,38 @@ pub struct NodeConfig {
 /// applied here exactly when it is held, so the ordered log is also the
 /// idempotency set: a binary search answers "already applied?" without a
 /// second copy of every key (a `(uid, ts)` hash set cost more memory per
-/// observe than the records themselves).
+/// observe than the records themselves). `by_user` holds each user's
+/// timestamps, ascending, so one user's records are found without a scan.
 struct LogInner {
     records: Vec<Observation>,
+    by_user: HashMap<u64, Vec<u64>>,
 }
 
 impl LogInner {
-    fn position(&self, rec: &Observation) -> Result<usize, usize> {
-        self.records.binary_search_by(|r| (r.timestamp, r.uid).cmp(&(rec.timestamp, rec.uid)))
+    /// The log of `records`, in any order.
+    fn new(mut records: Vec<Observation>) -> Self {
+        records.sort_by_key(|r| (r.timestamp, r.uid));
+        records.dedup_by_key(|r| (r.timestamp, r.uid));
+        let mut by_user: HashMap<u64, Vec<u64>> = HashMap::new();
+        for r in &records {
+            by_user.entry(r.uid).or_default().push(r.timestamp);
+        }
+        LogInner { records, by_user }
+    }
+
+    fn position(&self, uid: u64, ts: u64) -> Result<usize, usize> {
+        self.records.binary_search_by(|r| (r.timestamp, r.uid).cmp(&(ts, uid)))
     }
 
     /// Whether `(rec.uid, rec.timestamp)` is already held (applied).
     fn holds(&self, rec: &Observation) -> bool {
-        self.position(rec).is_ok()
+        self.position(rec.uid, rec.timestamp).is_ok()
+    }
+
+    /// `uid`'s held records, in timestamp order.
+    fn records_of(&self, uid: u64) -> impl Iterator<Item = &Observation> {
+        let stamps = self.by_user.get(&uid).map_or(&[][..], Vec::as_slice);
+        stamps.iter().filter_map(move |&ts| self.position(uid, ts).ok().map(|i| &self.records[i]))
     }
 
     /// The held records with `timestamp >= from`, in timestamp order.
@@ -363,11 +360,17 @@ impl LogInner {
         &self.records[self.records.partition_point(|r| r.timestamp < from)..]
     }
 
-    /// Holds `rec`. Records arrive close to timestamp order, so this is
-    /// an append or a short shift near the end.
-    fn insert(&mut self, rec: Observation) {
-        let at = self.position(&rec).unwrap_or_else(|at| at);
+    /// Holds `rec`, and says whether a newer record of the same user was
+    /// already held — `rec` arrived out of timestamp order for its user.
+    /// Records arrive close to timestamp order, so this is an append or a
+    /// short shift near the end.
+    fn insert(&mut self, rec: Observation) -> bool {
+        let at = self.position(rec.uid, rec.timestamp).unwrap_or_else(|at| at);
+        let stamps = self.by_user.entry(rec.uid).or_default();
+        let late = stamps.last().is_some_and(|&newest| newest > rec.timestamp);
+        stamps.insert(stamps.partition_point(|&ts| ts < rec.timestamp), rec.timestamp);
         self.records.insert(at, rec);
+        late
     }
 }
 
@@ -388,15 +391,17 @@ enum ShipBacklog {
     ResyncFrom(u64),
 }
 
-/// All mutable state of one node. Lock order: `log` before `weights`;
-/// a `backlog` slot may take `log` (resync reads the records) but never
-/// the other way around.
+/// All mutable state of one node. Lock order: `log`, then `items`, then
+/// `users`; a `backlog` slot may take `log` (resync reads the records)
+/// but never the other way around.
 pub struct NodeState {
     config: NodeConfig,
     /// Current partition map; swapped whole-`Arc` by `InstallMap`.
     map: RwLock<Arc<PartitionMap>>,
-    weights: Mutex<HashMap<u64, Vec<f64>>>,
-    items: Mutex<HashMap<u64, Vec<f64>>>,
+    /// Each held user's online state. Changed only under `log`, except by
+    /// checkpoint installs and their scrub.
+    users: Mutex<HashMap<u64, IncrementalRidge>>,
+    items: Mutex<HashMap<u64, Vector>>,
     /// Written under `log` (so disk order is log order), synced outside it.
     wal: Option<Wal>,
     log: Mutex<LogInner>,
@@ -407,10 +412,13 @@ pub struct NodeState {
     /// or chaos duplication) answers with its original ack instead of a
     /// second weight update.
     dedupe: Mutex<ObsDedupe<WindowAck>>,
-    /// Per-replica ship debt, one slot per cluster node. Each slot's
-    /// mutex is held across the drain + ship RPCs so records reach a
-    /// replica in ship order even under concurrent observes.
-    backlog: Vec<Mutex<ShipBacklog>>,
+    /// Per-replica ship debt and the next ship turn to run, one slot per
+    /// cluster node. Each slot's mutex is held across the drain + ship
+    /// RPCs, and own observes take their turns in the order `turns` handed
+    /// them out, so records reach a replica in timestamp order.
+    backlog: Vec<(Mutex<(ShipBacklog, u64)>, Condvar)>,
+    /// The next ship turn per replica slot, handed out under `log`.
+    turns: Vec<AtomicU64>,
     /// Observation ids currently being applied. An ack only enters the
     /// dedupe window after the (possibly slow) replica ship, so a client
     /// retry racing its own original attempt parks here until the
@@ -483,7 +491,7 @@ impl NodeState {
         let mut refused = Vec::new();
         for (item_id, x) in entries {
             if x.iter().all(|v| v.is_finite()) {
-                items.insert(*item_id, x.clone());
+                items.insert(*item_id, Vector::from_vec(x.clone()));
             } else {
                 items.remove(item_id);
                 refused.push(*item_id);
@@ -500,7 +508,7 @@ impl NodeState {
 
     /// Merges foreign log records (recovery): records already applied are
     /// skipped; new ones enter the log and the local WAL but do **not**
-    /// touch the weights — call [`NodeState::rebuild_weights`] once after
+    /// touch the weights — call [`NodeState::rebuild`] once after
     /// all merges. Returns how many records were new.
     pub fn merge_records(&self, records: &[Observation]) -> io::Result<u64> {
         let mut log = self.log.lock().unwrap();
@@ -527,8 +535,8 @@ impl NodeState {
             appended += 1;
         }
         fresh.truncate(appended);
-        log.records.extend(fresh);
-        log.records.sort_by_key(|r| (r.timestamp, r.uid));
+        fresh.extend(std::mem::take(&mut log.records));
+        *log = LogInner::new(fresh);
         drop(log);
         match failure.map_or_else(|| self.sync_wal(), Err) {
             Ok(()) => Ok(appended as u64),
@@ -549,18 +557,34 @@ impl NodeState {
         Some(Response::Error { code: ErrorCode::Internal, message: e.to_string() })
     }
 
-    /// Rebuilds the weight table by replaying every held record in
-    /// timestamp order — the same op order the records were first applied
-    /// in, so the rebuilt floats are bit-identical.
-    pub fn rebuild_weights(&self) {
-        let lr = self.config.lr;
+    /// Re-derives every user with records here from the log — only those
+    /// of `partition` at a migration cutover, every one at recovery.
+    pub fn rebuild(&self, partition: Option<u32>) {
+        let map = self.current_map();
         let log = self.log.lock().unwrap();
+        let keep = |r: &&Observation| partition.is_none_or(|p| map.partition_of(r.uid) == p);
+        self.replay(log.records.iter().filter(keep));
+    }
+
+    /// Re-derives, from the zero prior, the user of every record in
+    /// `records` — each user's records in timestamp order, the order the
+    /// owner first applied them in, so the rebuilt floats are
+    /// bit-identical. The one replay recovery, migration cutover and a
+    /// replica's ordering repair share; users without records
+    /// (checkpoint-only state) are left untouched.
+    fn replay<'a>(&self, records: impl Iterator<Item = &'a Observation>) {
         let items = self.items.lock().unwrap();
-        let mut weights = self.weights.lock().unwrap();
-        weights.clear();
-        for rec in &log.records {
+        let mut users = self.users.lock().unwrap();
+        let mut reset = HashSet::new();
+        for rec in records {
+            if reset.insert(rec.uid) {
+                users.remove(&rec.uid);
+            }
+            // A record whose item is not seeded, or whose features the
+            // user's model cannot take, changes nothing — here as when it
+            // arrived.
             if let Some(x) = items.get(&rec.item_id) {
-                lms_update(weights.entry(rec.uid).or_default(), x, rec.y, lr);
+                let _ = ridge_observe(&mut users, rec.uid, x, rec.y);
             }
         }
     }
@@ -606,22 +630,27 @@ impl NodeState {
                 message: format!("item {item_id} not seeded at node {me}"),
             };
         };
-        let weights = self.weights.lock().unwrap();
-        let (score, cold_start) = match weights.get(&uid) {
-            Some(w) => (dot(w, &x), false),
-            None => (0.0, true),
+        let users = self.users.lock().unwrap();
+        let scored = score(users.get(&uid).map(|u| u.weights().as_slice()), x.as_slice());
+        drop(users);
+        let (score, cold_start) = match scored {
+            Ok(scored) => scored,
+            Err(message) => {
+                tracer.finish_status(work, velox_obs::SpanStatus::Error);
+                return Response::Error { code: ErrorCode::BadRequest, message };
+            }
         };
         self.config.metrics.predicts.inc();
         tracer.finish(work);
         Response::Predicted { score, node: me as u32, forwarded: false, cold_start }
     }
 
-    /// Scores a whole batch at this node. The item table and the weight
-    /// map are each locked once for the pass (items before weights, the
-    /// order `rebuild_partition` uses), so per-pair cost is two map
-    /// probes and a dot product. A pair the node cannot score (unseeded
-    /// item) comes back `!ok` instead of failing the frame — the sender
-    /// retries it on the single-predict path for the precise error. No
+    /// Scores a whole batch at this node. The item table and the user
+    /// map are each locked once for the pass (items before users, the
+    /// node's lock order), so per-pair cost is two map probes and a dot
+    /// product. A pair the node cannot score (unseeded item, features of
+    /// another width) comes back `!ok` instead of failing the frame — the
+    /// sender retries it on the single-predict path for the precise error. No
     /// forwarding: the sender already grouped pairs by owner under its
     /// map, and a stale grouping is answered from local state exactly
     /// like a `no_forward` single predict.
@@ -630,15 +659,15 @@ impl NodeState {
         let tracer = &self.config.tracer;
         let work = tracer.child(ctx, SpanKind::NodePredict, me as u32);
         let items = self.items.lock().unwrap();
-        let weights = self.weights.lock().unwrap();
+        let users = self.users.lock().unwrap();
         let scores = pairs
             .iter()
-            .map(|&(uid, item_id)| match items.get(&item_id) {
-                None => BatchScore { ok: false, score: 0.0, cold_start: false },
-                Some(x) => match weights.get(&uid) {
-                    Some(w) => BatchScore { ok: true, score: dot(w, x), cold_start: false },
-                    None => BatchScore { ok: true, score: 0.0, cold_start: true },
-                },
+            .map(|&(uid, item_id)| {
+                let w = users.get(&uid).map(|u| u.weights().as_slice());
+                match items.get(&item_id).map(|x| score(w, x.as_slice())) {
+                    Some(Ok((score, cold_start))) => BatchScore { ok: true, score, cold_start },
+                    _ => BatchScore { ok: false, score: 0.0, cold_start: false },
+                }
             })
             .collect();
         self.config.metrics.predicts.add(pairs.len() as u64);
@@ -684,7 +713,7 @@ impl NodeState {
         // Exactly-once past the ack point: a replayed observation id —
         // a client retry after a lost ack, or chaos duplicating the
         // request frame — answers with the original ack, not a second
-        // LMS update. Ids still being applied (the ack only enters the
+        // update. Ids still being applied (the ack only enters the
         // dedupe window after the replica ship, which can outlast the
         // client's per-try timeout) park until the original publishes
         // its ack; re-applying concurrently would double-count.
@@ -715,7 +744,7 @@ impl NodeState {
         resp
     }
 
-    /// The owner-side apply: WAL write, LMS update, replica ship with the
+    /// The owner-side apply: WAL write, ridge update, replica ship with the
     /// local sync overlapped, and dedupe-window publication. Callers hold
     /// the `inflight` claim for `obs_id` (when non-zero) across this call.
     fn apply_observe(
@@ -737,10 +766,19 @@ impl NodeState {
                 message: format!("item {item_id} not seeded at node {me}"),
             };
         };
-        let ts = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
-        let rec = Observation { uid, item_id, y, timestamp: ts };
-        {
+        let (rec, turns) = {
             let mut log = self.log.lock().unwrap();
+            // Refused before anything is logged: the user's model cannot
+            // take features of another dimension.
+            if let Err(message) = fits(&self.users.lock().unwrap(), uid, &x) {
+                tracer.finish_status(work, velox_obs::SpanStatus::Error);
+                return Response::Error { code: ErrorCode::BadRequest, message };
+            }
+            // Stamped under the lock, so this node's own records reach the
+            // log — and the user's state — in timestamp order: the clock
+            // is above every held record, and this one is appended last.
+            let ts = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
+            let rec = Observation { uid, item_id, y, timestamp: ts };
             if let Some(wal) = &self.wal {
                 let append_start = if work_ctx.is_some() { now_ns() } else { 0 };
                 let written = wal.write(&rec);
@@ -754,8 +792,12 @@ impl NodeState {
                 }
             }
             log.insert(rec.clone());
-            lms_update(self.weights.lock().unwrap().entry(uid).or_default(), &x, y, self.config.lr);
-        }
+            let _ = ridge_observe(&mut self.users.lock().unwrap(), uid, &x, y);
+            let replicas = self.replica_nodes_of_user(uid).into_iter().filter(|&r| r != me);
+            let turns = replicas.map(|r| (r, self.turns[r].fetch_add(1, Ordering::Relaxed)));
+            (rec, turns.collect::<Vec<_>>())
+        };
+        let ts = rec.timestamp;
         // Replicate outside the log lock (two owners shipping to each
         // other must not deadlock); idempotent replay keeps this safe. The
         // local sync runs inside the first ship that reaches the wire,
@@ -767,36 +809,41 @@ impl NodeState {
             }
         };
         let mut shipped_to = 0u32;
-        for replica in self.replica_nodes_of_user(uid) {
-            if replica == me {
-                continue;
-            }
-            let Some(peer) = self.peers.get_from(me as u32, replica) else { continue };
-            // Serialize ships per replica and settle any backlog first,
-            // so records arrive in ship order even across a heal.
-            let mut debt = self.backlog[replica].lock().unwrap();
-            if !self.settle_backlog(&mut debt, &peer, work_ctx.as_ref()) {
-                // Link still bad: this record joins the debt; the owner
-                // keeps serving (degraded) and catches the replica up on
-                // heal or via its `PullLog` recovery.
-                self.config.metrics.ship_failures.inc();
-                self.push_backlog(&mut debt, rec.clone(), obs_id);
-                continue;
-            }
-            let ship_span = tracer.child(work_ctx.as_ref(), SpanKind::ShipReplica, me as u32);
-            let ship_ctx = ship_span.as_ref().map(|s| s.ctx());
-            let ship = Request::ShipLog { records: vec![rec.clone()], obs_ids: vec![obs_id] };
-            match peer.call_overlapped(&ship, ship_ctx.as_ref(), &mut sync_while_shipping) {
-                Ok(Response::Ok) => {
-                    shipped_to += 1;
-                    tracer.finish(ship_span);
-                }
-                _ => {
+        for (replica, turn) in turns {
+            // Ships per replica run one at a time, in timestamp order, and
+            // settle any backlog first, so records arrive in order even
+            // across a heal. Every turn is run, shipped or not.
+            let (slot, turn_done) = &self.backlog[replica];
+            let mut slot = turn_done.wait_while(slot.lock().unwrap(), |s| s.1 != turn).unwrap();
+            let debt = &mut slot.0;
+            'ship: {
+                let Some(peer) = self.peers.get_from(me as u32, replica) else { break 'ship };
+                if !self.settle_backlog(debt, &peer, work_ctx.as_ref()) {
+                    // Link still bad: this record joins the debt; the owner
+                    // keeps serving (degraded) and catches the replica up
+                    // on heal or via its `PullLog` recovery.
                     self.config.metrics.ship_failures.inc();
-                    self.push_backlog(&mut debt, rec.clone(), obs_id);
-                    tracer.finish_status(ship_span, velox_obs::SpanStatus::Error);
+                    self.push_backlog(debt, rec.clone(), obs_id);
+                    break 'ship;
+                }
+                let ship_span = tracer.child(work_ctx.as_ref(), SpanKind::ShipReplica, me as u32);
+                let ship_ctx = ship_span.as_ref().map(|s| s.ctx());
+                let ship = Request::ShipLog { records: vec![rec.clone()], obs_ids: vec![obs_id] };
+                match peer.call_overlapped(&ship, ship_ctx.as_ref(), &mut sync_while_shipping) {
+                    Ok(Response::Ok) => {
+                        shipped_to += 1;
+                        tracer.finish(ship_span);
+                    }
+                    _ => {
+                        self.config.metrics.ship_failures.inc();
+                        self.push_backlog(debt, rec.clone(), obs_id);
+                        tracer.finish_status(ship_span, velox_obs::SpanStatus::Error);
+                    }
                 }
             }
+            slot.1 += 1;
+            drop(slot);
+            turn_done.notify_all();
         }
         // No ship sent a frame (no replica, a backlogged or failed link):
         // wait for the local sync on its own. The `WalFsync` span is only
@@ -897,8 +944,8 @@ impl NodeState {
     /// log suffix they would re-ship).
     pub fn ship_backlog_len(&self) -> usize {
         let mut total = 0usize;
-        for slot in &self.backlog {
-            match &*slot.lock().unwrap() {
+        for (slot, _) in &self.backlog {
+            match &slot.lock().unwrap().0 {
                 ShipBacklog::Clear => {}
                 ShipBacklog::Queue(q) => total += q.len(),
                 ShipBacklog::ResyncFrom(ts) => {
@@ -933,15 +980,18 @@ impl NodeState {
         if let Some(refusal) = self.wal_refusal() {
             return refusal;
         }
-        let lr = self.config.lr;
         let mut log = self.log.lock().unwrap();
+        // Users this frame gave a record older than one already applied:
+        // re-derived once the frame is in (or a WAL write stopped it), from
+        // their own records only.
+        let (mut late, mut failure) = (HashSet::new(), None);
         for (i, rec) in records.iter().enumerate() {
             self.clock.fetch_max(rec.timestamp, Ordering::AcqRel);
             // Feed the owner's observation id into this replica's dedupe
             // window even for records it already holds: if a cutover later
             // promotes this replica to owner, an ack-lost client retry
             // routed here answers with the original ack instead of a
-            // second LMS update.
+            // second update.
             let obs_id = obs_ids.get(i).copied().unwrap_or(0);
             if obs_id != 0 {
                 let mut dedupe = self.dedupe.lock().unwrap();
@@ -952,19 +1002,23 @@ impl NodeState {
             if log.holds(rec) {
                 continue;
             }
-            if let Some(wal) = &self.wal {
-                if let Err(e) = wal.write(rec) {
-                    return Response::Error { code: ErrorCode::Internal, message: e.to_string() };
-                }
+            if let Some(Err(e)) = self.wal.as_ref().map(|wal| wal.write(rec)) {
+                failure = Some(e.to_string());
+                break;
             }
-            log.insert(rec.clone());
-            if let Some(x) = self.items.lock().unwrap().get(&rec.item_id).cloned() {
-                lms_update(self.weights.lock().unwrap().entry(rec.uid).or_default(), &x, rec.y, lr);
+            if log.insert(rec.clone()) {
+                late.insert(rec.uid);
+            } else if let Some(x) = self.items.lock().unwrap().get(&rec.item_id) {
+                let _ = ridge_observe(&mut self.users.lock().unwrap(), rec.uid, x, rec.y);
             }
             self.config.metrics.ship_in_records.inc();
         }
+        if !late.is_empty() {
+            self.config.metrics.ship_repaired_users.add(late.len() as u64);
+            self.replay(late.iter().flat_map(|&uid| log.records_of(uid)));
+        }
         drop(log);
-        match self.sync_wal() {
+        match failure.map_or_else(|| self.sync_wal(), Err) {
             Ok(()) => Response::Ok,
             Err(message) => Response::Error { code: ErrorCode::Internal, message },
         }
@@ -979,9 +1033,6 @@ impl NodeState {
     /// ascending, cut off at `max_bytes` of encoded entries and stamped
     /// with a CRC over the chunk body, cursor, and done flag. Pure read —
     /// re-pulling a cursor after a dropped link replays the same chunk.
-    /// The snapshot covers weights with no log records too
-    /// (management-plane `PutWeights` installs), which log replay alone
-    /// would miss.
     fn respond_pull_partition_chunk(
         &self,
         partition: u32,
@@ -989,70 +1040,51 @@ impl NodeState {
         max_bytes: u32,
     ) -> Response {
         let map = self.current_map();
-        let weights = self.weights.lock().unwrap();
-        let mut entries: Vec<(u64, Vec<f64>)> = weights
+        let users = self.users.lock().unwrap();
+        let mut entries: Vec<(u64, Vec<f64>)> = users
             .iter()
             .filter(|(uid, _)| map.partition_of(**uid) == partition)
-            .map(|(uid, w)| (*uid, w.clone()))
+            .map(|(uid, user)| (*uid, user.weights().as_slice().to_vec()))
             .collect();
-        drop(weights);
+        drop(users);
         entries.sort_by_key(|(uid, _)| *uid);
         build_chunk(&entries, cursor, max_bytes)
     }
 
-    /// Drops every weight vector of `partition` that this node's current
+    /// Drops every user state of `partition` that this node's current
     /// map says it does not hold — the abort rollback for checkpoint
     /// chunks streamed to a destination that never became a replica.
-    /// Weights the map legitimately places here are untouched, so a
-    /// scrub after a *committed* migration is a no-op. Returns how many
-    /// vectors were dropped.
+    /// State the map legitimately places here is untouched, so a scrub
+    /// after a *committed* migration is a no-op. Returns how many users
+    /// were dropped.
     pub fn scrub_partition(&self, partition: u32) -> u64 {
         let me = self.config.node_id;
         let map = self.current_map();
-        let mut weights = self.weights.lock().unwrap();
-        let doomed: Vec<u64> = weights
+        let mut users = self.users.lock().unwrap();
+        let doomed: Vec<u64> = users
             .keys()
             .filter(|uid| map.partition_of(**uid) == partition && !map.holds(me, **uid))
             .copied()
             .collect();
         for uid in &doomed {
-            weights.remove(uid);
+            users.remove(uid);
         }
         doomed.len() as u64
     }
 
-    /// Installs checkpoint-streamed weights, keeping any vector this node
-    /// already has (dual-write updates that landed here are newer than
-    /// the snapshot; the post-cutover log replay reconciles exactly).
+    /// Installs checkpoint-streamed weights, each as the prior of a fresh
+    /// online state, keeping any user this node already has (dual-write
+    /// updates that landed here are newer than the snapshot). The
+    /// post-cutover replay re-derives every user with records from the
+    /// zero prior, so a migration carries log records, not `A⁻¹`.
     fn respond_push_partition(&self, entries: Vec<(u64, Vec<f64>)>) -> Response {
-        let mut weights = self.weights.lock().unwrap();
+        let mut users = self.users.lock().unwrap();
         for (uid, w) in entries {
-            weights.entry(uid).or_insert(w);
+            users.entry(uid).or_insert_with(|| {
+                IncrementalRidge::from_prior(&Vector::from_vec(w), RIDGE_LAMBDA)
+            });
         }
         Response::Ok
-    }
-
-    /// Rebuilds the weights of every user in `partition` that has log
-    /// records here, replaying in timestamp order — the same op order the
-    /// owner first applied, so the rebuilt floats are bit-identical.
-    /// Users without records (checkpoint-only state) are left untouched;
-    /// other partitions' weights are never cleared.
-    pub fn rebuild_partition(&self, partition: u32) {
-        let lr = self.config.lr;
-        let map = self.current_map();
-        let log = self.log.lock().unwrap();
-        let records: Vec<&Observation> =
-            log.records.iter().filter(|r| map.partition_of(r.uid) == partition).collect();
-        let items = self.items.lock().unwrap();
-        let mut weights = self.weights.lock().unwrap();
-        for rec in &records {
-            weights.remove(&rec.uid);
-        }
-        for rec in records {
-            if let Some(x) = items.get(&rec.item_id) {
-                lms_update(weights.entry(rec.uid).or_default(), x, rec.y, lr);
-            }
-        }
     }
 }
 
@@ -1075,16 +1107,12 @@ impl NodeState {
                 }
                 self.respond_observe(uid, item_id, y, no_forward, obs_id, ctx)
             }
-            Request::FetchWeights { uid } => {
-                Response::Weights { w: self.weights.lock().unwrap().get(&uid).cloned() }
-            }
+            Request::FetchWeights { uid } => Response::Weights {
+                w: self.users.lock().unwrap().get(&uid).map(|u| u.weights().as_slice().to_vec()),
+            },
             Request::ShipLog { records, obs_ids } => self.respond_ship(records, obs_ids, ctx),
             Request::PullLog { from_ts } => self.respond_pull(from_ts),
             Request::SeedItems { entries } => self.seed_items(&entries),
-            Request::PutWeights { uid, w } => {
-                self.weights.lock().unwrap().insert(uid, w);
-                Response::Ok
-            }
             // A poisoned WAL fails the liveness probe: the front's detector
             // then routes this node's users to an acting owner.
             Request::Health => self.wal_refusal().unwrap_or(Response::Ok),
@@ -1138,7 +1166,7 @@ pub struct NodeServer {
 impl NodeServer {
     /// Opens the node's WAL (when configured), loads whatever it held
     /// into the log (weights are *not* rebuilt — recovery seeds items
-    /// first, then calls [`NodeState::rebuild_weights`]), and starts
+    /// first, then calls [`NodeState::rebuild`]), and starts
     /// serving on an ephemeral loopback port. Returns the node plus what
     /// the WAL scan found.
     pub fn start(
@@ -1153,28 +1181,24 @@ impl NodeServer {
             wal = Some(w.with_stats(config.metrics.wal.clone()));
             recovery = Some(rec);
         }
-        let mut log = LogInner { records: Vec::new() };
-        let mut clock = 0u64;
-        if let Some(rec) = &recovery {
-            for obs in &rec.records {
-                clock = clock.max(obs.timestamp);
-                log.records.push(obs.clone());
-            }
-            log.records.sort_by_key(|r| (r.timestamp, r.uid));
-        }
+        let log = LogInner::new(recovery.as_ref().map_or_else(Vec::new, |r| r.records.clone()));
+        let clock = log.records.last().map_or(0, |r| r.timestamp);
         let workers = config.workers;
         let n_nodes = config.n_nodes;
         let state = Arc::new(NodeState {
             map: RwLock::new(Arc::clone(&config.map)),
             config,
-            weights: Mutex::new(HashMap::new()),
+            users: Mutex::new(HashMap::new()),
             items: Mutex::new(HashMap::new()),
             wal,
             log: Mutex::new(log),
             clock: AtomicU64::new(clock),
             peers,
             dedupe: Mutex::new(ObsDedupe::new(OBS_DEDUPE_WINDOW)),
-            backlog: (0..n_nodes).map(|_| Mutex::new(ShipBacklog::Clear)).collect(),
+            backlog: (0..n_nodes)
+                .map(|_| (Mutex::new((ShipBacklog::Clear, 0)), Condvar::new()))
+                .collect(),
+            turns: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
             inflight: Mutex::new(HashSet::new()),
             inflight_done: Condvar::new(),
         });
@@ -1228,7 +1252,6 @@ mod tests {
                 node_id: 0,
                 n_nodes: 1,
                 map: Arc::new(PartitionMap::bootstrap(1, 1, velox_cluster::USER_SALT).unwrap()),
-                lr: 0.1,
                 wal_dir: Some(dir.path().to_path_buf()),
                 workers: 1,
                 metrics: metrics.clone(),
@@ -1285,7 +1308,7 @@ mod tests {
 
     #[test]
     fn the_ordered_log_is_its_own_idempotency_set() {
-        let mut log = LogInner { records: Vec::new() };
+        let mut log = LogInner::new(Vec::new());
         for (uid, ts) in [(1, 5), (2, 3), (1, 9), (3, 5), (2, 7)] {
             assert!(!log.holds(&obs(uid, ts)));
             log.insert(obs(uid, ts));

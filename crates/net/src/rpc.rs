@@ -8,8 +8,8 @@
 //!
 //! The RPC set is the paper's serving interface plus the replication
 //! plane: `Predict` / `Observe` / `FetchWeights` for the model, `ShipLog`
-//! / `PullLog` for WAL log shipping, `SeedItems` / `PutWeights` for the
-//! management plane, and `Health` for liveness probes.
+//! / `PullLog` for WAL log shipping, `SeedItems` for the management
+//! plane, and `Health` for liveness probes.
 
 use velox_cluster::{PartitionError, PartitionMap};
 use velox_storage::Observation;
@@ -22,7 +22,7 @@ mod req_tag {
     pub const SHIP_LOG: u8 = 4;
     pub const PULL_LOG: u8 = 5;
     pub const SEED_ITEMS: u8 = 6;
-    pub const PUT_WEIGHTS: u8 = 7;
+    // 7 was `PutWeights`, a direct weight install nothing sent.
     pub const HEALTH: u8 = 8;
     pub const GET_MAP: u8 = 9;
     pub const INSTALL_MAP: u8 = 10;
@@ -149,13 +149,6 @@ pub enum Request {
     SeedItems {
         /// `(item_id, features)` pairs.
         entries: Vec<(u64, Vec<f64>)>,
-    },
-    /// Management plane: install a user's weight vector directly.
-    PutWeights {
-        /// User to install.
-        uid: u64,
-        /// The weight vector.
-        w: Vec<f64>,
     },
     /// Liveness probe.
     Health,
@@ -648,11 +641,6 @@ impl Request {
                     put_vec_f64(&mut buf, x);
                 }
             }
-            Request::PutWeights { uid, w } => {
-                buf.push(req_tag::PUT_WEIGHTS);
-                put_u64(&mut buf, *uid);
-                put_vec_f64(&mut buf, w);
-            }
             Request::Health => buf.push(req_tag::HEALTH),
             Request::GetMap => buf.push(req_tag::GET_MAP),
             Request::InstallMap { map } => {
@@ -715,7 +703,6 @@ impl Request {
             }
             req_tag::PULL_LOG => Request::PullLog { from_ts: c.u64()? },
             req_tag::SEED_ITEMS => Request::SeedItems { entries: c.entries()? },
-            req_tag::PUT_WEIGHTS => Request::PutWeights { uid: c.u64()?, w: c.vec_f64()? },
             req_tag::HEALTH => Request::Health,
             req_tag::GET_MAP => Request::GetMap,
             req_tag::INSTALL_MAP => {
@@ -901,7 +888,6 @@ mod tests {
             Request::ShipLog { records: vec![], obs_ids: vec![] },
             Request::PullLog { from_ts: 42 },
             Request::SeedItems { entries: vec![(9, vec![1.0, 2.0]), (10, vec![])] },
-            Request::PutWeights { uid: 5, w: vec![0.25, -0.5, 1e300] },
             Request::Health,
             Request::GetMap,
             Request::InstallMap { map: sample_map() },
@@ -950,11 +936,12 @@ mod tests {
     }
 
     /// Tags 11 (request) and 8 (response) belonged to the one-shot
-    /// partition checkpoint; they stay unassigned so an old peer's frame
-    /// is refused instead of misread.
+    /// partition checkpoint, request tag 7 to `PutWeights`; they stay
+    /// unassigned so an old peer's frame is refused instead of misread.
     #[test]
     fn retired_tags_stay_unassigned() {
         assert!(Request::decode(&[11, 0, 0, 0, 7]).is_err());
+        assert!(Request::decode(&[7, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0]).is_err());
         assert!(Response::decode(&[8, 0, 0, 0, 0]).is_err());
     }
 

@@ -55,7 +55,8 @@ pub struct NetClusterConfig {
     pub max_nodes: usize,
     /// Copies of each user's weights (primary + ring successors).
     pub user_replication: usize,
-    /// LMS learning rate applied at the owning node.
+    /// Unused: the nodes' ridge learner has no learning rate. The field
+    /// stays for callers that set it.
     pub lr: f64,
     /// Root directory for per-node WALs (`<root>/node-<i>`); `None`
     /// disables local durability everywhere.
@@ -421,7 +422,6 @@ impl NetCluster {
                 node_id: node,
                 n_nodes: self.capacity,
                 map,
-                lr: self.config.lr,
                 wal_dir: self.config.wal_root.as_ref().map(|r| r.join(format!("node-{node}"))),
                 workers: self.config.workers,
                 metrics,
@@ -470,7 +470,7 @@ impl NetCluster {
                 pulled += state.merge_records(&mine)?;
             }
         }
-        state.rebuild_weights();
+        state.rebuild(None);
         slot.catch_up_records.add(pulled);
         slot.recoveries.inc();
 
@@ -530,12 +530,6 @@ impl NetCluster {
     /// Current state of the auto-rebalance kill switch.
     pub fn auto_rebalance_on(&self) -> bool {
         self.auto_rebalance_enabled.load(Ordering::Acquire)
-    }
-
-    /// `(chunks streamed, aborts, resumes)` across every migration so far.
-    pub fn migration_chunk_stats(&self) -> (u64, u64, u64) {
-        let [chunks, aborts, resumes] = self.migrator.counters();
-        (chunks.get(), aborts.get(), resumes.get())
     }
 
     /// Largest checkpoint-chunk response payload (bytes) pulled so far.
@@ -970,7 +964,7 @@ impl MigrationIo for NetCluster {
     /// twin clusters converge bit-identically.
     fn finish(&self, p: u32, dst: NodeId) {
         if let Some(state) = self.node_state(dst) {
-            state.rebuild_partition(p);
+            state.rebuild(Some(p));
         }
     }
 }

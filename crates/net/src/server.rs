@@ -17,7 +17,7 @@ use std::sync::Arc;
 use velox_cluster::{ConnPool, PoolConfig};
 use velox_obs::{Counter, TraceContext};
 
-use crate::frame::{read_frame_ext, write_frame, FrameError};
+use crate::frame::{read_frame_ext, write_frame};
 use crate::rpc::{ErrorCode, Request, Response};
 
 /// Per-request transport metadata handed to [`Handler::handle_traced`]:
@@ -172,12 +172,6 @@ fn serve_connection(stream: TcpStream, handler: &dyn Handler, stop: &AtomicBool)
             return;
         }
     }
-}
-
-/// Classifies a [`FrameError`] for retry decisions: timeouts are distinct
-/// from hard connection failures.
-pub fn frame_error_is_fatal(err: &FrameError) -> bool {
-    !err.is_timeout()
 }
 
 #[cfg(test)]

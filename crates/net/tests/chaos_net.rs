@@ -31,7 +31,6 @@ use velox_net::{
 };
 
 const DIM: usize = 3;
-const LR: f64 = 0.1;
 
 fn item_features(item: u64) -> Vec<f64> {
     (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 5) as f64 / 4.0).collect()
@@ -54,7 +53,6 @@ fn start_net_chaos(hedge: bool) -> NetCluster {
     let cluster = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         heartbeat_interval: Duration::from_millis(20),
@@ -86,7 +84,7 @@ fn start_sim() -> SimTransport {
     for (item, x) in seeded_items() {
         cluster.put_item_features(item, x);
     }
-    SimTransport::new(cluster, LR).with_retry(RetryPolicy {
+    SimTransport::new(cluster, 0.0).with_retry(RetryPolicy {
         max_attempts: 4,
         backoff_base: Duration::from_millis(1),
         backoff_max: Duration::from_millis(4),
@@ -204,7 +202,7 @@ fn tcp_duplicated_frames_apply_exactly_once() {
 
 /// The nastiest ambiguity: the observe is applied, the ack is lost, and
 /// the retry must replay the same `obs_id` so the node answers from its
-/// dedupe window instead of taking a second LMS step.
+/// dedupe window instead of applying a second update.
 #[test]
 fn tcp_lost_ack_replays_original_ack_instead_of_applying_twice() {
     let net = start_net_chaos(false);
@@ -447,7 +445,6 @@ fn tcp_chaos_is_deterministic_under_a_fixed_seed() {
             let net = NetCluster::start(NetClusterConfig {
                 n_nodes: 3,
                 user_replication: 2,
-                lr: LR,
                 wal_root: None,
                 workers: 8,
                 client: NetClientConfig {

@@ -12,15 +12,24 @@
 //!   and recovery replays them in timestamp order;
 //! - a scripted `FaultPlan` kills and recovers real servers mid-workload.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use velox_cluster::transport::{SimTransport, Transport, TransportError};
-use velox_cluster::{Cluster, ClusterConfig, FaultAction, FaultEvent, FaultPlan, PeerState};
-use velox_net::{NetCluster, NetClusterConfig, Request, Response};
+use velox_cluster::data::linalg::{IncrementalRidge, Vector};
+use velox_cluster::transport::{
+    ridge_observe, SimTransport, Transport, TransportError, RIDGE_LAMBDA,
+};
+use velox_cluster::{
+    Cluster, ClusterConfig, FaultAction, FaultEvent, FaultPlan, PartitionMap, PeerState,
+};
+use velox_net::{
+    Handler, NetCluster, NetClusterConfig, NodeConfig, NodeMetrics, NodeServer, PeerTable, Request,
+    Response,
+};
+use velox_obs::Tracer;
 use velox_storage::{Observation, ScratchDir, Wal, WalConfig};
 
 const DIM: usize = 3;
-const LR: f64 = 0.1;
 
 fn item_features(item: u64) -> Vec<f64> {
     (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 5) as f64 / 4.0).collect()
@@ -34,7 +43,6 @@ fn start_net(wal_root: Option<&ScratchDir>, user_replication: usize) -> NetClust
     let cluster = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication,
-        lr: LR,
         wal_root: wal_root.map(|d| d.path().to_path_buf()),
         workers: 8,
         ..Default::default()
@@ -98,7 +106,7 @@ fn non_owner_forwards_one_hop_to_the_owner() {
 
 /// The same single-threaded workload through the simulator and through
 /// real sockets must produce bit-identical scores: both backends share
-/// routing (same salts), the LMS update routine, and the accumulation
+/// routing (same salts), the ridge update routine, and the accumulation
 /// order.
 #[test]
 fn tcp_backend_agrees_with_in_process_simulator() {
@@ -111,7 +119,7 @@ fn tcp_backend_agrees_with_in_process_simulator() {
     for (item, x) in seeded_items() {
         sim_cluster.put_item_features(item, x);
     }
-    let sim = SimTransport::new(sim_cluster, LR);
+    let sim = SimTransport::new(sim_cluster, 0.0);
     let net = start_net(None, 2);
 
     for (uid, item, y) in workload(120) {
@@ -147,7 +155,7 @@ fn non_finite_item_features_are_unavailable_on_both_backends() {
         item_replication: 3,
         ..Default::default()
     }));
-    let sim = SimTransport::new(Arc::clone(&sim_cluster), LR);
+    let sim = SimTransport::new(Arc::clone(&sim_cluster), 0.0);
     let net = start_net(None, 2);
     let bad_items = 100..104u64;
     let republished = 103;
@@ -182,6 +190,229 @@ fn non_finite_item_features_are_unavailable_on_both_backends() {
             assert!(p.score.is_finite() && !p.cold_start, "{name}: uid {uid} scored {p:?}");
         }
     }
+}
+
+/// An item whose features differ in length from a user's model is
+/// refused on both backends — observe and predict, single and batched —
+/// before anything is logged, and no worker panics: every refusal is a
+/// clean `Rejected`, and the cluster keeps serving the user afterwards.
+#[test]
+fn a_dimension_mismatch_is_refused_before_anything_is_logged() {
+    let sim_cluster = Arc::new(Cluster::new(ClusterConfig {
+        n_nodes: 3,
+        user_replication: 2,
+        item_replication: 3,
+        ..Default::default()
+    }));
+    for (item, x) in seeded_items() {
+        sim_cluster.put_item_features(item, x);
+    }
+    let sim = SimTransport::new(Arc::clone(&sim_cluster), 0.0);
+    let net = start_net(None, 2);
+    let wide = 200u64;
+    let wide_features = vec![0.5; DIM + 2];
+    sim_cluster.put_item_features(wide, wide_features.clone());
+    net.publish_item_features(vec![(wide, wide_features)]);
+    let log_lens =
+        || (0..3).map(|n| net.node_state(n).expect("node up").log_len()).collect::<Vec<_>>();
+
+    let backends: [(&str, &dyn Transport); 2] = [("sim", &sim), ("net", &net)];
+    for (name, t) in backends {
+        for uid in 0..7u64 {
+            t.observe(uid, uid, 1.0).unwrap_or_else(|e| panic!("{name}: observe: {e:?}"));
+        }
+        let logged = log_lens();
+        let weights: Vec<_> = (0..7u64).map(|uid| t.fetch_weights(uid).unwrap()).collect();
+        for uid in 0..7u64 {
+            let observe = t.observe(uid, wide, 1.0).map(|o| o.ts);
+            assert!(
+                matches!(observe, Err(TransportError::Rejected(_))),
+                "{name}: observe uid {uid} of the wide item gave {observe:?}"
+            );
+            let predict = t.predict(uid, wide).map(|p| p.score);
+            assert!(
+                matches!(predict, Err(TransportError::Rejected(_))),
+                "{name}: predict uid {uid} of the wide item gave {predict:?}"
+            );
+            let batch = t.predict_many(&[(uid, wide), (uid, uid)]);
+            assert!(
+                matches!(batch[0], Err(TransportError::Rejected(_))) && batch[1].is_ok(),
+                "{name}: batch for uid {uid} gave {batch:?}"
+            );
+        }
+        assert_eq!(log_lens(), logged, "{name}: a refused observe left a log record");
+        let after: Vec<_> = (0..7u64).map(|uid| t.fetch_weights(uid).unwrap()).collect();
+        assert_eq!(after, weights, "{name}: a refused observe moved a user's weights");
+        // A user first seen through the wide item learns at its width.
+        t.observe(99, wide, 1.0).unwrap_or_else(|e| panic!("{name}: wide observe: {e:?}"));
+        assert!(!t.predict(99, wide).unwrap().cold_start, "{name}");
+        assert!(matches!(t.predict(99, 0), Err(TransportError::Rejected(_))), "{name}");
+    }
+    assert!((0..3).all(|n| net.node_health(n) == velox_cluster::NodeHealth::Up));
+    net.shutdown();
+}
+
+/// Two clients hammer one user concurrently. The owner stamps and applies
+/// its records in one critical section and ships them in the same order,
+/// so the replica never has to repair a user, and the owner's served
+/// state, the replica's, and the one the owner rebuilds from its WAL after
+/// a restart are the same floats: every node ends where a replay in
+/// timestamp order ends.
+#[test]
+fn concurrent_observes_on_one_user_agree_at_owner_replica_and_after_recovery() {
+    let scratch = ScratchDir::new("velox-net-same-user");
+    let net = start_net(Some(&scratch), 2);
+    let uid = 4u64;
+    let owner = net.home_of_user(uid);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for client in 0..2u64 {
+            let (net, start) = (&net, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..2_000u64 {
+                    let item = (i * 5 + client * 11) % 24;
+                    let y = ((i + client) % 4) as f64 / 2.0;
+                    net.observe(uid, item, y).expect("observe acked");
+                }
+            });
+        }
+    });
+    let fetch_at = |node| {
+        let reply = net.client(node).unwrap().call(&Request::FetchWeights { uid });
+        match reply.expect("fetch") {
+            Response::Weights { w: Some(w) } => w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            other => panic!("node {node}: {other:?}"),
+        }
+    };
+    let at_owner = fetch_at(owner);
+    let replica = net.map().replicas_of(uid)[1];
+    assert_eq!(
+        fetch_at(replica),
+        at_owner,
+        "the replica applied the owner's records in another order"
+    );
+    let repaired = net.node_metrics(replica).ship_repaired_users.get();
+    assert_eq!(repaired, 0, "the owner shipped records out of timestamp order");
+    net.kill_node(owner); // the disk survives
+    net.recover_node(owner).expect("recover");
+    assert_eq!(fetch_at(owner), at_owner, "the rebuilt owner disagrees with the one that served");
+    net.shutdown();
+}
+
+/// A user's weights after one observe of `item` on top of `prior` (the
+/// zero prior when empty) — what either backend must serve.
+fn one_update(uid: u64, prior: &[f64], item: u64) -> Vec<u64> {
+    let mut users = HashMap::new();
+    if !prior.is_empty() {
+        let prior = Vector::from_vec(prior.to_vec());
+        users.insert(uid, IncrementalRidge::from_prior(&prior, RIDGE_LAMBDA));
+    }
+    let user = ridge_observe(&mut users, uid, &Vector::from_vec(item_features(item)), 1.0);
+    user.unwrap().weights().as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn weight_bits(w: Option<Vec<f64>>) -> Option<Vec<u64>> {
+    w.map(|w| w.iter().map(|v| v.to_bits()).collect())
+}
+
+/// A crash that takes a user's only copy (replication 1, no WAL) loses
+/// the user's model on both backends alike: the next observe learns from
+/// the zero prior, not from state that outlived the crash. Weights
+/// installed in the simulator's slots are the prior of the next update,
+/// as checkpoint-installed weights are at a TCP node.
+#[test]
+fn a_user_lost_in_a_crash_restarts_from_the_zero_prior_on_both_backends() {
+    let sim_cluster = Arc::new(Cluster::new(ClusterConfig {
+        n_nodes: 3,
+        user_replication: 1,
+        item_replication: 3,
+        ..Default::default()
+    }));
+    for (item, x) in seeded_items() {
+        sim_cluster.put_item_features(item, x);
+    }
+    let sim = SimTransport::new(Arc::clone(&sim_cluster), 0.0);
+    let net = start_net(None, 1);
+    let uid = 4u64;
+    for (u, item, y) in workload(60) {
+        sim.observe(u, item, y).expect("sim observe");
+        net.observe(u, item, y).expect("net observe");
+    }
+    let home = net.home_of_user(uid);
+    assert_eq!(sim_cluster.home_of_user(uid), home);
+    sim_cluster.kill_node(home);
+    sim_cluster.recover_node(home);
+    net.kill_node(home);
+    net.recover_node(home).expect("recover");
+
+    let backends: [(&str, &dyn Transport); 2] = [("sim", &sim), ("net", &net)];
+    for (name, t) in backends {
+        assert_eq!(t.fetch_weights(uid).unwrap(), None, "{name}: the only copy died");
+        t.observe(uid, 5, 1.0).unwrap_or_else(|e| panic!("{name}: observe: {e:?}"));
+        let w = weight_bits(t.fetch_weights(uid).unwrap());
+        assert_eq!(w, Some(one_update(uid, &[], 5)), "{name}: learned from pre-crash state");
+    }
+    let installed = [0.25, -0.5, 1.0];
+    sim_cluster.put_user_weights(uid, installed.to_vec());
+    sim.observe(uid, 6, 1.0).expect("sim observe");
+    let w = weight_bits(sim.fetch_weights(uid).unwrap());
+    assert_eq!(w, Some(one_update(uid, &installed, 6)), "installed weights are not the prior");
+    net.shutdown();
+}
+
+/// A replica that receives a user's record after a newer one re-derives
+/// that user — and only that user, from its own records — on a log full
+/// of other users' records, and ends where an in-order replay ends.
+#[test]
+fn a_late_shipped_record_re_derives_only_its_user() {
+    let metrics = NodeMetrics::new();
+    let (mut node, _) = NodeServer::start(
+        NodeConfig {
+            node_id: 0,
+            n_nodes: 1,
+            map: Arc::new(PartitionMap::bootstrap(1, 1, velox_cluster::USER_SALT).unwrap()),
+            wal_dir: None,
+            workers: 1,
+            metrics: metrics.clone(),
+            tracer: Tracer::disabled(),
+        },
+        Arc::new(PeerTable::new(1)),
+    )
+    .expect("start node");
+    let state = Arc::clone(node.state());
+    assert_eq!(state.seed_items(&seeded_items()), Response::Ok);
+    let rec =
+        |uid, ts: u64| Observation { uid, item_id: ts % 24, y: (ts % 3) as f64, timestamp: ts };
+    let hot = 7u64;
+    // 20 000 records over 500 users; every fourth belongs to the hot user.
+    let log: Vec<Observation> = (1..=20_000u64)
+        .map(|ts| rec(if ts % 4 == 0 { hot } else { 1_000 + ts % 500 }, ts))
+        .collect();
+    let late = log[9_999].clone();
+    assert_eq!(late.uid, hot);
+    let ship = |records: Vec<Observation>| {
+        let obs_ids = vec![0; records.len()];
+        assert_eq!(state.handle(Request::ShipLog { records, obs_ids }), Response::Ok);
+    };
+    let others = |ts| ts != late.timestamp;
+    for chunk in log.iter().filter(|r| others(r.timestamp)).collect::<Vec<_>>().chunks(1_000) {
+        ship(chunk.iter().map(|r| (*r).clone()).collect());
+    }
+    assert_eq!(metrics.ship_repaired_users.get(), 0, "in-order frames repair nothing");
+    ship(vec![late]);
+    assert_eq!(metrics.ship_repaired_users.get(), 1);
+
+    let mut users = HashMap::new();
+    for r in log.iter().filter(|r| r.uid == hot) {
+        ridge_observe(&mut users, hot, &Vector::from_vec(item_features(r.item_id)), r.y).unwrap();
+    }
+    let expected: Vec<u64> = users[&hot].weights().as_slice().iter().map(|v| v.to_bits()).collect();
+    match state.handle(Request::FetchWeights { uid: hot }) {
+        Response::Weights { w } => assert_eq!(weight_bits(w), Some(expected)),
+        other => panic!("fetch: {other:?}"),
+    }
+    node.shutdown();
 }
 
 /// Kill the owner of a user *and destroy its disk*. Every acknowledged

@@ -18,7 +18,6 @@ fn start_cluster() -> NetCluster {
     let cluster = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication: 2,
-        lr: 0.1,
         wal_root: None,
         workers: 4,
         ..Default::default()

@@ -47,7 +47,6 @@ impl props::Twin for NetTwin {
             n_nodes: 3,
             max_nodes: 4,
             user_replication: 2,
-            lr: props::LR,
             wal_root: Some(wal.path().to_path_buf()),
             workers: 8,
             // One 4-dim entry is 44 B on the wire: a few users per chunk,

@@ -23,7 +23,6 @@ use velox_net::{NetCluster, NetClusterConfig};
 use velox_obs::{build_tree, structure, SpanKind, TraceConfig, Tracer, FRONT_NODE};
 
 const DIM: usize = 3;
-const LR: f64 = 0.1;
 const N_NODES: usize = 3;
 
 fn item_features(item: u64) -> Vec<f64> {
@@ -38,7 +37,6 @@ fn start_net(trace: TraceConfig) -> NetCluster {
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         trace,
@@ -59,7 +57,7 @@ fn start_sim(trace: TraceConfig) -> SimTransport {
     for (item, x) in seeded_items() {
         cluster.put_item_features(item, x);
     }
-    SimTransport::with_trace(cluster, LR, trace)
+    SimTransport::with_trace(cluster, trace)
 }
 
 /// Structure string of one trace as its backend recorded it.
@@ -173,7 +171,6 @@ fn wal_spans_attribute_fsync_time_when_durability_is_on() {
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: N_NODES,
         user_replication: 2,
-        lr: LR,
         wal_root: Some(dir.clone()),
         workers: 8,
         trace: TraceConfig::sample_all(),

@@ -66,25 +66,22 @@ impl UserOnlineModel {
     /// moment vector to `λ·prior`, which makes the ridge prior mean equal
     /// to `prior`.
     pub fn from_prior(prior: &Vector, lambda: f64, strategy: UpdateStrategy) -> Self {
-        let d = prior.len();
-        let mut m = Self::new(d, lambda, strategy);
-        let mut b = prior.clone();
-        b.scale(lambda);
-        match &mut m.inner {
-            Inner::Naive { problem, weights } => {
-                // RidgeProblem doesn't expose b mutation; rebuild through a
-                // single synthetic observation would distort the Gram
-                // matrix, so we instead keep the prior in `weights` and
-                // fold it in lazily: replace the problem with one seeded by
-                // the prior moments.
-                *problem = RidgeProblem::with_prior_moments(d, lambda, b);
-                *weights = prior.clone();
+        let inner = match strategy {
+            UpdateStrategy::Naive => {
+                let mut b = prior.clone();
+                b.scale(lambda);
+                // The prior lives in the moments, never as a synthetic
+                // observation (that would distort the Gram matrix).
+                Inner::Naive {
+                    problem: RidgeProblem::with_prior_moments(prior.len(), lambda, b),
+                    weights: prior.clone(),
+                }
             }
-            Inner::Incremental(inc) => {
-                inc.reset_moments(b).expect("dimension-consistent prior");
+            UpdateStrategy::ShermanMorrison => {
+                Inner::Incremental(IncrementalRidge::from_prior(prior, lambda))
             }
-        }
-        m
+        };
+        UserOnlineModel { inner }
     }
 
     /// The strategy in use (derived from the state representation).

@@ -24,6 +24,10 @@ use std::time::{Duration, Instant};
 
 pub use velox_cluster::RetryPolicy;
 
+// velox-rest reaches velox-data only through velox-cluster: a direct
+// dependency would change the graph the benchmark's lock file pins.
+use velox_cluster::data::rng::splitmix64;
+
 use crate::http::{read_response, HttpError};
 use crate::json::Json;
 
@@ -144,18 +148,6 @@ struct BreakerEntry {
 struct Resilience {
     rng_state: u64,
     breakers: HashMap<String, BreakerEntry>,
-}
-
-/// splitmix64: small, seedable, and good enough for jitter. A copy of
-/// `velox_data::rng::splitmix64`: velox-rest depends on velox-data only for
-/// its tests, and a normal dependency would change the dependency graph the
-/// benchmark's lock file pins.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Whether a kept connection can carry the next request: nothing is left

@@ -43,7 +43,6 @@ impl Front {
             NetCluster::start(NetClusterConfig {
                 n_nodes: 3,
                 user_replication: 2,
-                lr: 0.1,
                 wal_root: None,
                 workers: 8,
                 ..Default::default()

@@ -14,7 +14,6 @@ use velox_rest::json::Json;
 use velox_rest::{ClientError, ClusterBackend, RestServer, VeloxClient};
 
 const DIM: usize = 3;
-const LR: f64 = 0.1;
 
 fn item_features(item: u64) -> Vec<f64> {
     (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 5) as f64 / 4.0).collect()
@@ -28,7 +27,6 @@ fn start_net_cluster() -> Arc<NetCluster> {
     let cluster = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         ..Default::default()
@@ -129,7 +127,7 @@ fn same_routes_serve_the_in_process_simulator() {
     for (item, x) in seeded_items() {
         sim_cluster.put_item_features(item, x);
     }
-    let sim = Arc::new(SimTransport::new(sim_cluster, LR));
+    let sim = Arc::new(SimTransport::new(sim_cluster, 0.0));
     let handle = rest_over(sim as ClusterBackend);
     let client = VeloxClient::new(handle.addr(), "unused");
 
@@ -166,7 +164,6 @@ fn membership_routes_reject_rebalance_and_commit_over_http() {
         n_nodes: 3,
         max_nodes: 4,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         ..Default::default()

@@ -128,7 +128,7 @@ fn cluster_predict_routes_through_the_tier_when_cluster_backend_registered() {
     let cluster = Arc::new(Cluster::new(ClusterConfig { n_nodes: 3, ..Default::default() }));
     cluster.publish_item_features((0..8u64).map(|i| (i, vec![0.1 * i as f64, 0.2])).collect());
     let transport: Arc<dyn velox_cluster::Transport + Send + Sync> =
-        Arc::new(SimTransport::new(cluster, 0.1));
+        Arc::new(SimTransport::new(cluster, 0.0));
     for i in 0..8u64 {
         transport.observe(7, i, 1.0).unwrap();
     }

@@ -21,7 +21,6 @@ fn start_traced_rest() -> (RestHandle, VeloxClient) {
     let net = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication: 2,
-        lr: 0.1,
         wal_root: None,
         workers: 8,
         trace: TraceConfig::sample_all(),

@@ -14,7 +14,6 @@ use velox_net::{NetCluster, NetClusterConfig};
 use velox_serve::{BatchConfig, PredictBackend, ServeConfig, ServeTier, TransportBackend};
 
 const DIM: usize = 3;
-const LR: f64 = 0.1;
 
 fn item_features(item: u64) -> Vec<f64> {
     (0..DIM).map(|d| ((item * 31 + d as u64 * 7) % 5) as f64 / 4.0).collect()
@@ -36,7 +35,7 @@ fn seed_observes(transport: &dyn Transport) {
 fn sim_transport() -> Arc<dyn Transport + Send + Sync> {
     let cluster = Arc::new(Cluster::new(ClusterConfig { n_nodes: 3, ..Default::default() }));
     cluster.publish_item_features(seeded_items());
-    let transport = SimTransport::new(cluster, LR);
+    let transport = SimTransport::new(cluster, 0.0);
     seed_observes(&transport);
     Arc::new(transport)
 }
@@ -45,7 +44,6 @@ fn tcp_transport() -> Arc<dyn Transport + Send + Sync> {
     let cluster = NetCluster::start(NetClusterConfig {
         n_nodes: 3,
         user_replication: 2,
-        lr: LR,
         wal_root: None,
         workers: 8,
         ..Default::default()

@@ -11,7 +11,8 @@
 #               neither pass nor fail the change (exit 0, said loudly)
 #   FAIL        the gate failed (its log's tail is printed above)
 # It exits non-zero only if some gate printed FAIL. Each gate's full output
-# stays in target/verify-logs/<gate>.log.
+# stays in target/verify-logs/<gate>.log. Last comes one info line, not a
+# gate: the non-comment line count of crates/*/src (scripts/sloc.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +66,7 @@ smoke abl_serve "adaptive batching: >=2x throughput, <1% SLO violations"
 echo
 echo "verify: smoke gates"
 printf '%s\n' "${verdicts[@]}"
+echo "info: $(bash scripts/sloc.sh | tail -n 1 | awk '{print $1}') non-comment lines in crates/*/src (scripts/sloc.sh)"
 if printf '%s\n' "${verdicts[@]}" | grep -q '^FAIL'; then
   exit 1
 fi
