@@ -10,9 +10,13 @@
 //! Rows measured elsewhere are not repeated here: top-K serving is FIG4
 //! (`fig4_prediction_latency`), one online update is FIG3
 //! (`fig3_update_latency`), Sherman–Morrison vs. a fresh solve is ABL-SM
-//! (`abl_sherman_morrison`), and the dot product, namespace reads, LRU
-//! hits and observation-log appends are the benchmark harness's
-//! `linalg.dot_ns` and `storage.*` probes.
+//! (`abl_sherman_morrison`), and the dot product, LRU hits and
+//! observation-log appends are the benchmark harness's `linalg.dot_ns` and
+//! `storage.*` probes. Namespace reads are priced here both ways, `Vec`
+//! values (the harness's `storage.ns_get_ns`) against the shared
+//! `Arc<[f64]>` values the serving tables hold.
+
+use std::sync::Arc;
 
 use velox_bench::{fmt_us, measure, print_header, print_row, FixtureRng};
 use velox_linalg::{IncrementalRidge, Matrix, Vector};
@@ -25,9 +29,10 @@ fn row(name: &str, summary: &velox_linalg::stats::LatencySummary) -> Vec<String>
     vec![name.to_string(), fmt_us(summary.mean), fmt_us(summary.p50), fmt_us(summary.p99)]
 }
 
-/// The serving dimensions of the benchmark workloads: the mat-vec, the
-/// fused rank-one update and the blocked bandit variance, all on a warm
-/// (cache-resident) A⁻¹.
+/// The serving dimensions of the benchmark workloads: the packed mat-vec
+/// `A⁻¹b`, the fused rank-one update and the blocked bandit variance, all
+/// on a warm (cache-resident) A⁻¹, and the dense `d × d` mat-vec the
+/// packed one replaced, for scale.
 fn bench_kernels() {
     print_header("linear-algebra kernels on a warm A⁻¹", ROW_COLUMNS);
     for &d in &[50usize, 200] {
@@ -38,14 +43,21 @@ fn bench_kernels() {
             inc.observe(x, 1.0).unwrap();
         }
 
+        let s = measure(10, 200, || {
+            inc.refresh_weights().unwrap();
+            std::hint::black_box(inc.weights());
+        });
+        print_row(&row(&format!("kernels/matvec/{d}"), &s));
+
+        let dense = inc.a_inv();
         let mut out = Vec::with_capacity(d);
         let mut i = 0;
         let s = measure(10, 200, || {
-            inc.a_inv().matvec_into(&xs[i % xs.len()], &mut out).unwrap();
+            dense.matvec_into(&xs[i % xs.len()], &mut out).unwrap();
             std::hint::black_box(&out);
             i += 1;
         });
-        print_row(&row(&format!("kernels/matvec/{d}"), &s));
+        print_row(&row(&format!("kernels/dense_matvec/{d}"), &s));
 
         let s = measure(10, 200, || {
             inc.observe(&xs[i % xs.len()], 1.0).unwrap();
@@ -77,6 +89,28 @@ fn bench_storage() {
         k += 1;
     });
     print_row(&row("storage/namespace_put", &s));
+
+    // A point read at d = 200, 100 reads per sample: a `Vec` value is
+    // cloned out per read, a shared `Arc<[f64]>` one costs a reference
+    // count (the serving tables hold the latter).
+    let vecs: Namespace<Vec<f64>> = Namespace::new("bench_vec");
+    let shared: Namespace<Arc<[f64]>> = Namespace::new("bench_arc");
+    for k in 0..1_000u64 {
+        vecs.put(k, vec![k as f64; 200]);
+        shared.put(k, vec![k as f64; 200].into());
+    }
+    let s = measure(10, 200, || {
+        for k in 0..100u64 {
+            std::hint::black_box(vecs.get(k * 7 % 1_000));
+        }
+    });
+    print_row(&row("storage/namespace_get_vec_x100/200", &s));
+    let s = measure(10, 200, || {
+        for k in 0..100u64 {
+            std::hint::black_box(shared.get(k * 7 % 1_000));
+        }
+    });
+    print_row(&row("storage/namespace_get_arc_x100/200", &s));
 
     let entries: Vec<(u64, Vec<f64>)> = (0..500u64).map(|k| (k, vec![0.5; 64])).collect();
     let s = measure(3, 30, || {

@@ -99,8 +99,9 @@ pub enum AccessKind {
 /// Outcome of a health-aware table read.
 #[derive(Debug, Clone)]
 pub struct ClusterRead {
-    /// The value, when any live replica held it.
-    pub value: Option<Vec<f64>>,
+    /// The value, when any live replica held it — shared with the table,
+    /// so a read costs a reference count, not a copy.
+    pub value: Option<Arc<[f64]>>,
     /// How the access was satisfied (meaningless when `unavailable`).
     pub kind: AccessKind,
     /// Virtual cost in microseconds (including any injected spike).
@@ -111,11 +112,13 @@ pub struct ClusterRead {
     pub unavailable: bool,
 }
 
-/// One node: its shard of each table, its item cache, and counters.
+/// One node: its shard of each table, its item cache, and counters. A
+/// vector is written once and then shared — by readers, by the replicas it
+/// fans out to, by the cache — never cloned per read.
 struct Node {
-    user_weights: Namespace<Vec<f64>>,
-    item_features: Namespace<Vec<f64>>,
-    item_cache: Mutex<LruCache<u64, Vec<f64>>>,
+    user_weights: Namespace<Arc<[f64]>>,
+    item_features: Namespace<Arc<[f64]>>,
+    item_cache: Mutex<LruCache<u64, Arc<[f64]>>>,
     /// Health state, encoded for lock-free reads ([`NodeHealth::encode`]).
     health: AtomicU8,
     requests_served: Arc<Counter>,
@@ -619,10 +622,11 @@ impl Cluster {
 
     /// Stores a user's weight vector at every replica node that is not
     /// `Down` (placement is not a serving-path cost; no charge).
-    pub fn put_user_weights(&self, uid: u64, w: Vec<f64>) {
+    pub fn put_user_weights(&self, uid: u64, w: impl Into<Arc<[f64]>>) {
+        let w: Arc<[f64]> = w.into();
         for node in self.replica_nodes_of_user(uid) {
             if self.node_health(node) != NodeHealth::Down {
-                self.nodes[node].user_weights.put(uid, w.clone());
+                self.nodes[node].user_weights.put(uid, Arc::clone(&w));
             }
         }
     }
@@ -667,29 +671,49 @@ impl Cluster {
         }
     }
 
-    /// Applies an in-place update to a user's weights (upserting an empty
-    /// vector when absent), fanning the result out to every live
-    /// replica. Under `ByUser` routing and full health this is the paper's
-    /// "all writes are local" property; when `at` differs from the serving
+    /// Applies an update to a user's weights (upserting an empty vector
+    /// when absent), fanning the result out to every live replica. `f`
+    /// replaces the shared value (or edits it through `Arc::make_mut`).
+    /// Under `ByUser` routing and full health this is the paper's "all
+    /// writes are local" property; when `at` differs from the serving
     /// replica the write is charged as remote. Returns `None` when no live
     /// replica exists — the caller should buffer the update for redo.
     pub fn try_update_user_weights<F>(&self, at: NodeId, uid: u64, f: F) -> Option<f64>
     where
-        F: FnOnce(&mut Vec<f64>),
+        F: FnOnce(&mut Arc<[f64]>),
     {
         let live = self.live_user_replicas(uid);
         let (&first, rest) = live.split_first()?;
         let kind = if first == at { AccessKind::Local } else { AccessKind::Remote };
         let cost = self.charge(at, kind);
-        self.nodes[first].user_weights.update_with(uid, Vec::new, f);
+        self.nodes[first].user_weights.update_with(uid, || Arc::from([]), f);
         if !rest.is_empty() {
             if let Some(w) = self.nodes[first].user_weights.get(uid) {
                 for &node in rest {
-                    self.nodes[node].user_weights.put(uid, w.clone());
+                    self.nodes[node].user_weights.put(uid, Arc::clone(&w));
                 }
             }
         }
         Some(cost)
+    }
+
+    /// Splits a published table into one shard per node: each entry goes,
+    /// as one vector shared by all its copies, to every node `replicas`
+    /// names for its key.
+    fn placed(
+        &self,
+        entries: Vec<(u64, Vec<f64>)>,
+        replicas: impl Fn(u64) -> Vec<NodeId>,
+    ) -> Vec<Vec<(u64, Arc<[f64]>)>> {
+        let mut per_node: Vec<Vec<(u64, Arc<[f64]>)>> =
+            (0..self.nodes.len()).map(|_| Vec::new()).collect();
+        for (key, value) in entries {
+            let value: Arc<[f64]> = value.into();
+            for node in replicas(key) {
+                per_node[node].push((key, Arc::clone(&value)));
+            }
+        }
+        per_node
     }
 
     /// Bulk-publishes a new user-weight table (offline retrain output):
@@ -697,14 +721,8 @@ impl Cluster {
     /// node's shard swaps atomically. `Down` nodes get an empty shard —
     /// their state is whatever recovery later copies back.
     pub fn publish_user_weights(&self, entries: Vec<(u64, Vec<f64>)>) {
-        let mut per_node: Vec<Vec<(u64, Vec<f64>)>> =
-            (0..self.nodes.len()).map(|_| Vec::new()).collect();
-        for (uid, w) in entries {
-            for node in self.replica_nodes_of_user(uid) {
-                per_node[node].push((uid, w.clone()));
-            }
-        }
-        for ((id, node), mut shard) in self.nodes.iter().enumerate().zip(per_node) {
+        let shards = self.placed(entries, |uid| self.replica_nodes_of_user(uid));
+        for ((id, node), mut shard) in self.nodes.iter().enumerate().zip(shards) {
             if self.node_health(id) == NodeHealth::Down {
                 shard = Vec::new();
             }
@@ -720,6 +738,7 @@ impl Cluster {
         self.replica_nodes_of_user(uid)
             .into_iter()
             .find_map(|node| self.nodes[node].user_weights.get(uid))
+            .map(|w| w.to_vec())
     }
 
     /// Exports the entire user-weight table across all shards — the
@@ -732,7 +751,7 @@ impl Cluster {
         for node in &self.nodes {
             for (uid, w) in node.user_weights.snapshot_entries() {
                 if seen.insert(uid) {
-                    out.push((uid, w));
+                    out.push((uid, w.to_vec()));
                 }
             }
         }
@@ -741,8 +760,9 @@ impl Cluster {
 
     /// Stores an item's feature vector at every replica node.
     pub fn put_item_features(&self, item_id: u64, features: Vec<f64>) {
+        let features: Arc<[f64]> = features.into();
         for node in self.replica_nodes_of_item(item_id) {
-            self.nodes[node].item_features.put(item_id, features.clone());
+            self.nodes[node].item_features.put(item_id, Arc::clone(&features));
         }
     }
 
@@ -751,14 +771,8 @@ impl Cluster {
     /// every node's item cache is invalidated (§4.2: retraining
     /// "invalidates both prediction and feature caches").
     pub fn publish_item_features(&self, entries: Vec<(u64, Vec<f64>)>) {
-        let mut per_node: Vec<Vec<(u64, Vec<f64>)>> =
-            (0..self.nodes.len()).map(|_| Vec::new()).collect();
-        for (item, feat) in entries {
-            for node in self.replica_nodes_of_item(item) {
-                per_node[node].push((item, feat.clone()));
-            }
-        }
-        for (node, shard) in self.nodes.iter().zip(per_node) {
+        let shards = self.placed(entries, |item| self.replica_nodes_of_item(item));
+        for (node, shard) in self.nodes.iter().zip(shards) {
             node.item_features.publish_version(shard);
             node.item_cache.lock().unwrap().clear();
         }
@@ -788,7 +802,7 @@ impl Cluster {
         {
             let mut cache = self.nodes[at].item_cache.lock().unwrap();
             if let Some(hit) = cache.get(&item_id) {
-                let value = hit.clone();
+                let value = Arc::clone(hit);
                 drop(cache);
                 self.nodes[at].cache_hits.inc();
                 let cost_us = self.charge(at, AccessKind::CacheHit) + spike;
@@ -820,7 +834,7 @@ impl Cluster {
             let fetched = self.nodes[node].item_features.get(item_id);
             if let Some(ref features) = fetched {
                 if self.nodes[node].item_features.version() == version_before {
-                    self.nodes[at].item_cache.lock().unwrap().put(item_id, features.clone());
+                    self.nodes[at].item_cache.lock().unwrap().put(item_id, Arc::clone(features));
                 }
             }
             return ClusterRead {
@@ -1072,7 +1086,7 @@ mod tests {
         for uid in 0..100u64 {
             let node = c.route_request(uid);
             let read = c.read_user_weights(node, uid);
-            assert_eq!(read.value.unwrap(), vec![uid as f64]);
+            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64]);
             assert_eq!(read.kind, AccessKind::Local, "ByUser routing must make W reads local");
             assert_eq!(read.cost_us, LOCAL_READ_US);
         }
@@ -1101,7 +1115,7 @@ mod tests {
         c.put_item_features(7, vec![7.0]);
         let home = c.home_of_item(7);
         let read = c.read_item_features(home, 7);
-        assert_eq!(read.value.unwrap(), vec![7.0]);
+        assert_eq!(read.value.unwrap().to_vec(), vec![7.0]);
         assert_eq!(read.kind, AccessKind::Local);
     }
 
@@ -1115,7 +1129,7 @@ mod tests {
         assert_eq!(first.cost_us, REMOTE_READ_US);
         let second = c.read_item_features(other, 7);
         assert_eq!(second.kind, AccessKind::CacheHit);
-        assert_eq!(second.value.unwrap(), vec![7.0]);
+        assert_eq!(second.value.unwrap().to_vec(), vec![7.0]);
         assert!(second.cost_us < first.cost_us);
     }
 
@@ -1138,7 +1152,7 @@ mod tests {
         let _ = c.read_item_features(other, 1); // cache it remotely
         c.publish_item_features(vec![(1, vec![2.0])]);
         let read = c.read_item_features(other, 1);
-        assert_eq!(read.value.unwrap(), vec![2.0], "stale cache served after publish");
+        assert_eq!(read.value.unwrap().to_vec(), vec![2.0], "stale cache served after publish");
         assert_eq!(read.kind, AccessKind::Remote, "cache must have been invalidated");
     }
 
@@ -1149,10 +1163,10 @@ mod tests {
         let home = c.home_of_user(uid);
         c.put_user_weights(uid, vec![0.0]);
         for _ in 0..2 {
-            let cost = c.try_update_user_weights(home, uid, |w| w[0] += 1.0);
+            let cost = c.try_update_user_weights(home, uid, |w| Arc::make_mut(w)[0] += 1.0);
             assert_eq!(cost, Some(LOCAL_READ_US));
         }
-        assert_eq!(c.read_user_weights(home, uid).value.unwrap(), vec![2.0]);
+        assert_eq!(c.read_user_weights(home, uid).value.unwrap().to_vec(), vec![2.0]);
         let stats = c.stats();
         assert_eq!(stats.nodes.iter().map(|n| n.remote_reads).sum::<u64>(), 0);
     }
@@ -1188,7 +1202,7 @@ mod tests {
         for node in 0..4 {
             for item in 0..50u64 {
                 let read = c.read_item_features(node, item);
-                assert_eq!(read.value.unwrap(), vec![item as f64]);
+                assert_eq!(read.value.unwrap().to_vec(), vec![item as f64]);
                 assert_eq!(read.kind, AccessKind::Local, "full replication: always local");
             }
         }
@@ -1204,7 +1218,7 @@ mod tests {
         assert_eq!(replicas.len(), 2);
         for node in 0..4usize {
             let read = c.read_item_features(node, 9);
-            assert_eq!(read.value.unwrap(), vec![9.0]);
+            assert_eq!(read.value.unwrap().to_vec(), vec![9.0]);
             if replicas.contains(&node) {
                 assert_eq!(read.kind, AccessKind::Local, "replica node {node}");
             } else {
@@ -1221,7 +1235,11 @@ mod tests {
         c.publish_item_features(vec![(1, vec![2.0])]);
         for node in c.replica_nodes_of_item(1) {
             let read = c.read_item_features(node, 1);
-            assert_eq!(read.value.unwrap(), vec![2.0], "replica {node} must see the new version");
+            assert_eq!(
+                read.value.unwrap().to_vec(),
+                vec![2.0],
+                "replica {node} must see the new version"
+            );
             assert_eq!(read.kind, AccessKind::Local);
         }
     }
@@ -1294,11 +1312,15 @@ mod tests {
         let replicas = c.replica_nodes_of_user(3);
         assert_eq!(replicas.len(), 2);
         for &node in &replicas {
-            assert_eq!(c.nodes[node].user_weights.get(3).unwrap(), vec![3.0]);
+            assert_eq!(c.nodes[node].user_weights.get(3).unwrap().to_vec(), vec![3.0]);
         }
-        c.try_update_user_weights(replicas[0], 3, |w| w[0] = 9.0).unwrap();
+        c.try_update_user_weights(replicas[0], 3, |w| Arc::make_mut(w)[0] = 9.0).unwrap();
         for &node in &replicas {
-            assert_eq!(c.nodes[node].user_weights.get(3).unwrap(), vec![9.0], "replica {node}");
+            assert_eq!(
+                c.nodes[node].user_weights.get(3).unwrap().to_vec(),
+                vec![9.0],
+                "replica {node}"
+            );
         }
     }
 
@@ -1330,7 +1352,7 @@ mod tests {
             assert_ne!(at, 2, "requests must not route to a dead node");
             let read = c.read_user_weights(at, uid);
             assert!(!read.unavailable, "replication 2 must survive one loss");
-            assert_eq!(read.value.unwrap(), vec![uid as f64]);
+            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64]);
             if c.home_of_user(uid) == 2 {
                 assert!(read.failover, "home dead → replica must have answered");
             }
@@ -1367,7 +1389,7 @@ mod tests {
         // Every user whose replica set includes node 0 is back.
         for uid in 0..300u64 {
             if c.replica_nodes_of_user(uid).contains(&0) {
-                assert_eq!(c.nodes[0].user_weights.get(uid).unwrap(), vec![uid as f64]);
+                assert_eq!(c.nodes[0].user_weights.get(uid).unwrap().to_vec(), vec![uid as f64]);
             }
         }
         // Recovery journals Recovering → Up with the catch-up count.
@@ -1435,7 +1457,7 @@ mod tests {
         for uid in 0..500u64 {
             let at = c.route_request(uid);
             let read = c.read_user_weights(at, uid);
-            assert_eq!(read.value.unwrap(), vec![uid as f64], "uid {uid} after rebalance");
+            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64], "uid {uid} after rebalance");
             assert!(!read.failover, "owner must hold the data post-migration");
         }
         // No headroom left: a second join fails with a typed error.
@@ -1479,7 +1501,7 @@ mod tests {
             assert_ne!(at, 1);
             let read = c.read_user_weights(at, uid);
             assert!(!read.unavailable);
-            assert_eq!(read.value.unwrap(), vec![uid as f64], "uid {uid} after fail-over");
+            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64], "uid {uid} after fail-over");
         }
     }
 

@@ -432,7 +432,7 @@ impl SimTransport {
     /// component, is `Unavailable` — the socket node refuses to seed such
     /// an item, and scoring or training on it would turn a user's weights
     /// into NaN.
-    fn item_features(&self, at: NodeId, item_id: u64) -> Result<Vec<f64>, TransportError> {
+    fn item_features(&self, at: NodeId, item_id: u64) -> Result<Arc<[f64]>, TransportError> {
         let read = self.cluster.read_item_features(at, item_id);
         match read.value {
             Some(x) if !read.unavailable && x.iter().all(|v| v.is_finite()) => Ok(x),
@@ -650,7 +650,7 @@ impl Transport for SimTransport {
                 Ok(ack)
             } else {
                 let fresh = (|| {
-                    let x = Vector::from_vec(self.item_features(at, item_id)?);
+                    let x = Vector::from(&self.item_features(at, item_id)?[..]);
                     let mut users = self.users.lock().unwrap();
                     let mut applied = Ok(());
                     // Runs only when a replica is live, and writes the new
@@ -658,20 +658,20 @@ impl Transport for SimTransport {
                     // The slot is the truth: a state whose weights are no
                     // longer the slot's restarts from it — from the zero
                     // prior when a crash emptied it, as at a TCP node.
-                    let update = |slot: &mut Vec<f64>| {
+                    let update = |slot: &mut Arc<[f64]>| {
                         let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                         let current = users.get(&uid).map(|u| bits(u.weights().as_slice()));
                         if current.is_some_and(|w| w != bits(slot)) {
                             users.remove(&uid);
                         }
                         if !slot.is_empty() && !users.contains_key(&uid) {
-                            let prior = Vector::from_vec(slot.clone());
+                            let prior = Vector::from(&slot[..]);
                             users.insert(uid, IncrementalRidge::from_prior(&prior, RIDGE_LAMBDA));
                         }
                         applied = fits(&users, uid, &x);
                         if applied.is_ok() {
                             if let Ok(user) = ridge_observe(&mut users, uid, &x, y) {
-                                *slot = user.weights().as_slice().to_vec();
+                                *slot = user.weights().as_slice().into();
                             }
                         }
                     };

@@ -11,9 +11,10 @@ use velox_bandit::{
 };
 use velox_batch::JobExecutor;
 use velox_cluster::{Cluster, ClusterStats, FaultPlan, NodeHealth};
+use velox_linalg::vector::dot_checked;
 use velox_linalg::{Matrix, Vector};
 use velox_models::{Item, ModelError, TrainingExample, VeloxModel};
-use velox_obs::{Counter, EventKind, Histogram, Registry, SpanTimer, Timer};
+use velox_obs::{Counter, EventKind, Gauge, Histogram, Registry, SpanTimer, Timer};
 use velox_online::{
     PerUserErrorTracker, PrequentialEvaluator, StalenessDetector, UpdateStrategy, UserOnlineModel,
 };
@@ -204,7 +205,8 @@ type PredKey = (u64, u64, u64, u64);
 
 /// One walk down the degradation ladder for a user's serving weights.
 struct ServingWeights {
-    weights: Vector,
+    /// Shared with the table (or the stale cache) it was read from.
+    weights: Arc<[f64]>,
     /// Nothing of the user's own was found: `weights` is the population
     /// mean.
     bootstrapped: bool,
@@ -242,9 +244,32 @@ struct Scored {
     response: PredictResponse,
     /// `f(x, θ)` of a pair that missed the cache (top-K's variances reuse
     /// it).
-    features: Option<Vector>,
+    features: Option<Arc<[f64]>>,
     /// Whether the miss's score entered the prediction cache.
     filled: bool,
+}
+
+/// One user's online state, counted in `velox_online_state_bytes` from its
+/// creation until its last holder drops it (a superseded version's states
+/// stay resident while the namespace's rollback history retains them).
+struct UserState {
+    model: Mutex<UserOnlineModel>,
+    bytes: i64,
+    gauge: Arc<Gauge>,
+}
+
+impl UserState {
+    fn new(model: UserOnlineModel, gauge: &Arc<Gauge>) -> Self {
+        let bytes = model.state_bytes() as i64;
+        gauge.add(bytes);
+        UserState { model: Mutex::new(model), bytes, gauge: Arc::clone(gauge) }
+    }
+}
+
+impl Drop for UserState {
+    fn drop(&mut self) {
+        self.gauge.add(-self.bytes);
+    }
 }
 
 /// One retained model version for rollback: the model object plus the full
@@ -279,19 +304,20 @@ pub struct Velox {
     cluster: Cluster,
     obslog: ObservationLog,
     /// Raw item attributes for computed feature functions.
-    catalog: Namespace<Vec<f64>>,
+    catalog: Namespace<Arc<[f64]>>,
     /// Per-user online learning state (fine-grained per-user locks).
-    user_state: Namespace<Arc<Mutex<UserOnlineModel>>>,
+    user_state: Namespace<Arc<UserState>>,
     /// Per-user weight-update counters (prediction-cache keys).
     user_versions: Namespace<u64>,
     /// Full training history (uid, item, y) for offline retraining.
     training_log: Mutex<Vec<TrainingExample>>,
     prediction_cache: ShardedCache<PredKey, f64>,
     /// Computed-feature cache keyed by `(item_id, model_version)`.
-    feature_cache: ShardedCache<(u64, u64), Vector>,
+    feature_cache: ShardedCache<(u64, u64), Arc<[f64]>>,
     /// Last-known-good user weights, written through on every weight write
-    /// and served (flagged `StaleCache`) when every live replica is gone.
-    stale_weights: ShardedCache<u64, Vector>,
+    /// (sharing the vector the cluster slot holds) and served (flagged
+    /// `StaleCache`) when every live replica is gone.
+    stale_weights: ShardedCache<u64, Arc<[f64]>>,
     /// Observations buffered while their user's partition is unreachable,
     /// drained into the online state when a node recovers. Bounded by
     /// `redo_queue_capacity`; overflow is shed and counted.
@@ -312,6 +338,8 @@ pub struct Velox {
     top_k_latency: Arc<Histogram>,
     observe_latency: Arc<Histogram>,
     online_update_latency: Arc<Histogram>,
+    /// Resident bytes of every user's online state (`UserState`).
+    online_state_bytes: Arc<Gauge>,
     pred_cache_hits: Arc<Counter>,
     pred_cache_misses: Arc<Counter>,
     feat_cache_hits: Arc<Counter>,
@@ -374,6 +402,7 @@ impl Velox {
         let observe_latency = registry.histogram("velox_observe_latency_ns");
         let online_update_latency = registry
             .histogram_with("velox_online_update_latency_ns", &[("strategy", "sherman_morrison")]);
+        let online_state_bytes = registry.gauge("velox_online_state_bytes");
         let pred_cache_hits = registry.counter("velox_prediction_cache_hits_total");
         let pred_cache_misses = registry.counter("velox_prediction_cache_misses_total");
         let feat_cache_hits = registry.counter("velox_feature_cache_hits_total");
@@ -432,6 +461,7 @@ impl Velox {
             top_k_latency,
             observe_latency,
             online_update_latency,
+            online_state_bytes,
             pred_cache_hits,
             pred_cache_misses,
             feat_cache_hits,
@@ -495,7 +525,7 @@ impl Velox {
             weights.iter().map(|(&uid, w)| (uid, w.as_slice().to_vec())).collect(),
         );
         for (&uid, w) in weights {
-            self.stale_weights.put(uid, w.clone());
+            self.stale_weights.put(uid, w.as_slice().into());
             self.bootstrap.contribute(uid, w);
         }
     }
@@ -503,14 +533,14 @@ impl Velox {
     /// Registers an item's raw attributes in the catalog — required before
     /// computed-feature models can serve `Item::Id` references to it.
     pub fn register_item(&self, item_id: u64, attributes: Vec<f64>) {
-        self.catalog.put(item_id, attributes);
+        self.catalog.put(item_id, attributes.into());
     }
 
     /// Gets (or lazily creates) the per-user online state. The prior for a
     /// fresh state is the user's current serving weights when they exist
     /// (offline-trained users), falling back to the bootstrap mean for
     /// brand-new users (§5's heuristic).
-    fn user_state_arc(&self, uid: u64) -> Arc<Mutex<UserOnlineModel>> {
+    fn user_state_arc(&self, uid: u64) -> Arc<UserState> {
         if let Some(s) = self.user_state.get(uid) {
             return s;
         }
@@ -518,13 +548,20 @@ impl Velox {
             Some(w) => Vector::from_vec(w),
             // A dead partition may have taken the serving copy with it; the
             // stale cache is a better prior than the population mean.
-            None => self.stale_weights.get(&uid).unwrap_or_else(|| self.bootstrap.mean_weights()),
+            None => self
+                .stale_weights
+                .get(&uid)
+                .map(|w| Vector::from(&w[..]))
+                .unwrap_or_else(|| self.bootstrap.mean_weights()),
         };
-        let fresh = Arc::new(Mutex::new(UserOnlineModel::from_prior(
-            &prior,
-            self.config.lambda,
-            UpdateStrategy::ShermanMorrison,
-        )));
+        let fresh = Arc::new(UserState::new(
+            UserOnlineModel::from_prior(
+                &prior,
+                self.config.lambda,
+                UpdateStrategy::ShermanMorrison,
+            ),
+            &self.online_state_bytes,
+        ));
         // update_with keeps creation atomic under racing callers.
         self.user_state.update_with(uid, || Arc::clone(&fresh), |_| {});
         self.user_state.get(uid).expect("just inserted")
@@ -568,14 +605,15 @@ impl Velox {
     }
 
     /// Resolves `f(x, θ)` for an item at a serving node, through the
-    /// appropriate cache. Returns `(features, virtual cost in µs)`.
+    /// appropriate cache. Returns `(features, virtual cost in µs)`; a
+    /// materialized or cached vector is shared, not copied.
     fn features_for(
         &self,
         model: &Arc<dyn VeloxModel>,
         model_version: u64,
         at_node: usize,
         item: &Item,
-    ) -> Result<(Vector, f64), VeloxError> {
+    ) -> Result<(Arc<[f64]>, f64), VeloxError> {
         Self::check_finite_item(item)?;
         if model.is_materialized() {
             // Materialized: the θ table lives in the cluster, sharded, with
@@ -589,7 +627,7 @@ impl Velox {
                         )));
                     }
                     let features = read.value.ok_or(ModelError::UnknownItem(*id))?;
-                    Ok((Vector::from_vec(features), read.cost_us))
+                    Ok((features, read.cost_us))
                 }
                 Item::Raw(_) => {
                     Err(ModelError::WrongItemKind { expected: "catalog item id" }.into())
@@ -606,11 +644,12 @@ impl Velox {
                     }
                     self.feat_cache_misses.inc();
                     let attrs = self.catalog.get(*id).ok_or(ModelError::UnknownItem(*id))?;
-                    let features = model.features(&Item::Raw(Vector::from_vec(attrs)))?;
-                    self.feature_cache.put((*id, model_version), features.clone());
+                    let features: Arc<[f64]> =
+                        model.features(&Item::Raw(Vector::from(&attrs[..])))?.into_vec().into();
+                    self.feature_cache.put((*id, model_version), Arc::clone(&features));
                     Ok((features, 0.0))
                 }
-                Item::Raw(_) => Ok((model.features(item)?, 0.0)),
+                Item::Raw(_) => Ok((model.features(item)?.into_vec().into(), 0.0)),
             }
         }
     }
@@ -632,7 +671,7 @@ impl Velox {
         let (found, level) = if !read.unavailable {
             let level =
                 if read.failover { DegradationLevel::Replica } else { DegradationLevel::Full };
-            (read.value.map(Vector::from_vec), level)
+            (read.value, level)
         } else {
             match self.stale_weights.get(&uid) {
                 Some(w) => (Some(w), DegradationLevel::StaleCache),
@@ -641,7 +680,7 @@ impl Velox {
         };
         ServingWeights {
             bootstrapped: found.is_none(),
-            weights: found.unwrap_or_else(|| self.bootstrap.mean_weights()),
+            weights: found.unwrap_or_else(|| self.bootstrap.mean_weights().into_vec().into()),
             cost_us: read.cost_us,
             level,
         }
@@ -701,7 +740,7 @@ impl Velox {
         let read = user.weights.get_or_insert_with(|| self.serving_weights(node, uid));
         let w_cost = if first_read { read.cost_us } else { 0.0 };
         let (features, f_cost) = self.features_for(model, call.version, node, item)?;
-        let score = read.weights.dot(&features)?;
+        let score = dot_checked(&read.weights, &features)?;
         // Bootstrapped scores are served from the *population mean*, which
         // moves whenever any user's weights change — state the cache key
         // cannot see. Never cache them; likewise degraded scores.
@@ -835,7 +874,7 @@ impl Velox {
                     missed_features.reserve((items.len() - idx) * features.len());
                 }
                 missed.push(idx);
-                missed_features.extend_from_slice(features.as_slice());
+                missed_features.extend_from_slice(&features);
             }
             candidates.push(Candidate { score: response.score, variance: 0.0 });
         }
@@ -846,7 +885,7 @@ impl Velox {
             // The scorer's dot held every row to the weights' length.
             let d = missed_features.len() / missed.len();
             let rows = Matrix::from_row_major(missed.len(), d, missed_features)?;
-            if let Ok(variances) = state.lock().unwrap().variance_many(&rows) {
+            if let Ok(variances) = state.model.lock().unwrap().variance_many(&rows) {
                 for (&idx, variance) in missed.iter().zip(variances) {
                     candidates[idx].variance = variance;
                 }
@@ -921,7 +960,7 @@ impl Velox {
                 return self.defer_observation(uid, item, y);
             }
             Err(e) => return Err(e),
-            Ok((features, _f_cost)) => features,
+            Ok((features, _f_cost)) => Vector::from(&features[..]),
         };
         // Get or create the user's online state (bootstrap prior for new
         // users — §5's mean-weight heuristic).
@@ -929,7 +968,7 @@ impl Velox {
 
         // Prequential evaluation: predict before updating.
         let (predicted_before, trained, loss, new_weights) = {
-            let mut state = state_arc.lock().unwrap();
+            let mut state = state_arc.model.lock().unwrap();
             let predicted_before = state.predict(&features)?;
             let loss = model.loss(y, predicted_before, item, uid);
             let trained = self.prequential.lock().unwrap().record(loss);
@@ -1200,7 +1239,7 @@ impl Velox {
                             "observed item {id} no longer in the catalog"
                         ))
                     })?;
-                    ex.item = Item::Raw(Vector::from_vec(attrs));
+                    ex.item = Item::Raw(Vector::from(&attrs[..]));
                 }
             }
         }
@@ -1324,14 +1363,15 @@ impl Velox {
         for ex in examples {
             let home = self.cluster.home_of_user(ex.uid);
             let (features, _) = self.features_for(&model, model_version, home, &ex.item)?;
+            let features = Vector::from(&features[..]);
             let state_arc = self.user_state_arc(ex.uid);
-            state_arc.lock().unwrap().observe(&features, ex.y)?;
+            state_arc.model.lock().unwrap().observe(&features, ex.y)?;
             touched.insert(ex.uid);
         }
         // Publish the updated weights to the serving table once per user.
         for uid in touched {
             let state_arc = self.user_state_arc(uid);
-            let w = state_arc.lock().unwrap().weights().clone();
+            let w = state_arc.model.lock().unwrap().weights().clone();
             self.publish_weights(uid, &w, None);
         }
         Ok(())
@@ -1502,16 +1542,18 @@ impl Velox {
     /// next trained observe, so only the serving copy lags. A replay passes
     /// `None` and writes every replica, uncharged.
     fn publish_weights(&self, uid: u64, weights: &Vector, serving_node: Option<usize>) {
-        let w = weights.as_slice().to_vec();
+        let w: Arc<[f64]> = weights.as_slice().into();
         match serving_node {
             Some(node) => {
-                let _ = self.cluster.try_update_user_weights(node, uid, |slot| *slot = w);
+                let _ = self.cluster.try_update_user_weights(node, uid, |slot| {
+                    *slot = Arc::clone(&w);
+                });
             }
-            None => self.cluster.put_user_weights(uid, w),
+            None => self.cluster.put_user_weights(uid, Arc::clone(&w)),
         }
         self.user_versions.update_with(uid, || 0, |v| *v += 1);
         self.bootstrap.contribute(uid, weights);
-        self.stale_weights.put(uid, weights.clone());
+        self.stale_weights.put(uid, w);
     }
 
     /// Deploys with durability: opens (or creates) the WAL and checkpoint
@@ -1740,7 +1782,7 @@ impl Velox {
         let version = self.model_version();
         let index = self.catalog_index(version)?;
         let node = self.cluster.route_request(uid);
-        let weights = self.serving_weights(node, uid).weights;
+        let weights = Vector::from(&self.serving_weights(node, uid).weights[..]);
         let (results, _stats) = index.top_k(&weights, k)?;
         Ok(results.into_iter().map(|s| (s.id, s.score)).collect())
     }
@@ -1763,7 +1805,7 @@ impl Velox {
             // Computational models: featurize every catalog item once.
             let mut out = Vec::new();
             for (id, attrs) in self.catalog.snapshot_entries() {
-                let f = model.features(&Item::Raw(Vector::from_vec(attrs)))?;
+                let f = model.features(&Item::Raw(Vector::from(&attrs[..])))?;
                 out.push((id, f));
             }
             out
@@ -1775,7 +1817,11 @@ impl Velox {
 
     /// The raw-attribute catalog contents (for snapshots and diagnostics).
     pub fn catalog_entries(&self) -> Vec<(u64, Vec<f64>)> {
-        self.catalog.snapshot_entries()
+        self.catalog
+            .snapshot_entries()
+            .into_iter()
+            .map(|(id, attrs)| (id, attrs.to_vec()))
+            .collect()
     }
 
     /// The durable observation log (offline jobs read from here).

@@ -17,13 +17,14 @@
 //! w   = A⁻¹ b
 //! ```
 //!
-//! Each update is O(d²) time and the state is O(d²) memory per user. The
-//! same `A⁻¹` doubles as the covariance proxy the contextual-bandit layer
+//! Each update is O(d²) time, and the state is the `d(d+1)/2` floats of
+//! `A⁻¹`'s upper triangle plus three `d`-vectors per user. The same `A⁻¹`
+//! doubles as the covariance proxy the contextual-bandit layer
 //! (`velox-bandit`) needs for confidence bounds, so this struct is shared by
 //! both the online learner and LinUCB.
 
 use crate::matrix::Matrix;
-use crate::vector::{dot_slices, dot_slices_x4, Vector};
+use crate::vector::{dot_axpy, dot_slices, dot_slices_x4, Vector};
 use crate::{LinalgError, Result};
 
 /// An incrementally-maintained ridge regression.
@@ -31,10 +32,15 @@ use crate::{LinalgError, Result};
 /// Equivalent (up to floating-point error) to re-solving
 /// `(XᵀX + λI) w = Xᵀy` after every observation, but each observation costs
 /// O(d²) instead of O(d³).
+///
+/// `A⁻¹` is symmetric, so only its upper triangle is kept, row-packed: row
+/// `i` is `A⁻¹[i][i..d]`, and the rows follow one another in a single
+/// buffer of `d(d+1)/2` floats. That halves the resident state and the
+/// bytes every kernel below streams: each reads every stored element once.
 #[derive(Debug, Clone)]
 pub struct IncrementalRidge {
-    /// `(λI + XᵀX)⁻¹`, maintained directly.
-    a_inv: Matrix,
+    /// Upper triangle of `(λI + XᵀX)⁻¹`, row-packed.
+    a_inv: Vec<f64>,
     /// `Xᵀ y`.
     b: Vector,
     /// Current solution `A⁻¹ b`, refreshed in place on each update.
@@ -46,6 +52,54 @@ pub struct IncrementalRidge {
     n_obs: usize,
 }
 
+/// The rows of a packed upper triangle of dimension `d`, in order: row `i`
+/// is `d − i` long and starts with the diagonal element.
+fn packed_rows(packed: &[f64], d: usize) -> impl Iterator<Item = &[f64]> {
+    let mut rest = packed;
+    (0..d).map(move |i| {
+        let (row, tail) = rest.split_at(d - i);
+        rest = tail;
+        row
+    })
+}
+
+/// Row `i`'s share of `out = A x` for the symmetric `A` whose upper
+/// triangle is packed (see [`spmv_into`]): `out[i] ← out[i] + row·x[i..]`,
+/// and `out[j] += x[i]·row[j − i]` for every `j > i`, skipped when `x[i]`
+/// is exactly zero.
+#[inline]
+fn spmv_row(row: &[f64], i: usize, x: &[f64], out: &mut [f64]) {
+    let (x, out) = (&x[i..], &mut out[i..]);
+    let acc = out[0];
+    // The fused sweep also adds `x[i]·row[0]` to `out[i]`; the store below
+    // overwrites it.
+    let dot = if x[0] == 0.0 { dot_slices(row, x) } else { dot_axpy(row, x, x[0], out) };
+    out[0] = acc + dot;
+}
+
+/// `out = A x` for the symmetric `A` whose upper triangle is `packed` — a
+/// `dspmv`-style sweep that reads each stored element once.
+///
+/// **Accumulation-order contract.** Every `out[j]` starts at `+0.0`. Rows
+/// go in order `i = 0, 1, …, d − 1`; row `i` first adds
+/// `dot_slices(A[i][i..], x[i..])` to `out[i]` — which by then holds the
+/// contributions of rows `0..i` — and then adds `x[i]·A[i][j]` to each
+/// `out[j]`, `j > i`, unless `x[i]` is exactly `0.0` (either sign). So
+///
+/// ```text
+/// out[j] = ((…(0 + x₀A₀ⱼ) + x₁A₁ⱼ …) + x_{j−1}A_{j−1,j}) + dot_slices(A[j][j..], x[j..])
+/// ```
+///
+/// with the zero-`x` terms left out of the fold.
+fn spmv_into(packed: &[f64], x: &[f64], out: &mut Vec<f64>) {
+    let d = x.len();
+    out.clear();
+    out.resize(d, 0.0);
+    for (i, row) in packed_rows(packed, d).enumerate() {
+        spmv_row(row, i, x, out);
+    }
+}
+
 impl IncrementalRidge {
     /// Creates an empty model of dimension `d` with ridge constant
     /// `lambda > 0`. Initially `A = λI`, so `A⁻¹ = I/λ` and `w = 0`.
@@ -54,8 +108,12 @@ impl IncrementalRidge {
     /// Panics if `lambda <= 0` (the inverse would not exist).
     pub fn new(d: usize, lambda: f64) -> Self {
         assert!(lambda > 0.0, "ridge lambda must be positive");
-        let mut a_inv = Matrix::identity(d);
-        a_inv.scale(1.0 / lambda);
+        let mut a_inv = vec![0.0; d * (d + 1) / 2];
+        let mut diag = 0;
+        for i in 0..d {
+            a_inv[diag] = 1.0 / lambda;
+            diag += d - i;
+        }
         IncrementalRidge {
             a_inv,
             b: Vector::zeros(d),
@@ -97,11 +155,19 @@ impl IncrementalRidge {
         }
         let mut a = gram.clone();
         a.add_scaled_identity(lambda)?;
-        let ch = crate::cholesky::Cholesky::factor(&a)?;
-        let a_inv = ch.inverse()?;
-        let w = a_inv.matvec(xty)?;
-        let u = Vec::with_capacity(xty.len());
-        Ok(IncrementalRidge { a_inv, b: xty.clone(), w, u, lambda, n_obs })
+        let inverse = crate::cholesky::Cholesky::factor(&a)?.inverse()?;
+        let d = inverse.rows();
+        let a_inv = (0..d).flat_map(|i| inverse.row(i)[i..].iter().copied()).collect();
+        let mut model = IncrementalRidge {
+            a_inv,
+            b: Vector::zeros(d),
+            w: Vector::zeros(d),
+            u: Vec::with_capacity(d),
+            lambda,
+            n_obs,
+        };
+        model.reset_moments(xty.clone())?;
+        Ok(model)
     }
 
     /// Feature dimension.
@@ -130,10 +196,30 @@ impl IncrementalRidge {
         &self.b
     }
 
-    /// Borrow the maintained inverse `A⁻¹` (the bandit layer's covariance
-    /// proxy).
-    pub fn a_inv(&self) -> &Matrix {
+    /// The stored upper triangle of `A⁻¹`, row-packed: row `i` is
+    /// `A⁻¹[i][i..d]`, `d(d+1)/2` floats in all.
+    pub fn packed_a_inv(&self) -> &[f64] {
         &self.a_inv
+    }
+
+    /// `A⁻¹` expanded to a dense symmetric matrix (a fresh `d × d` copy;
+    /// for tests and diagnostics, not the serving path).
+    pub fn a_inv(&self) -> Matrix {
+        let d = self.dim();
+        let mut dense = Matrix::zeros(d, d);
+        for (i, row) in packed_rows(&self.a_inv, d).enumerate() {
+            for (j, &v) in (i..d).zip(row) {
+                dense.set(i, j, v);
+                dense.set(j, i, v);
+            }
+        }
+        dense
+    }
+
+    /// Bytes of resident model state: the packed `A⁻¹` plus `b`, `w` and
+    /// the `u` scratch, `(d(d+1)/2 + 3d) × 8`.
+    pub fn state_bytes(&self) -> usize {
+        (self.a_inv.len() + 3 * self.dim()) * std::mem::size_of::<f64>()
     }
 
     /// Predicted value `wᵀx` for a feature vector.
@@ -143,69 +229,74 @@ impl IncrementalRidge {
 
     /// The quadratic form `xᵀ A⁻¹ x` — the variance proxy used by LinUCB
     /// confidence bounds (larger = the model knows less about direction `x`).
+    ///
+    /// **Accumulation-order contract.** A left fold from `+0.0` over
+    /// `i = 0, 1, …, d − 1` of
+    /// `xᵢ·(A[i][i]·xᵢ + 2·dot_slices(A[i][i+1..], x[i+1..]))`: the
+    /// symmetric form read off the stored triangle, one pass over it.
     pub fn variance(&self, x: &Vector) -> Result<f64> {
-        let ax = self.a_inv.matvec(x)?;
-        x.dot(&ax)
+        self.check_width("IncrementalRidge::variance", x.len())?;
+        Ok(self.quad_form(x.as_slice()))
+    }
+
+    /// [`variance`](Self::variance) of an `x` already checked to be `d` long.
+    fn quad_form(&self, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for (i, row) in packed_rows(&self.a_inv, x.len()).enumerate() {
+            acc += x[i] * (row[0] * x[i] + 2.0 * dot_slices(&row[1..], &x[i + 1..]));
+        }
+        acc
     }
 
     /// [`variance`](Self::variance) for a whole candidate set, one candidate
     /// per row of `xs`: `out[c]` equals the variance of row `c` in every bit.
     ///
     /// Candidates go four at a time through `dot_slices_x4`, so each row
-    /// of `A⁻¹` is loaded once per block instead of once per candidate, and
-    /// one scratch buffer serves the whole call.
+    /// of the packed `A⁻¹` is loaded once per block instead of once per
+    /// candidate.
     pub fn variance_many(&self, xs: &Matrix) -> Result<Vec<f64>> {
         let d = self.dim();
-        if xs.cols() != d {
-            return Err(LinalgError::DimensionMismatch {
-                op: "IncrementalRidge::variance_many",
-                expected: d,
-                actual: xs.cols(),
-            });
-        }
+        self.check_width("IncrementalRidge::variance_many", xs.cols())?;
         let mut out = Vec::with_capacity(xs.rows());
-        // `A⁻¹ x` for the block in flight, one candidate per `d`-stripe.
-        let mut ax = vec![0.0; 4 * d];
         let blocked = xs.rows() - xs.rows() % 4;
         for c in (0..blocked).step_by(4) {
             let block = xs.row_block(c);
-            for i in 0..d {
-                let dots = dot_slices_x4(self.a_inv.row(i), block);
-                for (stripe, dot) in dots.into_iter().enumerate() {
-                    ax[stripe * d + i] = dot;
+            let mut acc = [0.0f64; 4];
+            for (i, row) in packed_rows(&self.a_inv, d).enumerate() {
+                let dots = dot_slices_x4(&row[1..], block.map(|x| &x[i + 1..]));
+                for ((acc, x), dot) in acc.iter_mut().zip(block).zip(dots) {
+                    *acc += x[i] * (row[0] * x[i] + 2.0 * dot);
                 }
             }
-            for (stripe, x) in block.into_iter().enumerate() {
-                out.push(dot_slices(x, &ax[stripe * d..(stripe + 1) * d]));
-            }
+            out.extend_from_slice(&acc);
         }
         for c in blocked..xs.rows() {
-            let x = xs.row(c);
-            for (i, axi) in ax[..d].iter_mut().enumerate() {
-                *axi = dot_slices(self.a_inv.row(i), x);
-            }
-            out.push(dot_slices(x, &ax[..d]));
+            out.push(self.quad_form(xs.row(c)));
         }
         Ok(out)
     }
 
+    /// Errs unless an operand of width `actual` matches the model.
+    fn check_width(&self, op: &'static str, actual: usize) -> Result<()> {
+        if actual != self.dim() {
+            return Err(LinalgError::DimensionMismatch { op, expected: self.dim(), actual });
+        }
+        Ok(())
+    }
+
     /// Folds in one observation `(x, y)` with a Sherman–Morrison rank-one
-    /// update. O(d²), two passes over `A⁻¹`: one for `u = A⁻¹x`, one that
-    /// applies `−u uᵀ/denom` to a block of rows and dots the finished rows
-    /// with `b` while they are still in cache. The arithmetic — and so every
-    /// bit of `A⁻¹`, `b` and `w` — is that of the textbook three-pass form
-    /// (`matvec`, `add_outer`, `matvec`).
+    /// update. O(d²), two passes over the packed `A⁻¹`: one for
+    /// `u = A⁻¹x` ([`spmv_into`]'s order), and one that applies
+    /// `−u uᵀ/denom` to each row and, while that row is still in L1, adds
+    /// its share of `w = A⁻¹b` — the same sweep, and so the same bits, as
+    /// recomputing `w` over the updated triangle. The update of row `i` is
+    /// `A[i][j] += (−uᵢ/denom)·uⱼ` for `j ≥ i`, skipped when that
+    /// multiplier is exactly zero.
     pub fn observe(&mut self, x: &Vector, y: f64) -> Result<()> {
         let d = self.dim();
-        if x.len() != d {
-            return Err(LinalgError::DimensionMismatch {
-                op: "IncrementalRidge::observe",
-                expected: d,
-                actual: x.len(),
-            });
-        }
+        self.check_width("IncrementalRidge::observe", x.len())?;
         // u = A⁻¹ x   (A⁻¹ is symmetric, so xᵀA⁻¹ = uᵀ)
-        self.a_inv.matvec_into(x, &mut self.u)?;
+        spmv_into(&self.a_inv, x.as_slice(), &mut self.u);
         let denom = 1.0 + dot_slices(x.as_slice(), &self.u);
         // denom = 1 + xᵀA⁻¹x > 0 always holds for SPD A, but guard against
         // accumulated round-off driving it non-positive.
@@ -214,30 +305,23 @@ impl IncrementalRidge {
         }
         // b ← b + y x
         self.b.axpy(y, x)?;
-        // A⁻¹ ← A⁻¹ − u uᵀ / denom ; w = A⁻¹ b — four rows updated, then
-        // dotted with b while they are still in L1.
+        // A⁻¹ ← A⁻¹ − u uᵀ / denom ; w = A⁻¹ b, row by row.
         let alpha = -1.0 / denom;
         let (u, b, w) = (self.u.as_slice(), self.b.as_slice(), self.w.as_mut_slice());
-        let update_row = |a_inv: &mut Matrix, i: usize| {
+        w.fill(0.0);
+        let mut rest = self.a_inv.as_mut_slice();
+        for i in 0..d {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(d - i);
+            rest = tail;
             let ui = alpha * u[i];
             // Skipping a zero multiplier (rather than adding ±0) is part of
             // the bit contract: `-0.0 + 0.0` would flip a sign bit.
             if ui != 0.0 {
-                for (a, &uj) in a_inv.row_mut(i).iter_mut().zip(u) {
+                for (a, &uj) in row.iter_mut().zip(&u[i..]) {
                     *a += ui * uj;
                 }
             }
-        };
-        let blocked = d - d % 4;
-        for i in (0..blocked).step_by(4) {
-            for r in i..i + 4 {
-                update_row(&mut self.a_inv, r);
-            }
-            w[i..i + 4].copy_from_slice(&dot_slices_x4(b, self.a_inv.row_block(i)));
-        }
-        for (i, wi) in w.iter_mut().enumerate().skip(blocked) {
-            update_row(&mut self.a_inv, i);
-            *wi = dot_slices(self.a_inv.row(i), b);
+            spmv_row(row, i, b, w);
         }
         self.n_obs += 1;
         Ok(())
@@ -247,7 +331,9 @@ impl IncrementalRidge {
     /// (`observe` already refreshes it); exposed for tests and for recovery
     /// after deserialization.
     pub fn refresh_weights(&mut self) -> Result<()> {
-        self.w = self.a_inv.matvec(&self.b)?;
+        let mut w = std::mem::take(&mut self.w).into_vec();
+        spmv_into(&self.a_inv, self.b.as_slice(), &mut w);
+        self.w = Vector::from_vec(w);
         Ok(())
     }
 
@@ -255,13 +341,7 @@ impl IncrementalRidge {
     /// a user's history in a new feature basis of the same dimension) and
     /// refreshes `w`.
     pub fn reset_moments(&mut self, b: Vector) -> Result<()> {
-        if b.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "reset_moments",
-                expected: self.dim(),
-                actual: b.len(),
-            });
-        }
+        self.check_width("reset_moments", b.len())?;
         self.b = b;
         self.refresh_weights()
     }
@@ -321,7 +401,10 @@ mod tests {
         let mut a = gram.clone();
         a.add_scaled_identity(lambda).unwrap();
         let true_inv = crate::cholesky::Cholesky::factor(&a).unwrap().inverse().unwrap();
-        assert!(inc.a_inv().max_abs_diff(&true_inv).unwrap() < 1e-9);
+        let expanded = inc.a_inv();
+        assert!(expanded.is_symmetric(0.0), "one stored triangle mirrors exactly");
+        assert!(expanded.max_abs_diff(&true_inv).unwrap() < 1e-9);
+        assert_eq!(inc.packed_a_inv().len(), 3 * 4 / 2);
     }
 
     #[test]

@@ -86,14 +86,7 @@ impl Vector {
     /// Dot product `self · other`.
     #[inline]
     pub fn dot(&self, other: &Vector) -> Result<f64> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "dot",
-                expected: self.len(),
-                actual: other.len(),
-            });
-        }
-        Ok(dot_slices(&self.data, &other.data))
+        dot_checked(&self.data, &other.data)
     }
 
     /// `self += alpha * x` (the BLAS `axpy` kernel).
@@ -219,10 +212,10 @@ impl std::ops::IndexMut<usize> for Vector {
 /// goes into lane `k mod 4` of a four-lane accumulator, the `n mod 4`
 /// leftovers into a scalar `tail`, and the result is
 /// `(s0 + s1) + (s2 + s3) + tail`. Every kernel in this crate that claims
-/// to equal a dot (`dot_slices_x4`, `Matrix::matvec_into`,
-/// `IncrementalRidge::variance_many`) keeps exactly this order, so their
-/// results match `dot_slices` in every bit (`f64::to_bits`) and callers
-/// may batch freely without moving a served score.
+/// to equal a dot (`dot_slices_x4`, `dot_axpy`, `Matrix::matvec_into`)
+/// keeps exactly this order, so their results match `dot_slices` in every
+/// bit (`f64::to_bits`) and callers may batch freely without moving a
+/// served score.
 ///
 /// Both operands are cut to one length and split into `[f64; 4]` chunks up
 /// front, so the loop carries no per-element bounds check and the four
@@ -244,6 +237,20 @@ pub fn dot_slices(a: &[f64], b: &[f64]) -> f64 {
         tail += x * y;
     }
     sum_lanes(s, tail)
+}
+
+/// [`dot_slices`] of two slices that must be one length — a
+/// `DimensionMismatch` otherwise, as [`Vector::dot`] reports it.
+#[inline]
+pub fn dot_checked(a: &[f64], b: &[f64]) -> Result<f64> {
+    if a.len() != b.len() {
+        return Err(LinalgError::DimensionMismatch {
+            op: "dot",
+            expected: a.len(),
+            actual: b.len(),
+        });
+    }
+    Ok(dot_slices(a, b))
 }
 
 /// Four dots against one shared operand in a single sweep:
@@ -283,6 +290,38 @@ pub(crate) fn dot_slices_x4(shared: &[f64], others: [&[f64]; 4]) -> [f64; 4] {
         sum_lanes(s[2], tail[2]),
         sum_lanes(s[3], tail[3]),
     ]
+}
+
+/// `dot_slices(a, x)` and, in the same sweep, `y[k] += alpha·a[k]` for
+/// every `k`: the two uses a symmetric mat-vec over a packed triangle makes
+/// of one stored row (its own entry's dot, and its column's share of the
+/// entries below it).
+///
+/// The returned dot is `dot_slices(a, x)` in every bit (same lanes, same
+/// tail, same final sum). Each `y[k]` takes one product and one add, so its
+/// bits do not depend on the sweep either. Fusing the two loads each chunk
+/// of `a` once, and the axpy's work hides the latency of the dot's four add
+/// chains. Callers pass equal lengths (asserted in debug builds).
+#[inline]
+pub(crate) fn dot_axpy(a: &[f64], x: &[f64], alpha: f64, y: &mut [f64]) -> f64 {
+    debug_assert!(x.len() == a.len() && y.len() == a.len());
+    let n = a.len().min(x.len()).min(y.len());
+    let (a4, a_tail) = a[..n].as_chunks::<4>();
+    let (x4, x_tail) = x[..n].as_chunks::<4>();
+    let (y4, y_tail) = y[..n].as_chunks_mut::<4>();
+    let mut s = [0.0f64; 4];
+    for ((a, x), y) in a4.iter().zip(x4).zip(y4) {
+        mul_add_lanes(&mut s, a, x);
+        for lane in 0..4 {
+            y[lane] += alpha * a[lane];
+        }
+    }
+    let mut tail = 0.0;
+    for ((a, x), y) in a_tail.iter().zip(x_tail).zip(y_tail) {
+        tail += a * x;
+        *y += alpha * a;
+    }
+    sum_lanes(s, tail)
 }
 
 /// `s[lane] += x[lane] * y[lane]` — one chunk into the four-lane accumulator.

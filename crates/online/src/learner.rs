@@ -116,6 +116,19 @@ impl UserOnlineModel {
         }
     }
 
+    /// Bytes of resident model state: the packed `A⁻¹` plus `b`, `w` and
+    /// `u` for Sherman–Morrison (`IncrementalRidge::state_bytes`); the Gram
+    /// matrix plus `Xᵀy` and `w` for the naive strategy.
+    pub fn state_bytes(&self) -> usize {
+        match &self.inner {
+            Inner::Naive { problem, .. } => {
+                let d = problem.dim();
+                (d * d + 2 * d) * std::mem::size_of::<f64>()
+            }
+            Inner::Incremental(inc) => inc.state_bytes(),
+        }
+    }
+
     /// Predicted score `wᵀx`.
     pub fn predict(&self, x: &Vector) -> Result<f64, LinalgError> {
         self.weights().dot(x)

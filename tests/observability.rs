@@ -136,3 +136,31 @@ fn lifecycle_events_record_retrain_and_swap() {
         assert!(pair[0].seq < pair[1].seq);
     }
 }
+
+/// `velox_online_state_bytes` is the resident online state: each user's
+/// packed `A⁻¹` plus `b`, `w` and `u`, added when the state is created and
+/// taken off when its last holder — the live table or a version the
+/// rollback history retains — drops it. Observes of a known user leave it
+/// alone.
+#[test]
+fn online_state_bytes_counts_each_resident_user_state() {
+    let per_user = ((DIM * (DIM + 1) / 2 + 3 * DIM) * std::mem::size_of::<f64>()) as i64;
+    let velox = fresh_velox();
+    let gauge = || velox.registry().snapshot().gauge("velox_online_state_bytes");
+    assert_eq!(gauge(), Some(0), "pure serving holds no online state");
+    for uid in 0..5 {
+        for item in 0..4 {
+            velox.observe(uid, &Item::Id(item), 0.5).unwrap();
+        }
+    }
+    assert_eq!(gauge(), Some(5 * per_user));
+    // Each retrain retires the live states into the rollback history
+    // (still resident); the next observe starts a fresh one. The history
+    // keeps four versions, so the fifth retrain frees the first five.
+    for round in 1..=5 {
+        velox.retrain_offline().unwrap();
+        velox.observe(0, &Item::Id(1), 0.25).unwrap();
+        let resident = if round < 5 { 5 + round } else { 5 };
+        assert_eq!(gauge(), Some(resident * per_user), "after retrain {round}");
+    }
+}
