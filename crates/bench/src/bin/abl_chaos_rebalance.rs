@@ -35,7 +35,8 @@
 //! cleanly on the same cluster — aborts must not poison later attempts.
 //!
 //! Verification is the strongest available: the acked `(uid, item, y)`
-//! stream replays locally through the shared [`ridge_observe`] and every
+//! stream replays locally through a fresh `IncrementalRidge` per user
+//! (`velox_bench::membership::replay_divergence`) and every
 //! user's weights must match the cluster **bit-for-bit** (zero acked
 //! loss, zero double-applies); every backend runs **twice** with the
 //! same seed and the two runs' final `(epoch, weights)` must be

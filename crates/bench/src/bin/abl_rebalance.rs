@@ -20,8 +20,8 @@
 //!   it from the map and backfills depleted replica sets.
 //!
 //! The zero-loss check is the strongest one available: the acked
-//! `(uid, item, y)` stream is replayed locally with the shared
-//! [`ridge_observe`] routine and every user's final weights must match the
+//! `(uid, item, y)` stream is replayed locally through a fresh
+//! `IncrementalRidge` per user and every user's final weights must match the
 //! cluster **bit-for-bit** — a lost acked record or a double-applied
 //! one diverges the floats.
 //!

@@ -13,27 +13,26 @@
 //! Trial counts adapt to dimension so the full sweep stays tractable; CIs
 //! are still reported per point.
 
-use velox_bench::{adaptive_trials, fmt_us, print_header, print_row, FixtureRng};
+use velox_bench::{adaptive_trials, fmt_us, print_header, print_row, FixtureRng, OnlineUpdate};
 use velox_linalg::stats::RunningStats;
-use velox_online::{UpdateStrategy, UserOnlineModel};
 
 /// Updates per user before rotating to a fresh user (the paper draws 5000
 /// random user/item pairs; per-user history length stays MovieLens-like).
 const OBS_PER_USER: usize = 20;
 
-fn run_strategy(d: usize, strategy: UpdateStrategy, target_updates: usize) -> RunningStats {
+fn run_strategy(d: usize, fresh: fn(usize) -> OnlineUpdate, target_updates: usize) -> RunningStats {
     let mut rng = FixtureRng::new(0xF163 + d as u64);
     // Pre-generate item feature vectors (the paper's random items).
     let items: Vec<velox_linalg::Vector> = (0..256).map(|_| rng.vector(d)).collect();
     let mut stats = RunningStats::new();
     let mut done = 0;
     while done < target_updates {
-        let mut user = UserOnlineModel::new(d, 1.0, strategy);
+        let mut user = fresh(d);
         for k in 0..OBS_PER_USER.min(target_updates - done) {
             let x = &items[(done + k * 31) % items.len()];
             let y = rng.next_f64();
             let start = std::time::Instant::now();
-            user.observe(x, y).expect("update succeeds");
+            user.observe(x, y);
             stats.push(start.elapsed().as_secs_f64() * 1e6);
         }
         done += OBS_PER_USER;
@@ -63,8 +62,8 @@ fn main() {
         // Naive updates are O(d³); budget ~2e9 flop-equivalents per point.
         let naive_updates = adaptive_trials((d as f64).powi(3), 5e9, 30, 5000);
         let sm_updates = adaptive_trials((d as f64).powi(2), 5e8, 100, 5000);
-        let naive = run_strategy(d, UpdateStrategy::Naive, naive_updates);
-        let sm = run_strategy(d, UpdateStrategy::ShermanMorrison, sm_updates);
+        let naive = run_strategy(d, OnlineUpdate::naive, naive_updates);
+        let sm = run_strategy(d, OnlineUpdate::sherman_morrison, sm_updates);
         print_row(&[
             d.to_string(),
             fmt_us(naive.mean()),

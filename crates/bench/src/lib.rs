@@ -16,8 +16,41 @@ pub mod membership;
 
 use std::time::Instant;
 
+use velox_linalg::ridge::RidgeProblem;
 use velox_linalg::stats::LatencySummary;
-use velox_linalg::Vector;
+use velox_linalg::{IncrementalRidge, Vector};
+
+/// One user's online model as FIG3 and ABL-SM time its update (λ = 1).
+pub enum OnlineUpdate {
+    /// The paper's prototype: accumulate `(XᵀX, Xᵀy)` and Cholesky-solve
+    /// from scratch on every observation, O(d³) — Figure 3's curve.
+    Naive(RidgeProblem),
+    /// The Sherman–Morrison update every deployment runs, O(d²).
+    ShermanMorrison(IncrementalRidge),
+}
+
+impl OnlineUpdate {
+    /// A cold naive model of dimension `d`.
+    pub fn naive(d: usize) -> Self {
+        OnlineUpdate::Naive(RidgeProblem::new(d, 1.0))
+    }
+
+    /// A cold Sherman–Morrison model of dimension `d`.
+    pub fn sherman_morrison(d: usize) -> Self {
+        OnlineUpdate::ShermanMorrison(IncrementalRidge::new(d, 1.0))
+    }
+
+    /// Folds in `(x, y)` and refreshes the weights: the operation timed.
+    pub fn observe(&mut self, x: &Vector, y: f64) {
+        match self {
+            OnlineUpdate::Naive(problem) => {
+                problem.observe(x, y).expect("update succeeds");
+                std::hint::black_box(problem.solve().expect("solve succeeds"));
+            }
+            OnlineUpdate::ShermanMorrison(ridge) => ridge.observe(x, y).expect("update succeeds"),
+        }
+    }
+}
 
 /// Deterministic pseudo-random vector generator for serving-scale fixtures
 /// (building d=10000 factor tables through ALS would be absurd; the paper's

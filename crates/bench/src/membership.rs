@@ -7,10 +7,10 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use velox_cluster::transport::Transport;
-use velox_cluster::{ridge_observe, NodeId, PartitionMap};
+use velox_cluster::{NodeId, PartitionMap, RIDGE_LAMBDA};
 use velox_data::{WorkloadConfig, ZipfGenerator};
 use velox_linalg::stats::LatencySummary;
-use velox_linalg::Vector;
+use velox_linalg::{IncrementalRidge, Vector};
 
 use crate::print_row;
 
@@ -123,7 +123,8 @@ impl Ledger {
 pub fn replay_divergence(t: &dyn Transport, acked: &[(u64, u64, f64)]) -> u64 {
     let mut replay = HashMap::new();
     for &(uid, item, y) in acked {
-        let _ = ridge_observe(&mut replay, uid, &Vector::from_vec(item_features(item)), y);
+        let user = replay.entry(uid).or_insert_with(|| IncrementalRidge::new(DIM, RIDGE_LAMBDA));
+        let _ = user.observe(&Vector::from_vec(item_features(item)), y);
     }
     let diverged = replay
         .iter()

@@ -405,7 +405,23 @@ impl Cluster {
 
     fn set_health(&self, node: NodeId, health: NodeHealth, caught_up: u64) {
         self.nodes[node].health.store(health.encode(), Ordering::Release);
-        self.transitions.lock().unwrap().push(HealthTransition { node, health, caught_up });
+        // Computed as the node goes down, so a recovery before the serving
+        // layer collects the journal cannot hide the loss.
+        let lost_partitions = match health {
+            NodeHealth::Down => {
+                let map = self.map();
+                let dead = |n: &NodeId| self.node_health(*n) != NodeHealth::Up;
+                (0..map.n_partitions())
+                    .filter(|&p| {
+                        let replicas = map.replicas_of_partition(p);
+                        replicas.contains(&node) && replicas.iter().all(dead)
+                    })
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
+        let t = HealthTransition { node, health, caught_up, lost_partitions };
+        self.transitions.lock().unwrap().push(t);
         self.transitions_pending.store(true, Ordering::Release);
     }
 

@@ -195,7 +195,7 @@ impl FaultClock {
 /// One health transition the cluster went through, journaled for the
 /// serving layer to turn into lifecycle events (the cluster crate does not
 /// depend on any particular registry).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct HealthTransition {
     /// The node that changed state.
     pub node: NodeId,
@@ -204,6 +204,9 @@ pub struct HealthTransition {
     /// Entries re-populated from surviving replicas (set on transitions to
     /// `Up` that completed a recovery; 0 otherwise).
     pub caught_up: u64,
+    /// User partitions this transition left without a live replica (set
+    /// on transitions to `Down`; empty otherwise): their state is gone.
+    pub lost_partitions: Vec<u32>,
 }
 
 #[cfg(test)]

@@ -37,6 +37,9 @@
 //! against an I/O seam that this simulator and `velox-net` both fill.
 //! [`conn_pool`] is the one TCP accept loop and worker pool that
 //! `velox-net`'s frame server and `velox-rest`'s HTTP server both run on.
+//! [`user_store`] is the one table of per-user online learner state,
+//! sharded by virtual partition, that the in-process `Velox`, the simulator
+//! and every `velox-net` node each hold.
 
 #![warn(missing_docs)]
 
@@ -53,6 +56,7 @@ pub mod netfault;
 pub mod partition;
 pub mod retry;
 pub mod transport;
+pub mod user_store;
 
 pub use cluster::{
     AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats, LOCAL_READ_US,
@@ -71,6 +75,7 @@ pub use partition::{
 };
 pub use retry::{obs_id_nonce, ObsDedupe, RetryPolicy};
 pub use transport::{
-    fits, non_finite_label, ridge_observe, score, SimTransport, Transport, TransportError,
-    TransportObserve, TransportPredict, RIDGE_LAMBDA,
+    non_finite_label, score, SimTransport, Transport, TransportError, TransportObserve,
+    TransportPredict, RIDGE_LAMBDA,
 };
+pub use user_store::{StoreMetrics, UserStore};

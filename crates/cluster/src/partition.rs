@@ -164,6 +164,13 @@ fn mix(id: u64, salt: u64) -> u64 {
     splitmix64(&mut state)
 }
 
+/// Virtual partition of `id` among `n_partitions` — [`PartitionMap`]'s
+/// placement, shared with the user store's shard choice.
+#[inline]
+pub(crate) fn partition_index(id: u64, salt: u64, n_partitions: usize) -> u32 {
+    (mix(id, salt) % n_partitions as u64) as u32
+}
+
 impl HashPartitioner {
     /// Creates a partitioner over `n_nodes` with a salt decorrelating it
     /// from other partitioners (e.g. users vs. items). Returns
@@ -365,7 +372,7 @@ impl PartitionMap {
     /// Virtual partition of an entity id.
     #[inline]
     pub fn partition_of(&self, id: u64) -> u32 {
-        (mix(id, self.salt) % self.owners.len() as u64) as u32
+        partition_index(id, self.salt, self.owners.len())
     }
 
     /// Owner of a virtual partition.

@@ -12,17 +12,16 @@
 //! The model served over the transport is the paper's online user model
 //! (Eq. 2): per user, a ridge regression `wᵤ` over fixed item features
 //! `x`, scored as `wᵤ·x` and updated online with Sherman–Morrison
-//! rank-one updates ([`ridge_observe`]). It is the learner the in-process
+//! rank-one updates ([`UserStore::observe`]). It is the learner the in-process
 //! `Velox` runs — the same `IncrementalRidge`, the same λ
 //! ([`RIDGE_LAMBDA`]) and the same dot kernel ([`score`]) — so the
 //! in-process deployment, the simulator and the socket cluster serve the
 //! same model, bit for bit.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use velox_data::linalg::{vector::dot_slices, IncrementalRidge, LinalgError, Vector};
+use velox_data::linalg::{vector::dot_slices, IncrementalRidge, Vector};
 use velox_data::VeloxRng;
 use velox_obs::{
     ActiveSpan, RootSpan, SpanKind, SpanStatus, TraceConfig, TraceContext, Tracer, FRONT_NODE,
@@ -35,6 +34,7 @@ use crate::migrate::ControlPlane;
 use crate::netfault::{ChaosControl, LinkChaos, FRONT_PEER};
 use crate::partition::{MembershipError, MembershipView, NodeId, PartitionMap};
 use crate::retry::{obs_id_nonce, ObsDedupe, RetryPolicy};
+use crate::user_store::{StoreMetrics, UserStore};
 
 /// Why a transport request failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,8 @@ pub trait Transport {
     }
 
     /// Applies one online observation `(uid, item_id, y)` at the owning
-    /// node via [`ridge_observe`] and acknowledges it.
+    /// node — one Sherman–Morrison update of the user's state — and
+    /// acknowledges it.
     fn observe(&self, uid: u64, item_id: u64, y: f64) -> Result<TransportObserve, TransportError>;
 
     /// Fetches the current weight vector for `uid` (`None` when the user
@@ -251,37 +252,14 @@ pub fn non_finite_label(y: f64) -> String {
 /// same model.
 pub const RIDGE_LAMBDA: f64 = 1.0;
 
-/// Folds one observation `(x, y)` into `uid`'s online state — one
-/// Sherman–Morrison update of `IncrementalRidge`, exactly what `Velox`
-/// applies — creating the state at the zero prior on first sight. The one
-/// learner both backends run and every acked-stream replay checks
-/// against. An `x` whose length differs from the user's state is refused
-/// and leaves the state untouched.
-pub fn ridge_observe<'a>(
-    users: &'a mut HashMap<u64, IncrementalRidge>,
-    uid: u64,
-    x: &Vector,
-    y: f64,
-) -> Result<&'a IncrementalRidge, LinalgError> {
-    let user = users.entry(uid).or_insert_with(|| IncrementalRidge::new(x.len(), RIDGE_LAMBDA));
-    user.observe(x, y)?;
-    Ok(user)
-}
-
 /// The refusal both backends give an item whose features differ in length
 /// from the user's model — scoring it would read past one of them, and
 /// training on it has no meaning — or `Ok` when the widths agree.
-fn same_width(user_dim: usize, item_dim: usize) -> Result<(), String> {
+pub(crate) fn same_width(user_dim: usize, item_dim: usize) -> Result<(), String> {
     if user_dim == item_dim {
         return Ok(());
     }
     Err(format!("item has {item_dim} features, the user's model {user_dim}"))
-}
-
-/// Whether `uid`'s online state can take `x`: always for a user not seen
-/// yet. Checked before an observe is logged or applied.
-pub fn fits(users: &HashMap<u64, IncrementalRidge>, uid: u64, x: &Vector) -> Result<(), String> {
-    users.get(&uid).map_or(Ok(()), |user| same_width(user.dim(), x.len()))
 }
 
 /// How both backends score `x` for a user with weights `w`: `w·x` through
@@ -292,6 +270,11 @@ pub fn score(w: Option<&[f64]>, x: &[f64]) -> Result<(f64, bool), String> {
     let Some(w) = w else { return Ok((0.0, true)) };
     same_width(w.len(), x.len())?;
     Ok((dot_slices(w, x), false))
+}
+
+/// Whether two weight vectors are the same floats, bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
 /// The in-process backend: [`Transport`] over the simulated [`Cluster`].
@@ -306,7 +289,7 @@ pub struct SimTransport {
     /// Each user's online state. Predict, fail-over and migration read
     /// the weights the cluster's slots hold; only observes read this, and
     /// only while its weights are still the slot's.
-    users: Mutex<HashMap<u64, IncrementalRidge>>,
+    users: UserStore,
     ts: AtomicU64,
     tracer: Arc<Tracer>,
     // Network-fault mirror: the same link chaos engine, retry budget, and
@@ -348,6 +331,7 @@ impl SimTransport {
     }
 
     fn build(cluster: Arc<Cluster>, tracer: Arc<Tracer>) -> Self {
+        let users = UserStore::new(&cluster.map(), StoreMetrics::default());
         let map = Mutex::new(cluster.map());
         let chaos = Arc::new(LinkChaos::default());
         // The migration path consults the same link-fault engine the
@@ -356,7 +340,7 @@ impl SimTransport {
         cluster.set_migration_link_chaos(Arc::clone(&chaos));
         SimTransport {
             cluster,
-            users: Mutex::new(HashMap::new()),
+            users,
             ts: AtomicU64::new(0),
             tracer,
             chaos,
@@ -381,6 +365,11 @@ impl SimTransport {
     /// The wrapped simulator (for fault plans, stats, and seeding).
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
+    }
+
+    /// Every user's online state (read access for tests and diagnostics).
+    pub fn user_store(&self) -> &UserStore {
+        &self.users
     }
 
     /// Observes suppressed by the exactly-once dedupe window (duplicate
@@ -651,29 +640,35 @@ impl Transport for SimTransport {
             } else {
                 let fresh = (|| {
                     let x = Vector::from(&self.item_features(at, item_id)?[..]);
-                    let mut users = self.users.lock().unwrap();
                     let mut applied = Ok(());
                     // Runs only when a replica is live, and writes the new
                     // `w` into the slot as `Velox::publish_weights` does.
                     // The slot is the truth: a state whose weights are no
                     // longer the slot's restarts from it — from the zero
-                    // prior when a crash emptied it, as at a TCP node.
+                    // prior when a crash emptied it, as at a TCP node —
+                    // and so do weights installed into the slot directly.
                     let update = |slot: &mut Arc<[f64]>| {
-                        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        let current = users.get(&uid).map(|u| bits(u.weights().as_slice()));
-                        if current.is_some_and(|w| w != bits(slot)) {
-                            users.remove(&uid);
-                        }
-                        if !slot.is_empty() && !users.contains_key(&uid) {
-                            let prior = Vector::from(&slot[..]);
-                            users.insert(uid, IncrementalRidge::from_prior(&prior, RIDGE_LAMBDA));
-                        }
-                        applied = fits(&users, uid, &x);
-                        if applied.is_ok() {
-                            if let Ok(user) = ridge_observe(&mut users, uid, &x, y) {
-                                *slot = user.weights().as_slice().into();
+                        let prior = || match slot.is_empty() {
+                            true => IncrementalRidge::new(x.len(), RIDGE_LAMBDA),
+                            false => {
+                                IncrementalRidge::from_prior(&Vector::from(&slot[..]), RIDGE_LAMBDA)
                             }
+                        };
+                        let learned = self.users.upsert(uid, prior, |user| {
+                            if !same_bits(user.weights().as_slice(), slot) {
+                                *user = prior();
+                            }
+                            same_width(user.dim(), x.len())?;
+                            // An update the learner refuses (a non-finite
+                            // denominator) is acked unapplied, as at a node.
+                            let w =
+                                user.observe(&x, y).ok().map(|()| user.weights().as_slice().into());
+                            Ok::<Option<Arc<[f64]>>, String>(w)
+                        });
+                        if let Ok(Some(w)) = &learned {
+                            *slot = Arc::clone(w);
                         }
+                        applied = learned.map(|_| ());
                     };
                     self.cluster
                         .try_update_user_weights(at, uid, update)

@@ -21,9 +21,9 @@ use std::time::Duration;
 
 use velox_cluster::transport::{Transport, TransportError};
 use velox_cluster::{
-    ridge_observe, ControlPlane, MembershipError, MigrationIo, MigrationOutcome, NodeId,
+    ControlPlane, MembershipError, MigrationIo, MigrationOutcome, NodeId, RIDGE_LAMBDA,
 };
-use velox_data::linalg::Vector;
+use velox_data::linalg::{IncrementalRidge, Vector};
 
 pub const DIM: usize = 4;
 pub const USERS: u64 = 40;
@@ -74,7 +74,8 @@ fn local_replay(slices: &[(u64, u64)]) -> Vec<(u64, Option<Vec<f64>>)> {
     let mut users = HashMap::new();
     for &(offset, n) in slices {
         for (uid, item, y) in workload(offset, n) {
-            ridge_observe(&mut users, uid, &Vector::from_vec(features(item)), y).unwrap();
+            let user = users.entry(uid).or_insert_with(|| IncrementalRidge::new(DIM, RIDGE_LAMBDA));
+            user.observe(&Vector::from_vec(features(item)), y).unwrap();
         }
     }
     (0..USERS).map(|uid| (uid, users.get(&uid).map(|u| u.weights().as_slice().to_vec()))).collect()

@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox_cluster::transport::{SimTransport, Transport};
-use velox_cluster::{ridge_observe, Cluster, ClusterConfig, ControlPlane, MigrationOutcome};
-use velox_data::linalg::Vector;
+use velox_cluster::{Cluster, ClusterConfig, ControlPlane, MigrationOutcome, RIDGE_LAMBDA};
+use velox_data::linalg::{IncrementalRidge, Vector};
 
 const USERS: u64 = 32;
 
@@ -36,7 +36,8 @@ fn two_node_join_rebalance_fail_over_keeps_every_acked_observe() {
         for i in from..from + 96 {
             let (uid, item, y) = (i % USERS, i % 8, (i % 3) as f64);
             sim.observe(uid, item, y).expect("observe");
-            ridge_observe(&mut expect, uid, &Vector::from_vec(features(item)), y).unwrap();
+            let user = expect.entry(uid).or_insert_with(|| IncrementalRidge::new(3, RIDGE_LAMBDA));
+            user.observe(&Vector::from_vec(features(item)), y).unwrap();
         }
     };
 

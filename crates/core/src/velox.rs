@@ -10,14 +10,12 @@ use velox_bandit::{
     ValidationPool,
 };
 use velox_batch::JobExecutor;
-use velox_cluster::{Cluster, ClusterStats, FaultPlan, NodeHealth};
+use velox_cluster::{Cluster, ClusterStats, FaultPlan, NodeHealth, StoreMetrics, UserStore};
 use velox_linalg::vector::dot_checked;
-use velox_linalg::{Matrix, Vector};
+use velox_linalg::{IncrementalRidge, Matrix, Vector};
 use velox_models::{Item, ModelError, TrainingExample, VeloxModel};
-use velox_obs::{Counter, EventKind, Gauge, Histogram, Registry, SpanTimer, Timer};
-use velox_online::{
-    PerUserErrorTracker, PrequentialEvaluator, StalenessDetector, UpdateStrategy, UserOnlineModel,
-};
+use velox_obs::{Counter, EventKind, Histogram, Registry, SpanTimer, Timer};
+use velox_online::{PerUserErrorTracker, PrequentialEvaluator, StalenessDetector};
 use velox_storage::codec::{decode_observations, encode_observations};
 use velox_storage::wal::{Wal, WalConfig};
 use velox_storage::{CheckpointStore, Namespace, ObservationLog, StorageError};
@@ -249,29 +247,6 @@ struct Scored {
     filled: bool,
 }
 
-/// One user's online state, counted in `velox_online_state_bytes` from its
-/// creation until its last holder drops it (a superseded version's states
-/// stay resident while the namespace's rollback history retains them).
-struct UserState {
-    model: Mutex<UserOnlineModel>,
-    bytes: i64,
-    gauge: Arc<Gauge>,
-}
-
-impl UserState {
-    fn new(model: UserOnlineModel, gauge: &Arc<Gauge>) -> Self {
-        let bytes = model.state_bytes() as i64;
-        gauge.add(bytes);
-        UserState { model: Mutex::new(model), bytes, gauge: Arc::clone(gauge) }
-    }
-}
-
-impl Drop for UserState {
-    fn drop(&mut self) {
-        self.gauge.add(-self.bytes);
-    }
-}
-
 /// One retained model version for rollback: the model object plus the full
 /// user-weight table at swap time.
 struct HistoryEntry {
@@ -305,8 +280,9 @@ pub struct Velox {
     obslog: ObservationLog,
     /// Raw item attributes for computed feature functions.
     catalog: Namespace<Arc<[f64]>>,
-    /// Per-user online learning state (fine-grained per-user locks).
-    user_state: Namespace<Arc<UserState>>,
+    /// Per-user online learning state, one shard per cluster partition.
+    /// A shard's states die with the partition's last live replica.
+    user_state: UserStore,
     /// Per-user weight-update counters (prediction-cache keys).
     user_versions: Namespace<u64>,
     /// Full training history (uid, item, y) for offline retraining.
@@ -338,8 +314,6 @@ pub struct Velox {
     top_k_latency: Arc<Histogram>,
     observe_latency: Arc<Histogram>,
     online_update_latency: Arc<Histogram>,
-    /// Resident bytes of every user's online state (`UserState`).
-    online_state_bytes: Arc<Gauge>,
     pred_cache_hits: Arc<Counter>,
     pred_cache_misses: Arc<Counter>,
     feat_cache_hits: Arc<Counter>,
@@ -402,7 +376,8 @@ impl Velox {
         let observe_latency = registry.histogram("velox_observe_latency_ns");
         let online_update_latency = registry
             .histogram_with("velox_online_update_latency_ns", &[("strategy", "sherman_morrison")]);
-        let online_state_bytes = registry.gauge("velox_online_state_bytes");
+        let user_state = UserStore::new(&cluster.map(), StoreMetrics::default());
+        user_state.metrics().register(&registry, &[]);
         let pred_cache_hits = registry.counter("velox_prediction_cache_hits_total");
         let pred_cache_misses = registry.counter("velox_prediction_cache_misses_total");
         let feat_cache_hits = registry.counter("velox_feature_cache_hits_total");
@@ -431,7 +406,7 @@ impl Velox {
             history: Mutex::new(Vec::new()),
             obslog: ObservationLog::new(),
             catalog: Namespace::new("item_catalog"),
-            user_state: Namespace::new("user_online_state"),
+            user_state,
             user_versions: Namespace::new("user_versions"),
             training_log: Mutex::new(Vec::new()),
             prediction_cache: ShardedCache::new(config.prediction_cache_capacity),
@@ -461,7 +436,6 @@ impl Velox {
             top_k_latency,
             observe_latency,
             online_update_latency,
-            online_state_bytes,
             pred_cache_hits,
             pred_cache_misses,
             feat_cache_hits,
@@ -490,11 +464,6 @@ impl Velox {
         );
         for ns in [
             ("item_catalog", velox.catalog.reads_counter(), velox.catalog.writes_counter()),
-            (
-                "user_online_state",
-                velox.user_state.reads_counter(),
-                velox.user_state.writes_counter(),
-            ),
             (
                 "user_versions",
                 velox.user_versions.reads_counter(),
@@ -536,14 +505,11 @@ impl Velox {
         self.catalog.put(item_id, attributes.into());
     }
 
-    /// Gets (or lazily creates) the per-user online state. The prior for a
-    /// fresh state is the user's current serving weights when they exist
-    /// (offline-trained users), falling back to the bootstrap mean for
-    /// brand-new users (§5's heuristic).
-    fn user_state_arc(&self, uid: u64) -> Arc<UserState> {
-        if let Some(s) = self.user_state.get(uid) {
-            return s;
-        }
+    /// A fresh online state for a user who has none. Its prior is the
+    /// user's current serving weights when they exist (offline-trained
+    /// users), falling back to the bootstrap mean for brand-new users (§5's
+    /// heuristic).
+    fn fresh_user_state(&self, uid: u64) -> IncrementalRidge {
         let prior = match self.cluster.peek_user_weights(uid) {
             Some(w) => Vector::from_vec(w),
             // A dead partition may have taken the serving copy with it; the
@@ -554,17 +520,7 @@ impl Velox {
                 .map(|w| Vector::from(&w[..]))
                 .unwrap_or_else(|| self.bootstrap.mean_weights()),
         };
-        let fresh = Arc::new(UserState::new(
-            UserOnlineModel::from_prior(
-                &prior,
-                self.config.lambda,
-                UpdateStrategy::ShermanMorrison,
-            ),
-            &self.online_state_bytes,
-        ));
-        // update_with keeps creation atomic under racing callers.
-        self.user_state.update_with(uid, || Arc::clone(&fresh), |_| {});
-        self.user_state.get(uid).expect("just inserted")
+        IncrementalRidge::from_prior(&prior, self.config.lambda)
     }
 
     /// Seeds the system with historical training data — the observations
@@ -852,7 +808,7 @@ impl Velox {
         // policies never read the variance, so skip the O(d²) quadratic
         // form per candidate for them entirely.
         let wants_uncertainty = self.bandit.lock().unwrap().wants_uncertainty();
-        let online = if wants_uncertainty { self.user_state.get(uid) } else { None };
+        let online = wants_uncertainty && self.user_state.read(uid, |_| ()).is_some();
 
         let mut candidates = Vec::with_capacity(items.len());
         // Candidates scored from features rather than the prediction cache,
@@ -869,7 +825,7 @@ impl Velox {
             let Scored { response, features, .. } = self.score(&mut call, &mut user, item)?;
             cached += response.cached as usize;
             virtual_cost += response.virtual_cost_us;
-            if let (Some(features), true) = (features, online.is_some()) {
+            if let (Some(features), true) = (features, online) {
                 if missed.is_empty() {
                     missed_features.reserve((items.len() - idx) * features.len());
                 }
@@ -881,11 +837,11 @@ impl Velox {
         // One lock for the whole candidate set: every variance comes from
         // the same `A⁻¹`, which the blocked kernel streams once per block
         // of candidates instead of once per candidate.
-        if let (Some(state), false) = (&online, missed.is_empty()) {
+        if !missed.is_empty() {
             // The scorer's dot held every row to the weights' length.
             let d = missed_features.len() / missed.len();
             let rows = Matrix::from_row_major(missed.len(), d, missed_features)?;
-            if let Ok(variances) = state.model.lock().unwrap().variance_many(&rows) {
+            if let Some(Ok(variances)) = self.user_state.read(uid, |s| s.variance_many(&rows)) {
                 for (&idx, variance) in missed.iter().zip(variances) {
                     candidates[idx].variance = variance;
                 }
@@ -962,23 +918,22 @@ impl Velox {
             Err(e) => return Err(e),
             Ok((features, _f_cost)) => Vector::from(&features[..]),
         };
-        // Get or create the user's online state (bootstrap prior for new
-        // users — §5's mean-weight heuristic).
-        let state_arc = self.user_state_arc(uid);
-
-        // Prequential evaluation: predict before updating.
-        let (predicted_before, trained, loss, new_weights) = {
-            let mut state = state_arc.model.lock().unwrap();
-            let predicted_before = state.predict(&features)?;
-            let loss = model.loss(y, predicted_before, item, uid);
-            let trained = self.prequential.lock().unwrap().record(loss);
-            if trained {
-                let update_timer = Timer::start();
-                state.observe(&features, y)?;
-                update_timer.observe(&self.online_update_latency);
-            }
-            (predicted_before, trained, loss, state.weights().clone())
-        };
+        // Under the user's shard lock, created first if the user has no
+        // state (bootstrap prior for new users — §5's mean-weight
+        // heuristic): prequential evaluation predicts before updating.
+        let fresh = || self.fresh_user_state(uid);
+        let (predicted_before, trained, loss, new_weights) =
+            self.user_state.upsert(uid, fresh, |state| {
+                let predicted_before = state.predict(&features)?;
+                let loss = model.loss(y, predicted_before, item, uid);
+                let trained = self.prequential.lock().unwrap().record(loss);
+                if trained {
+                    let update_timer = Timer::start();
+                    state.observe(&features, y)?;
+                    update_timer.observe(&self.online_update_latency);
+                }
+                Ok::<_, VeloxError>((predicted_before, trained, loss, state.weights().clone()))
+            })?;
         if trained {
             self.publish_weights(uid, &new_weights, Some(node));
         }
@@ -1104,6 +1059,12 @@ impl Velox {
         for t in self.cluster.take_transitions() {
             match t.health {
                 NodeHealth::Down => {
+                    // A user's state dies with the last live replica of its
+                    // partition; its next observe starts over from the prior
+                    // `fresh_user_state` picks.
+                    for &p in &t.lost_partitions {
+                        self.user_state.drop_partition(p);
+                    }
                     self.registry.event(EventKind::NodeDown { node: t.node as u64 });
                 }
                 NodeHealth::Up => {
@@ -1329,12 +1290,12 @@ impl Velox {
         self.version.store(new_version, Ordering::Release);
         self.registry.event(EventKind::VersionSwap { from, to: new_version });
 
-        // New user weights. Online state is discarded — each user's
-        // history is inside the batch model now, and fresh state is
-        // recreated lazily on their next observe, with the retrained
-        // weights as its prior.
+        // New user weights. Online state is freed — each user's history
+        // is inside the batch model now (rollback restores weights, not
+        // states), and fresh state is recreated lazily on their next
+        // observe, with the retrained weights as its prior.
         self.install_weight_table(&weights);
-        self.user_state.publish_version(Vec::new());
+        self.user_state.clear();
         // Bump every user's cache version in one publish.
         let bumped: Vec<(u64, u64)> = weights.keys().map(|&uid| (uid, new_version << 32)).collect();
         self.user_versions.publish_version(bumped);
@@ -1364,14 +1325,14 @@ impl Velox {
             let home = self.cluster.home_of_user(ex.uid);
             let (features, _) = self.features_for(&model, model_version, home, &ex.item)?;
             let features = Vector::from(&features[..]);
-            let state_arc = self.user_state_arc(ex.uid);
-            state_arc.model.lock().unwrap().observe(&features, ex.y)?;
+            let fresh = || self.fresh_user_state(ex.uid);
+            self.user_state.upsert(ex.uid, fresh, |s| s.observe(&features, ex.y))?;
             touched.insert(ex.uid);
         }
         // Publish the updated weights to the serving table once per user.
         for uid in touched {
-            let state_arc = self.user_state_arc(uid);
-            let w = state_arc.model.lock().unwrap().weights().clone();
+            let w =
+                self.user_state.upsert(uid, || self.fresh_user_state(uid), |s| s.weights().clone());
             self.publish_weights(uid, &w, None);
         }
         Ok(())
@@ -1494,6 +1455,11 @@ impl Velox {
     /// studies).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
+    }
+
+    /// Every user's online state (read access for tests and diagnostics).
+    pub fn user_store(&self) -> &UserStore {
+        &self.user_state
     }
 
     /// Sets the serving version directly — used by snapshot restore so a

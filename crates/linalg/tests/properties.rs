@@ -111,6 +111,66 @@ fn sherman_morrison_matches_batch() {
     }
 }
 
+/// A model built from a prior answers exactly the prior before any
+/// observation, tracks the naive solve over the same prior moments
+/// (`b = λ·prior`) afterwards, and lets the prior wash out under evidence.
+#[test]
+fn from_prior_is_exact_then_tracks_the_naive_prior_solve() {
+    let mut rng = VeloxRng::seed_from(0x11_a8);
+    for _ in 0..CASES {
+        let (d, rows, ys) = design(&mut rng);
+        let lambda = rng.range(0.1, 5.0);
+        let prior = Vector::from_vec(vec_of(&mut rng, d));
+        let mut inc = IncrementalRidge::from_prior(&prior, lambda);
+        assert!(inc.weights().sub(&prior).unwrap().norm2() < 1e-12, "prior not exact");
+        assert_eq!(inc.n_obs(), 0);
+        let mut b = prior.clone();
+        b.scale(lambda);
+        let mut naive = RidgeProblem::with_prior_moments(d, lambda, b);
+        assert!(naive.solve().unwrap().sub(&prior).unwrap().norm2() < 1e-9);
+        for (r, &y) in rows.iter().zip(&ys) {
+            let x = Vector::from_vec(r.clone());
+            inc.observe(&x, y).unwrap();
+            naive.observe(&x, y).unwrap();
+        }
+        let diff = inc.weights().sub(&naive.solve().unwrap()).unwrap().norm2();
+        assert!(diff < 1e-6, "diff {diff}");
+    }
+    // The prior said 10, the data say 1: the evidence wins.
+    let mut inc = IncrementalRidge::from_prior(&Vector::from_vec(vec![10.0]), 1.0);
+    for _ in 0..200 {
+        inc.observe(&Vector::from_vec(vec![1.0]), 1.0).unwrap();
+    }
+    assert!((inc.weights()[0] - 1.0).abs() < 0.1, "prior did not wash out");
+}
+
+/// The bandit's variance proxy `xᵀA⁻¹x` read off the maintained inverse
+/// equals the one a fresh factorization of `λI + XᵀX` gives.
+#[test]
+fn sherman_morrison_variance_matches_a_fresh_factorization() {
+    let mut rng = VeloxRng::seed_from(0x11_a9);
+    for _ in 0..CASES {
+        let (d, rows, ys) = design(&mut rng);
+        let lambda = rng.range(0.1, 5.0);
+        let probe = Vector::from_vec(vec_of(&mut rng, d));
+        let mut inc = IncrementalRidge::new(d, lambda);
+        let mut naive = RidgeProblem::new(d, lambda);
+        for (r, &y) in rows.iter().zip(&ys) {
+            let x = Vector::from_vec(r.clone());
+            inc.observe(&x, y).unwrap();
+            naive.observe(&x, y).unwrap();
+            let mut a = naive.gram().clone();
+            a.add_scaled_identity(lambda).unwrap();
+            let fresh = probe.dot(&Cholesky::factor(&a).unwrap().solve(&probe).unwrap()).unwrap();
+            let maintained = inc.variance(&probe).unwrap();
+            assert!(
+                (fresh - maintained).abs() <= 1e-6 * fresh.abs().max(1.0),
+                "{fresh} vs {maintained}"
+            );
+        }
+    }
+}
+
 /// ridge_fit residual is optimal: perturbing the solution never reduces
 /// the regularized loss.
 #[test]

@@ -5,8 +5,8 @@
 //! shards shipped to it as a replica), a full copy of the item-feature
 //! table, a local write-ahead log, and the serving logic — score `wᵤ·x`,
 //! fold each observation into the user's `IncrementalRidge` with the
-//! Sherman–Morrison update the in-process `Velox` runs (Eq. 2,
-//! [`ridge_observe`]), and replicate acknowledged observations to the
+//! Sherman–Morrison update the in-process `Velox` runs (Eq. 2, held in the
+//! node's [`UserStore`]), and replicate acknowledged observations to the
 //! partition's replica set before acking (`ShipLog`).
 //!
 //! ## Durability and ordering
@@ -60,8 +60,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use velox_cluster::netfault::{LinkChaos, FRONT_PEER};
 use velox_cluster::retry::ObsDedupe;
-use velox_cluster::transport::{fits, non_finite_label, ridge_observe, score, RIDGE_LAMBDA};
-use velox_cluster::{NodeId, PartitionMap};
+use velox_cluster::transport::{non_finite_label, score, RIDGE_LAMBDA};
+use velox_cluster::{NodeId, PartitionMap, StoreMetrics, UserStore};
 use velox_data::linalg::{IncrementalRidge, Vector};
 use velox_obs::{
     trace::now_ns, Counter, Gauge, Histogram, Registry, SpanKind, TraceContext, Tracer,
@@ -225,6 +225,8 @@ pub struct NodeMetrics {
     /// and per `ShipLog` frame) and each fsync's duration — which the
     /// trace no longer shows where the ship round trip hides it.
     pub wal: WalStats,
+    /// The node's user store: resident state bytes and shard-lock waits.
+    pub user_store: StoreMetrics,
 }
 
 impl NodeMetrics {
@@ -245,6 +247,7 @@ impl NodeMetrics {
             wrong_epoch: Arc::new(Counter::new()),
             map_installs: Arc::new(Counter::new()),
             wal: WalStats { fsync_ns: Some(Arc::new(Histogram::new())), ..WalStats::new() },
+            user_store: StoreMetrics::default(),
         }
     }
 
@@ -278,6 +281,7 @@ impl NodeMetrics {
         if let Some(fsync_ns) = &self.wal.fsync_ns {
             registry.register_histogram("velox_net_wal_fsync_ns", &labels, Arc::clone(fsync_ns));
         }
+        self.user_store.register(registry, &labels);
     }
 }
 
@@ -392,15 +396,15 @@ enum ShipBacklog {
 }
 
 /// All mutable state of one node. Lock order: `log`, then `items`, then
-/// `users`; a `backlog` slot may take `log` (resync reads the records)
-/// but never the other way around.
+/// one user shard — never two shards at once; a `backlog` slot may take
+/// `log` (resync reads the records) but never the other way around.
 pub struct NodeState {
     config: NodeConfig,
     /// Current partition map; swapped whole-`Arc` by `InstallMap`.
     map: RwLock<Arc<PartitionMap>>,
-    /// Each held user's online state. Changed only under `log`, except by
-    /// checkpoint installs and their scrub.
-    users: Mutex<HashMap<u64, IncrementalRidge>>,
+    /// Each held user's online state, one shard per partition. Changed
+    /// only under `log`, except by checkpoint installs and their scrub.
+    users: UserStore,
     items: Mutex<HashMap<u64, Vector>>,
     /// Written under `log` (so disk order is log order), synced outside it.
     wal: Option<Wal>,
@@ -571,20 +575,20 @@ impl NodeState {
     /// owner first applied them in, so the rebuilt floats are
     /// bit-identical. The one replay recovery, migration cutover and a
     /// replica's ordering repair share; users without records
-    /// (checkpoint-only state) are left untouched.
+    /// (checkpoint-only state) are left untouched. Each record takes its
+    /// user's shard in turn.
     fn replay<'a>(&self, records: impl Iterator<Item = &'a Observation>) {
         let items = self.items.lock().unwrap();
-        let mut users = self.users.lock().unwrap();
         let mut reset = HashSet::new();
         for rec in records {
             if reset.insert(rec.uid) {
-                users.remove(&rec.uid);
+                self.users.remove(rec.uid);
             }
             // A record whose item is not seeded, or whose features the
             // user's model cannot take, changes nothing — here as when it
             // arrived.
             if let Some(x) = items.get(&rec.item_id) {
-                let _ = ridge_observe(&mut users, rec.uid, x, rec.y);
+                let _ = self.users.observe(rec.uid, x, rec.y);
             }
         }
     }
@@ -630,9 +634,10 @@ impl NodeState {
                 message: format!("item {item_id} not seeded at node {me}"),
             };
         };
-        let users = self.users.lock().unwrap();
-        let scored = score(users.get(&uid).map(|u| u.weights().as_slice()), x.as_slice());
-        drop(users);
+        let scored = self
+            .users
+            .read(uid, |u| score(Some(u.weights().as_slice()), x.as_slice()))
+            .unwrap_or_else(|| score(None, x.as_slice()));
         let (score, cold_start) = match scored {
             Ok(scored) => scored,
             Err(message) => {
@@ -645,26 +650,30 @@ impl NodeState {
         Response::Predicted { score, node: me as u32, forwarded: false, cold_start }
     }
 
-    /// Scores a whole batch at this node. The item table and the user
-    /// map are each locked once for the pass (items before users, the
-    /// node's lock order), so per-pair cost is two map probes and a dot
-    /// product. A pair the node cannot score (unseeded item, features of
-    /// another width) comes back `!ok` instead of failing the frame — the
-    /// sender retries it on the single-predict path for the precise error. No
-    /// forwarding: the sender already grouped pairs by owner under its
-    /// map, and a stale grouping is answered from local state exactly
-    /// like a `no_forward` single predict.
+    /// Scores a whole batch at this node. The item table is locked once for
+    /// the pass and each pair takes its user's shard in turn (items before
+    /// a shard, the node's lock order), so per-pair cost is two map probes,
+    /// a shard lock and a dot product. A pair the node cannot score
+    /// (unseeded item, features of another width) comes back `!ok` instead
+    /// of failing the frame — the sender retries it on the single-predict
+    /// path for the precise error. No forwarding: the sender already
+    /// grouped pairs by owner under its map, and a stale grouping is
+    /// answered from local state exactly like a `no_forward` single
+    /// predict.
     fn respond_predict_batch(&self, pairs: &[(u64, u64)], ctx: Option<&TraceContext>) -> Response {
         let me = self.config.node_id;
         let tracer = &self.config.tracer;
         let work = tracer.child(ctx, SpanKind::NodePredict, me as u32);
         let items = self.items.lock().unwrap();
-        let users = self.users.lock().unwrap();
         let scores = pairs
             .iter()
             .map(|&(uid, item_id)| {
-                let w = users.get(&uid).map(|u| u.weights().as_slice());
-                match items.get(&item_id).map(|x| score(w, x.as_slice())) {
+                let scored = items.get(&item_id).map(|x| {
+                    let x = x.as_slice();
+                    let held = self.users.read(uid, |u| score(Some(u.weights().as_slice()), x));
+                    held.unwrap_or_else(|| score(None, x))
+                });
+                match scored {
                     Some(Ok((score, cold_start))) => BatchScore { ok: true, score, cold_start },
                     _ => BatchScore { ok: false, score: 0.0, cold_start: false },
                 }
@@ -770,7 +779,7 @@ impl NodeState {
             let mut log = self.log.lock().unwrap();
             // Refused before anything is logged: the user's model cannot
             // take features of another dimension.
-            if let Err(message) = fits(&self.users.lock().unwrap(), uid, &x) {
+            if let Err(message) = self.users.fits(uid, &x) {
                 tracer.finish_status(work, velox_obs::SpanStatus::Error);
                 return Response::Error { code: ErrorCode::BadRequest, message };
             }
@@ -792,7 +801,7 @@ impl NodeState {
                 }
             }
             log.insert(rec.clone());
-            let _ = ridge_observe(&mut self.users.lock().unwrap(), uid, &x, y);
+            let _ = self.users.observe(uid, &x, y);
             let replicas = self.replica_nodes_of_user(uid).into_iter().filter(|&r| r != me);
             let turns = replicas.map(|r| (r, self.turns[r].fetch_add(1, Ordering::Relaxed)));
             (rec, turns.collect::<Vec<_>>())
@@ -1009,7 +1018,7 @@ impl NodeState {
             if log.insert(rec.clone()) {
                 late.insert(rec.uid);
             } else if let Some(x) = self.items.lock().unwrap().get(&rec.item_id) {
-                let _ = ridge_observe(&mut self.users.lock().unwrap(), rec.uid, x, rec.y);
+                let _ = self.users.observe(rec.uid, x, rec.y);
             }
             self.config.metrics.ship_in_records.inc();
         }
@@ -1039,14 +1048,9 @@ impl NodeState {
         cursor: u64,
         max_bytes: u32,
     ) -> Response {
-        let map = self.current_map();
-        let users = self.users.lock().unwrap();
-        let mut entries: Vec<(u64, Vec<f64>)> = users
-            .iter()
-            .filter(|(uid, _)| map.partition_of(**uid) == partition)
-            .map(|(uid, user)| (*uid, user.weights().as_slice().to_vec()))
-            .collect();
-        drop(users);
+        let mut entries = self
+            .users
+            .partition_entries(partition, |uid, user| (uid, user.weights().as_slice().to_vec()));
         entries.sort_by_key(|(uid, _)| *uid);
         build_chunk(&entries, cursor, max_bytes)
     }
@@ -1058,18 +1062,13 @@ impl NodeState {
     /// after a *committed* migration is a no-op. Returns how many users
     /// were dropped.
     pub fn scrub_partition(&self, partition: u32) -> u64 {
-        let me = self.config.node_id;
         let map = self.current_map();
-        let mut users = self.users.lock().unwrap();
-        let doomed: Vec<u64> = users
-            .keys()
-            .filter(|uid| map.partition_of(**uid) == partition && !map.holds(me, **uid))
-            .copied()
-            .collect();
-        for uid in &doomed {
-            users.remove(uid);
+        if partition >= map.n_partitions()
+            || map.replicas_of_partition(partition).contains(&self.config.node_id)
+        {
+            return 0;
         }
-        doomed.len() as u64
+        self.users.drop_partition(partition) as u64
     }
 
     /// Installs checkpoint-streamed weights, each as the prior of a fresh
@@ -1078,11 +1077,9 @@ impl NodeState {
     /// post-cutover replay re-derives every user with records from the
     /// zero prior, so a migration carries log records, not `A⁻¹`.
     fn respond_push_partition(&self, entries: Vec<(u64, Vec<f64>)>) -> Response {
-        let mut users = self.users.lock().unwrap();
         for (uid, w) in entries {
-            users.entry(uid).or_insert_with(|| {
-                IncrementalRidge::from_prior(&Vector::from_vec(w), RIDGE_LAMBDA)
-            });
+            self.users
+                .install(uid, || IncrementalRidge::from_prior(&Vector::from_vec(w), RIDGE_LAMBDA));
         }
         Response::Ok
     }
@@ -1107,9 +1104,9 @@ impl NodeState {
                 }
                 self.respond_observe(uid, item_id, y, no_forward, obs_id, ctx)
             }
-            Request::FetchWeights { uid } => Response::Weights {
-                w: self.users.lock().unwrap().get(&uid).map(|u| u.weights().as_slice().to_vec()),
-            },
+            Request::FetchWeights { uid } => {
+                Response::Weights { w: self.users.read(uid, |u| u.weights().as_slice().to_vec()) }
+            }
             Request::ShipLog { records, obs_ids } => self.respond_ship(records, obs_ids, ctx),
             Request::PullLog { from_ts } => self.respond_pull(from_ts),
             Request::SeedItems { entries } => self.seed_items(&entries),
@@ -1185,10 +1182,11 @@ impl NodeServer {
         let clock = log.records.last().map_or(0, |r| r.timestamp);
         let workers = config.workers;
         let n_nodes = config.n_nodes;
+        let users = UserStore::new(&config.map, config.metrics.user_store.clone());
         let state = Arc::new(NodeState {
             map: RwLock::new(Arc::clone(&config.map)),
             config,
-            users: Mutex::new(HashMap::new()),
+            users,
             items: Mutex::new(HashMap::new()),
             wal,
             log: Mutex::new(log),

@@ -12,13 +12,10 @@
 //!   and recovery replays them in timestamp order;
 //! - a scripted `FaultPlan` kills and recovers real servers mid-workload.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox_cluster::data::linalg::{IncrementalRidge, Vector};
-use velox_cluster::transport::{
-    ridge_observe, SimTransport, Transport, TransportError, RIDGE_LAMBDA,
-};
+use velox_cluster::transport::{SimTransport, Transport, TransportError, RIDGE_LAMBDA};
 use velox_cluster::{
     Cluster, ClusterConfig, FaultAction, FaultEvent, FaultPlan, PartitionMap, PeerState,
 };
@@ -301,15 +298,16 @@ fn concurrent_observes_on_one_user_agree_at_owner_replica_and_after_recovery() {
 }
 
 /// A user's weights after one observe of `item` on top of `prior` (the
-/// zero prior when empty) — what either backend must serve.
-fn one_update(uid: u64, prior: &[f64], item: u64) -> Vec<u64> {
-    let mut users = HashMap::new();
-    if !prior.is_empty() {
-        let prior = Vector::from_vec(prior.to_vec());
-        users.insert(uid, IncrementalRidge::from_prior(&prior, RIDGE_LAMBDA));
-    }
-    let user = ridge_observe(&mut users, uid, &Vector::from_vec(item_features(item)), 1.0);
-    user.unwrap().weights().as_slice().iter().map(|v| v.to_bits()).collect()
+/// zero prior when empty) — what either backend must serve, whichever user
+/// it is.
+fn one_update(_uid: u64, prior: &[f64], item: u64) -> Vec<u64> {
+    let x = Vector::from_vec(item_features(item));
+    let mut user = match prior {
+        [] => IncrementalRidge::new(x.len(), RIDGE_LAMBDA),
+        _ => IncrementalRidge::from_prior(&Vector::from_vec(prior.to_vec()), RIDGE_LAMBDA),
+    };
+    user.observe(&x, 1.0).unwrap();
+    user.weights().as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 fn weight_bits(w: Option<Vec<f64>>) -> Option<Vec<u64>> {
@@ -403,11 +401,11 @@ fn a_late_shipped_record_re_derives_only_its_user() {
     ship(vec![late]);
     assert_eq!(metrics.ship_repaired_users.get(), 1);
 
-    let mut users = HashMap::new();
+    let mut user = IncrementalRidge::new(item_features(0).len(), RIDGE_LAMBDA);
     for r in log.iter().filter(|r| r.uid == hot) {
-        ridge_observe(&mut users, hot, &Vector::from_vec(item_features(r.item_id)), r.y).unwrap();
+        user.observe(&Vector::from_vec(item_features(r.item_id)), r.y).unwrap();
     }
-    let expected: Vec<u64> = users[&hot].weights().as_slice().iter().map(|v| v.to_bits()).collect();
+    let expected: Vec<u64> = user.weights().as_slice().iter().map(|v| v.to_bits()).collect();
     match state.handle(Request::FetchWeights { uid: hot }) {
         Response::Weights { w } => assert_eq!(weight_bits(w), Some(expected)),
         other => panic!("fetch: {other:?}"),

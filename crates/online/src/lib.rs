@@ -5,24 +5,15 @@
 //! While the feature parameters `θ` evolve slowly and are retrained in
 //! batch, the per-user weights `wᵤ` are updated continuously as
 //! observations arrive, by re-solving the user's regularized least-squares
-//! problem (Eq. 2). This crate provides:
-//!
-//! - [`learner::UserOnlineModel`]: one user's online state, updatable under
-//!   two strategies — [`learner::UpdateStrategy::Naive`] (accumulate
-//!   sufficient statistics, Cholesky re-solve per update, O(d³): the
-//!   paper's prototype whose latency Figure 3 plots) and
-//!   [`learner::UpdateStrategy::ShermanMorrison`] (O(d²) rank-one inverse
-//!   maintenance: the optimization §4.2 names). Both produce identical
-//!   weights up to floating-point error, which the property tests pin down.
-//! - [`evaluation`]: the §4.3 model-evaluation machinery — per-user running
-//!   error aggregates, prequential cross-validation during updates, and a
-//!   staleness detector that flags a model for offline retraining when its
-//!   loss "starts to increase faster than a threshold value" (§6).
+//! problem (Eq. 2) with `velox_linalg::IncrementalRidge`'s Sherman–Morrison
+//! update. This crate provides what judges those updates — [`evaluation`],
+//! the §4.3 model-evaluation machinery: per-user running error aggregates,
+//! prequential cross-validation during updates, and a staleness detector
+//! that flags a model for offline retraining when its loss "starts to
+//! increase faster than a threshold value" (§6).
 
 #![warn(missing_docs)]
 
 pub mod evaluation;
-pub mod learner;
 
 pub use evaluation::{PerUserErrorTracker, PrequentialEvaluator, StalenessDetector};
-pub use learner::{UpdateStrategy, UserOnlineModel};

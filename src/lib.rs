@@ -46,7 +46,6 @@ pub mod prelude {
         NetClient, NetClientConfig, NetCluster, NetClusterConfig, NetServer, NetServerConfig,
     };
     pub use velox_obs::{Counter, EventKind, Gauge, Histogram, Registry, SpanTimer, Timer};
-    pub use velox_online::UpdateStrategy;
     pub use velox_serve::{
         BatchConfig, CustomScorer, ModelManager, PredictBackend, ServeConfig, ServeError,
         ServeTier, ServedPredict, TransportBackend, VeloxBackend, CLUSTER_BACKEND,

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox::prelude::*;
-use velox_linalg::Vector;
+use velox_linalg::{IncrementalRidge, Vector};
 
 const N_USERS: u64 = 6;
 const N_ITEMS: u64 = 12;
@@ -60,7 +60,7 @@ fn fresh_velox() -> Arc<Velox> {
 /// served (and new online state is seeded with) the mean of the observing
 /// users' latest weights, exactly §5's heuristic.
 struct Reference {
-    states: HashMap<u64, velox_online::UserOnlineModel>,
+    states: HashMap<u64, IncrementalRidge>,
     latest_weights: HashMap<u64, Vector>,
 }
 
@@ -91,14 +91,7 @@ impl Reference {
         let x = Vector::from_vec(item_attrs(item));
         if !self.states.contains_key(&uid) {
             let prior = self.bootstrap_mean();
-            self.states.insert(
-                uid,
-                velox_online::UserOnlineModel::from_prior(
-                    &prior,
-                    0.5,
-                    UpdateStrategy::ShermanMorrison,
-                ),
-            );
+            self.states.insert(uid, IncrementalRidge::from_prior(&prior, 0.5));
         }
         let state = self.states.get_mut(&uid).expect("just ensured");
         state.observe(&x, y).unwrap();

@@ -139,9 +139,9 @@ fn lifecycle_events_record_retrain_and_swap() {
 
 /// `velox_online_state_bytes` is the resident online state: each user's
 /// packed `A⁻¹` plus `b`, `w` and `u`, added when the state is created and
-/// taken off when its last holder — the live table or a version the
-/// rollback history retains — drops it. Observes of a known user leave it
-/// alone.
+/// taken off when the store drops it — a version swap frees every state
+/// (rollback restores weights, not states). Observes of a known user leave
+/// it alone.
 #[test]
 fn online_state_bytes_counts_each_resident_user_state() {
     let per_user = ((DIM * (DIM + 1) / 2 + 3 * DIM) * std::mem::size_of::<f64>()) as i64;
@@ -154,13 +154,11 @@ fn online_state_bytes_counts_each_resident_user_state() {
         }
     }
     assert_eq!(gauge(), Some(5 * per_user));
-    // Each retrain retires the live states into the rollback history
-    // (still resident); the next observe starts a fresh one. The history
-    // keeps four versions, so the fifth retrain frees the first five.
+    // Each retrain frees the live states; the next observe starts the one
+    // user it touches afresh.
     for round in 1..=5 {
         velox.retrain_offline().unwrap();
         velox.observe(0, &Item::Id(1), 0.25).unwrap();
-        let resident = if round < 5 { 5 + round } else { 5 };
-        assert_eq!(gauge(), Some(resident * per_user), "after retrain {round}");
+        assert_eq!(gauge(), Some(per_user), "after retrain {round}");
     }
 }

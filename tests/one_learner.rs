@@ -4,7 +4,8 @@
 //! user's `IncrementalRidge` with the same λ and score with the same dot
 //! kernel, so every predict — before an observe, after it, through a join
 //! migration and across a node restart with its WAL — must agree in
-//! `f64::to_bits`.
+//! `f64::to_bits`. They also agree on a crash: a user's state dies with
+//! the last live replica of its partition.
 //!
 //! Lives in the root package because only the `velox::` facade reaches
 //! all three backends.
@@ -12,7 +13,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use velox::cluster::{Cluster, ControlPlane};
+use velox::cluster::{Cluster, ControlPlane, RIDGE_LAMBDA};
+use velox::linalg::IncrementalRidge;
 use velox::prelude::*;
 
 const DIM: usize = 5;
@@ -40,16 +42,21 @@ struct Backends {
     _wal: ScratchDir,
 }
 
+/// The in-process deployment: four nodes, one replica per partition.
+fn deploy_velox() -> Velox {
+    // Zero initial weights keep the bootstrap mean out of every prior:
+    // the in-process state starts where a socket node's does.
+    let table: HashMap<u64, Vector> =
+        item_table().into_iter().map(|(i, x)| (i, Vector::from_vec(x))).collect();
+    let als = AlsConfig { rank: DIM, ..Default::default() };
+    let model = MatrixFactorizationModel::from_table("one-learner", table, 0.0, als).unwrap();
+    let zeros = (0..USERS).map(|uid| (uid, Vector::zeros(DIM))).collect();
+    Velox::deploy(Arc::new(model), zeros, VeloxConfig::default())
+}
+
 impl Backends {
     fn start() -> Backends {
-        // Zero initial weights keep the bootstrap mean out of every prior:
-        // the in-process state starts where a socket node's does.
-        let table: HashMap<u64, Vector> =
-            item_table().into_iter().map(|(i, x)| (i, Vector::from_vec(x))).collect();
-        let als = AlsConfig { rank: DIM, ..Default::default() };
-        let model = MatrixFactorizationModel::from_table("one-learner", table, 0.0, als).unwrap();
-        let zeros = (0..USERS).map(|uid| (uid, Vector::zeros(DIM))).collect();
-        let velox = Velox::deploy(Arc::new(model), zeros, VeloxConfig::default());
+        let velox = deploy_velox();
 
         let sim_cluster = Arc::new(Cluster::new(ClusterConfig {
             n_nodes: 3,
@@ -134,4 +141,64 @@ fn velox_the_simulator_and_the_socket_cluster_serve_the_same_model() {
     b.net.recover_node(victim).expect("recover");
     assert!(b.sweep("after the restart") > pairs / 2);
     b.run(264, 60, "after the restart");
+}
+
+/// A state's packed `A⁻¹` and weights, as bits.
+fn state_bits(state: &IncrementalRidge) -> (Vec<u64>, Vec<u64>) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (bits(state.packed_a_inv()), bits(state.weights().as_slice()))
+}
+
+/// Kill the only replica of a user's partition, recover it, observe once:
+/// the user's state must be a fresh one from the deployment's prior after
+/// that one observe — not the pre-crash `A⁻¹` — in `Velox` (whose prior is
+/// the last-known-good weights) and in the simulator (the zero prior; the
+/// crash emptied the slot).
+#[test]
+fn a_user_state_dies_with_the_last_live_replica_of_its_partition() {
+    let (uid, y) = (3, 1.5);
+    let velox = deploy_velox();
+    // An item the crash does not take with it (each item has one copy).
+    let home = velox.cluster().home_of_user(uid);
+    let item = (0..ITEMS).find(|&i| velox.cluster().home_of_item(i) != home).unwrap();
+    let after_one_observe = |prior: &Vector| {
+        let mut fresh = IncrementalRidge::from_prior(prior, RIDGE_LAMBDA);
+        fresh.observe(&Vector::from_vec(features(item)), y).unwrap();
+        Some(state_bits(&fresh))
+    };
+
+    for (u, i, y) in workload(0, 120) {
+        velox.observe(u, &Item::Id(i), y).expect("velox observe");
+    }
+    let prior = velox.user_store().read(uid, |s| s.weights().clone()).expect("the user learned");
+    velox.kill_node(home);
+    velox.recover_node(home);
+    velox.observe(uid, &Item::Id(item), y).expect("velox observe");
+    assert_eq!(
+        velox.user_store().read(uid, state_bits),
+        after_one_observe(&prior),
+        "velox: the state outlived its partition's last replica"
+    );
+
+    let cluster = Arc::new(Cluster::new(ClusterConfig {
+        n_nodes: 3,
+        user_replication: 1,
+        item_replication: 3,
+        ..Default::default()
+    }));
+    cluster.publish_item_features(item_table());
+    let sim = SimTransport::new(Arc::clone(&cluster), 0.0);
+    for (u, i, y) in workload(0, 120) {
+        sim.observe(u, i, y).expect("sim observe");
+    }
+    assert!(sim.user_store().read(uid, |s| s.n_obs()).is_some_and(|n| n > 0));
+    let home = cluster.home_of_user(uid);
+    cluster.kill_node(home);
+    cluster.recover_node(home);
+    sim.observe(uid, item, y).expect("sim observe");
+    assert_eq!(
+        sim.user_store().read(uid, state_bits),
+        after_one_observe(&Vector::zeros(DIM)),
+        "sim: the state outlived its partition's last replica"
+    );
 }
