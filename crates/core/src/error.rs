@@ -89,7 +89,7 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e: VeloxError = LinalgError::Empty { op: "mean" }.into();
         assert!(e.to_string().contains("mean"));
-        let e: VeloxError = StorageError::VersionNotFound(3).into();
+        let e: VeloxError = StorageError::Corrupt("segment 3".into()).into();
         assert!(e.to_string().contains('3'));
         assert!(VeloxError::EmptyCandidateSet.to_string().contains("non-empty"));
     }

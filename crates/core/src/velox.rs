@@ -1,6 +1,7 @@
 //! The deployed Velox system: predictor + manager for one model lineage.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
@@ -18,7 +19,7 @@ use velox_obs::{Counter, EventKind, Histogram, Registry, SpanTimer, Timer};
 use velox_online::{PerUserErrorTracker, PrequentialEvaluator, StalenessDetector};
 use velox_storage::codec::{decode_observations, encode_observations};
 use velox_storage::wal::{Wal, WalConfig};
-use velox_storage::{CheckpointStore, Namespace, ObservationLog, StorageError};
+use velox_storage::{CheckpointStore, LogEntry, Namespace, ObservationLog, StorageError};
 
 use crate::bootstrap::BootstrapState;
 use crate::config::{BanditChoice, VeloxConfig};
@@ -277,6 +278,8 @@ pub struct Velox {
     version: AtomicU64,
     history: Mutex<Vec<HistoryEntry>>,
     cluster: Cluster,
+    /// Every observation, in arrival order: what retraining reads, and
+    /// (catalog items, through the WAL) what recovery replays.
     obslog: ObservationLog,
     /// Raw item attributes for computed feature functions.
     catalog: Namespace<Arc<[f64]>>,
@@ -285,8 +288,6 @@ pub struct Velox {
     user_state: UserStore,
     /// Per-user weight-update counters (prediction-cache keys).
     user_versions: Namespace<u64>,
-    /// Full training history (uid, item, y) for offline retraining.
-    training_log: Mutex<Vec<TrainingExample>>,
     prediction_cache: ShardedCache<PredKey, f64>,
     /// Computed-feature cache keyed by `(item_id, model_version)`.
     feature_cache: ShardedCache<(u64, u64), Arc<[f64]>>,
@@ -408,7 +409,6 @@ impl Velox {
             catalog: Namespace::new("item_catalog"),
             user_state,
             user_versions: Namespace::new("user_versions"),
-            training_log: Mutex::new(Vec::new()),
             prediction_cache: ShardedCache::new(config.prediction_cache_capacity),
             feature_cache: ShardedCache::new(config.feature_cache_capacity),
             stale_weights: ShardedCache::new(config.stale_weight_cache_capacity),
@@ -528,8 +528,8 @@ impl Velox {
     /// weights over *all* of that user's examples, so the per-user online
     /// sufficient statistics must include the offline history, not just a
     /// weak prior around the batch weights; this method replays the history
-    /// into them. The examples also enter the training/observation logs so
-    /// future offline retrains see the full dataset.
+    /// into them. The examples also enter the observation log so future
+    /// offline retrains see the full dataset.
     ///
     /// History is training input, not serving feedback: it does not touch
     /// the quality trackers or staleness detector.
@@ -537,7 +537,7 @@ impl Velox {
         {
             let _gate = self.swap_gate.read().unwrap();
             for ex in examples {
-                self.log_example(ex.clone())?;
+                self.log_example(ex.uid, &ex.item, ex.y)?;
             }
         }
         self.apply_examples_to_online_state(examples)?;
@@ -897,7 +897,7 @@ impl Velox {
             return self.defer_observation(uid, item, y);
         }
 
-        // The whole read-model → update-state → write-back → log sequence
+        // The whole read-model → log → update-state → write-back sequence
         // runs under the swap gate (shared), so a concurrent retrain's
         // version swap (exclusive) can never interleave mid-observation —
         // without the gate, an observe computed against the old θ could
@@ -918,6 +918,11 @@ impl Velox {
             Err(e) => return Err(e),
             Ok((features, _f_cost)) => Vector::from(&features[..]),
         };
+        // Logged before it is applied. The acknowledgment is the
+        // durability boundary, and a log that refuses the observation (a
+        // failed WAL append) must leave the user as they were, or a client
+        // retrying the error would apply it twice.
+        self.log_example(uid, item, y)?;
         // Under the user's shard lock, created first if the user has no
         // state (bootstrap prior for new users — §5's mean-weight
         // heuristic): prequential evaluation predicts before updating.
@@ -937,9 +942,6 @@ impl Velox {
         if trained {
             self.publish_weights(uid, &new_weights, Some(node));
         }
-        // The acknowledgment is the durability boundary: this call cannot
-        // return Ok before the record is logged.
-        self.log_example(TrainingExample { uid, item: item.clone(), y })?;
         // Quality tracking and staleness run with the gate released: the
         // auto-retrain below acquires it exclusively via swap_in.
         drop(gate);
@@ -987,25 +989,23 @@ impl Velox {
         item: &Item,
         y: f64,
     ) -> Result<ObserveOutcome, VeloxError> {
-        let example = TrainingExample { uid, item: item.clone(), y };
+        // The observation is still real feedback: it enters the log now
+        // (under the swap gate, like any other observation) even though its
+        // online update waits for recovery, and it is logged before it is
+        // queued, so a failed log leaves the queue as it was. The redo
+        // drain applies state only — it never re-logs — so each observation
+        // is logged exactly once and applied exactly once.
         {
+            let _gate = self.swap_gate.read().unwrap();
             let mut queue = self.redo_queue.lock().unwrap();
             if queue.len() >= self.config.redo_queue_capacity {
                 self.redo_shed.inc();
                 return Err(VeloxError::Unavailable("redo queue full; observation shed".into()));
             }
-            queue.push_back(example.clone());
+            self.log_example(uid, item, y)?;
+            queue.push_back(TrainingExample { uid, item: item.clone(), y });
         }
         self.redo_buffered.inc();
-        // The observation is still real feedback: it enters the durable
-        // logs now (under the swap gate, like any other observation) even
-        // though its online update waits for recovery. The redo drain
-        // applies state only — it never re-logs — so each observation is
-        // logged exactly once and applied exactly once.
-        {
-            let _gate = self.swap_gate.read().unwrap();
-            self.log_example(example)?;
-        }
         self.maybe_checkpoint();
         Ok(ObserveOutcome {
             predicted_before: f64::NAN,
@@ -1177,16 +1177,16 @@ impl Velox {
     }
 
     fn retrain_offline_inner(&self) -> Result<u64, VeloxError> {
-        let mut data = self.training_log.lock().unwrap().clone();
-        if data.is_empty() {
-            return Err(VeloxError::RetrainFailed("no observations to train on".into()));
-        }
         // Observations logged after this snapshot keep serving against the
         // old version while training runs; they are replayed onto the new
         // version after the swap so they are lost from neither the batch
         // model nor the online state.
-        let snapshot_len = data.len();
-        self.registry.event(EventKind::RetrainStart { observations: snapshot_len as u64 });
+        let snapshot_len = self.obslog.positions();
+        if snapshot_len == 0 {
+            return Err(VeloxError::RetrainFailed("no observations to train on".into()));
+        }
+        let mut data = self.logged_examples(0..snapshot_len);
+        self.registry.event(EventKind::RetrainStart { observations: snapshot_len });
         let retrain_timer = Timer::start();
         let old_model = self.current_model();
 
@@ -1241,10 +1241,7 @@ impl Velox {
         // batch snapshot). The boundary was captured under the exclusive
         // swap gate, so entries past it were observed against the *new*
         // version and must not be double-applied.
-        let missed: Vec<TrainingExample> = {
-            let log = self.training_log.lock().unwrap();
-            log[snapshot_len..missed_boundary].to_vec()
-        };
+        let missed = self.logged_examples(snapshot_len..missed_boundary);
         if !missed.is_empty() {
             self.apply_examples_to_online_state(&missed)?;
         }
@@ -1269,16 +1266,16 @@ impl Velox {
     }
 
     /// Installs `model` + `weights` as version `new_version` and resets
-    /// serving/quality state accordingly. Returns the training-log length
-    /// at swap time (captured under the exclusive swap gate), i.e. the
-    /// boundary up to which observations were applied against the *old*
-    /// version.
+    /// serving/quality state accordingly. Returns the observation log's
+    /// head position at swap time (captured under the exclusive swap
+    /// gate), i.e. the boundary up to which observations were applied
+    /// against the *old* version.
     fn swap_in(
         &self,
         model: Arc<dyn VeloxModel>,
         weights: HashMap<u64, Vector>,
         new_version: u64,
-    ) -> usize {
+    ) -> u64 {
         // Exclusive: no observe/ingest may interleave with the swap (their
         // write-backs run under the shared side of this gate).
         let _gate = self.swap_gate.write().unwrap();
@@ -1307,7 +1304,24 @@ impl Velox {
         self.error_tracker.lock().unwrap().reset();
         self.validation.lock().unwrap().clear();
         self.stale_flag.store(false, Ordering::Release);
-        self.training_log.lock().unwrap().len()
+        self.obslog.positions()
+    }
+
+    /// The logged observations at positions `range`, in arrival order, as
+    /// training examples (catalog items by id).
+    fn logged_examples(&self, range: Range<u64>) -> Vec<TrainingExample> {
+        let mut out = Vec::with_capacity((range.end - range.start) as usize);
+        self.obslog.scan(range, |entry| {
+            out.push(match entry {
+                LogEntry::Catalog(o) => {
+                    TrainingExample { uid: o.uid, item: Item::Id(o.item_id), y: o.y }
+                }
+                LogEntry::Raw { uid, attrs, y } => {
+                    TrainingExample { uid: *uid, item: Item::Raw(Vector::from(&attrs[..])), y: *y }
+                }
+            })
+        });
+        out
     }
 
     /// Applies historical/missed examples to the per-user online state and
@@ -1478,21 +1492,22 @@ impl Velox {
         &self.config
     }
 
-    /// Commits one observation to both logs: the durable observation log
-    /// (catalog items only; WAL-first when one is attached) and the
-    /// training log offline retrains read (every item). The observation
-    /// counter moves only after the record is on disk, so anything an
-    /// external observer can see acknowledged really is persistent (under
-    /// per-record fsync).
+    /// Commits one observation to the observation log: a catalog item
+    /// WAL-first when one is attached, a raw payload in memory. The
+    /// observation counter (catalog items) moves only after the record is
+    /// on disk, so anything an external observer can see acknowledged
+    /// really is persistent (under per-record fsync).
     ///
     /// A serving caller holds the swap gate (shared), so no example can
     /// fall between a retrain's snapshot and its replay boundary.
-    fn log_example(&self, example: TrainingExample) -> Result<(), VeloxError> {
-        if let Some(id) = example.item.id() {
-            self.obslog.try_append(example.uid, id, example.y)?;
-            self.observations_total.inc();
+    fn log_example(&self, uid: u64, item: &Item, y: f64) -> Result<(), VeloxError> {
+        match item {
+            Item::Id(id) => {
+                self.obslog.try_append(uid, *id, y)?;
+                self.observations_total.inc();
+            }
+            Item::Raw(attrs) => self.obslog.append_raw(uid, attrs.as_slice().into(), y),
         }
-        self.training_log.lock().unwrap().push(example);
         Ok(())
     }
 
@@ -1576,11 +1591,7 @@ impl Velox {
                     if o.timestamp != velox.obslog.len() {
                         break;
                     }
-                    velox.log_example(TrainingExample {
-                        uid: o.uid,
-                        item: Item::Id(o.item_id),
-                        y: o.y,
-                    })?;
+                    velox.log_example(o.uid, &Item::Id(o.item_id), o.y)?;
                 }
                 (velox, Some(c.seq), c.wal_offset)
             }
@@ -1610,7 +1621,7 @@ impl Velox {
             }
             let example =
                 TrainingExample { uid: record.uid, item: Item::Id(record.item_id), y: record.y };
-            velox.log_example(example.clone())?;
+            velox.log_example(example.uid, &example.item, example.y)?;
             // An individually unappliable record (its item vanished from
             // the catalog, say) must not halt recovery: the observation is
             // preserved in the log; only its online update is lost.

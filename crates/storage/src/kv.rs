@@ -4,10 +4,10 @@
 //! sharded over `S` independently-locked segments so concurrent readers and
 //! writers on different keys never contend. Namespaces are *versioned*: an
 //! offline retrain builds a complete replacement map and publishes it with
-//! [`Namespace::publish_version`], which bumps the version counter atomically
-//! and retains a bounded history for rollback — the paper's model-lifecycle
-//! requirement ("version histories, enabling ... simple rollbacks to earlier
-//! model versions", §2).
+//! [`Namespace::publish_version`], which swaps the contents and bumps the
+//! version counter. The superseded contents are freed; rolling a model back
+//! (§2's "simple rollbacks to earlier model versions") is the deployment's
+//! job, which keeps its own version history.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,23 +15,9 @@ use std::sync::{Arc, RwLock};
 
 use velox_obs::Counter;
 
-use crate::{Result, StorageError};
-
 /// Number of lock-sharded segments per namespace. A power of two so the
 /// shard index is a mask of the key hash.
 const DEFAULT_SHARDS: usize = 16;
-
-/// How many superseded versions a namespace retains for rollback.
-const VERSION_HISTORY: usize = 4;
-
-/// A value plus the namespace version it was written under.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VersionedValue<V> {
-    /// The stored value.
-    pub value: V,
-    /// Namespace version at write time.
-    pub version: u64,
-}
 
 /// Cheap deterministic u64 hash (splitmix64 finalizer). Keys in Velox are
 /// entity ids, often sequential; this decorrelates them across shards.
@@ -47,7 +33,7 @@ fn hash_key(key: u64) -> u64 {
 }
 
 struct Shard<V> {
-    map: RwLock<HashMap<u64, VersionedValue<V>>>,
+    map: RwLock<HashMap<u64, V>>,
 }
 
 impl<V> Shard<V> {
@@ -55,9 +41,6 @@ impl<V> Shard<V> {
         Shard { map: RwLock::new(HashMap::new()) }
     }
 }
-
-/// One retained prior version: `(version number, full contents)`.
-type RetainedVersion<V> = (u64, HashMap<u64, VersionedValue<V>>);
 
 /// One logical, sharded, versioned table keyed by `u64` entity ids.
 ///
@@ -68,8 +51,6 @@ pub struct Namespace<V> {
     name: String,
     shards: Vec<Shard<V>>,
     version: AtomicU64,
-    /// Superseded full copies retained for rollback, newest last.
-    history: RwLock<Vec<RetainedVersion<V>>>,
     reads: Arc<Counter>,
     writes: Arc<Counter>,
 }
@@ -88,7 +69,6 @@ impl<V: Clone> Namespace<V> {
             name: name.into(),
             shards: (0..n).map(|_| Shard::new()).collect(),
             version: AtomicU64::new(1),
-            history: RwLock::new(Vec::new()),
             reads: Arc::new(Counter::new()),
             writes: Arc::new(Counter::new()),
         }
@@ -99,7 +79,9 @@ impl<V: Clone> Namespace<V> {
         &self.name
     }
 
-    /// Current published version.
+    /// Current published version: bumped by every
+    /// [`publish_version`](Self::publish_version), so a reader can tell
+    /// whether a publish ran between two of its reads.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -114,25 +96,13 @@ impl<V: Clone> Namespace<V> {
     /// the copy.
     pub fn get(&self, key: u64) -> Option<V> {
         self.reads.inc();
-        self.shard_for(key).map.read().unwrap().get(&key).map(|vv| vv.value.clone())
-    }
-
-    /// Point read including the version the value was written under.
-    pub fn get_versioned(&self, key: u64) -> Option<VersionedValue<V>> {
-        self.reads.inc();
         self.shard_for(key).map.read().unwrap().get(&key).cloned()
     }
 
-    /// Point write under the current version. Returns the previous value.
+    /// Point write. Returns the previous value.
     pub fn put(&self, key: u64, value: V) -> Option<V> {
         self.writes.inc();
-        let version = self.version();
-        self.shard_for(key)
-            .map
-            .write()
-            .unwrap()
-            .insert(key, VersionedValue { value, version })
-            .map(|vv| vv.value)
+        self.shard_for(key).map.write().unwrap().insert(key, value)
     }
 
     /// Atomically applies `f` to the value at `key` (inserting
@@ -146,18 +116,14 @@ impl<V: Clone> Namespace<V> {
         D: FnOnce() -> V,
     {
         self.writes.inc();
-        let version = self.version();
         let mut map = self.shard_for(key).map.write().unwrap();
-        let entry =
-            map.entry(key).or_insert_with(|| VersionedValue { value: default_with(), version });
-        f(&mut entry.value);
-        entry.version = version;
+        f(map.entry(key).or_insert_with(default_with));
     }
 
     /// Removes a key, returning its value.
     pub fn remove(&self, key: u64) -> Option<V> {
         self.writes.inc();
-        self.shard_for(key).map.write().unwrap().remove(&key).map(|vv| vv.value)
+        self.shard_for(key).map.write().unwrap().remove(&key)
     }
 
     /// True when the key exists.
@@ -181,7 +147,7 @@ impl<V: Clone> Namespace<V> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {
             let map = shard.map.read().unwrap();
-            out.extend(map.iter().map(|(k, vv)| (*k, vv.value.clone())));
+            out.extend(map.iter().map(|(k, v)| (*k, v.clone())));
         }
         out
     }
@@ -196,8 +162,8 @@ impl<V: Clone> Namespace<V> {
     }
 
     /// Atomically replaces the entire contents with `entries` and bumps the
-    /// version. The superseded contents are pushed onto a bounded rollback
-    /// history. Returns the new version.
+    /// version. The superseded contents are dropped. Returns the new
+    /// version.
     ///
     /// This is the "switch to the newly trained model" step of §4.2: the
     /// offline retrain produces a complete new table which is published in
@@ -205,50 +171,20 @@ impl<V: Clone> Namespace<V> {
     pub fn publish_version(&self, entries: Vec<(u64, V)>) -> u64 {
         // fetch_add allocates a unique version even under concurrent
         // publishers (load+1 could hand two publishers the same number).
-        let old_version = self.version.fetch_add(1, Ordering::AcqRel);
-        let new_version = old_version + 1;
+        let new_version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
         // Build the replacement shard maps outside any lock.
-        let mut new_maps: Vec<HashMap<u64, VersionedValue<V>>> =
+        let mut new_maps: Vec<HashMap<u64, V>> =
             (0..self.shards.len()).map(|_| HashMap::new()).collect();
         for (k, v) in entries {
             let idx = (hash_key(k) as usize) & (self.shards.len() - 1);
-            new_maps[idx].insert(k, VersionedValue { value: v, version: new_version });
+            new_maps[idx].insert(k, v);
         }
-        // Swap in shard-by-shard, collecting the old contents.
-        let mut old_all: HashMap<u64, VersionedValue<V>> = HashMap::new();
+        // Swap in shard-by-shard; the old contents drop outside the lock.
         for (shard, new_map) in self.shards.iter().zip(new_maps) {
-            let mut guard = shard.map.write().unwrap();
-            let old = std::mem::replace(&mut *guard, new_map);
-            drop(guard);
-            old_all.extend(old);
-        }
-        let mut history = self.history.write().unwrap();
-        history.push((old_version, old_all));
-        if history.len() > VERSION_HISTORY {
-            history.remove(0);
+            let old = std::mem::replace(&mut *shard.map.write().unwrap(), new_map);
+            drop(old);
         }
         new_version
-    }
-
-    /// Rolls the namespace back to a retained prior `version`. The current
-    /// contents are discarded (they are re-derivable by retraining). Returns
-    /// the version now being served (a fresh version number, with the old
-    /// contents) or an error when `version` is not in the retained history.
-    pub fn rollback_to(&self, version: u64) -> Result<u64> {
-        let mut history = self.history.write().unwrap();
-        let pos = history
-            .iter()
-            .position(|(v, _)| *v == version)
-            .ok_or(StorageError::VersionNotFound(version))?;
-        let (_, contents) = history.remove(pos);
-        drop(history);
-        let entries: Vec<(u64, V)> = contents.into_iter().map(|(k, vv)| (k, vv.value)).collect();
-        Ok(self.publish_version(entries))
-    }
-
-    /// Versions currently available for rollback, oldest first.
-    pub fn rollback_versions(&self) -> Vec<u64> {
-        self.history.read().unwrap().iter().map(|(v, _)| *v).collect()
     }
 
     /// `(reads, writes)` counters since creation.
@@ -287,19 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn versioned_reads_carry_version() {
-        let ns: Namespace<i32> = Namespace::new("v");
-        ns.put(7, 70);
-        let vv = ns.get_versioned(7).unwrap();
-        assert_eq!(vv.value, 70);
-        assert_eq!(vv.version, 1);
-        ns.publish_version(vec![(7, 71)]);
-        let vv = ns.get_versioned(7).unwrap();
-        assert_eq!(vv.value, 71);
-        assert_eq!(vv.version, 2);
-    }
-
-    #[test]
     fn update_with_inserts_default() {
         let ns: Namespace<i64> = Namespace::new("c");
         ns.update_with(5, || 0, |v| *v += 10);
@@ -319,28 +242,6 @@ mod tests {
         assert_eq!(ns.get(2), Some(200));
         assert_eq!(ns.get(3), Some(300));
         assert_eq!(ns.len(), 2);
-    }
-
-    #[test]
-    fn rollback_restores_contents() {
-        let ns: Namespace<i32> = Namespace::new("r");
-        ns.put(1, 10);
-        ns.publish_version(vec![(1, 11)]); // v2, history holds v1
-        ns.publish_version(vec![(1, 12)]); // v3, history holds v1, v2
-        assert_eq!(ns.rollback_versions(), vec![1, 2]);
-        let new_v = ns.rollback_to(1).unwrap();
-        assert_eq!(new_v, 4, "rollback publishes under a fresh version");
-        assert_eq!(ns.get(1), Some(10));
-        assert!(matches!(ns.rollback_to(99), Err(StorageError::VersionNotFound(99))));
-    }
-
-    #[test]
-    fn history_is_bounded() {
-        let ns: Namespace<i32> = Namespace::new("h");
-        for i in 0..10 {
-            ns.publish_version(vec![(1, i)]);
-        }
-        assert!(ns.rollback_versions().len() <= VERSION_HISTORY);
     }
 
     #[test]

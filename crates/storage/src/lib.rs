@@ -12,10 +12,10 @@
 //!   **versioned** key–value table. Its contents can be swapped
 //!   atomically for a retrained copy (the paper's "incrementing the version
 //!   and transparently upgrading incoming requests").
-//! - [`obslog::ObservationLog`]: an append-only log of `observe()` calls,
-//!   readable from any offset, which is what the batch retraining jobs
-//!   consume ("the observation is written to Tachyon for use by Spark when
-//!   retraining the model offline", §4.1).
+//! - [`obslog::ObservationLog`]: the append-only log of `observe()` calls
+//!   (catalog items WAL-backed, raw payloads in memory), which is what the
+//!   batch retraining jobs consume ("the observation is written to Tachyon
+//!   for use by Spark when retraining the model offline", §4.1).
 //! - [`lru::LruCache`]: a constant-time LRU with hit/miss instrumentation —
 //!   the building block for the predictor's feature and prediction caches
 //!   (§5) and for per-node hot-item caches in the cluster simulator.
@@ -48,9 +48,9 @@ pub mod wal;
 
 pub use checkpoint::{CheckpointData, CheckpointStore};
 pub use crc::{crc32, crc32_begin, crc32_feed, crc32_finish};
-pub use kv::{Namespace, VersionedValue};
+pub use kv::Namespace;
 pub use lru::LruCache;
-pub use obslog::{Observation, ObservationLog};
+pub use obslog::{LogEntry, Observation, ObservationLog};
 pub use tmp::ScratchDir;
 pub use wal::{FsyncPolicy, Wal, WalAppendTiming, WalConfig, WalRecovery, WalStats};
 
@@ -59,9 +59,6 @@ pub use wal::{FsyncPolicy, Wal, WalAppendTiming, WalConfig, WalRecovery, WalStat
 pub enum StorageError {
     /// A snapshot/restore payload failed to decode.
     Corrupt(String),
-    /// An operation referenced a version that does not exist (e.g. rollback
-    /// past the retained history).
-    VersionNotFound(u64),
     /// A filesystem operation on the durable state (WAL, checkpoint)
     /// failed. Carries the formatted OS error — `std::io::Error` is not
     /// `Clone`/`Eq`, which this enum needs to stay.
@@ -72,7 +69,6 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::Corrupt(what) => write!(f, "corrupt payload: {what}"),
-            StorageError::VersionNotFound(v) => write!(f, "version not found: {v}"),
             StorageError::Io(what) => write!(f, "durable-state io error: {what}"),
         }
     }

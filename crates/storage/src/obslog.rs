@@ -2,32 +2,38 @@
 //!
 //! Every `observe(uid, item, label)` call (paper §4.1) does two things:
 //! trigger an online update, and durably record the observation "for use by
-//! Spark when retraining the model offline". This module is that record: a
-//! segmented, append-only, concurrently-readable log. Offline retraining
-//! reads from offset 0; the evaluator tails new entries; nothing is ever
-//! rewritten in place.
+//! Spark when retraining the model offline". This module is that record —
+//! the only one a deployment keeps: a segmented, append-only,
+//! concurrently-readable log. Offline retraining scans it from the start,
+//! the post-retrain replay scans the stretch that arrived while training
+//! ran; nothing is ever rewritten in place.
 //!
-//! ## Committed prefix
+//! ## Two kinds of entry
 //!
-//! Offsets are handed out by a fetch-add, so two threads can land their
-//! slots out of order: offset 7's write may finish before offset 6's. A
-//! slot only becomes *committed* — visible to readers — once every earlier
-//! slot in the log is filled too. Readers ([`read_from`]) therefore see a
-//! dense, gap-free prefix and can never observe an in-flight placeholder
-//! (the historical bug here was `resize`-with-default placeholders that a
-//! concurrent reader could return as real zero-valued records).
+//! A catalog item's observation ([`LogEntry::Catalog`]) carries an
+//! [`Observation`] whose `timestamp` is its *offset*: its index among the
+//! catalog entries alone, dense from 0, and its index in the WAL. A
+//! raw-payload item has no id to record, so its entry ([`LogEntry::Raw`])
+//! carries the item's attributes and lives in memory only — never in the
+//! WAL, never in a checkpoint. Both kinds share one arrival order,
+//! addressed by *position*: [`len`] counts offsets, [`positions`] every
+//! entry.
 //!
-//! ## Durability
+//! ## Appends
 //!
-//! Optionally, a [`Wal`] can be attached: [`try_append`] then writes the
-//! record to disk (honoring the WAL's fsync policy) *before* making it
-//! visible in memory, so an acknowledged observation survives a process
-//! crash. Appends on a durable log are serialized by the WAL mutex, which
-//! keeps the on-disk order identical to the offset order.
+//! One mutex serializes appends and holds the optional [`Wal`]. A durable
+//! append ([`try_append`]) writes the record to disk (honoring the WAL's
+//! fsync policy) *before* the entry becomes readable, so an acknowledged
+//! observation survives a process crash and the on-disk order is the
+//! offset order; a failed write leaves the log as it was. Because appends
+//! fill positions in order, every position below [`positions`] is readable:
+//! a reader never meets a hole. Readers lock one segment at a time.
 //!
-//! [`read_from`]: ObservationLog::read_from
+//! [`len`]: ObservationLog::len
+//! [`positions`]: ObservationLog::positions
 //! [`try_append`]: ObservationLog::try_append
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -51,43 +57,53 @@ pub struct Observation {
     pub timestamp: u64,
 }
 
+/// One log entry, in arrival order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LogEntry {
+    /// A catalog item's observation, WAL-backed when a WAL is attached.
+    Catalog(Observation),
+    /// A raw-payload item's observation: memory only.
+    Raw {
+        /// User identifier.
+        uid: u64,
+        /// The item's attributes, as observed.
+        attrs: Box<[f64]>,
+        /// Supervised label.
+        y: f64,
+    },
+}
+
 /// Entries per segment. Segments let long logs be scanned without holding a
 /// lock across the whole history: readers lock one segment at a time.
 const SEGMENT_SIZE: usize = 4096;
 
-/// One segment: optional slots (None = reserved but not yet written) plus
-/// the length of its committed (gap-free) prefix.
-struct Segment {
-    slots: Vec<Option<Observation>>,
-    committed: usize,
-}
-
-impl Segment {
-    fn new() -> Self {
-        Segment { slots: Vec::with_capacity(SEGMENT_SIZE), committed: 0 }
-    }
-}
-
 /// An append-only, segmented, concurrently-readable observation log, with
 /// optional write-ahead durability.
 pub struct ObservationLog {
-    segments: RwLock<Vec<RwLock<Segment>>>,
-    next_offset: AtomicU64,
+    /// Full segments, then the one being filled; none before the first
+    /// append.
+    segments: RwLock<Vec<RwLock<Vec<LogEntry>>>>,
+    /// Entries appended; moves only under `wal`.
+    positions: AtomicU64,
+    /// Catalog entries appended (the next offset); moves only under `wal`.
+    offsets: AtomicU64,
     /// Per-append wall-clock latency (ns), exposable through a registry.
     append_latency: Arc<Histogram>,
-    /// Attached write-ahead log; when present, [`try_append`] persists
-    /// records before exposing them (and serializes appends).
+    /// Serializes appends. When a WAL is attached, [`try_append`] persists
+    /// records through it before exposing them.
     ///
     /// [`try_append`]: ObservationLog::try_append
     wal: Mutex<Option<Wal>>,
 }
 
 impl ObservationLog {
-    /// Creates an empty, memory-only log.
+    /// Creates an empty, memory-only log. Allocates no segment until the
+    /// first append.
     pub fn new() -> Self {
         ObservationLog {
-            segments: RwLock::new(vec![RwLock::new(Segment::new())]),
-            next_offset: AtomicU64::new(0),
+            segments: RwLock::new(Vec::new()),
+            positions: AtomicU64::new(0),
+            offsets: AtomicU64::new(0),
             append_latency: Arc::new(Histogram::new()),
             wal: Mutex::new(None),
         }
@@ -99,74 +115,55 @@ impl ObservationLog {
         Arc::clone(&self.append_latency)
     }
 
-    /// Places `obs` into its slot and advances the segment's committed
-    /// frontier over any now-contiguous run.
-    fn insert(&self, offset: u64, obs: Observation) {
-        let seg_idx = (offset as usize) / SEGMENT_SIZE;
-        loop {
-            {
-                let segments = self.segments.read().unwrap();
-                if let Some(seg) = segments.get(seg_idx) {
-                    let mut seg = seg.write().unwrap();
-                    let local = (offset as usize) % SEGMENT_SIZE;
-                    if seg.slots.len() <= local {
-                        seg.slots.resize(local + 1, None);
-                    }
-                    seg.slots[local] = Some(obs);
-                    while seg.committed < seg.slots.len() && seg.slots[seg.committed].is_some() {
-                        seg.committed += 1;
-                    }
-                    return;
-                }
-            }
-            // Need a new segment; take the outer write lock and extend.
-            let mut segments = self.segments.write().unwrap();
-            while segments.len() <= seg_idx {
-                segments.push(RwLock::new(Segment::new()));
-            }
+    /// Places `entry` at the next position. The caller holds `wal`, so
+    /// positions fill in order and a position is published only once its
+    /// entry is in place.
+    fn push(&self, entry: LogEntry) {
+        let pos = self.positions.load(Ordering::Relaxed) as usize;
+        if pos.is_multiple_of(SEGMENT_SIZE) {
+            let segment = RwLock::new(Vec::with_capacity(SEGMENT_SIZE));
+            self.segments.write().unwrap().push(segment);
         }
+        self.segments.read().unwrap()[pos / SEGMENT_SIZE].write().unwrap().push(entry);
+        self.positions.store(pos as u64 + 1, Ordering::Release);
     }
 
-    /// Appends an observation in memory only, assigning and returning its
-    /// offset (which doubles as its logical timestamp). Durable logs (a
-    /// WAL attached) must go through [`try_append`](Self::try_append)
-    /// instead — this path never touches disk.
+    /// Appends a catalog observation to a memory-only log, assigning and
+    /// returning its offset (which doubles as its logical timestamp). A
+    /// durable log (a WAL attached) goes through
+    /// [`try_append`](Self::try_append), which reports a failed write
+    /// instead of panicking on it.
     pub fn append(&self, uid: u64, item_id: u64, y: f64) -> u64 {
-        let timer = Timer::start();
-        let offset = self.next_offset.fetch_add(1, Ordering::SeqCst);
-        self.insert(offset, Observation { uid, item_id, y, timestamp: offset });
-        timer.observe(&self.append_latency);
-        offset
+        self.try_append(uid, item_id, y).expect("a WAL write failed: use try_append")
     }
 
-    /// Appends an observation, writing it to the attached WAL (and
-    /// syncing, per the WAL's fsync policy) *before* making it readable.
-    /// Without an attached WAL this is exactly [`append`](Self::append).
-    /// On an I/O error nothing becomes visible and the offset reservation
-    /// is rolled back.
+    /// Appends a catalog observation, writing it to the attached WAL (and
+    /// syncing, per the WAL's fsync policy) *before* making it readable,
+    /// and returns its offset. On an I/O error nothing becomes visible and
+    /// no offset is used.
     pub fn try_append(&self, uid: u64, item_id: u64, y: f64) -> Result<u64> {
-        let mut wal = self.wal.lock().unwrap();
-        let Some(w) = wal.as_mut() else {
-            drop(wal);
-            return Ok(self.append(uid, item_id, y));
-        };
         let timer = Timer::start();
-        let offset = self.next_offset.fetch_add(1, Ordering::SeqCst);
+        let mut wal = self.wal.lock().unwrap();
+        let offset = self.offsets.load(Ordering::Relaxed);
         let obs = Observation { uid, item_id, y, timestamp: offset };
-        if let Err(e) = w.append(&obs) {
-            // Appends on a durable log are serialized by the wal mutex, so
-            // nothing can have raced past the reservation; roll it back.
-            let _ = self.next_offset.compare_exchange(
-                offset + 1,
-                offset,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            return Err(e);
+        if let Some(w) = wal.as_mut() {
+            w.append(&obs)?;
         }
-        self.insert(offset, obs);
+        self.push(LogEntry::Catalog(obs));
+        self.offsets.store(offset + 1, Ordering::Release);
+        drop(wal);
         timer.observe(&self.append_latency);
         Ok(offset)
+    }
+
+    /// Appends a raw-payload observation. It takes a position but no
+    /// offset, and never reaches the WAL.
+    pub fn append_raw(&self, uid: u64, attrs: Box<[f64]>, y: f64) {
+        let timer = Timer::start();
+        let wal = self.wal.lock().unwrap();
+        self.push(LogEntry::Raw { uid, attrs, y });
+        drop(wal);
+        timer.observe(&self.append_latency);
     }
 
     /// Attaches a write-ahead log. Subsequent
@@ -197,72 +194,46 @@ impl ObservationLog {
         self.wal.lock().unwrap().as_ref().map(|w| w.stats())
     }
 
-    /// Number of offsets handed out (includes in-flight appends).
+    /// Catalog observations appended: the next offset.
     pub fn len(&self) -> u64 {
-        self.next_offset.load(Ordering::SeqCst)
+        self.offsets.load(Ordering::Acquire)
     }
 
-    /// Length of the committed (reader-visible, gap-free) prefix. Equal to
-    /// [`len`](Self::len) whenever no append is mid-flight.
-    pub fn committed_len(&self) -> u64 {
-        let segments = self.segments.read().unwrap();
-        let mut total = 0u64;
-        for seg in segments.iter() {
-            let seg = seg.read().unwrap();
-            total += seg.committed as u64;
-            if seg.committed < SEGMENT_SIZE {
-                break;
-            }
-        }
-        total
-    }
-
-    /// True when nothing has been appended.
+    /// True when no catalog observation has been appended.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Reads up to `max` observations starting at `from_offset`, in offset
-    /// order. Returns fewer than `max` at the log head. Only the committed
-    /// prefix is readable: the scan stops at the first in-flight slot, so
-    /// a reader never observes a torn or placeholder entry.
-    pub fn read_from(&self, from_offset: u64, max: usize) -> Vec<Observation> {
-        let end = self.len().min(from_offset.saturating_add(max as u64));
-        let mut out = Vec::with_capacity((end.saturating_sub(from_offset)) as usize);
-        let segments = self.segments.read().unwrap();
-        let mut offset = from_offset;
-        while offset < end {
-            let seg_idx = (offset as usize) / SEGMENT_SIZE;
-            let Some(seg) = segments.get(seg_idx) else { break };
-            let seg = seg.read().unwrap();
-            let local_start = (offset as usize) % SEGMENT_SIZE;
-            let local_end = (SEGMENT_SIZE).min(local_start + (end - offset) as usize);
-            let avail_end = local_end.min(seg.committed);
-            if avail_end <= local_start {
-                break;
-            }
-            for slot in &seg.slots[local_start..avail_end] {
-                out.push(slot.clone().expect("committed prefix has no holes"));
-            }
-            if avail_end < local_end {
-                break; // hit the committed frontier mid-segment
-            }
-            offset += (avail_end - local_start) as u64;
+    /// Entries of either kind appended: the next position.
+    pub fn positions(&self) -> u64 {
+        self.positions.load(Ordering::Acquire)
+    }
+
+    /// Calls `f` on the entries at `range` (positions, clipped to the log
+    /// head) in arrival order, holding one segment's read lock at a time:
+    /// an append waits for at most one segment's worth of `f`.
+    pub fn scan(&self, range: Range<u64>, mut f: impl FnMut(&LogEntry)) {
+        let end = range.end.min(self.positions()) as usize;
+        let mut pos = range.start as usize;
+        while pos < end {
+            let segments = self.segments.read().unwrap();
+            let from = pos % SEGMENT_SIZE;
+            let to = SEGMENT_SIZE.min(from + (end - pos));
+            segments[pos / SEGMENT_SIZE].read().unwrap()[from..to].iter().for_each(&mut f);
+            pos += to - from;
         }
-        out
     }
 
-    /// Reads the entire committed log (used by offline retraining).
+    /// Every catalog observation, in offset order — what a checkpoint
+    /// stores.
     pub fn read_all(&self) -> Vec<Observation> {
-        self.read_from(0, self.len() as usize)
-    }
-
-    /// All observations for one user, in arrival order. O(len) scan — used
-    /// by model reconstruction (rebuilding a user's sufficient statistics
-    /// after a feature-parameter change), which is an offline-path
-    /// operation.
-    pub fn read_user(&self, uid: u64) -> Vec<Observation> {
-        self.read_all().into_iter().filter(|o| o.uid == uid).collect()
+        let mut out = Vec::with_capacity(self.len() as usize);
+        self.scan(0..u64::MAX, |entry| {
+            if let LogEntry::Catalog(obs) = entry {
+                out.push(obs.clone());
+            }
+        });
+        out
     }
 }
 
@@ -279,6 +250,12 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    fn scan_all(log: &ObservationLog, range: Range<u64>) -> Vec<LogEntry> {
+        let mut out = Vec::new();
+        log.scan(range, |e| out.push(e.clone()));
+        out
+    }
+
     #[test]
     fn append_assigns_dense_offsets() {
         let log = ObservationLog::new();
@@ -286,23 +263,33 @@ mod tests {
         assert_eq!(log.append(1, 100, 4.5), 0);
         assert_eq!(log.append(2, 200, 3.0), 1);
         assert_eq!(log.len(), 2);
-        assert_eq!(log.committed_len(), 2);
+        assert_eq!(log.positions(), 2);
     }
 
     #[test]
-    fn read_from_respects_offset_and_max() {
+    fn a_fresh_log_allocates_no_segment() {
+        let log = ObservationLog::new();
+        assert!(log.segments.read().unwrap().is_empty());
+        assert!(scan_all(&log, 0..10).is_empty());
+        log.append(1, 2, 3.0);
+        assert_eq!(log.segments.read().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn scan_respects_the_range_and_the_head() {
         let log = ObservationLog::new();
         for i in 0..10 {
             log.append(i, i * 10, i as f64);
         }
-        let chunk = log.read_from(3, 4);
+        let chunk = scan_all(&log, 3..7);
         assert_eq!(chunk.len(), 4);
-        assert_eq!(chunk[0].uid, 3);
-        assert_eq!(chunk[3].uid, 6);
-        assert_eq!(chunk[0].timestamp, 3);
+        assert_eq!(
+            chunk[0],
+            LogEntry::Catalog(Observation { uid: 3, item_id: 30, y: 3.0, timestamp: 3 })
+        );
         // Reading past the end returns what exists.
-        assert_eq!(log.read_from(8, 100).len(), 2);
-        assert!(log.read_from(100, 10).is_empty());
+        assert_eq!(scan_all(&log, 8..100).len(), 2);
+        assert!(scan_all(&log, 100..110).is_empty());
     }
 
     #[test]
@@ -316,16 +303,19 @@ mod tests {
     }
 
     #[test]
-    fn read_user_filters() {
+    fn raw_entries_take_positions_but_no_offsets() {
         let log = ObservationLog::new();
         log.append(1, 10, 1.0);
-        log.append(2, 20, 2.0);
-        log.append(1, 30, 3.0);
-        let user1 = log.read_user(1);
-        assert_eq!(user1.len(), 2);
-        assert_eq!(user1[0].item_id, 10);
-        assert_eq!(user1[1].item_id, 30);
-        assert!(log.read_user(99).is_empty());
+        log.append_raw(2, vec![0.5, -0.5].into(), 2.0);
+        assert_eq!(log.append(3, 30, 3.0), 1, "offsets stay dense over catalog entries");
+        assert_eq!((log.len(), log.positions()), (2, 3));
+        let entries = scan_all(&log, 0..3);
+        assert_eq!(entries[1], LogEntry::Raw { uid: 2, attrs: vec![0.5, -0.5].into(), y: 2.0 });
+        let catalog = log.read_all();
+        assert_eq!(
+            catalog.iter().map(|o| (o.uid, o.timestamp)).collect::<Vec<_>>(),
+            [(1, 0), (3, 1)]
+        );
     }
 
     #[test]
@@ -336,14 +326,14 @@ mod tests {
             log.append(i, i, i as f64);
         }
         assert_eq!(log.len(), n);
-        assert_eq!(log.committed_len(), n);
-        let all = log.read_all();
-        assert_eq!(all.len(), n as usize);
+        assert_eq!(log.read_all().len(), n as usize);
         // Spot-check a cross-segment boundary read.
-        let boundary = log.read_from(SEGMENT_SIZE as u64 - 2, 4);
+        let start = SEGMENT_SIZE as u64 - 2;
+        let boundary = scan_all(&log, start..start + 4);
         assert_eq!(boundary.len(), 4);
-        for (i, obs) in boundary.iter().enumerate() {
-            assert_eq!(obs.timestamp, SEGMENT_SIZE as u64 - 2 + i as u64);
+        for (i, entry) in boundary.iter().enumerate() {
+            let LogEntry::Catalog(obs) = entry else { panic!("catalog entries only") };
+            assert_eq!(obs.timestamp, start + i as u64);
         }
     }
 
@@ -363,44 +353,19 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(log.len(), 16000);
-        assert_eq!(log.committed_len(), 16000);
         let all = log.read_all();
         assert_eq!(all.len(), 16000);
-        // Offsets are dense and in order; no placeholder slots remain.
+        // Offsets are dense and in order.
         for (i, obs) in all.iter().enumerate() {
             assert_eq!(obs.timestamp, i as u64);
             assert!(obs.uid < 8);
         }
     }
 
-    /// Regression test for the placeholder hazard: when a later offset
-    /// lands before an earlier one, readers must see *neither* until the
-    /// gap fills (the old implementation resized with default-valued
-    /// placeholder records that a concurrent reader could return).
+    /// A concurrent tail reader must never see a hole or out-of-order
+    /// timestamps while appenders are racing.
     #[test]
-    fn in_flight_gaps_are_invisible_to_readers() {
-        let log = ObservationLog::new();
-        // Simulate thread B (offset 1) landing before thread A (offset 0).
-        log.next_offset.store(2, Ordering::SeqCst);
-        log.insert(1, Observation { uid: 9, item_id: 90, y: 9.0, timestamp: 1 });
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.committed_len(), 0);
-        assert!(log.read_from(0, 10).is_empty(), "gap at offset 0 must hide offset 1");
-        assert!(log.read_from(1, 10).is_empty(), "offset 1 is not committed yet");
-        assert!(log.read_all().is_empty());
-        // The straggler lands; both records become visible atomically.
-        log.insert(0, Observation { uid: 5, item_id: 50, y: 5.0, timestamp: 0 });
-        assert_eq!(log.committed_len(), 2);
-        let all = log.read_all();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].uid, 5);
-        assert_eq!(all[1].uid, 9);
-    }
-
-    /// A concurrent tail reader must never see placeholder values or
-    /// out-of-order timestamps while appenders are racing.
-    #[test]
-    fn concurrent_reader_never_sees_placeholders() {
+    fn concurrent_reader_sees_a_dense_prefix() {
         let log = Arc::new(ObservationLog::new());
         let stop = Arc::new(AtomicBool::new(false));
         let reader = {
@@ -408,10 +373,8 @@ mod tests {
             let stop = Arc::clone(&stop);
             thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let tail = log.read_from(0, usize::MAX);
-                    for (i, obs) in tail.iter().enumerate() {
+                    for (i, obs) in log.read_all().iter().enumerate() {
                         assert_eq!(obs.timestamp, i as u64, "hole surfaced to a reader");
-                        assert_ne!(obs.uid, u64::MAX, "placeholder surfaced to a reader");
                     }
                 }
             })
@@ -430,7 +393,7 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         reader.join().unwrap();
-        assert_eq!(log.committed_len(), 12000);
+        assert_eq!(log.len(), 12000);
     }
 
     #[test]
@@ -443,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn try_append_with_wal_persists_records() {
+    fn try_append_with_wal_persists_catalog_records_only() {
         use crate::tmp::ScratchDir;
         use crate::wal::{Wal, WalConfig};
         let dir = ScratchDir::new("velox-obslog-wal");
@@ -452,11 +415,36 @@ mod tests {
         log.attach_wal(wal);
         for i in 0..20u64 {
             assert_eq!(log.try_append(i, i * 2, i as f64).unwrap(), i);
+            log.append_raw(i, vec![i as f64].into(), 0.5);
         }
         assert_eq!(log.wal_stats().unwrap().appends.get(), 20);
         drop(log);
         let (_, rec) = Wal::open(WalConfig::new(dir.path())).unwrap();
         assert_eq!(rec.records.len(), 20);
         assert_eq!(rec.records[7], Observation { uid: 7, item_id: 14, y: 7.0, timestamp: 7 });
+    }
+
+    /// A WAL write that fails leaves no entry, no offset and no position
+    /// behind: the next append takes the same offset.
+    #[test]
+    fn a_failed_wal_append_leaves_the_log_unchanged() {
+        use crate::tmp::ScratchDir;
+        use crate::wal::{Wal, WalConfig};
+        let dir = ScratchDir::new("velox-obslog-wal-fail");
+        let wal_dir = dir.path().join("wal");
+        let mut config = WalConfig::new(&wal_dir);
+        config.segment_max_bytes = (crate::wal::HEADER_LEN + crate::wal::RECORD_LEN) as u64;
+        let (wal, _) = Wal::open(config).unwrap();
+        let log = ObservationLog::new();
+        log.attach_wal(wal);
+        assert_eq!(log.try_append(1, 1, 1.0).unwrap(), 0);
+        // The next record needs a new segment, and its directory is gone.
+        std::fs::remove_dir_all(&wal_dir).unwrap();
+        std::fs::write(&wal_dir, b"not a directory").unwrap();
+        assert!(log.try_append(2, 2, 2.0).is_err());
+        assert_eq!((log.len(), log.positions()), (1, 1));
+        assert_eq!(log.read_all().len(), 1);
+        log.detach_wal();
+        assert_eq!(log.append(3, 3, 3.0), 1, "the failed append used no offset");
     }
 }

@@ -95,7 +95,7 @@ const MAGIC_WAL: u32 = 0x564C_5731;
 /// Format version written into segment headers.
 const FORMAT: u32 = 1;
 /// Segment header: magic + format + start_ts.
-const HEADER_LEN: usize = 16;
+pub(crate) const HEADER_LEN: usize = 16;
 /// Fixed payload size of an observation record.
 const PAYLOAD_LEN: usize = 32;
 /// Full record size: len prefix + crc + payload.

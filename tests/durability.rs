@@ -2,8 +2,9 @@
 //! observations survive process death (simulated by dropping the deployment
 //! and rebooting from the same directory), recovery is idempotent, torn WAL
 //! tails are handled at every byte offset, a corrupt checkpoint falls
-//! back to an older one whose WAL coverage is still intact, and a hole in
-//! the WAL stops the replay at the hole.
+//! back to an older one whose WAL coverage is still intact, a hole in the
+//! WAL stops the replay at the hole, an observation the WAL refuses takes
+//! no effect, and only catalog records (never raw payloads) replay.
 
 use std::collections::HashMap;
 use std::fs;
@@ -344,4 +345,90 @@ fn a_hole_in_the_wal_stops_replay_at_the_hole() {
     register(&revived);
     revived.observe(1, &Item::Id(0), 0.5).expect("observe after the hole");
     assert_eq!(revived.stats().observations, 3);
+}
+
+/// (8) Log before apply: an observation whose WAL append fails returns
+/// `Err` and has taken no effect — no fold into the user's `A⁻¹`, no new
+/// serving weights, no new score, nothing queued for redo — so a client
+/// that retries it applies it once. The WAL is made to fail by giving it
+/// one-record segments and replacing its directory with a regular file, so
+/// the next append's rotation cannot create a segment.
+#[test]
+fn an_observation_the_wal_refuses_takes_no_effect() {
+    let scratch = ScratchDir::new("dur-refused");
+    let state = scratch.join("state");
+    let mut durability = DurabilityConfig::new(state.clone());
+    durability.wal_segment_bytes = 16 + 40; // a header and one record
+    let (velox, _) =
+        boot_with(VeloxConfig { durability: Some(durability), ..VeloxConfig::single_node() });
+    register(&velox);
+    observe_n(&velox, 0, 6);
+
+    fs::remove_dir_all(state.join("wal")).expect("remove the wal directory");
+    fs::write(state.join("wal"), b"not a directory").expect("put a file in its place");
+
+    let (uid, probe) = (1, Item::Id(3));
+    let user = |velox: &Velox| {
+        let a_inv = velox.user_store().read(uid, |s| s.packed_a_inv().to_vec()).expect("state");
+        let a_inv: Vec<u64> = a_inv.iter().map(|v| v.to_bits()).collect();
+        let weights = velox.cluster().peek_user_weights(uid).expect("weights");
+        let weights: Vec<u64> = weights.iter().map(|v| v.to_bits()).collect();
+        let score = velox.predict(uid, &probe).expect("predict").score.to_bits();
+        (a_inv, weights, score, velox.stats().redo.pending)
+    };
+    let before = user(&velox);
+    assert!(velox.observe(uid, &Item::Id(5), 0.7).is_err(), "the WAL refused the record");
+    assert_eq!(user(&velox), before, "a refused observation changed the user");
+    assert_eq!(velox.stats().observations, 6);
+
+    // The same rule on the outage path: a deferred observation is logged
+    // before it is queued.
+    velox.kill_node(0);
+    assert!(velox.observe(uid, &Item::Id(5), 0.7).is_err(), "the WAL refused the deferral");
+    let redo = velox.stats().redo;
+    assert_eq!((redo.pending, redo.buffered), (0, 0), "a refused deferral was queued");
+}
+
+/// (9) One log, two kinds of entry: a durable deployment logs catalog
+/// items through the WAL and raw payloads in memory only. After a restart
+/// exactly the catalog records replay, at dense timestamps, and a retrain
+/// on the recovered log succeeds.
+#[test]
+fn only_catalog_records_replay_and_the_recovered_log_retrains() {
+    let scratch = ScratchDir::new("dur-mixed");
+    let state = scratch.join("state");
+    let (velox, _) = boot(&state);
+    register(&velox);
+    let mut catalog = Vec::new();
+    for i in 0..12u64 {
+        let (uid, y) = (i % 4, (i as f64 * 0.31).cos());
+        if i % 3 == 0 {
+            let raw = Item::Raw(Vector::from_vec(vec![0.1 * i as f64, -0.2]));
+            velox.observe(uid, &raw, y).expect("observe raw");
+        } else {
+            velox.observe(uid, &Item::Id(i % ITEMS), y).expect("observe catalog");
+            catalog.push((uid, i % ITEMS, y.to_bits()));
+        }
+    }
+    let log = velox.observation_log();
+    assert_eq!((log.len(), log.positions()), (8, 12), "8 catalog records among 12 entries");
+    assert_eq!(velox.stats().observations, 8);
+    drop(velox);
+
+    let (revived, report) = boot(&state);
+    assert_eq!(report.replayed, 8, "exactly the catalog records replay");
+    let log = revived.observation_log();
+    assert_eq!((log.len(), log.positions()), (8, 8), "raw payloads never reach the disk");
+    let replayed: Vec<(u64, u64, u64)> = log
+        .read_all()
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            assert_eq!(o.timestamp, i as u64, "timestamps stay dense");
+            (o.uid, o.item_id, o.y.to_bits())
+        })
+        .collect();
+    assert_eq!(replayed, catalog);
+    register(&revived);
+    assert_eq!(revived.retrain_offline().expect("retrain on the recovered log"), 2);
 }

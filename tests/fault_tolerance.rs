@@ -257,3 +257,37 @@ fn scripted_outage_is_deterministic() {
     assert!(a.3 > 0, "read-failure injection must have fired");
     assert!(a.4 > 0, "latency-spike injection must have fired");
 }
+
+/// A publish and a kill free what they replace: once a new table is
+/// published, or the nodes holding a value are killed, no reference to the
+/// superseded vector is left inside the cluster.
+#[test]
+fn publishes_and_kills_leave_no_reference_to_what_they_replaced() {
+    let cluster = velox::cluster::Cluster::new(ClusterConfig {
+        n_nodes: 2,
+        item_replication: 2,
+        user_replication: 2,
+        ..Default::default()
+    });
+    let held = |w: Vec<f64>| -> Arc<[f64]> { w.into() };
+
+    cluster.publish_item_features(vec![(1, vec![0.5, 0.25])]);
+    let item = cluster.read_item_features(0, 1).value.expect("published");
+    assert!(Arc::strong_count(&item) > 1);
+    cluster.publish_item_features(vec![(1, vec![0.75, 0.125])]);
+    assert_eq!(Arc::strong_count(&item), 1, "a publish kept the superseded item table");
+
+    let user = held(vec![1.0, 2.0]);
+    cluster.put_user_weights(7, Arc::clone(&user));
+    assert_eq!(Arc::strong_count(&user), 3, "one reference per replica");
+    cluster.publish_user_weights(vec![(7, vec![3.0, 4.0])]);
+    assert_eq!(Arc::strong_count(&user), 1, "a publish kept the superseded user table");
+
+    let user = held(vec![5.0, 6.0]);
+    cluster.put_user_weights(7, Arc::clone(&user));
+    let item = cluster.read_item_features(1, 1).value.expect("published");
+    cluster.kill_node(0);
+    cluster.kill_node(1);
+    assert_eq!(Arc::strong_count(&user), 1, "a kill kept the dead node's user shard");
+    assert_eq!(Arc::strong_count(&item), 1, "a kill kept the dead node's item shard");
+}

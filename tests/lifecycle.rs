@@ -1,7 +1,9 @@
 //! Model-lifecycle tests (§4.3, §6): online updates improve accuracy,
 //! staleness detection triggers retraining, retrains swap versions and
-//! repopulate caches, rollback restores prior behaviour.
+//! repopulate caches, rollback restores prior behaviour, and retraining
+//! reads the one observation log in arrival order.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox::prelude::*;
@@ -299,5 +301,51 @@ fn observations_during_async_retrain_are_not_lost() {
             pred > 1.0,
             "{mid_retrain} mid-retrain observations of y=10 must survive the swap: {pred}"
         );
+    }
+}
+
+/// One log feeds retraining: a computational-model deployment that
+/// observes catalog and raw-payload items retrains to exactly the user
+/// weights `model.retrain` computes on those examples in arrival order
+/// (catalog ids resolved to their attributes), bit for bit.
+#[test]
+fn retrain_reads_catalog_and_raw_examples_in_arrival_order() {
+    let attrs =
+        |item: u64| (0..3).map(|k| ((item * 3 + k) as f64 * 0.37).sin()).collect::<Vec<_>>();
+    let model: Arc<dyn VeloxModel> =
+        Arc::new(RandomFourierModel::new("rff-mix", 3, 16, 1.0, 0.3, 5));
+    let config = VeloxConfig { auto_retrain: false, ..VeloxConfig::single_node() };
+    let executor = JobExecutor::new(config.training_workers);
+    let velox = Velox::deploy(Arc::clone(&model), HashMap::new(), config);
+    for item in 0..10 {
+        velox.register_item(item, attrs(item));
+    }
+
+    let mut examples = Vec::new();
+    for i in 0..60u64 {
+        let (uid, y) = (i % 5, (i as f64 * 0.23).sin());
+        let raw = Item::Raw(Vector::from_vec(attrs(100 + i)));
+        let item = if i % 4 == 1 { raw } else { Item::Id(i % 10) };
+        velox.observe(uid, &item, y).unwrap();
+        let resolved = match item {
+            Item::Id(id) => Item::Raw(Vector::from_vec(attrs(id))),
+            raw => raw,
+        };
+        examples.push(TrainingExample { uid, item: resolved, y });
+    }
+    let warm: HashMap<u64, Vector> = velox
+        .cluster()
+        .export_user_weights()
+        .into_iter()
+        .map(|(uid, w)| (uid, Vector::from_vec(w)))
+        .collect();
+    let direct = model.retrain(&examples, &warm, &executor).unwrap();
+
+    assert_eq!(velox.retrain_offline().unwrap(), 2);
+    assert_eq!(direct.user_weights.len(), 5);
+    let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (uid, want) in &direct.user_weights {
+        let served = velox.cluster().peek_user_weights(*uid).unwrap();
+        assert_eq!(bits(&served), bits(want.as_slice()), "user {uid}");
     }
 }
