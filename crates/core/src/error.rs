@@ -7,8 +7,6 @@ use velox_storage::StorageError;
 /// Errors surfaced by Velox API calls.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VeloxError {
-    /// The referenced model name is not deployed.
-    ModelNotFound(String),
     /// The model implementation rejected the request.
     Model(ModelError),
     /// Numerical failure in an online update or prediction.
@@ -40,7 +38,6 @@ pub enum VeloxError {
 impl std::fmt::Display for VeloxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VeloxError::ModelNotFound(name) => write!(f, "model not deployed: {name}"),
             VeloxError::Model(e) => write!(f, "model error: {e}"),
             VeloxError::Numeric(e) => write!(f, "numeric error: {e}"),
             VeloxError::Storage(e) => write!(f, "storage error: {e}"),
@@ -83,8 +80,6 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        let e = VeloxError::ModelNotFound("songs".into());
-        assert!(e.to_string().contains("songs"));
         let e: VeloxError = ModelError::UnknownItem(7).into();
         assert!(e.to_string().contains('7'));
         let e: VeloxError = LinalgError::Empty { op: "mean" }.into();

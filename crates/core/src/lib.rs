@@ -26,9 +26,10 @@
 //! full deployment atomically, and [`Velox::deploy_durable`] recovers —
 //! checkpoint restore plus WAL replay — after a crash.
 //!
-//! [`server::VeloxServer`] hosts many independent `Velox` deployments and
-//! dispatches by model name — the multi-model front-end of Listing 1's
-//! `ModelSchema` parameter.
+//! A `Velox` is one deployment. Hosting many side by side — Listing 1's
+//! `ModelSchema` parameter, §2's ad campaigns — is `velox-serve`'s
+//! `ServeTier`: its registry maps each name to a versioned backend, and
+//! a `Velox` serves there behind `VeloxBackend`.
 
 #![warn(missing_docs)]
 
@@ -38,7 +39,6 @@ pub mod durability;
 pub mod ensemble;
 pub mod error;
 pub mod persistence;
-pub mod server;
 pub mod sharded_cache;
 pub mod velox;
 
@@ -48,7 +48,6 @@ pub use durability::{CheckpointReport, DurabilityConfig, DurabilityStats, Recove
 pub use ensemble::{EnsemblePrediction, EnsembleSelector, WeightScope};
 pub use error::VeloxError;
 pub use persistence::DeploymentSnapshot;
-pub use server::VeloxServer;
 pub use velox::{
     DegradationCounts, DegradationLevel, ObserveOutcome, PredictResponse, RedoQueueStats,
     SystemStats, TopKResponse, Velox,

@@ -22,18 +22,15 @@
 //!
 //! Named, versioned model registration ("incrementing the version and
 //! transparently upgrading incoming prediction requests") lives in
-//! `velox-serve`'s `ModelManager`; [`RegistryError`] is its refusal
-//! vocabulary.
+//! `velox-serve`'s `ModelManager`, with its refusals.
 
 #![warn(missing_docs)]
 
 pub mod basis;
 pub mod mf;
-pub mod registry;
 
 pub use basis::{IdentityModel, MlpFeatureModel, RandomFourierModel, SvmEnsembleModel};
 pub use mf::MatrixFactorizationModel;
-pub use registry::RegistryError;
 
 use std::collections::HashMap;
 use velox_batch::JobExecutor;

@@ -1,6 +1,7 @@
-//! The REST server: route dispatch over a [`VeloxServer`], served on the
-//! shared connection pool ([`velox_cluster::ConnPool`]) with HTTP/1.1
-//! keep-alive.
+//! The REST server: route dispatch over a [`ServeTier`] — its registry is
+//! the one name → model map every `/models/<name>/*` route resolves
+//! against — served on the shared connection pool
+//! ([`velox_cluster::ConnPool`]) with HTTP/1.1 keep-alive.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Read};
@@ -10,15 +11,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use velox_cluster::{ConnPool, PoolConfig, Transport, TransportError};
-use velox_core::server::ModelSchema;
-use velox_core::{Velox, VeloxError, VeloxServer};
+use velox_core::{Velox, VeloxError};
 use velox_linalg::Vector;
 use velox_models::Item;
 use velox_obs::{
     build_tree, Gauge, KeepReason, Registry, RegistrySnapshot, SpanKind, SpanRecord, Timer,
     TraceNode, FRONT_NODE,
 };
-use velox_serve::{ServeDetail, ServeError, ServeTier, CLUSTER_BACKEND};
+use velox_serve::{
+    BackendStatus, ManagerSnapshot, RegistryError, ServeDetail, ServeError, ServeTier,
+    VeloxBackend, CLUSTER_BACKEND,
+};
 
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::json::Json;
@@ -86,8 +89,8 @@ struct MetricsCache {
 
 struct MetricsEntry {
     rendered_at: Instant,
-    /// Sorted deployment names at render time; a mismatch (model installed
-    /// or removed) invalidates regardless of age.
+    /// Sorted registered names at render time; a mismatch (model
+    /// registered or removed) invalidates regardless of age.
     names: Vec<String>,
     body: String,
 }
@@ -97,40 +100,33 @@ impl MetricsCache {
         MetricsCache { ttl, entry: Mutex::new(None) }
     }
 
-    fn get(
-        &self,
-        server: &VeloxServer,
-        registry: &Registry,
-        serving: Option<&Arc<ServeTier>>,
-    ) -> String {
+    fn get(&self, tier: &ServeTier, registry: &Registry) -> String {
+        let snapshot = tier.snapshot();
         if self.ttl.is_zero() {
-            return metrics_text(server, registry, serving);
+            return metrics_text(&snapshot, tier, registry);
         }
-        let mut names = server.deployment_names();
-        names.sort();
+        let names = snapshot.names();
         let mut entry = self.entry.lock().unwrap();
         if let Some(cached) = entry.as_ref() {
             if cached.rendered_at.elapsed() < self.ttl && cached.names == names {
                 return cached.body.clone();
             }
         }
-        let body = metrics_text(server, registry, serving);
+        let body = metrics_text(&snapshot, tier, registry);
         *entry = Some(MetricsEntry { rendered_at: Instant::now(), names, body: body.clone() });
         body
     }
 }
 
-/// The REST front end over a set of Velox deployments.
+/// The REST front end over the models of one serving tier.
 pub struct RestServer {
-    deployments: Arc<VeloxServer>,
+    /// The serving tier: the name → model registry and its batching lanes.
+    tier: Arc<ServeTier>,
     /// REST-layer registry: per-endpoint request-latency histograms.
     registry: Arc<Registry>,
     config: ServerConfig,
     /// Optional cluster backend served under `/cluster/*`.
     cluster: Option<ClusterBackend>,
-    /// Optional serving tier: adaptive batching + backend registry. When
-    /// attached, predict routes go through its batching lanes.
-    serving: Option<Arc<ServeTier>>,
 }
 
 /// Decrements the in-flight gauge when a request finishes, however it
@@ -164,29 +160,22 @@ impl RestHandle {
 
 /// What every connection's request loop shares.
 struct Routes {
-    deployments: Arc<VeloxServer>,
+    tier: Arc<ServeTier>,
     registry: Arc<Registry>,
     metrics_cache: MetricsCache,
     cluster: Option<ClusterBackend>,
-    serving: Option<Arc<ServeTier>>,
     in_flight: Arc<Gauge>,
 }
 
 impl RestServer {
-    /// Wraps a deployment set with default listener tuning.
-    pub fn new(deployments: Arc<VeloxServer>) -> Self {
-        Self::with_config(deployments, ServerConfig::default())
+    /// Serves `tier`'s models with default listener tuning.
+    pub fn new(tier: Arc<ServeTier>) -> Self {
+        Self::with_config(tier, ServerConfig::default())
     }
 
-    /// Wraps a deployment set with explicit listener tuning.
-    pub fn with_config(deployments: Arc<VeloxServer>, config: ServerConfig) -> Self {
-        RestServer {
-            deployments,
-            registry: Arc::new(Registry::new()),
-            config,
-            cluster: None,
-            serving: None,
-        }
+    /// Serves `tier`'s models with explicit listener tuning.
+    pub fn with_config(tier: Arc<ServeTier>, config: ServerConfig) -> Self {
+        RestServer { tier, registry: Arc::new(Registry::new()), config, cluster: None }
     }
 
     /// Attaches a cluster backend, enabling the `/cluster/*` routes. Any
@@ -197,15 +186,11 @@ impl RestServer {
         self
     }
 
-    /// Attaches a serving tier. `POST /models/<name>/predict` routes
-    /// through the tier's adaptive batching lane for any `name` registered
-    /// there (other names keep the direct path), `GET /models` lists the
-    /// registered backends with batch statistics, and
-    /// `POST /models/<name>/alias` flips serving aliases. When a backend
-    /// named [`CLUSTER_BACKEND`] is registered, `/cluster/predict` is
-    /// batched through it too.
-    pub fn with_serving(mut self, serving: Arc<ServeTier>) -> Self {
-        self.serving = Some(serving);
+    /// Replaces the serving tier the routes resolve against. When a
+    /// backend named [`CLUSTER_BACKEND`] is registered there,
+    /// `/cluster/predict` is batched through it.
+    pub fn with_serving(mut self, tier: Arc<ServeTier>) -> Self {
+        self.tier = tier;
         self
     }
 
@@ -225,10 +210,9 @@ impl RestServer {
         let shed = registry.counter("velox_rest_shed_total");
         let accepted = registry.counter("velox_rest_connections_total");
         let routes = Routes {
-            deployments: self.deployments,
+            tier: self.tier,
             metrics_cache: MetricsCache::new(config.metrics_cache_ttl),
             cluster: self.cluster,
-            serving: self.serving,
             in_flight: registry.gauge("velox_rest_in_flight_requests"),
             registry,
         };
@@ -320,7 +304,6 @@ fn error_json(message: &str) -> String {
 
 fn velox_error(e: &VeloxError) -> (u16, String) {
     let status = match e {
-        VeloxError::ModelNotFound(_) => 404,
         VeloxError::Model(_)
         | VeloxError::EmptyCandidateSet
         | VeloxError::NonFiniteInput(_)
@@ -387,18 +370,15 @@ fn endpoint_of(method: &str, segments: &[&str]) -> &'static str {
 fn handle(routes: &Routes, request: &Request) -> (u16, &'static str, String) {
     routes.in_flight.add(1);
     let _guard = InFlightGuard(&routes.in_flight);
-    let (server, registry) = (&*routes.deployments, &*routes.registry);
-    let (cluster, serving) = (routes.cluster.as_deref(), routes.serving.as_ref());
+    let (tier, registry, cluster) = (&*routes.tier, &*routes.registry, routes.cluster.as_deref());
     let timer = Timer::start();
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let endpoint = endpoint_of(request.method.as_str(), &segments);
     let result = match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["metrics"]) => {
-            (200, METRICS_TYPE, routes.metrics_cache.get(server, registry, serving))
-        }
-        ("GET", ["events"]) => (200, JSON_TYPE, events_json(server)),
+        ("GET", ["metrics"]) => (200, METRICS_TYPE, routes.metrics_cache.get(tier, registry)),
+        ("GET", ["events"]) => (200, JSON_TYPE, events_json(&tier.snapshot())),
         (_, ["cluster", ..]) => {
-            let (status, body) = dispatch_cluster(cluster, serving, request, &segments);
+            let (status, body) = dispatch_cluster(cluster, tier, request, &segments);
             (status, JSON_TYPE, body)
         }
         ("GET", ["trace", id]) => {
@@ -410,7 +390,7 @@ fn handle(routes: &Routes, request: &Request) -> (u16, &'static str, String) {
             (status, JSON_TYPE, body)
         }
         _ => {
-            let (status, body) = dispatch(server, serving, request);
+            let (status, body) = dispatch(tier, request);
             (status, JSON_TYPE, body)
         }
     };
@@ -420,55 +400,54 @@ fn handle(routes: &Routes, request: &Request) -> (u16, &'static str, String) {
     result
 }
 
-/// Merged Prometheus exposition: the REST layer's own metrics plus every
-/// deployment's registry tagged `model="<name>"`. Samples are re-sorted so
-/// each family appears once with a single `# TYPE` line.
-fn metrics_text(
-    server: &VeloxServer,
-    registry: &Registry,
-    serving: Option<&Arc<ServeTier>>,
-) -> String {
+/// The Velox deployments a registry snapshot serves, sorted by name: what
+/// `GET /models`, `/metrics` and `/events` enumerate.
+fn deployments(snapshot: &ManagerSnapshot) -> Vec<(String, Arc<Velox>)> {
+    snapshot
+        .names()
+        .into_iter()
+        .filter_map(|name| {
+            let velox = snapshot.resolve(&name).ok()?.backend.velox()?;
+            Some((name, velox))
+        })
+        .collect()
+}
+
+/// Merged Prometheus exposition: the REST layer's own metrics, every
+/// deployment's registry tagged `model="<name>"`, and the serving tier's
+/// (already labeled by backend). Samples are re-sorted so each family
+/// appears once with a single `# TYPE` line.
+fn metrics_text(snapshot: &ManagerSnapshot, tier: &ServeTier, registry: &Registry) -> String {
     let mut metrics = registry.snapshot().metrics;
-    let mut names = server.deployment_names();
-    names.sort();
-    for name in &names {
-        if let Ok(velox) = server.deployment(&ModelSchema::named(name.as_str())) {
-            for mut m in velox.registry().snapshot().metrics {
-                m.labels.insert(0, ("model".to_string(), name.clone()));
-                metrics.push(m);
-            }
+    for (name, velox) in deployments(snapshot) {
+        for mut m in velox.registry().snapshot().metrics {
+            m.labels.insert(0, ("model".to_string(), name.clone()));
+            metrics.push(m);
         }
     }
-    // The serving tier's registry already labels its series by backend.
-    if let Some(tier) = serving {
-        metrics.extend(tier.registry().snapshot().metrics);
-    }
+    metrics.extend(tier.registry().snapshot().metrics);
     metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
     RegistrySnapshot { metrics }.render_prometheus(&[])
 }
 
 /// All deployments' lifecycle events as JSON, oldest first per model.
-fn events_json(server: &VeloxServer) -> String {
-    let mut names = server.deployment_names();
-    names.sort();
+fn events_json(snapshot: &ManagerSnapshot) -> String {
     let mut events = Vec::new();
-    for name in &names {
-        if let Ok(velox) = server.deployment(&ModelSchema::named(name.as_str())) {
-            for ev in velox.registry().recent_events() {
-                let fields: Vec<(String, Json)> = ev
-                    .kind
-                    .fields()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), Json::Number(v as f64)))
-                    .collect();
-                events.push(Json::object(vec![
-                    ("model", Json::String(name.clone())),
-                    ("seq", Json::Number(ev.seq as f64)),
-                    ("at_unix_ms", Json::Number(ev.at_unix_ms as f64)),
-                    ("kind", Json::String(ev.kind.name().to_string())),
-                    ("fields", Json::Object(fields)),
-                ]));
-            }
+    for (name, velox) in deployments(snapshot) {
+        for ev in velox.registry().recent_events() {
+            let fields: Vec<(String, Json)> = ev
+                .kind
+                .fields()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), Json::Number(v as f64)))
+                .collect();
+            events.push(Json::object(vec![
+                ("model", Json::String(name.clone())),
+                ("seq", Json::Number(ev.seq as f64)),
+                ("at_unix_ms", Json::Number(ev.at_unix_ms as f64)),
+                ("kind", Json::String(ev.kind.name().to_string())),
+                ("fields", Json::Object(fields)),
+            ]));
         }
     }
     Json::object(vec![("events", Json::Array(events))]).to_string()
@@ -485,13 +464,23 @@ fn serve_error(e: &ServeError) -> (u16, String) {
         ServeError::ShuttingDown => (503, error_json(&e.to_string())),
         ServeError::Registry(_)
         | ServeError::RetireServing { .. }
+        | ServeError::NotVelox(_)
         | ServeError::WrongItemKind { .. }
         | ServeError::Custom(_) => (400, error_json(&e.to_string())),
     }
 }
 
-/// Renders a tier-served prediction with the same fidelity fields the
-/// unbatched routes answer with, plus the batching provenance.
+/// Maps the [`ServeError`] of a `/models/<name>/*` route: there an
+/// unknown name is a missing resource, `404`; the rest as [`serve_error`].
+fn model_error(e: &ServeError) -> (u16, String) {
+    match e {
+        ServeError::Registry(RegistryError::UnknownModel(_)) => (404, error_json(&e.to_string())),
+        _ => serve_error(e),
+    }
+}
+
+/// Renders a tier-served prediction: the backend's fidelity fields plus
+/// the batching provenance.
 fn served_predict_json(name: &str, version: u64, served: &velox_serve::ServedPredict) -> Json {
     let mut fields = vec![
         ("score", Json::Number(served.score)),
@@ -517,9 +506,9 @@ fn served_predict_json(name: &str, version: u64, served: &velox_serve::ServedPre
 
 /// The `backends` array of `GET /models`: every tier-registered backend
 /// with its version lineage and batching-lane statistics.
-fn backends_json(tier: &ServeTier) -> Json {
+fn backends_json(backends: Vec<BackendStatus>) -> Json {
     Json::Array(
-        tier.backends()
+        backends
             .into_iter()
             .map(|b| {
                 Json::object(vec![
@@ -550,27 +539,20 @@ fn backends_json(tier: &ServeTier) -> Json {
     )
 }
 
-fn dispatch(
-    server: &VeloxServer,
-    serving: Option<&Arc<ServeTier>>,
-    request: &Request,
-) -> (u16, String) {
+fn dispatch(tier: &ServeTier, request: &Request) -> (u16, String) {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["models"]) => {
-            let mut names = server.deployment_names();
-            names.sort();
-            let mut fields =
-                vec![("models", Json::Array(names.into_iter().map(Json::String).collect()))];
-            if let Some(tier) = serving {
-                fields.push(("backends", backends_json(tier)));
+            let names = deployments(&tier.snapshot()).into_iter().map(|(n, _)| Json::String(n));
+            let mut fields = vec![("models", Json::Array(names.collect()))];
+            // An empty registry answers the bare `{"models":[]}`.
+            let backends = tier.backends();
+            if !backends.is_empty() {
+                fields.push(("backends", backends_json(backends)));
             }
             (200, Json::object(fields).to_string())
         }
         ("POST", ["models", name, "alias"]) => {
-            let Some(tier) = serving else {
-                return (404, error_json("no serving tier attached"));
-            };
             let body = match parse_body(request) {
                 Ok(b) => b,
                 Err(e) => return (400, error_json(&e)),
@@ -590,8 +572,8 @@ fn dispatch(
                 ),
             }
         }
-        ("GET", ["models", name, "stats"]) => match server.deployment(&ModelSchema::named(*name)) {
-            Err(e) => velox_error(&e),
+        ("GET", ["models", name, "stats"]) => match tier.velox(name) {
+            Err(e) => model_error(&e),
             Ok(velox) => {
                 let s = velox.stats();
                 let body = Json::object(vec![
@@ -636,26 +618,15 @@ fn dispatch(
                 Ok(i) => i,
                 Err(e) => return (400, error_json(&e)),
             };
-            // A tier-registered name serves through the adaptive batching
-            // lane; everything else keeps the direct deployment path.
-            if let Some(tier) = serving.filter(|t| t.has(name)) {
-                let version = tier.snapshot().serving_version(name).unwrap_or(0);
-                return match tier.predict(name, uid, &item) {
-                    Err(e) => serve_error(&e),
-                    Ok(served) => (200, served_predict_json(name, version, &served).to_string()),
-                };
-            }
-            match server.predict(&ModelSchema::named(*name), uid, &item) {
-                Err(e) => velox_error(&e),
-                Ok(resp) => {
-                    let body = Json::object(vec![
-                        ("score", Json::Number(resp.score)),
-                        ("cached", Json::Bool(resp.cached)),
-                        ("bootstrapped", Json::Bool(resp.bootstrapped)),
-                        ("degradation", Json::String(resp.degradation.label().to_string())),
-                    ]);
-                    (200, body.to_string())
-                }
+            // Every name serves through its adaptive batching lane; a free
+            // lane serves on this thread.
+            let version = match tier.snapshot().serving_version(name) {
+                Ok(version) => version,
+                Err(e) => return model_error(&e),
+            };
+            match tier.predict(name, uid, &item) {
+                Err(e) => model_error(&e),
+                Ok(served) => (200, served_predict_json(name, version, &served).to_string()),
             }
         }
         ("POST", ["models", name, "topk"]) => {
@@ -673,7 +644,11 @@ fn dispatch(
             let Some(items) = items else {
                 return (400, error_json("item_ids must be non-negative integers"));
             };
-            match server.top_k(&ModelSchema::named(*name), uid, &items) {
+            let velox = match tier.velox(name) {
+                Ok(velox) => velox,
+                Err(e) => return model_error(&e),
+            };
+            match velox.top_k(uid, &items) {
                 Err(e) => velox_error(&e),
                 Ok(resp) => {
                     let ranked: Vec<Json> = resp
@@ -712,7 +687,11 @@ fn dispatch(
                 Ok(i) => i,
                 Err(e) => return (400, error_json(&e)),
             };
-            match server.observe(&ModelSchema::named(*name), uid, &item, y) {
+            let velox = match tier.velox(name) {
+                Ok(velox) => velox,
+                Err(e) => return model_error(&e),
+            };
+            match velox.observe(uid, &item, y) {
                 Err(e) => velox_error(&e),
                 Ok(outcome) => {
                     let body = Json::object(vec![
@@ -727,45 +706,35 @@ fn dispatch(
                 }
             }
         }
-        ("POST", ["models", name, "retrain"]) => {
-            match server.deployment(&ModelSchema::named(*name)) {
+        ("POST", ["models", name, "retrain"]) => match tier.velox(name) {
+            Err(e) => model_error(&e),
+            Ok(velox) => match velox.retrain_offline() {
                 Err(e) => velox_error(&e),
-                Ok(velox) => match velox.retrain_offline() {
-                    Err(e) => velox_error(&e),
-                    Ok(version) => (
-                        200,
-                        Json::object(vec![("version", Json::Number(version as f64))]).to_string(),
-                    ),
-                },
-            }
-        }
-        ("POST", ["models", name, "checkpoint"]) => {
-            match server.deployment(&ModelSchema::named(*name)) {
+                Ok(version) => {
+                    (200, Json::object(vec![("version", Json::Number(version as f64))]).to_string())
+                }
+            },
+        },
+        ("POST", ["models", name, "checkpoint"]) => match tier.velox(name) {
+            Err(e) => model_error(&e),
+            Ok(velox) => match velox.checkpoint() {
                 Err(e) => velox_error(&e),
-                Ok(velox) => match velox.checkpoint() {
-                    Err(e) => velox_error(&e),
-                    Ok(report) => (
-                        200,
-                        Json::object(vec![
-                            ("seq", Json::Number(report.seq as f64)),
-                            ("wal_offset", Json::Number(report.wal_offset as f64)),
-                            (
-                                "wal_segments_removed",
-                                Json::Number(report.wal_segments_removed as f64),
-                            ),
-                            ("bytes", Json::Number(report.bytes as f64)),
-                        ])
-                        .to_string(),
-                    ),
-                },
-            }
-        }
-        ("POST", ["models", name, "recover"]) => {
-            match server.deployment(&ModelSchema::named(*name)) {
-                Err(e) => velox_error(&e),
-                Ok(velox) => recover_deployment(server, name, &velox),
-            }
-        }
+                Ok(report) => (
+                    200,
+                    Json::object(vec![
+                        ("seq", Json::Number(report.seq as f64)),
+                        ("wal_offset", Json::Number(report.wal_offset as f64)),
+                        ("wal_segments_removed", Json::Number(report.wal_segments_removed as f64)),
+                        ("bytes", Json::Number(report.bytes as f64)),
+                    ])
+                    .to_string(),
+                ),
+            },
+        },
+        ("POST", ["models", name, "recover"]) => match tier.velox(name) {
+            Err(e) => model_error(&e),
+            Ok(velox) => recover_deployment(tier, name, &velox),
+        },
         (method, ["models", ..]) if method != "GET" && method != "POST" => {
             (405, error_json("method not allowed"))
         }
@@ -791,7 +760,7 @@ fn transport_error(e: &TransportError) -> (u16, String) {
 /// liveness.
 fn dispatch_cluster(
     cluster: Option<&(dyn Transport + Send + Sync)>,
-    serving: Option<&Arc<ServeTier>>,
+    tier: &ServeTier,
     request: &Request,
     segments: &[&str],
 ) -> (u16, String) {
@@ -884,7 +853,7 @@ fn dispatch_cluster(
             // the conventional "cluster" name), predicts coalesce through
             // its batching lane; the lane's batched pass emits the
             // batch/backend spans instead of a per-request REST root.
-            if let Some(tier) = serving.filter(|t| t.has(CLUSTER_BACKEND)) {
+            if tier.has(CLUSTER_BACKEND) {
                 return match tier.predict(CLUSTER_BACKEND, uid, &Item::Id(item_id)) {
                     Err(e) => serve_error(&e),
                     Ok(served) => {
@@ -1125,8 +1094,9 @@ fn slow_traces_json(cluster: Option<&(dyn Transport + Send + Sync)>) -> (u16, St
 /// state. The live instance releases the WAL and checkpoint directory, a
 /// fresh instance recovers from them (checkpoint restore + WAL replay, the
 /// exact path a crashed process takes on restart), and the recovered
-/// instance replaces the old one atomically in the deployment table.
-fn recover_deployment(server: &VeloxServer, name: &str, velox: &Arc<Velox>) -> (u16, String) {
+/// instance replaces the old one with the registry's swap protocol:
+/// register, flip the alias, retire the closed instance's version.
+fn recover_deployment(tier: &ServeTier, name: &str, velox: &Arc<Velox>) -> (u16, String) {
     if velox.config().durability.is_none() {
         return velox_error(&VeloxError::DurabilityDisabled);
     }
@@ -1137,7 +1107,13 @@ fn recover_deployment(server: &VeloxServer, name: &str, velox: &Arc<Velox>) -> (
     match Velox::deploy_durable(move |_snapshot| Ok(model), HashMap::new(), config) {
         Err(e) => velox_error(&e),
         Ok((recovered, report)) => {
-            server.install(name, Arc::new(recovered));
+            let swapped = tier
+                .register(name, Arc::new(VeloxBackend::new(Arc::new(recovered))))
+                .and_then(|version| tier.flip_alias(name, version))
+                .and_then(|previous| tier.retire(name, previous));
+            if let Err(e) = swapped {
+                return serve_error(&e);
+            }
             let body = Json::object(vec![
                 (
                     "checkpoint_seq",

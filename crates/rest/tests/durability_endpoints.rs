@@ -9,10 +9,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use velox_core::{DurabilityConfig, Velox, VeloxConfig, VeloxModel, VeloxServer};
+use velox_core::{DurabilityConfig, Item, Velox, VeloxConfig, VeloxModel};
 use velox_models::IdentityModel;
 use velox_rest::json::Json;
 use velox_rest::RestServer;
+use velox_serve::{ServeTier, VeloxBackend};
 use velox_storage::ScratchDir;
 
 /// Sends one HTTP request, returns `(status, parsed JSON body)`.
@@ -38,8 +39,8 @@ fn durable_config(scratch: &ScratchDir) -> VeloxConfig {
 
 fn start_durable(
     scratch: &ScratchDir,
-) -> (velox_rest::RestHandle, std::net::SocketAddr, Arc<VeloxServer>) {
-    let deployments = Arc::new(VeloxServer::new());
+) -> (velox_rest::RestHandle, std::net::SocketAddr, Arc<ServeTier>) {
+    let deployments = Arc::new(ServeTier::new());
     let (velox, _report) = Velox::deploy_durable(
         |_| Ok(Arc::new(IdentityModel::new("songs", 2, 0.5)) as Arc<dyn VeloxModel>),
         HashMap::new(),
@@ -49,7 +50,7 @@ fn start_durable(
     for item in 0..10u64 {
         velox.register_item(item, vec![(item as f64 * 0.4).sin(), (item as f64 * 0.4).cos()]);
     }
-    deployments.install("songs", Arc::new(velox));
+    deployments.register("songs", Arc::new(VeloxBackend::new(Arc::new(velox)))).unwrap();
     let handle = RestServer::new(Arc::clone(&deployments)).serve("127.0.0.1:0").expect("bind");
     let addr = handle.addr();
     (handle, addr, deployments)
@@ -115,11 +116,11 @@ fn checkpoint_and_recover_round_trip_over_rest() {
 
 #[test]
 fn durability_endpoints_reject_memory_only_deployments() {
-    let deployments = Arc::new(VeloxServer::new());
+    let deployments = Arc::new(ServeTier::new());
     let model = IdentityModel::new("songs", 2, 0.5);
     let velox =
         Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
-    deployments.install("songs", velox);
+    deployments.register("songs", Arc::new(VeloxBackend::new(velox))).unwrap();
     let handle = RestServer::new(deployments).serve("127.0.0.1:0").expect("bind");
     let addr = handle.addr();
 
@@ -134,5 +135,47 @@ fn durability_endpoints_reject_memory_only_deployments() {
     // An unknown model is still a 404, not a durability error.
     let (status, _) = call(addr, "POST", "/models/ghost/checkpoint", "");
     assert_eq!(status, 404);
+    handle.shutdown();
+}
+
+/// A recover swaps the recovered deployment in for every route at once:
+/// predicts (through the tier's lane) and observes and stats (through
+/// `ServeTier::velox`) all reach the same, recovered instance, and the
+/// registry keeps no version of the closed one.
+#[test]
+fn recover_swaps_the_deployment_every_route_serves() {
+    let scratch = ScratchDir::new("rest-recover-swap");
+    let (handle, addr, tier) = start_durable(&scratch);
+    for i in 0..6u64 {
+        observe(addr, i % 3, i % 10, 1.0 + i as f64 * 0.1);
+    }
+    let (status, _) = call(addr, "POST", "/models/songs/checkpoint", "");
+    assert_eq!(status, 200);
+    let closed = tier.velox("songs").expect("songs is a Velox deployment");
+
+    let (status, body) = call(addr, "POST", "/models/songs/recover", "");
+    assert_eq!(status, 200, "recover failed: {body:?}");
+    for i in 0..20u64 {
+        observe(addr, i % 3, i % 10, 2.0 - i as f64 * 0.1);
+    }
+
+    let recovered = tier.velox("songs").expect("recovered deployment");
+    let own = recovered.predict(1, &Item::Id(2)).expect("direct predict").score;
+    let (status, served) =
+        call(addr, "POST", "/models/songs/predict", r#"{"uid": 1, "item_id": 2}"#);
+    assert_eq!(status, 200);
+    let rest = served.get("score").and_then(Json::as_f64).expect("score");
+    assert_eq!(rest.to_bits(), own.to_bits(), "REST predict {rest} vs the deployment's {own}");
+
+    let (status, stats) = call(addr, "GET", "/models/songs/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(stats.get("observations").and_then(Json::as_u64), Some(26));
+
+    let snapshot = tier.snapshot();
+    for version in snapshot.versions("songs").unwrap() {
+        let entry = snapshot.resolve_version("songs", version).unwrap();
+        let held = entry.backend.velox().expect("a Velox backend");
+        assert!(!Arc::ptr_eq(&held, &closed), "version {version} still holds the closed instance");
+    }
     handle.shutdown();
 }

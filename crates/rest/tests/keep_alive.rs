@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use velox_cluster::Transport;
-use velox_core::VeloxServer;
 use velox_net::{NetCluster, NetClusterConfig};
 use velox_obs::Registry;
 use velox_rest::http::read_response;
@@ -58,9 +57,7 @@ impl Front {
         let tier = ServeTier::with_config(ServeConfig::default());
         tier.register(CLUSTER_BACKEND, Arc::new(TransportBackend::new(Arc::clone(&transport))))
             .expect("register cluster backend");
-        let server = RestServer::with_config(Arc::new(VeloxServer::new()), config)
-            .with_cluster(transport)
-            .with_serving(Arc::clone(&tier));
+        let server = RestServer::with_config(Arc::clone(&tier), config).with_cluster(transport);
         let registry = server.registry();
         let handle = server.serve("127.0.0.1:0").expect("bind");
         Front { net, tier, registry, handle }
@@ -88,7 +85,7 @@ impl Front {
 }
 
 fn plain_server(config: ServerConfig) -> (RestHandle, Arc<Registry>) {
-    let server = RestServer::with_config(Arc::new(VeloxServer::new()), config);
+    let server = RestServer::with_config(Arc::new(ServeTier::new()), config);
     let registry = server.registry();
     (server.serve("127.0.0.1:0").expect("bind"), registry)
 }

@@ -7,20 +7,21 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use velox_core::{Velox, VeloxConfig, VeloxServer};
+use velox_core::{Velox, VeloxConfig};
 use velox_models::IdentityModel;
 use velox_rest::json::Json;
 use velox_rest::RestServer;
+use velox_serve::{ServeTier, VeloxBackend};
 
 fn start() -> (velox_rest::RestHandle, std::net::SocketAddr) {
-    let deployments = Arc::new(VeloxServer::new());
+    let deployments = Arc::new(ServeTier::new());
     let model = IdentityModel::new("songs", 2, 0.5);
     let velox =
         Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
     for item in 0..10u64 {
         velox.register_item(item, vec![(item as f64 * 0.4).sin(), (item as f64 * 0.4).cos()]);
     }
-    deployments.install("songs", velox);
+    deployments.register("songs", Arc::new(VeloxBackend::new(velox))).unwrap();
     let handle = RestServer::new(deployments).serve("127.0.0.1:0").expect("bind");
     let addr = handle.addr();
     (handle, addr)
@@ -166,18 +167,18 @@ fn events_endpoint_serves_lifecycle_log_as_json() {
 }
 
 /// The exposition cache: within the TTL a scrape is served verbatim from
-/// cache (traffic between scrapes is invisible), but installing a new
-/// deployment invalidates immediately — the name-set check, not the clock.
+/// cache (traffic between scrapes is invisible), but registering a new
+/// deployment invalidates immediately — the registry check, not the clock.
 #[test]
 fn metrics_exposition_is_cached_until_the_deployment_set_changes() {
-    let deployments = Arc::new(VeloxServer::new());
+    let deployments = Arc::new(ServeTier::new());
     let model = IdentityModel::new("songs", 2, 0.5);
     let velox =
         Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
     for item in 0..10u64 {
         velox.register_item(item, vec![(item as f64 * 0.4).sin(), (item as f64 * 0.4).cos()]);
     }
-    deployments.install("songs", velox);
+    deployments.register("songs", Arc::new(VeloxBackend::new(velox))).unwrap();
     let config = velox_rest::ServerConfig {
         // Far beyond the test's runtime, so the only invalidation that can
         // fire is the deployment-set change.
@@ -197,15 +198,51 @@ fn metrics_exposition_is_cached_until_the_deployment_set_changes() {
     let (_, _, second) = call_raw(addr, "GET", "/metrics", "");
     assert_eq!(first, second, "within the TTL the cached exposition is served verbatim");
 
-    // Installing a model changes the deployment set: immediate refresh.
+    // Registering a model changes the deployment set: immediate refresh.
     let other = IdentityModel::new("films", 2, 0.5);
-    deployments.install(
-        "films",
-        Arc::new(Velox::deploy(Arc::new(other), HashMap::new(), VeloxConfig::single_node())),
-    );
+    let films = Velox::deploy(Arc::new(other), HashMap::new(), VeloxConfig::single_node());
+    deployments.register("films", Arc::new(VeloxBackend::new(Arc::new(films)))).unwrap();
     let (_, _, third) = call_raw(addr, "GET", "/metrics", "");
     assert!(third.contains(r#"model="films""#), "new deployment visible without waiting out TTL");
     assert_ne!(second, third);
+    handle.shutdown();
+}
+
+/// `/metrics` and `/events` enumerate the serving tier's registry: a
+/// deployment registered there — on the tier `with_serving` mounts, the
+/// harness's shape — is labeled and listed like any other.
+#[test]
+fn a_tier_registered_deployment_is_enumerated_by_metrics_and_events() {
+    let tier = Arc::new(ServeTier::new());
+    let model = IdentityModel::new("ads", 2, 0.5);
+    let velox =
+        Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
+    velox.register_item(0, vec![0.5, 0.5]);
+    for _ in 0..4 {
+        velox.observe(1, &velox_core::Item::Id(0), 1.0).unwrap();
+    }
+    velox.retrain_offline().unwrap();
+    tier.register("ads", Arc::new(VeloxBackend::new(velox))).unwrap();
+    let handle = RestServer::new(Arc::new(ServeTier::new()))
+        .with_serving(tier)
+        .serve("127.0.0.1:0")
+        .expect("bind");
+    let addr = handle.addr();
+
+    let (status, _, metrics) = call_raw(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    check_prometheus(&metrics);
+    assert!(
+        metrics.lines().any(|l| l.starts_with("velox_observations_total{model=\"ads\"}")),
+        "the tier's deployment is in the exposition"
+    );
+
+    let (status, _, events) = call_raw(addr, "GET", "/events", "");
+    assert_eq!(status, 200);
+    let parsed = Json::parse(&events).expect("valid JSON");
+    let events = parsed.get("events").and_then(Json::as_array).expect("events array");
+    assert!(events.iter().any(|e| e.get("kind").and_then(Json::as_str) == Some("version_swap")));
+    assert!(events.iter().all(|e| e.get("model").and_then(Json::as_str) == Some("ads")));
     handle.shutdown();
 }
 

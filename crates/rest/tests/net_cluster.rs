@@ -8,10 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use velox_cluster::{Cluster, ClusterConfig, SimTransport};
-use velox_core::VeloxServer;
 use velox_net::{NetCluster, NetClusterConfig};
 use velox_rest::json::Json;
 use velox_rest::{ClientError, ClusterBackend, RestServer, VeloxClient};
+use velox_serve::ServeTier;
 
 const DIM: usize = 3;
 
@@ -37,7 +37,7 @@ fn start_net_cluster() -> Arc<NetCluster> {
 }
 
 fn rest_over(backend: ClusterBackend) -> velox_rest::RestHandle {
-    RestServer::new(Arc::new(VeloxServer::new()))
+    RestServer::new(Arc::new(ServeTier::new()))
         .with_cluster(backend)
         .serve("127.0.0.1:0")
         .expect("bind")
@@ -227,7 +227,7 @@ fn membership_routes_reject_rebalance_and_commit_over_http() {
 
 #[test]
 fn cluster_routes_404_without_a_backend() {
-    let handle = RestServer::new(Arc::new(VeloxServer::new())).serve("127.0.0.1:0").expect("bind");
+    let handle = RestServer::new(Arc::new(ServeTier::new())).serve("127.0.0.1:0").expect("bind");
     let client = VeloxClient::new(handle.addr(), "unused");
     match client.cluster_predict(1, 1) {
         Err(ClientError::Server { status: 404, .. }) => {}

@@ -9,21 +9,22 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use velox_core::{Velox, VeloxConfig, VeloxServer};
+use velox_core::{Velox, VeloxConfig};
 use velox_models::IdentityModel;
 use velox_rest::{
     BreakerConfig, BreakerState, ClientError, RestServer, RetryPolicy, ServerConfig, VeloxClient,
 };
+use velox_serve::{ServeTier, VeloxBackend};
 
-fn deployments() -> Arc<VeloxServer> {
-    let server = Arc::new(VeloxServer::new());
+fn deployments() -> Arc<ServeTier> {
+    let server = Arc::new(ServeTier::new());
     let model = IdentityModel::new("songs", 2, 0.5);
     let velox =
         Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
     for item in 0..4u64 {
         velox.register_item(item, vec![item as f64, 1.0]);
     }
-    server.install("songs", velox);
+    server.register("songs", Arc::new(VeloxBackend::new(velox))).unwrap();
     server
 }
 

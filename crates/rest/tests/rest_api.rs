@@ -6,20 +6,21 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use velox_core::{Velox, VeloxConfig, VeloxServer};
+use velox_core::{Velox, VeloxConfig};
 use velox_models::IdentityModel;
 use velox_rest::json::Json;
 use velox_rest::RestServer;
+use velox_serve::{ServeTier, VeloxBackend};
 
 fn start() -> (velox_rest::RestHandle, std::net::SocketAddr) {
-    let deployments = Arc::new(VeloxServer::new());
+    let deployments = Arc::new(ServeTier::new());
     let model = IdentityModel::new("songs", 2, 0.5);
     let velox =
         Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
     for item in 0..10u64 {
         velox.register_item(item, vec![(item as f64 * 0.4).sin(), (item as f64 * 0.4).cos()]);
     }
-    deployments.install("songs", velox);
+    deployments.register("songs", Arc::new(VeloxBackend::new(velox))).unwrap();
     let handle = RestServer::new(deployments).serve("127.0.0.1:0").expect("bind");
     let addr = handle.addr();
     (handle, addr)

@@ -7,37 +7,34 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox_cluster::{Cluster, ClusterConfig, SimTransport};
-use velox_core::{Velox, VeloxConfig, VeloxServer};
+use velox_core::{Velox, VeloxConfig};
 use velox_models::IdentityModel;
 use velox_rest::{ClientError, RestServer, VeloxClient};
 use velox_serve::{CustomScorer, ServeTier, TransportBackend, VeloxBackend, CLUSTER_BACKEND};
 
-fn serving_fixture() -> (Arc<ServeTier>, Arc<VeloxServer>) {
-    let tier = ServeTier::new();
-    let deployments = Arc::new(VeloxServer::new());
+fn serving_fixture() -> Arc<ServeTier> {
+    let tier = Arc::new(ServeTier::new());
 
-    // A Velox deployment registered both as a REST deployment and as a
-    // tier backend under the same name: predicts route through the tier.
+    // A Velox deployment registered as a tier backend: predicts route
+    // through its lane, observes and stats through `ServeTier::velox`.
     let model = IdentityModel::new("songs", 2, 0.5);
     let velox =
         Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
     for item in 0..10u64 {
         velox.register_item(item, vec![(item as f64 * 0.4).sin(), (item as f64 * 0.4).cos()]);
     }
-    deployments.install("songs", Arc::clone(&velox));
     tier.register("songs", Arc::new(VeloxBackend::new(velox))).unwrap();
 
     // A two-version custom scorer for alias flipping.
     tier.register("ads", Arc::new(CustomScorer::from_fn(|_, _| Ok(1.0)))).unwrap();
     tier.register("ads", Arc::new(CustomScorer::from_fn(|_, _| Ok(2.0)))).unwrap();
 
-    (tier, deployments)
+    tier
 }
 
 #[test]
 fn models_listing_includes_backends_with_batch_stats() {
-    let (tier, deployments) = serving_fixture();
-    let handle = RestServer::new(deployments).with_serving(tier).serve("127.0.0.1:0").unwrap();
+    let handle = RestServer::new(serving_fixture()).serve("127.0.0.1:0").unwrap();
     let client = VeloxClient::new(handle.addr(), "songs");
 
     // Serve a few predictions so the lane stats are non-trivial.
@@ -64,8 +61,7 @@ fn models_listing_includes_backends_with_batch_stats() {
 
 #[test]
 fn alias_flip_changes_the_served_score_and_registry_errors_are_400() {
-    let (tier, deployments) = serving_fixture();
-    let handle = RestServer::new(deployments).with_serving(tier).serve("127.0.0.1:0").unwrap();
+    let handle = RestServer::new(serving_fixture()).serve("127.0.0.1:0").unwrap();
     let client = VeloxClient::new(handle.addr(), "ads");
 
     assert_eq!(client.predict(1, 1).unwrap().score, 1.0, "v1 serves before the flip");
@@ -93,9 +89,7 @@ fn alias_flip_changes_the_served_score_and_registry_errors_are_400() {
 
 #[test]
 fn tier_predict_response_carries_batching_provenance() {
-    let (tier, deployments) = serving_fixture();
-    let handle =
-        RestServer::new(deployments).with_serving(Arc::clone(&tier)).serve("127.0.0.1:0").unwrap();
+    let handle = RestServer::new(serving_fixture()).serve("127.0.0.1:0").unwrap();
 
     // Raw request so the provenance fields are visible.
     use std::io::{Read, Write};
@@ -133,14 +127,11 @@ fn cluster_predict_routes_through_the_tier_when_cluster_backend_registered() {
         transport.observe(7, i, 1.0).unwrap();
     }
 
-    let tier = ServeTier::new();
+    let tier = Arc::new(ServeTier::new());
     tier.register(CLUSTER_BACKEND, Arc::new(TransportBackend::new(Arc::clone(&transport))))
         .unwrap();
-    let handle = RestServer::new(Arc::new(VeloxServer::new()))
-        .with_cluster(transport)
-        .with_serving(Arc::clone(&tier))
-        .serve("127.0.0.1:0")
-        .unwrap();
+    let handle =
+        RestServer::new(Arc::clone(&tier)).with_cluster(transport).serve("127.0.0.1:0").unwrap();
     let client = VeloxClient::new(handle.addr(), "unused");
 
     let p = client.cluster_predict(7, 3).expect("batched cluster predict");
@@ -156,23 +147,6 @@ fn cluster_predict_routes_through_the_tier_when_cluster_backend_registered() {
     assert!(ack.ts >= 1, "the owner assigned a logical timestamp");
     drop(handle);
     tier.shutdown();
-}
-
-#[test]
-fn unregistered_names_keep_the_direct_deployment_path() {
-    let (tier, deployments) = serving_fixture();
-    // "films" is a REST deployment but NOT a tier backend.
-    let model = IdentityModel::new("films", 2, 0.5);
-    let velox =
-        Arc::new(Velox::deploy(Arc::new(model), HashMap::new(), VeloxConfig::single_node()));
-    velox.register_item(0, vec![0.5, 0.5]);
-    deployments.install("films", velox);
-    let handle = RestServer::new(deployments).with_serving(tier).serve("127.0.0.1:0").unwrap();
-    let client = VeloxClient::new(handle.addr(), "films");
-    let p = client.predict(1, 0).expect("direct predict");
-    assert!(p.score.is_finite());
-    let backends = client.list_backends().unwrap();
-    assert!(backends.iter().all(|b| b.name != "films"));
 }
 
 #[test]

@@ -4,12 +4,12 @@
 
 use std::sync::Arc;
 
-use velox_core::server::VeloxServer;
 use velox_net::{NetCluster, NetClusterConfig};
 use velox_obs::TraceConfig;
 use velox_rest::client::VeloxClient;
 use velox_rest::json::Json;
 use velox_rest::server::{RestHandle, RestServer};
+use velox_serve::ServeTier;
 
 const DIM: usize = 3;
 
@@ -28,7 +28,7 @@ fn start_traced_rest() -> (RestHandle, VeloxClient) {
     })
     .expect("start traced cluster");
     net.publish_item_features((0..16u64).map(|i| (i, item_features(i))).collect());
-    let handle = RestServer::new(Arc::new(VeloxServer::new()))
+    let handle = RestServer::new(Arc::new(ServeTier::new()))
         .with_cluster(Arc::new(net))
         .serve("127.0.0.1:0")
         .expect("serve");

@@ -103,8 +103,9 @@ pub trait PredictBackend: Send + Sync {
     }
 
     /// The wrapped `Velox` deployment, when this backend is one. Lets the
-    /// tier drive the existing retrain/version-swap lifecycle through the
-    /// manager without downcasting.
+    /// REST layer reach the deployment's observe, top-k, stats and
+    /// lifecycle through [`ServeTier::velox`](crate::ServeTier::velox)
+    /// without downcasting.
     fn velox(&self) -> Option<Arc<Velox>> {
         None
     }

@@ -19,9 +19,14 @@
 //!   bit-identical to sequential ones — batching buys throughput, never
 //!   different answers.
 //!
+//! The tier's registry is the workspace's one name → model map: the REST
+//! layer resolves every `/models/<name>/*` route against it — predicts
+//! through the name's lane, the rest through [`ServeTier::velox`], the
+//! Velox deployment behind the name. Recovering a deployment swaps it in
+//! with the same register → flip → retire protocol as any upgrade.
+//!
 //! The tier exports `velox_serve_*` metrics and `batch`/`backend` trace
-//! spans through `velox-obs`, and the REST layer mounts it under
-//! `GET /models`, `POST /models/<name>/alias`, and the predict routes.
+//! spans through `velox-obs`.
 
 #![warn(missing_docs)]
 
@@ -36,6 +41,6 @@ pub use backend::{
     VeloxBackend,
 };
 pub use batch::{BatchConfig, LaneStats};
-pub use error::ServeError;
+pub use error::{RegistryError, ServeError};
 pub use manager::{BackendEntry, ManagerSnapshot, ModelManager};
 pub use tier::{BackendStatus, ServeConfig, ServeTier, CLUSTER_BACKEND};

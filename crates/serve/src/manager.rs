@@ -28,10 +28,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-use velox_models::RegistryError;
-
 use crate::backend::{BackendMeta, PredictBackend};
-use crate::error::ServeError;
+use crate::error::{RegistryError, ServeError};
 
 /// One registered backend version.
 #[derive(Clone)]

@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use velox_core::Item;
+use velox_core::{Item, Velox};
 use velox_obs::{Registry, Tracer};
 
-use crate::backend::{PredictBackend, ServedPredict, VeloxBackend};
+use crate::backend::{PredictBackend, ServedPredict};
 use crate::batch::{BatchConfig, Lane, LaneStats};
 use crate::error::ServeError;
 use crate::manager::{ManagerSnapshot, ModelManager};
@@ -57,9 +57,10 @@ pub struct ServeTier {
 }
 
 impl ServeTier {
-    /// A tier with default configuration.
-    pub fn new() -> Arc<ServeTier> {
-        Self::with_config(ServeConfig::default())
+    /// An empty tier with default configuration, by value (the other
+    /// constructors hand out the `Arc` the REST server shares).
+    pub fn new() -> ServeTier {
+        Self::build(ServeConfig::default(), Arc::new(Registry::new()), Tracer::disabled())
     }
 
     /// A tier with explicit configuration.
@@ -73,13 +74,17 @@ impl ServeTier {
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
     ) -> Arc<ServeTier> {
-        Arc::new(ServeTier {
+        Arc::new(Self::build(config, registry, tracer))
+    }
+
+    fn build(config: ServeConfig, registry: Arc<Registry>, tracer: Arc<Tracer>) -> ServeTier {
+        ServeTier {
             manager: ModelManager::new(),
             config,
             registry,
             tracer,
             lanes: Mutex::new(HashMap::new()),
-        })
+        }
     }
 
     /// The backend registry (for direct version management).
@@ -174,23 +179,13 @@ impl ServeTier {
         entry.backend.predict_one(uid, item)
     }
 
-    /// Retrains a Velox-backed `name` through the existing offline
-    /// retrain/swap lifecycle, then mirrors the swap at the manager level:
-    /// the retrained deployment is registered as a new version, the alias
-    /// flips to it, and the superseded version retires. Returns the new
-    /// manager version.
-    pub fn retrain(&self, name: &str) -> Result<u64, ServeError> {
-        let snapshot = self.manager.snapshot();
-        let entry = snapshot.resolve(name)?;
-        let velox = entry.backend.velox().ok_or_else(|| {
-            ServeError::Custom(format!("backend {name:?} is not a Velox deployment"))
-        })?;
-        velox.retrain_offline()?;
-        let old_version = entry.version;
-        let new_version = self.manager.register(name, Arc::new(VeloxBackend::new(velox)))?;
-        self.manager.flip_alias(name, new_version)?;
-        self.manager.retire(name, old_version)?;
-        Ok(new_version)
+    /// The `Velox` deployment serving `name`: the backend its alias points
+    /// at, when that backend is one. Observe, top-k, stats and the
+    /// deployment's own lifecycle (`retrain_offline`, `checkpoint`) go
+    /// through this; predicts go through the lane.
+    pub fn velox(&self, name: &str) -> Result<Arc<Velox>, ServeError> {
+        let entry = self.manager.snapshot().resolve(name)?;
+        entry.backend.velox().ok_or_else(|| ServeError::NotVelox(name.to_string()))
     }
 
     /// Listing of every registered backend with its lane statistics,
@@ -223,6 +218,12 @@ impl ServeTier {
         for lane in self.lanes.lock().unwrap().values() {
             lane.shutdown();
         }
+    }
+}
+
+impl Default for ServeTier {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

@@ -267,26 +267,6 @@ fn shutdown_refuses_new_work_with_typed_error() {
 }
 
 #[test]
-fn tier_retrain_mirrors_the_velox_swap_at_the_manager_level() {
-    let tier = ServeTier::with_config(ServeConfig::default());
-    let velox = mf_velox();
-    tier.register("mf", Arc::new(VeloxBackend::new(Arc::clone(&velox)))).unwrap();
-    let before = tier.backends()[0].clone();
-    assert_eq!(before.serving_version, 1);
-    let new_version = tier.retrain("mf").expect("retrain through the tier");
-    assert_eq!(new_version, 2);
-    let after = tier.backends()[0].clone();
-    assert_eq!(after.serving_version, 2);
-    assert_eq!(after.versions, vec![2], "the superseded version retired");
-    assert!(
-        after.model_version > before.model_version,
-        "the Velox deployment's own version lifecycle advanced"
-    );
-    // The retrained model still serves.
-    tier.predict("mf", 1, &Item::Id(3)).expect("predict after swap");
-}
-
-#[test]
 fn a_free_lane_serves_on_the_callers_thread() {
     let tier = ServeTier::with_config(ServeConfig::default());
     let served_on = Arc::new(std::sync::Mutex::new(Vec::new()));

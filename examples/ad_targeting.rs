@@ -6,7 +6,8 @@
 //!
 //! The §2 scenario: "an advertising service may run a series of ad
 //! campaigns, each with separate models over the same set of users." Each
-//! campaign is an independent Velox deployment behind one [`VeloxServer`].
+//! campaign is an independent Velox deployment registered by name in one
+//! [`ServeTier`], and reached through [`ServeTier::velox`].
 //! The example also shows *why* the serving layer owns exploration (§5): a
 //! greedy campaign collects feedback only on the ads it already likes and
 //! plateaus, while the LinUCB campaign keeps learning.
@@ -15,7 +16,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox::prelude::*;
-use velox_core::server::ModelSchema;
 use velox_linalg::Vector;
 
 const N_ADS: u64 = 50;
@@ -65,36 +65,36 @@ fn deploy_campaign(name: &str, bandit: BanditChoice) -> Arc<Velox> {
     velox
 }
 
-fn run_campaign(server: &VeloxServer, schema: &ModelSchema) -> (f64, usize) {
+fn run_campaign(campaign: &Velox) -> (f64, usize) {
     let candidates: Vec<Item> = (0..N_ADS).map(Item::Id).collect();
     let mut clicks = 0.0;
     let mut ads_shown = std::collections::HashSet::new();
     for round in 0..ROUNDS {
         let uid = (round as u64 * 17) % N_USERS;
-        let resp = server.top_k(schema, uid, &candidates).unwrap();
+        let resp = campaign.top_k(uid, &candidates).unwrap();
         let ad = resp.ranked[0].0.max(resp.served) as u64; // served ad
         let served_ad = candidates[resp.served].id().unwrap();
         ads_shown.insert(served_ad);
         let y = click(uid, served_ad, round);
         clicks += y;
-        server.observe(schema, uid, &candidates[resp.served], y).unwrap();
+        campaign.observe(uid, &candidates[resp.served], y).unwrap();
         let _ = ad;
     }
     (clicks / ROUNDS as f64, ads_shown.len())
 }
 
-fn main() -> Result<(), VeloxError> {
-    let server = VeloxServer::new();
-    server.install("campaign-greedy", deploy_campaign("campaign-greedy", BanditChoice::Greedy));
-    server
-        .install("campaign-linucb", deploy_campaign("campaign-linucb", BanditChoice::LinUcb(1.5)));
+fn main() -> Result<(), ServeError> {
+    let tier = ServeTier::new();
+    for (name, bandit) in
+        [("campaign-greedy", BanditChoice::Greedy), ("campaign-linucb", BanditChoice::LinUcb(1.5))]
+    {
+        tier.register(name, Arc::new(VeloxBackend::new(deploy_campaign(name, bandit))))?;
+    }
 
     println!("simulating {ROUNDS} ad serves per campaign over {N_USERS} users, {N_ADS} ads\n");
 
-    let (ctr_greedy, coverage_greedy) =
-        run_campaign(&server, &ModelSchema::named("campaign-greedy"));
-    let (ctr_linucb, coverage_linucb) =
-        run_campaign(&server, &ModelSchema::named("campaign-linucb"));
+    let (ctr_greedy, coverage_greedy) = run_campaign(&*tier.velox("campaign-greedy")?);
+    let (ctr_linucb, coverage_linucb) = run_campaign(&*tier.velox("campaign-linucb")?);
 
     println!("campaign           CTR      catalog coverage");
     println!("greedy             {:.3}    {coverage_greedy}/{N_ADS} ads", ctr_greedy);
@@ -108,8 +108,8 @@ fn main() -> Result<(), VeloxError> {
     }
 
     // Campaigns are isolated: their models diverge even on the same users.
-    let g = server.deployment(&ModelSchema::named("campaign-greedy"))?;
-    let l = server.deployment(&ModelSchema::named("campaign-linucb"))?;
+    let g = tier.velox("campaign-greedy")?;
+    let l = tier.velox("campaign-linucb")?;
     println!(
         "\nindependent deployments: greedy logged {} observations, linucb {}",
         g.stats().observations,

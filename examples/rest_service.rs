@@ -37,7 +37,7 @@ fn main() {
         .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "127.0.0.1:8366".into()));
 
     // A deployment: per-user ridge over two song attributes.
-    let deployments = Arc::new(VeloxServer::new());
+    let tier = Arc::new(ServeTier::new());
     let velox = Arc::new(Velox::deploy(
         Arc::new(IdentityModel::new("songs", 2, 0.5)),
         HashMap::new(),
@@ -46,17 +46,17 @@ fn main() {
     for song in 0..8u64 {
         velox.register_item(song, vec![(song as f64 * 0.5).sin(), (song as f64 * 0.5).cos()]);
     }
-    deployments.install("songs", velox);
+    tier.register("songs", Arc::new(VeloxBackend::new(velox))).expect("register songs");
 
     if let Some(addr) = serve_addr {
-        let handle = RestServer::new(deployments).serve(&addr).expect("bind");
+        let handle = RestServer::new(tier).serve(&addr).expect("bind");
         println!("velox REST front end listening on http://{} (Ctrl-C to stop)", handle.addr());
         loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         }
     }
 
-    let handle = RestServer::new(deployments).serve("127.0.0.1:0").expect("bind");
+    let handle = RestServer::new(tier).serve("127.0.0.1:0").expect("bind");
     let addr = handle.addr();
     println!("velox REST front end listening on http://{addr}\n");
 

@@ -8,7 +8,6 @@
 pub use velox_bandit as bandit;
 pub use velox_batch as batch;
 pub use velox_cluster as cluster;
-pub use velox_core as core;
 pub use velox_data as data;
 pub use velox_linalg as linalg;
 pub use velox_models as models;
@@ -19,6 +18,16 @@ pub use velox_rest as rest;
 pub use velox_serve as serve;
 pub use velox_storage as storage;
 
+/// `velox-core`, plus `VeloxServer`: a second name for
+/// [`serve::ServeTier`], the one name → model map, kept because the
+/// benchmark harness builds its REST server as
+/// `RestServer::new(Arc::new(VeloxServer::new())).with_serving(tier)` —
+/// an empty tier that `with_serving` replaces.
+pub mod core {
+    pub use velox_core::*;
+    pub use velox_serve::ServeTier as VeloxServer;
+}
+
 /// Commonly-used types, one `use velox::prelude::*` away.
 pub mod prelude {
     pub use velox_bandit::{BanditPolicy, Candidate};
@@ -28,11 +37,10 @@ pub mod prelude {
         Transport, TransportError, TransportObserve, TransportPredict,
     };
     pub use velox_core::config::BanditChoice;
-    pub use velox_core::server::ModelSchema;
     pub use velox_core::{
         BootstrapState, CheckpointReport, DegradationLevel, DurabilityConfig, DurabilityStats,
         Item, ObserveOutcome, PredictResponse, RecoveryReport, SystemStats, TopKResponse,
-        TrainingExample, Velox, VeloxConfig, VeloxError, VeloxModel, VeloxServer,
+        TrainingExample, Velox, VeloxConfig, VeloxError, VeloxModel,
     };
     pub use velox_data::{
         Rating, RatingsDataset, SyntheticConfig, VeloxRng, WorkloadConfig, ZipfGenerator,
@@ -47,8 +55,8 @@ pub mod prelude {
     };
     pub use velox_obs::{Counter, EventKind, Gauge, Histogram, Registry, SpanTimer, Timer};
     pub use velox_serve::{
-        BatchConfig, CustomScorer, ModelManager, PredictBackend, ServeConfig, ServeError,
-        ServeTier, ServedPredict, TransportBackend, VeloxBackend, CLUSTER_BACKEND,
+        BatchConfig, CustomScorer, ModelManager, PredictBackend, RegistryError, ServeConfig,
+        ServeError, ServeTier, ServedPredict, TransportBackend, VeloxBackend, CLUSTER_BACKEND,
     };
     pub use velox_storage::{FsyncPolicy, ScratchDir};
 }

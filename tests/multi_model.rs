@@ -1,13 +1,12 @@
-//! Multi-model server tests: several deployments side by side (the §2
-//! ad-campaigns scenario), computed-feature models over the item catalog,
-//! bandit serving, and validation-pool collection.
+//! Multi-model tests: several deployments side by side in one serving
+//! tier (the §2 ad-campaigns scenario), computed-feature models over the
+//! item catalog, bandit serving, and validation-pool collection.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use velox::prelude::*;
 use velox_core::config::BanditChoice;
-use velox_core::server::ModelSchema;
 use velox_linalg::Vector;
 
 /// Deploys an identity-feature model over a synthetic catalog where user
@@ -27,44 +26,62 @@ fn deploy_identity(name: &str, dim: usize, bandit: BanditChoice) -> Arc<Velox> {
     velox
 }
 
+/// A serving tier holding one greedy identity deployment per `(name, dim)`.
+fn tier_of(models: &[(&str, usize)]) -> ServeTier {
+    let tier = ServeTier::new();
+    for &(name, dim) in models {
+        let velox = deploy_identity(name, dim, BanditChoice::Greedy);
+        tier.register(name, Arc::new(VeloxBackend::new(velox))).unwrap();
+    }
+    tier
+}
+
 #[test]
 fn server_dispatches_by_schema() {
-    let server = VeloxServer::new();
-    server.install("ads", deploy_identity("ads", 4, BanditChoice::Greedy));
-    server.install("songs", deploy_identity("songs", 6, BanditChoice::Greedy));
+    let server = tier_of(&[("ads", 4), ("songs", 6)]);
 
-    let ads = ModelSchema::named("ads");
-    let songs = ModelSchema::named("songs");
-    let missing = ModelSchema::named("nope");
+    assert!(server.predict("ads", 1, &Item::Id(3)).is_ok());
+    assert!(server.predict("songs", 1, &Item::Id(3)).is_ok());
+    assert!(matches!(
+        server.predict("nope", 1, &Item::Id(3)),
+        Err(ServeError::Registry(RegistryError::UnknownModel(_)))
+    ));
 
-    assert!(server.predict(&ads, 1, &Item::Id(3)).is_ok());
-    assert!(server.predict(&songs, 1, &Item::Id(3)).is_ok());
-    assert!(matches!(server.predict(&missing, 1, &Item::Id(3)), Err(VeloxError::ModelNotFound(_))));
-
-    let mut names = server.deployment_names();
-    names.sort();
-    assert_eq!(names, vec!["ads", "songs"]);
-    assert!(server.uninstall("ads"));
-    assert!(server.predict(&ads, 1, &Item::Id(3)).is_err());
+    assert_eq!(server.snapshot().names(), vec!["ads", "songs"]);
+    assert!(server.manager().remove("ads"));
+    assert!(server.predict("ads", 1, &Item::Id(3)).is_err());
 }
 
 #[test]
 fn deployments_are_isolated() {
-    let server = VeloxServer::new();
-    server.install("a", deploy_identity("a", 4, BanditChoice::Greedy));
-    server.install("b", deploy_identity("b", 4, BanditChoice::Greedy));
-    let a = ModelSchema::named("a");
-    let b = ModelSchema::named("b");
+    let server = tier_of(&[("a", 4), ("b", 4)]);
 
     // Feedback to model a must not move model b's predictions.
-    let before_b = server.predict(&b, 7, &Item::Id(5)).unwrap().score;
+    let before_b = server.predict("b", 7, &Item::Id(5)).unwrap().score;
     for _ in 0..20 {
-        server.observe(&a, 7, &Item::Id(5), 10.0).unwrap();
+        server.velox("a").unwrap().observe(7, &Item::Id(5), 10.0).unwrap();
     }
-    let after_a = server.predict(&a, 7, &Item::Id(5)).unwrap().score;
-    let after_b = server.predict(&b, 7, &Item::Id(5)).unwrap().score;
+    let after_a = server.predict("a", 7, &Item::Id(5)).unwrap().score;
+    let after_b = server.predict("b", 7, &Item::Id(5)).unwrap().score;
     assert!(after_a > 1.0, "model a learned the strong signal: {after_a}");
     assert_eq!(before_b, after_b, "model b untouched");
+}
+
+/// `ServeTier::velox` hands out the deployment behind a name's serving
+/// alias, and refuses names that are unknown or not Velox-backed.
+#[test]
+fn the_tier_resolves_velox_deployments_by_name() {
+    let tier = ServeTier::new();
+    let ads = deploy_identity("ads", 4, BanditChoice::Greedy);
+    tier.register("ads", Arc::new(VeloxBackend::new(Arc::clone(&ads)))).unwrap();
+    tier.register("flat", Arc::new(CustomScorer::from_fn(|_, _| Ok(1.0)))).unwrap();
+
+    assert!(Arc::ptr_eq(&tier.velox("ads").unwrap(), &ads));
+    assert_eq!(tier.velox("flat").err(), Some(ServeError::NotVelox("flat".into())));
+    assert_eq!(
+        tier.velox("nope").err(),
+        Some(ServeError::Registry(RegistryError::UnknownModel("nope".into())))
+    );
 }
 
 #[test]
