@@ -198,7 +198,6 @@ fn main() {
     println!("\ncluster counters:");
     println!("  unavailable reads        {}", stats.cluster.unavailable_reads);
     println!("  failover reads           {}", stats.cluster.failover_reads());
-    println!("  catch-up entries         {}", stats.cluster.catch_up_entries);
     println!("  injected read failures   {}", stats.cluster.injected_read_failures);
     println!("  injected latency spikes  {}", stats.cluster.injected_latency_spikes);
     println!(

@@ -1,13 +1,32 @@
-//! The simulated cluster: nodes, placed tables, caches, and cost accounting.
+//! The simulated cluster: placement, health, faults and cost accounting.
 //!
-//! A [`Cluster`] owns `n_nodes` simulated nodes. Two tables are placed
-//! across them by salted hash partitioning:
+//! A [`Cluster`] owns `n_nodes` simulated nodes and answers, for every
+//! access, *where* the data lives and *what* reaching it costs. Two tables
+//! are placed across the nodes by salted hash partitioning:
 //!
-//! - `W` (user weights): owned by the user's home node; reads and writes
-//!   performed at that node are local.
-//! - item features (`θ` when materialized): owned by the item's home node;
-//!   a read from another node is a *remote* read unless the reading node's
-//!   LRU item cache holds it.
+//! - `W` (user weights): owned by the user's home node (the partition
+//!   map's owner of the user's virtual partition) and replicated to
+//!   `user_replication − 1` more nodes; reads and writes at the home node
+//!   are local.
+//! - item features (`θ` when materialized): owned by the item's home node
+//!   and replicated to `item_replication − 1` successors; a read from any
+//!   other node is a *remote* read unless that node's LRU item cache holds
+//!   it.
+//!
+//! Placement is a model, not a copy. The cluster stores no user weights at
+//! all: each caller (the in-process `Velox`, [`SimTransport`]) holds every
+//! user's state once and asks the cluster only for the access's cost and
+//! for whether any replica of the user's partition is alive. The item
+//! features are held once too, sharded by item home; the per-node item
+//! caches are the only per-node data, because what they model — remote
+//! reads turned local — is per node.
+//!
+//! The crash rule follows from that: a kill drops whatever lost its last
+//! live replica — the cluster drops such items itself, and reports such
+//! user partitions ([`HealthTransition::lost_partitions`]) for the holders
+//! of user state to drop before their next read. A recovery copies
+//! nothing, and a migration or fail-over runs every [`Migrator`] phase and
+//! abort check but moves no data.
 //!
 //! Costs are virtual time: each access adds [`LOCAL_READ_US`] or
 //! [`REMOTE_READ_US`] to the caller's [`AccessKind`]-tagged accounting and to
@@ -15,6 +34,8 @@
 //! microseconds into reported latency. This keeps the ABL-PART / ABL-CACHE /
 //! FIG4 experiments deterministic and fast while preserving the paper's
 //! locality arguments exactly.
+//!
+//! [`SimTransport`]: crate::SimTransport
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,26 +66,26 @@ pub struct ClusterConfig {
     pub item_cache_capacity: usize,
     /// How requests are routed to serving nodes.
     pub routing: RoutingPolicy,
-    /// Copies of each item's features across the cluster (≥ 1; clamped to
-    /// the node count). The paper pairs partitioning with *replication* of
-    /// the materialized feature tables (§3, §8): replicas turn remote item
-    /// reads into local ones at the cost of `r×` memory and write fan-out
-    /// during (infrequent) retrain publishes.
+    /// Replicas of each item's features across the cluster (≥ 1; clamped
+    /// to the node count). The paper pairs partitioning with *replication*
+    /// of the materialized feature tables (§3, §8): replicas turn remote
+    /// item reads into local ones, and an item survives a kill while one
+    /// of its replicas is up.
     pub item_replication: usize,
-    /// Copies of each user's weight vector across the cluster (≥ 1;
+    /// Replicas of each user's weight vector across the cluster (≥ 1;
     /// clamped to the node count). The paper replicates the materialized
     /// tables for fault tolerance (§3); extending that to `W` means a dead
     /// home partition degrades a user's reads to a replica instead of
-    /// losing them. Online updates fan out to every live replica.
+    /// losing them.
     pub user_replication: usize,
     /// Maximum nodes the cluster can ever hold (`0` = `n_nodes`, i.e. no
     /// headroom). Slots beyond `n_nodes` are pre-provisioned but start
     /// `Down` and outside the partition map; [`Cluster::join_node`] brings
     /// them into membership.
     pub max_nodes: usize,
-    /// Users copied per checkpoint chunk during a partition migration
-    /// (`0` = one unbounded chunk). Bounding the chunk keeps each transfer
-    /// step small and gives the abort checks a place to fire.
+    /// Users per checkpoint chunk during a partition migration (`0` = one
+    /// unbounded chunk). Bounding the chunk keeps each transfer step small
+    /// and gives the abort checks a place to fire.
     pub checkpoint_chunk_users: usize,
 }
 
@@ -96,7 +117,7 @@ pub enum AccessKind {
     Failover,
 }
 
-/// Outcome of a health-aware table read.
+/// Outcome of a health-aware item read.
 #[derive(Debug, Clone)]
 pub struct ClusterRead {
     /// The value, when any live replica held it — shared with the table,
@@ -112,12 +133,28 @@ pub struct ClusterRead {
     pub unavailable: bool,
 }
 
-/// One node: its shard of each table, its item cache, and counters. A
-/// vector is written once and then shared — by readers, by the replicas it
-/// fans out to, by the cache — never cloned per read.
+/// Outcome of a health-aware access to a user's weights: which replica the
+/// cost model says answered and what that cost. The weights themselves are
+/// the caller's; it reads them from its own table when the access is not
+/// `unavailable`.
+#[derive(Debug, Clone, Copy)]
+pub struct UserAccess {
+    /// How the access was satisfied (meaningless when `unavailable`).
+    pub kind: AccessKind,
+    /// Virtual cost in microseconds (including any injected spike).
+    pub cost_us: f64,
+    /// True when the primary was unreachable and a replica answered.
+    pub failover: bool,
+    /// True when no live replica could serve the user.
+    pub unavailable: bool,
+}
+
+/// Names the users of a virtual partition — the rows a checkpoint chunk of
+/// that partition would carry.
+type Census = Arc<dyn Fn(u32) -> Vec<u64> + Send + Sync>;
+
+/// One node: its item cache, its health, and its counters.
 struct Node {
-    user_weights: Namespace<Arc<[f64]>>,
-    item_features: Namespace<Arc<[f64]>>,
     item_cache: Mutex<LruCache<u64, Arc<[f64]>>>,
     /// Health state, encoded for lock-free reads ([`NodeHealth::encode`]).
     health: AtomicU8,
@@ -130,8 +167,6 @@ struct Node {
     failover_reads: Arc<Counter>,
     /// Reads served at this node that found no live replica anywhere.
     unavailable_reads: Arc<Counter>,
-    /// Entries this node re-populated from survivors during recoveries.
-    catch_up_entries: Arc<Counter>,
 }
 
 const HEALTH_UP: u8 = 0;
@@ -150,14 +185,8 @@ pub struct NodeStats {
     pub failover_reads: u64,
     /// Reads served at this node that found no live replica anywhere.
     pub unavailable_reads: u64,
-    /// Entries this node re-populated from survivors during recoveries.
-    pub catch_up_entries: u64,
     /// Item-cache hit/miss/eviction counters.
     pub cache: (u64, u64, u64),
-    /// Entries in this node's user-weight shard.
-    pub users_owned: usize,
-    /// Entries in this node's item-feature shard.
-    pub items_owned: usize,
     /// Current health state.
     pub health: NodeHealth,
 }
@@ -171,8 +200,6 @@ pub struct ClusterStats {
     pub virtual_read_us: f64,
     /// Reads that found no live replica (served degraded upstream).
     pub unavailable_reads: u64,
-    /// Entries re-populated from surviving replicas across all recoveries.
-    pub catch_up_entries: u64,
     /// Transient shard-read failures injected by the fault plan.
     pub injected_read_failures: u64,
     /// Latency spikes injected by the fault plan.
@@ -219,6 +246,9 @@ impl ClusterStats {
 pub struct Cluster {
     config: ClusterConfig,
     nodes: Vec<Node>,
+    /// Every item's features, once; an item's replicas are where the cost
+    /// model says it lives, not copies.
+    items: Namespace<Arc<[f64]>>,
     item_part: HashPartitioner,
     router: Router,
     /// Epoch-stamped partition map — the single source of truth for user
@@ -228,8 +258,11 @@ pub struct Cluster {
     /// Requests rejected because the caller presented a stale map epoch.
     wrong_epoch: Arc<Counter>,
     /// The membership/migration state machine; this cluster is its
-    /// in-memory [`MigrationIo`].
+    /// [`MigrationIo`].
     migrator: Migrator,
+    /// Sizes the chunks a migration streams; installed by whoever holds
+    /// the users' state.
+    census: Mutex<Option<Census>>,
     /// Virtual microseconds accumulated by all reads (scaled ×1000 to keep
     /// three decimal places in an atomic integer).
     virtual_read_nanos: AtomicU64,
@@ -256,8 +289,6 @@ impl Cluster {
         let capacity = config.max_nodes.max(config.n_nodes);
         let nodes = (0..capacity)
             .map(|i| Node {
-                user_weights: Namespace::new(format!("user_weights@{i}")),
-                item_features: Namespace::new(format!("item_features@{i}")),
                 item_cache: Mutex::new(LruCache::new(config.item_cache_capacity)),
                 // Headroom slots start Down: they are outside the map and
                 // join_node flips them Up when membership grows.
@@ -273,7 +304,6 @@ impl Cluster {
                 cache_misses: Arc::new(Counter::new()),
                 failover_reads: Arc::new(Counter::new()),
                 unavailable_reads: Arc::new(Counter::new()),
-                catch_up_entries: Arc::new(Counter::new()),
             })
             .collect();
         let user_part = HashPartitioner::new(config.n_nodes, crate::partition::USER_SALT)
@@ -290,13 +320,15 @@ impl Cluster {
         Cluster {
             config,
             nodes,
+            items: Namespace::new("item_features"),
             item_part,
             router,
             map: std::sync::RwLock::new(Arc::new(map)),
             wrong_epoch: Arc::new(Counter::new()),
-            // Synchronous in-memory copies: no deadline unless a test
-            // sets one, and no tracer of its own.
+            // Synchronous steps: no deadline unless a test sets one, and
+            // no tracer of its own.
             migrator: Migrator::new(None, Tracer::disabled()),
+            census: Mutex::new(None),
             virtual_read_nanos: AtomicU64::new(0),
             request_clock: AtomicU64::new(0),
             faults: FaultClock::default(),
@@ -369,17 +401,26 @@ impl Cluster {
         self.item_part.node_for(item_id)
     }
 
-    /// All nodes holding a copy of an item's features: the primary plus
+    /// The nodes an item homed at `home` is placed on: the home plus
     /// `item_replication − 1` successors on the bootstrap node ring (item
     /// placement does not participate in elastic membership; joined nodes
     /// fetch remotely and fill their caches).
-    pub fn replica_nodes_of_item(&self, item_id: u64) -> Vec<NodeId> {
-        let primary = self.home_of_item(item_id);
-        let r = self.config.item_replication.clamp(1, self.config.n_nodes);
-        (0..r).map(|k| (primary + k) % self.config.n_nodes).collect()
+    fn item_replicas_of_home(&self, home: NodeId) -> impl Iterator<Item = NodeId> {
+        let n = self.config.n_nodes;
+        (0..self.item_replication()).map(move |k| (home + k) % n)
     }
 
-    /// All nodes holding a copy of a user's weights, owner first, per the
+    /// Replicas per item: `item_replication` clamped to the founding nodes.
+    fn item_replication(&self) -> usize {
+        self.config.item_replication.clamp(1, self.config.n_nodes)
+    }
+
+    /// All nodes an item's features are placed on, primary first.
+    pub fn replica_nodes_of_item(&self, item_id: u64) -> Vec<NodeId> {
+        self.item_replicas_of_home(self.home_of_item(item_id)).collect()
+    }
+
+    /// All nodes a user's weights are placed on, owner first, per the
     /// current partition map.
     pub fn replica_nodes_of_user(&self, uid: u64) -> Vec<NodeId> {
         self.map.read().unwrap().replicas_of(uid).to_vec()
@@ -390,6 +431,10 @@ impl Cluster {
         NodeHealth::decode(self.nodes[node].health.load(Ordering::Acquire))
     }
 
+    fn is_up(&self, node: NodeId) -> bool {
+        self.nodes[node].health.load(Ordering::Acquire) == HEALTH_UP
+    }
+
     /// Number of nodes currently `Up`.
     pub fn live_nodes(&self) -> usize {
         self.nodes.iter().filter(|n| n.health.load(Ordering::Acquire) == HEALTH_UP).count()
@@ -397,87 +442,91 @@ impl Cluster {
 
     /// Live (`Up`) replicas of a user's weights, failover order: home first.
     pub fn live_user_replicas(&self, uid: u64) -> Vec<NodeId> {
-        self.replica_nodes_of_user(uid)
-            .into_iter()
-            .filter(|&n| self.node_health(n) == NodeHealth::Up)
-            .collect()
+        self.replica_nodes_of_user(uid).into_iter().filter(|&n| self.is_up(n)).collect()
     }
 
-    fn set_health(&self, node: NodeId, health: NodeHealth, caught_up: u64) {
+    /// Whether any replica of `uid`'s partition is `Up` — whether a write
+    /// of the user's weights has anywhere to land.
+    pub fn user_partition_live(&self, uid: u64) -> bool {
+        self.map.read().unwrap().replicas_of(uid).iter().any(|&n| self.is_up(n))
+    }
+
+    /// User partitions with no `Up` replica right now: a publish has
+    /// nowhere to place their users' weights.
+    pub fn dead_partitions(&self) -> Vec<u32> {
+        self.dead_in(&self.map()).collect()
+    }
+
+    /// The partitions of `map` with no `Up` replica.
+    fn dead_in<'a>(&'a self, map: &'a PartitionMap) -> impl Iterator<Item = u32> + 'a {
+        (0..map.n_partitions())
+            .filter(|&p| !map.replicas_of_partition(p).iter().any(|&n| self.is_up(n)))
+    }
+
+    /// Moves `node` to `health` and journals the transition. A node going
+    /// down reports the user partitions it left without a live replica —
+    /// computed now, so a recovery before the serving layer collects the
+    /// journal cannot hide the loss.
+    fn set_health(&self, node: NodeId, health: NodeHealth) {
         self.nodes[node].health.store(health.encode(), Ordering::Release);
-        // Computed as the node goes down, so a recovery before the serving
-        // layer collects the journal cannot hide the loss.
         let lost_partitions = match health {
             NodeHealth::Down => {
                 let map = self.map();
-                let dead = |n: &NodeId| self.node_health(*n) != NodeHealth::Up;
-                (0..map.n_partitions())
-                    .filter(|&p| {
-                        let replicas = map.replicas_of_partition(p);
-                        replicas.contains(&node) && replicas.iter().all(dead)
-                    })
+                self.dead_in(&map)
+                    .filter(|&p| map.replicas_of_partition(p).contains(&node))
                     .collect()
             }
             _ => Vec::new(),
         };
-        let t = HealthTransition { node, health, caught_up, lost_partitions };
+        let t = HealthTransition { node, health, lost_partitions };
         self.transitions.lock().unwrap().push(t);
         self.transitions_pending.store(true, Ordering::Release);
     }
 
-    /// Kills a node: shards wiped (the crash loses in-memory state), item
-    /// cache cleared, health `Down`. Idempotent on an already-down node;
-    /// a slot id outside the cluster is ignored.
+    /// Kills a node: health `Down`, item cache cleared, and every item
+    /// whose last live replica this was dropped (the crash loses it). The
+    /// user partitions it took with it are journaled for the holders of
+    /// user state. Idempotent on an already-down node; a slot id outside
+    /// the cluster is ignored.
     pub fn kill_node(&self, node: NodeId) {
         if node >= self.nodes.len() || self.node_health(node) == NodeHealth::Down {
             return;
         }
-        self.nodes[node].user_weights.publish_version(Vec::new());
-        self.nodes[node].item_features.publish_version(Vec::new());
         self.nodes[node].item_cache.lock().unwrap().clear();
-        self.set_health(node, NodeHealth::Down, 0);
+        self.set_health(node, NodeHealth::Down);
+        // Item placement covers the founding nodes only: the homes whose
+        // replica sets include `node` are its `item_replication − 1`
+        // predecessors and itself.
+        if node < self.config.n_nodes {
+            let n = self.config.n_nodes;
+            let lost_homes: Vec<NodeId> = (0..self.item_replication())
+                .map(|k| (node + n - k) % n)
+                .filter(|&home| !self.item_replicas_of_home(home).any(|r| self.is_up(r)))
+                .collect();
+            if !lost_homes.is_empty() {
+                for item in self.items.keys() {
+                    if lost_homes.contains(&self.home_of_item(item)) {
+                        self.items.remove(item);
+                    }
+                }
+            }
+        }
     }
 
-    /// Recovers a dead node: marks it `Recovering`, re-populates every key
-    /// whose replica set includes it from surviving `Up` replicas, then
-    /// marks it `Up`. Returns the number of entries caught up. Keys with no
-    /// surviving replica stay lost until the next write or publish (the
-    /// serving layer degrades them). No-op on a node that is already `Up`.
-    pub fn recover_node(&self, node: NodeId) -> u64 {
+    /// Recovers a dead node: health `Up`, with an empty item cache. It
+    /// copies nothing — whatever lost its last replica stays lost until
+    /// the next write or publish (the serving layer degrades it). No-op on
+    /// a node that is already `Up`.
+    pub fn recover_node(&self, node: NodeId) {
         if node >= self.nodes.len() || self.node_health(node) == NodeHealth::Up {
-            return 0;
+            return;
         }
-        self.set_health(node, NodeHealth::Recovering, 0);
-        let mut caught_up = 0u64;
-        for (other_id, other) in self.nodes.iter().enumerate() {
-            if other_id == node || other.health.load(Ordering::Acquire) != HEALTH_UP {
-                continue;
-            }
-            for (uid, w) in other.user_weights.snapshot_entries() {
-                if self.replica_nodes_of_user(uid).contains(&node)
-                    && !self.nodes[node].user_weights.contains(uid)
-                {
-                    self.nodes[node].user_weights.put(uid, w);
-                    caught_up += 1;
-                }
-            }
-            for (item, feat) in other.item_features.snapshot_entries() {
-                if self.replica_nodes_of_item(item).contains(&node)
-                    && !self.nodes[node].item_features.contains(item)
-                {
-                    self.nodes[node].item_features.put(item, feat);
-                    caught_up += 1;
-                }
-            }
-        }
-        self.nodes[node].catch_up_entries.add(caught_up);
-        self.set_health(node, NodeHealth::Up, caught_up);
-        caught_up
+        self.set_health(node, NodeHealth::Up);
     }
 
     /// Brings the next pre-provisioned headroom slot into membership as a
-    /// fresh, empty node (health `Up`, owning no partitions). Returns the
-    /// new node id; fails when no headroom slot is left (`max_nodes`
+    /// fresh node (health `Up`, owning no partitions). Returns the new
+    /// node id; fails when no headroom slot is left (`max_nodes`
     /// exhausted). Partitions move afterwards via
     /// [`ControlPlane::rebalance_join`] / [`ControlPlane::migrate_partition`].
     pub fn join_node(&self) -> Result<NodeId, MembershipError> {
@@ -491,7 +540,7 @@ impl Cluster {
         }
         *cur = Arc::new(cur.with_member(next_id)?);
         drop(cur);
-        self.set_health(next_id, NodeHealth::Up, 0);
+        self.set_health(next_id, NodeHealth::Up);
         Ok(next_id)
     }
 
@@ -514,6 +563,13 @@ impl Cluster {
     /// loop does).
     pub fn set_migration_link_chaos(&self, chaos: Arc<LinkChaos>) {
         *self.migration_link_chaos.lock().unwrap() = Some(chaos);
+    }
+
+    /// Installs the census a migration sizes its chunks by: the users of a
+    /// virtual partition, as the holder of their state knows them. Without
+    /// one, a partition streams as a single empty chunk.
+    pub fn set_migration_census(&self, census: impl Fn(u32) -> Vec<u64> + Send + Sync + 'static) {
+        *self.census.lock().unwrap() = Some(Arc::new(census));
     }
 
     /// Installs (or replaces) a fault plan. Scheduled events fire against
@@ -552,9 +608,7 @@ impl Cluster {
         for (node, action) in self.faults.due_events(tick) {
             match action {
                 FaultAction::Kill => self.kill_node(node),
-                FaultAction::Recover => {
-                    self.recover_node(node);
-                }
+                FaultAction::Recover => self.recover_node(node),
             }
         }
     }
@@ -599,12 +653,12 @@ impl Cluster {
             RoutingPolicy::ByUser => self.map.read().unwrap().owner_of(uid),
             RoutingPolicy::RoundRobin => self.router.route(uid),
         };
-        if self.node_health(node) != NodeHealth::Up {
+        if !self.is_up(node) {
             node = self
                 .replica_nodes_of_user(uid)
                 .into_iter()
-                .find(|&n| self.node_health(n) == NodeHealth::Up)
-                .or_else(|| (0..self.nodes.len()).find(|&n| self.node_health(n) == NodeHealth::Up))
+                .find(|&n| self.is_up(n))
+                .or_else(|| (0..self.nodes.len()).find(|&n| self.is_up(n)))
                 .unwrap_or(node);
         }
         self.nodes[node].requests_served.inc();
@@ -636,29 +690,19 @@ impl Cluster {
         us
     }
 
-    /// Stores a user's weight vector at every replica node that is not
-    /// `Down` (placement is not a serving-path cost; no charge).
-    pub fn put_user_weights(&self, uid: u64, w: impl Into<Arc<[f64]>>) {
-        let w: Arc<[f64]> = w.into();
-        for node in self.replica_nodes_of_user(uid) {
-            if self.node_health(node) != NodeHealth::Down {
-                self.nodes[node].user_weights.put(uid, Arc::clone(&w));
-            }
-        }
-    }
-
-    /// Health-aware read of a user's weights from serving node `at`.
+    /// Health-aware read of a user's weights from serving node `at`: which
+    /// replica answers, and at what cost.
     ///
     /// Replicas are tried home-first; `Down`/`Recovering` nodes and reads
     /// the fault plan transiently fails are skipped. A read served by a
     /// non-primary replica is a failover (charged remote). When no live
-    /// replica can answer, the result is `unavailable` and the serving
+    /// replica can answer, the access is `unavailable` and the serving
     /// layer degrades (stale cache, then bootstrap prior).
-    pub fn read_user_weights(&self, at: NodeId, uid: u64) -> ClusterRead {
+    pub fn charge_user_read(&self, at: NodeId, uid: u64) -> UserAccess {
         let spike = self.latency_spike_us();
         let replicas = self.replica_nodes_of_user(uid);
         for (i, &node) in replicas.iter().enumerate() {
-            if self.node_health(node) != NodeHealth::Up || self.inject_read_failure() {
+            if !self.is_up(node) || self.inject_read_failure() {
                 continue;
             }
             let kind = if i > 0 {
@@ -669,127 +713,37 @@ impl Cluster {
                 AccessKind::Remote
             };
             let cost_us = self.charge(at, kind) + spike;
-            return ClusterRead {
-                value: self.nodes[node].user_weights.get(uid),
-                kind,
-                cost_us,
-                failover: kind == AccessKind::Failover,
-                unavailable: false,
-            };
+            let failover = kind == AccessKind::Failover;
+            return UserAccess { kind, cost_us, failover, unavailable: false };
         }
         self.nodes[at].unavailable_reads.inc();
-        ClusterRead {
-            value: None,
-            kind: AccessKind::Remote,
-            cost_us: spike,
-            failover: false,
-            unavailable: true,
-        }
+        UserAccess { kind: AccessKind::Remote, cost_us: spike, failover: false, unavailable: true }
     }
 
-    /// Applies an update to a user's weights (upserting an empty vector
-    /// when absent), fanning the result out to every live replica. `f`
-    /// replaces the shared value (or edits it through `Arc::make_mut`).
-    /// Under `ByUser` routing and full health this is the paper's "all
-    /// writes are local" property; when `at` differs from the serving
-    /// replica the write is charged as remote. Returns `None` when no live
-    /// replica exists — the caller should buffer the update for redo.
-    pub fn try_update_user_weights<F>(&self, at: NodeId, uid: u64, f: F) -> Option<f64>
-    where
-        F: FnOnce(&mut Arc<[f64]>),
-    {
-        let live = self.live_user_replicas(uid);
-        let (&first, rest) = live.split_first()?;
+    /// Charges a write of a user's weights from node `at`: local when `at`
+    /// is the first live replica (under `ByUser` routing and full health,
+    /// the paper's "all writes are local"), remote otherwise. Returns the
+    /// cost, or `None` when no replica is live — the write has nowhere to
+    /// land, and the caller should buffer the update for redo.
+    pub fn charge_user_write(&self, at: NodeId, uid: u64) -> Option<f64> {
+        let first = *self.live_user_replicas(uid).first()?;
         let kind = if first == at { AccessKind::Local } else { AccessKind::Remote };
-        let cost = self.charge(at, kind);
-        self.nodes[first].user_weights.update_with(uid, || Arc::from([]), f);
-        if !rest.is_empty() {
-            if let Some(w) = self.nodes[first].user_weights.get(uid) {
-                for &node in rest {
-                    self.nodes[node].user_weights.put(uid, Arc::clone(&w));
-                }
-            }
-        }
-        Some(cost)
+        Some(self.charge(at, kind))
     }
 
-    /// Splits a published table into one shard per node: each entry goes,
-    /// as one vector shared by all its copies, to every node `replicas`
-    /// names for its key.
-    fn placed(
-        &self,
-        entries: Vec<(u64, Vec<f64>)>,
-        replicas: impl Fn(u64) -> Vec<NodeId>,
-    ) -> Vec<Vec<(u64, Arc<[f64]>)>> {
-        let mut per_node: Vec<Vec<(u64, Arc<[f64]>)>> =
-            (0..self.nodes.len()).map(|_| Vec::new()).collect();
-        for (key, value) in entries {
-            let value: Arc<[f64]> = value.into();
-            for node in replicas(key) {
-                per_node[node].push((key, Arc::clone(&value)));
-            }
-        }
-        per_node
-    }
-
-    /// Bulk-publishes a new user-weight table (offline retrain output):
-    /// contents are re-partitioned across each user's replica set and each
-    /// node's shard swaps atomically. `Down` nodes get an empty shard —
-    /// their state is whatever recovery later copies back.
-    pub fn publish_user_weights(&self, entries: Vec<(u64, Vec<f64>)>) {
-        let shards = self.placed(entries, |uid| self.replica_nodes_of_user(uid));
-        for ((id, node), mut shard) in self.nodes.iter().enumerate().zip(shards) {
-            if self.node_health(id) == NodeHealth::Down {
-                shard = Vec::new();
-            }
-            node.user_weights.publish_version(shard);
-        }
-    }
-
-    /// Management-plane read of a user's weights — no routing, no cost
-    /// accounting; falls back across replicas so a dead home node does not
-    /// hide a surviving copy. Serving paths use
-    /// [`Cluster::read_user_weights`] instead.
-    pub fn peek_user_weights(&self, uid: u64) -> Option<Vec<f64>> {
-        self.replica_nodes_of_user(uid)
-            .into_iter()
-            .find_map(|node| self.nodes[node].user_weights.get(uid))
-            .map(|w| w.to_vec())
-    }
-
-    /// Exports the entire user-weight table across all shards — the
-    /// management-plane snapshot offline retraining warm-starts from.
-    /// Replicated entries are deduplicated (first copy wins; replicas are
-    /// kept in sync by the write fan-out).
-    pub fn export_user_weights(&self) -> Vec<(u64, Vec<f64>)> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for node in &self.nodes {
-            for (uid, w) in node.user_weights.snapshot_entries() {
-                if seen.insert(uid) {
-                    out.push((uid, w.to_vec()));
-                }
-            }
-        }
-        out
-    }
-
-    /// Stores an item's feature vector at every replica node.
+    /// Stores an item's features (placement is not a serving-path cost; no
+    /// charge).
     pub fn put_item_features(&self, item_id: u64, features: Vec<f64>) {
-        let features: Arc<[f64]> = features.into();
-        for node in self.replica_nodes_of_item(item_id) {
-            self.nodes[node].item_features.put(item_id, Arc::clone(&features));
-        }
+        self.items.put(item_id, features.into());
     }
 
     /// Bulk-publishes a new item-feature table (offline retrain output):
-    /// contents are re-partitioned, each node's shard swaps atomically, and
-    /// every node's item cache is invalidated (§4.2: retraining
-    /// "invalidates both prediction and feature caches").
+    /// the table swaps atomically and every node's item cache is
+    /// invalidated (§4.2: retraining "invalidates both prediction and
+    /// feature caches").
     pub fn publish_item_features(&self, entries: Vec<(u64, Vec<f64>)>) {
-        let shards = self.placed(entries, |item| self.replica_nodes_of_item(item));
-        for (node, shard) in self.nodes.iter().zip(shards) {
-            node.item_features.publish_version(shard);
+        self.items.publish_version(entries.into_iter().map(|(id, x)| (id, x.into())).collect());
+        for node in &self.nodes {
             node.item_cache.lock().unwrap().clear();
         }
     }
@@ -804,10 +758,10 @@ impl Cluster {
         let spike = self.latency_spike_us();
         let replicas = self.replica_nodes_of_item(item_id);
         let at_is_replica = replicas.contains(&at);
-        if at_is_replica && self.node_health(at) == NodeHealth::Up && !self.inject_read_failure() {
+        if at_is_replica && self.is_up(at) && !self.inject_read_failure() {
             let cost_us = self.charge(at, AccessKind::Local) + spike;
             return ClusterRead {
-                value: self.nodes[at].item_features.get(item_id),
+                value: self.items.get(item_id),
                 kind: AccessKind::Local,
                 cost_us,
                 failover: false,
@@ -833,11 +787,11 @@ impl Cluster {
         }
         self.nodes[at].cache_misses.inc();
         // Fetch from the first live replica; populate the cache on success —
-        // but only if no publish invalidated the table mid-fetch, otherwise
-        // a pre-publish value could be re-inserted into a freshly cleared
+        // but only if no publish replaced the table mid-fetch, otherwise a
+        // pre-publish value could be re-inserted into a freshly cleared
         // cache and served stale until the next publish.
         for (i, &node) in replicas.iter().enumerate() {
-            if self.node_health(node) != NodeHealth::Up || self.inject_read_failure() {
+            if !self.is_up(node) || self.inject_read_failure() {
                 continue;
             }
             // Reaching the fetch loop at all means a local replica failed
@@ -846,10 +800,10 @@ impl Cluster {
             let kind =
                 if i > 0 || at_is_replica { AccessKind::Failover } else { AccessKind::Remote };
             let cost_us = self.charge(at, kind) + spike;
-            let version_before = self.nodes[node].item_features.version();
-            let fetched = self.nodes[node].item_features.get(item_id);
+            let version_before = self.items.version();
+            let fetched = self.items.get(item_id);
             if let Some(ref features) = fetched {
-                if self.nodes[node].item_features.version() == version_before {
+                if self.items.version() == version_before {
                     self.nodes[at].item_cache.lock().unwrap().put(item_id, Arc::clone(features));
                 }
             }
@@ -882,10 +836,7 @@ impl Cluster {
                 remote_reads: n.remote_reads.get(),
                 failover_reads: n.failover_reads.get(),
                 unavailable_reads: n.unavailable_reads.get(),
-                catch_up_entries: n.catch_up_entries.get(),
                 cache: n.item_cache.lock().unwrap().stats(),
-                users_owned: n.user_weights.len(),
-                items_owned: n.item_features.len(),
                 health: NodeHealth::decode(n.health.load(Ordering::Acquire)),
             })
             .collect();
@@ -893,7 +844,6 @@ impl Cluster {
             nodes,
             virtual_read_us: self.virtual_read_nanos.load(Ordering::Relaxed) as f64 / 1000.0,
             unavailable_reads: self.nodes.iter().map(|n| n.unavailable_reads.get()).sum(),
-            catch_up_entries: self.nodes.iter().map(|n| n.catch_up_entries.get()).sum(),
             injected_read_failures: self.injected_read_failures.get(),
             injected_latency_spikes: self.injected_latency_spikes.get(),
         }
@@ -910,7 +860,6 @@ impl Cluster {
             n.cache_misses.reset();
             n.failover_reads.reset();
             n.unavailable_reads.reset();
-            n.catch_up_entries.reset();
             n.item_cache.lock().unwrap().reset_stats();
         }
         self.virtual_read_nanos.store(0, Ordering::Relaxed);
@@ -919,65 +868,23 @@ impl Cluster {
     }
 
     /// Registers every node's counters with a metrics registry, labelled by
-    /// node id: routed requests, local/remote read accounting, item-cache
-    /// hits and misses, and the shard tables' raw KV read/write counters.
-    /// The registry exposes the same atomics the serving path increments.
+    /// node id: routed requests, local/remote read accounting, and
+    /// item-cache hits and misses. The registry exposes the same atomics
+    /// the serving path increments.
     pub fn register_metrics(&self, registry: &Registry) {
         for (i, node) in self.nodes.iter().enumerate() {
             let id = i.to_string();
             let labels: [(&str, &str); 1] = [("node", id.as_str())];
-            registry.register_counter(
-                "velox_cluster_requests_total",
-                &labels,
-                Arc::clone(&node.requests_served),
-            );
-            registry.register_counter(
-                "velox_cluster_local_reads_total",
-                &labels,
-                Arc::clone(&node.local_reads),
-            );
-            registry.register_counter(
-                "velox_cluster_remote_reads_total",
-                &labels,
-                Arc::clone(&node.remote_reads),
-            );
-            registry.register_counter(
-                "velox_cluster_item_cache_hits_total",
-                &labels,
-                Arc::clone(&node.cache_hits),
-            );
-            registry.register_counter(
-                "velox_cluster_item_cache_misses_total",
-                &labels,
-                Arc::clone(&node.cache_misses),
-            );
-            registry.register_counter(
-                "velox_cluster_failover_reads_total",
-                &labels,
-                Arc::clone(&node.failover_reads),
-            );
-            registry.register_counter(
-                "velox_cluster_unavailable_reads_total",
-                &labels,
-                Arc::clone(&node.unavailable_reads),
-            );
-            registry.register_counter(
-                "velox_cluster_catch_up_entries_total",
-                &labels,
-                Arc::clone(&node.catch_up_entries),
-            );
-            for ns in [&node.user_weights, &node.item_features] {
-                let table_labels: [(&str, &str); 2] = [("node", id.as_str()), ("table", ns.name())];
-                registry.register_counter(
-                    "velox_kv_reads_total",
-                    &table_labels,
-                    ns.reads_counter(),
-                );
-                registry.register_counter(
-                    "velox_kv_writes_total",
-                    &table_labels,
-                    ns.writes_counter(),
-                );
+            for (name, counter) in [
+                ("velox_cluster_requests_total", &node.requests_served),
+                ("velox_cluster_local_reads_total", &node.local_reads),
+                ("velox_cluster_remote_reads_total", &node.remote_reads),
+                ("velox_cluster_item_cache_hits_total", &node.cache_hits),
+                ("velox_cluster_item_cache_misses_total", &node.cache_misses),
+                ("velox_cluster_failover_reads_total", &node.failover_reads),
+                ("velox_cluster_unavailable_reads_total", &node.unavailable_reads),
+            ] {
+                registry.register_counter(name, &labels, Arc::clone(counter));
             }
         }
         registry.register_counter(
@@ -998,8 +905,10 @@ impl Cluster {
     }
 }
 
-/// The simulator's side of the migration seam: in-memory copies between
-/// node shards.
+/// The simulator's side of the migration seam. The users' state is held
+/// once by its owner, so nothing moves: a chunk step checks the link and
+/// reports the users the census names, and the rollback and the reconcile
+/// passes have nothing to do.
 impl MigrationIo for Cluster {
     fn capacity(&self) -> usize {
         self.nodes.len()
@@ -1027,10 +936,9 @@ impl MigrationIo for Cluster {
                 return ChunkStep::Abort(format!("checkpoint link partitioned ({src}<->{dst})"));
             }
         }
-        let map = Cluster::map(self);
-        let (from, to) = (&self.nodes[src].user_weights, &self.nodes[dst]);
-        let mut uids = from.keys();
-        uids.retain(|&uid| uid >= cursor && map.partition_of(uid) == p);
+        let census = self.census.lock().unwrap().clone();
+        let mut uids = census.map_or_else(Vec::new, |census| census(p));
+        uids.retain(|&uid| uid >= cursor);
         uids.sort_unstable();
         let budget = match self.config.checkpoint_chunk_users {
             0 => usize::MAX,
@@ -1038,39 +946,14 @@ impl MigrationIo for Cluster {
         };
         let done = uids.len() <= budget;
         uids.truncate(budget);
-        for &uid in &uids {
-            // Only this chunk's vectors are cloned, never the whole shard.
-            if let (false, Some(w)) = (to.user_weights.contains(uid), from.get(uid)) {
-                to.user_weights.put(uid, w);
-                to.catch_up_entries.inc();
-            }
-        }
         let next = uids.last().map_or(cursor, |uid| uid + 1);
         ChunkStep::Copied { next, users: uids.len() as u64, done }
     }
 
-    fn scrub(&self, p: u32, dst: NodeId) {
-        let map = Cluster::map(self);
-        let shard = &self.nodes[dst].user_weights;
-        for uid in shard.keys() {
-            if map.partition_of(uid) == p && !map.holds(dst, uid) {
-                shard.remove(uid);
-            }
-        }
-    }
+    fn scrub(&self, _p: u32, _dst: NodeId) {}
 
-    /// The source stayed authoritative throughout, so its current values
-    /// simply overwrite the destination's.
-    fn replay_tail(&self, p: u32, src: NodeId, dst: NodeId) -> Result<u64, String> {
-        let map = Cluster::map(self);
-        let mut replayed = 0u64;
-        for (uid, w) in self.nodes[src].user_weights.snapshot_entries() {
-            if map.partition_of(uid) == p {
-                self.nodes[dst].user_weights.put(uid, w);
-                replayed += 1;
-            }
-        }
-        Ok(replayed)
+    fn replay_tail(&self, _p: u32, _src: NodeId, _dst: NodeId) -> Result<u64, String> {
+        Ok(0)
     }
 }
 
@@ -1094,15 +977,11 @@ mod tests {
     }
 
     #[test]
-    fn user_weights_round_trip_locally_under_by_user_routing() {
+    fn user_reads_are_local_under_by_user_routing() {
         let c = cluster(4, RoutingPolicy::ByUser);
         for uid in 0..100u64 {
-            c.put_user_weights(uid, vec![uid as f64]);
-        }
-        for uid in 0..100u64 {
             let node = c.route_request(uid);
-            let read = c.read_user_weights(node, uid);
-            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64]);
+            let read = c.charge_user_read(node, uid);
             assert_eq!(read.kind, AccessKind::Local, "ByUser routing must make W reads local");
             assert_eq!(read.cost_us, LOCAL_READ_US);
         }
@@ -1113,11 +992,8 @@ mod tests {
     fn round_robin_routing_causes_remote_user_reads() {
         let c = cluster(4, RoutingPolicy::RoundRobin);
         for uid in 0..200u64 {
-            c.put_user_weights(uid, vec![1.0]);
-        }
-        for uid in 0..200u64 {
             let node = c.route_request(uid);
-            let _ = c.read_user_weights(node, uid);
+            let _ = c.charge_user_read(node, uid);
         }
         let frac = c.stats().local_fraction();
         // With 4 nodes, ~25% of random routes land on the home node.
@@ -1173,18 +1049,16 @@ mod tests {
     }
 
     #[test]
-    fn update_user_weights_is_local_at_home() {
+    fn user_writes_are_local_at_home() {
         let c = cluster(4, RoutingPolicy::ByUser);
         let uid = 5;
         let home = c.home_of_user(uid);
-        c.put_user_weights(uid, vec![0.0]);
         for _ in 0..2 {
-            let cost = c.try_update_user_weights(home, uid, |w| Arc::make_mut(w)[0] += 1.0);
-            assert_eq!(cost, Some(LOCAL_READ_US));
+            assert_eq!(c.charge_user_write(home, uid), Some(LOCAL_READ_US));
         }
-        assert_eq!(c.read_user_weights(home, uid).value.unwrap().to_vec(), vec![2.0]);
-        let stats = c.stats();
-        assert_eq!(stats.nodes.iter().map(|n| n.remote_reads).sum::<u64>(), 0);
+        assert_eq!(c.charge_user_write((home + 1) % 4, uid), Some(REMOTE_READ_US));
+        c.kill_node(home);
+        assert_eq!(c.charge_user_write(home, uid), None, "no live replica: nowhere to land");
     }
 
     #[test]
@@ -1287,29 +1161,15 @@ mod tests {
     #[test]
     fn stats_reset() {
         let c = cluster(2, RoutingPolicy::ByUser);
-        c.put_user_weights(1, vec![1.0]);
+        c.put_item_features(1, vec![1.0]);
         let node = c.route_request(1);
-        let _ = c.read_user_weights(node, 1);
+        let _ = c.charge_user_read(node, 1);
         c.reset_stats();
         let stats = c.stats();
         assert_eq!(stats.nodes.iter().map(|n| n.requests_served).sum::<u64>(), 0);
         assert_eq!(stats.virtual_read_us, 0.0);
-        // Ownership survives reset.
-        assert_eq!(stats.nodes.iter().map(|n| n.users_owned).sum::<usize>(), 1);
-    }
-
-    #[test]
-    fn ownership_counts_partition_everything() {
-        let c = cluster(8, RoutingPolicy::ByUser);
-        for uid in 0..1000 {
-            c.put_user_weights(uid, vec![]);
-        }
-        for item in 0..500 {
-            c.put_item_features(item, vec![]);
-        }
-        let stats = c.stats();
-        assert_eq!(stats.nodes.iter().map(|n| n.users_owned).sum::<usize>(), 1000);
-        assert_eq!(stats.nodes.iter().map(|n| n.items_owned).sum::<usize>(), 500);
+        // Placements survive reset.
+        assert_eq!(c.read_item_features(c.home_of_item(1), 1).value.unwrap().to_vec(), vec![1.0]);
     }
 
     fn replicated_cluster(n: usize, r: usize) -> Cluster {
@@ -1322,53 +1182,38 @@ mod tests {
     }
 
     #[test]
-    fn user_replication_fans_out_writes() {
+    fn kill_node_marks_down_and_reports_partitions_it_took() {
         let c = replicated_cluster(4, 2);
-        c.put_user_weights(3, vec![3.0]);
-        let replicas = c.replica_nodes_of_user(3);
-        assert_eq!(replicas.len(), 2);
-        for &node in &replicas {
-            assert_eq!(c.nodes[node].user_weights.get(3).unwrap().to_vec(), vec![3.0]);
-        }
-        c.try_update_user_weights(replicas[0], 3, |w| Arc::make_mut(w)[0] = 9.0).unwrap();
-        for &node in &replicas {
-            assert_eq!(
-                c.nodes[node].user_weights.get(3).unwrap().to_vec(),
-                vec![9.0],
-                "replica {node}"
-            );
-        }
-    }
-
-    #[test]
-    fn kill_node_wipes_state_and_marks_down() {
-        let c = replicated_cluster(4, 2);
-        for uid in 0..100u64 {
-            c.put_user_weights(uid, vec![uid as f64]);
-        }
         c.kill_node(1);
         assert_eq!(c.node_health(1), NodeHealth::Down);
         assert_eq!(c.live_nodes(), 3);
-        assert_eq!(c.nodes[1].user_weights.len(), 0, "crash loses in-memory state");
         let transitions = c.take_transitions();
         assert_eq!(transitions.len(), 1);
         assert_eq!(transitions[0].health, NodeHealth::Down);
+        assert!(transitions[0].lost_partitions.is_empty(), "every partition kept a replica");
         assert!(!c.transitions_pending());
+
+        // The partitions 1 shared with 2 have no replica left once 2 dies.
+        c.kill_node(2);
+        let map = c.map();
+        let both = |p: u32| {
+            let replicas = map.replicas_of_partition(p);
+            replicas.contains(&1) && replicas.contains(&2)
+        };
+        let lost = c.take_transitions().remove(0).lost_partitions;
+        assert!(!lost.is_empty());
+        assert_eq!(lost, (0..map.n_partitions()).filter(|&p| both(p)).collect::<Vec<_>>());
     }
 
     #[test]
     fn failover_read_survives_single_node_loss() {
         let c = replicated_cluster(4, 2);
-        for uid in 0..200u64 {
-            c.put_user_weights(uid, vec![uid as f64]);
-        }
         c.kill_node(2);
         for uid in 0..200u64 {
             let at = c.route_request(uid);
             assert_ne!(at, 2, "requests must not route to a dead node");
-            let read = c.read_user_weights(at, uid);
+            let read = c.charge_user_read(at, uid);
             assert!(!read.unavailable, "replication 2 must survive one loss");
-            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64]);
             if c.home_of_user(uid) == 2 {
                 assert!(read.failover, "home dead → replica must have answered");
             }
@@ -1379,50 +1224,48 @@ mod tests {
     #[test]
     fn unreplicated_read_is_unavailable_when_home_dies() {
         let c = replicated_cluster(2, 1);
-        c.put_user_weights(7, vec![7.0]);
         let home = c.home_of_user(7);
         c.kill_node(home);
-        let read = c.read_user_weights(1 - home, 7);
+        let read = c.charge_user_read(1 - home, 7);
         assert!(read.unavailable);
-        assert!(read.value.is_none());
+        assert!(!c.user_partition_live(7));
         assert_eq!(c.stats().unavailable_reads, 1);
     }
 
     #[test]
-    fn recovery_catches_up_from_survivors() {
+    fn a_kill_drops_the_items_it_took_and_a_recovery_copies_nothing() {
         let c = replicated_cluster(4, 2);
-        for uid in 0..300u64 {
-            c.put_user_weights(uid, vec![uid as f64]);
-        }
         for item in 0..100u64 {
             c.put_item_features(item, vec![item as f64]);
         }
+        let on_0_and_1 = |item: &u64| {
+            let replicas = c.replica_nodes_of_item(*item);
+            replicas.contains(&0) && replicas.contains(&1)
+        };
         c.kill_node(0);
-        let caught_up = c.recover_node(0);
-        assert!(caught_up > 0, "node 0 must re-populate from surviving replicas");
+        assert_eq!(c.items.len(), 100, "every item kept a live replica");
+        c.kill_node(1);
+        let lost: Vec<u64> = (0..100u64).filter(on_0_and_1).collect();
+        assert!(!lost.is_empty());
+        assert_eq!(c.items.len(), 100 - lost.len(), "the items both replicas held are gone");
+        c.recover_node(0);
+        c.recover_node(1);
         assert_eq!(c.node_health(0), NodeHealth::Up);
-        assert_eq!(c.stats().catch_up_entries, caught_up);
-        // Every user whose replica set includes node 0 is back.
-        for uid in 0..300u64 {
-            if c.replica_nodes_of_user(uid).contains(&0) {
-                assert_eq!(c.nodes[0].user_weights.get(uid).unwrap().to_vec(), vec![uid as f64]);
-            }
+        for &item in &lost {
+            assert!(c.read_item_features(0, item).value.is_none(), "item {item} came back");
         }
-        // Recovery journals Recovering → Up with the catch-up count.
-        let transitions = c.take_transitions();
-        let last = transitions.last().unwrap();
-        assert_eq!(last.health, NodeHealth::Up);
-        assert_eq!(last.caught_up, caught_up);
-        // Idempotent: recovering an Up node is a no-op.
-        assert_eq!(c.recover_node(0), 0);
+        // Recovery journals the node Up; recovering an Up node is a no-op.
+        assert_eq!(c.take_transitions().last().unwrap().health, NodeHealth::Up);
+        c.recover_node(0);
+        assert!(!c.transitions_pending());
+        // The next publish restores them.
+        c.publish_item_features((0..100u64).map(|i| (i, vec![i as f64])).collect());
+        assert_eq!(c.read_item_features(0, lost[0]).value.unwrap().to_vec(), vec![lost[0] as f64]);
     }
 
     #[test]
     fn scheduled_faults_fire_on_the_request_clock() {
         let c = replicated_cluster(4, 2);
-        for uid in 0..50u64 {
-            c.put_user_weights(uid, vec![1.0]);
-        }
         c.install_fault_plan(FaultPlan::scripted(vec![
             crate::fault::FaultEvent { at_request: 10, node: 1, action: FaultAction::Kill },
             crate::fault::FaultEvent { at_request: 30, node: 1, action: FaultAction::Recover },
@@ -1450,14 +1293,11 @@ mod tests {
             max_nodes: 4,
             ..Default::default()
         });
-        for uid in 0..500u64 {
-            c.put_user_weights(uid, vec![uid as f64]);
-        }
         assert_eq!(c.map_epoch(), 1);
         let new = c.join_node().unwrap();
         assert_eq!(new, 3);
         assert_eq!(c.map_epoch(), 2, "join bumps the epoch");
-        assert_eq!(c.map().partitions_owned_by(new).len(), 0, "join moves no data yet");
+        assert_eq!(c.map().partitions_owned_by(new).len(), 0, "join moves no partition yet");
 
         let moved = c.rebalance_join(new).unwrap();
         assert_eq!(moved.len(), c.map().n_partitions() as usize / 4);
@@ -1468,13 +1308,11 @@ mod tests {
         );
         assert_eq!(c.map().partitions_owned_by(new).len(), moved.len());
 
-        // Every user still reads its exact weights, served by the current
-        // owner without failover.
+        // Every user is served by its current owner without failover.
         for uid in 0..500u64 {
             let at = c.route_request(uid);
-            let read = c.read_user_weights(at, uid);
-            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64], "uid {uid} after rebalance");
-            assert!(!read.failover, "owner must hold the data post-migration");
+            let read = c.charge_user_read(at, uid);
+            assert_eq!(read.kind, AccessKind::Local, "uid {uid} after rebalance");
         }
         // No headroom left: a second join fails with a typed error.
         assert!(c.join_node().is_err());
@@ -1498,15 +1336,19 @@ mod tests {
     }
 
     #[test]
-    fn fail_over_dead_reowns_from_replicas_and_backfills() {
+    fn fail_over_dead_reowns_from_replicas_and_streams_the_census() {
         let c = replicated_cluster(3, 2);
-        for uid in 0..300u64 {
-            c.put_user_weights(uid, vec![uid as f64]);
-        }
+        let salt = c.map().salt();
+        let n_partitions = c.map().n_partitions() as usize;
+        c.set_migration_census(move |p| {
+            (0..300u64)
+                .filter(|&uid| crate::partition::partition_index(uid, salt, n_partitions) == p)
+                .collect()
+        });
         c.kill_node(1);
         assert!(c.fail_over_dead(0).is_err(), "only a down node can be failed over");
-        let copied = c.fail_over_dead(1).unwrap();
-        assert!(copied > 0, "backfilled replicas must copy state");
+        let streamed = c.fail_over_dead(1).unwrap();
+        assert!(streamed > 0, "backfilled replicas stream their partitions' users");
         let map = c.map();
         assert!(!map.is_member(1));
         for p in 0..map.n_partitions() {
@@ -1515,9 +1357,7 @@ mod tests {
         for uid in 0..300u64 {
             let at = c.route_request(uid);
             assert_ne!(at, 1);
-            let read = c.read_user_weights(at, uid);
-            assert!(!read.unavailable);
-            assert_eq!(read.value.unwrap().to_vec(), vec![uid as f64], "uid {uid} after fail-over");
+            assert!(!c.charge_user_read(at, uid).unavailable, "uid {uid} after fail-over");
         }
     }
 
@@ -1525,9 +1365,6 @@ mod tests {
     fn injected_read_failures_force_failover_deterministically() {
         let run = |seed: u64| {
             let c = replicated_cluster(4, 2);
-            for uid in 0..100u64 {
-                c.put_user_weights(uid, vec![1.0]);
-            }
             c.install_fault_plan(FaultPlan {
                 read_failure_prob: 0.3,
                 latency_spike_prob: 0.2,
@@ -1536,7 +1373,7 @@ mod tests {
             });
             for uid in 0..100u64 {
                 let at = c.route_request(uid);
-                let _ = c.read_user_weights(at, uid);
+                let _ = c.charge_user_read(at, uid);
             }
             let s = c.stats();
             (s.injected_read_failures, s.injected_latency_spikes, s.failover_reads())

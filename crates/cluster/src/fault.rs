@@ -201,9 +201,6 @@ pub struct HealthTransition {
     pub node: NodeId,
     /// The state it entered.
     pub health: NodeHealth,
-    /// Entries re-populated from surviving replicas (set on transitions to
-    /// `Up` that completed a recovery; 0 otherwise).
-    pub caught_up: u64,
     /// User partitions this transition left without a live replica (set
     /// on transitions to `Down`; empty otherwise): their state is gone.
     pub lost_partitions: Vec<u32>,

@@ -16,17 +16,19 @@
 //!
 //! None of this needs real sockets to study: what the experiments measure
 //! is *where* data lives and *what a remote read costs*. The simulator
-//! models exactly that — N nodes, each owning a shard of `W` and of the
-//! item table plus an LRU item cache, with a virtual-time cost model
-//! (microseconds per local/remote read) and full access accounting. The
-//! ABL-PART and ABL-CACHE experiments, and the serving path of `velox-core`,
-//! run on top of this.
+//! models exactly that — N nodes, the placement of `W` and of the item
+//! table across them, an LRU item cache per node, a virtual-time cost
+//! model (microseconds per local/remote read) and full access accounting.
+//! It keeps no per-node copy of anything: the item table is held once,
+//! and each user's state once, by whoever serves it. The ABL-PART and
+//! ABL-CACHE experiments, and the serving path of `velox-core`, run on top
+//! of this.
 //!
 //! The [`fault`] module adds the adversary: deterministic node
 //! kill/recover schedules, transient read failures, and latency spikes,
-//! with replica failover and recovery catch-up in the cluster itself — the
-//! substrate for the CHAOS-AVAIL experiment and `velox-core`'s graceful
-//! degradation ladder. [`netfault`] extends the adversary to the *links*
+//! with replica failover in the cluster itself and one crash rule (a kill
+//! drops whatever lost its last live replica) — the substrate for the
+//! CHAOS-AVAIL experiment and `velox-core`'s graceful degradation ladder. [`netfault`] extends the adversary to the *links*
 //! (seeded drop/delay/duplication/corruption/reset and directional
 //! partitions between named peers), [`detector`] turns probe outcomes
 //! into suspect/dead liveness verdicts that feed routing, and [`retry`]
@@ -59,8 +61,8 @@ pub mod transport;
 pub mod user_store;
 
 pub use cluster::{
-    AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats, LOCAL_READ_US,
-    REMOTE_READ_US,
+    AccessKind, Cluster, ClusterConfig, ClusterRead, ClusterStats, NodeStats, UserAccess,
+    LOCAL_READ_US, REMOTE_READ_US,
 };
 pub use conn_pool::{ConnPool, PoolConfig};
 pub use detector::{FailureDetector, PeerLiveness, PeerState};

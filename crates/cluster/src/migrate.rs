@@ -6,9 +6,10 @@
 //! and cancel flags, the deadline, the ledger, the phase sequence, the
 //! abort triggers and the rollback — and drives it through the narrow
 //! [`MigrationIo`] seam. The simulator ([`Cluster`](crate::Cluster)) fills
-//! the seam with in-memory copies, `velox-net`'s `NetCluster` with
-//! chunk/log RPCs; neither carries protocol logic of its own, so "both
-//! runtimes plan the same epochs" holds by construction.
+//! the seam with steps that move nothing (each user's state is held once,
+//! not per node), `velox-net`'s `NetCluster` with chunk/log RPCs; neither
+//! carries protocol logic of its own, so "both runtimes plan the same
+//! epochs" holds by construction.
 //!
 //! ## Live migration of partition `p` from its owner `src` to `dst`
 //!

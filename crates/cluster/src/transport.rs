@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use velox_data::linalg::{vector::dot_slices, IncrementalRidge, Vector};
+use velox_data::linalg::{vector::dot_slices, Vector};
 use velox_data::VeloxRng;
 use velox_obs::{
     ActiveSpan, RootSpan, SpanKind, SpanStatus, TraceConfig, TraceContext, Tracer, FRONT_NODE,
@@ -272,24 +272,19 @@ pub fn score(w: Option<&[f64]>, x: &[f64]) -> Result<(f64, bool), String> {
     Ok((dot_slices(w, x), false))
 }
 
-/// Whether two weight vectors are the same floats, bit for bit.
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
-}
-
 /// The in-process backend: [`Transport`] over the simulated [`Cluster`].
 ///
 /// Routing, replication, failover, and fault injection all come from the
 /// simulator; this adapter adds only the model — each user's
-/// `IncrementalRidge`, whose weights it writes into the cluster's slots
-/// the way `Velox` publishes them — and a monotone observation clock,
-/// mirroring what `velox-net`'s node servers do on real sockets.
+/// `IncrementalRidge`, held once, which every predict scores with and
+/// every observe folds into — and a monotone observation clock, mirroring
+/// what `velox-net`'s node servers do on real sockets.
 pub struct SimTransport {
     cluster: Arc<Cluster>,
-    /// Each user's online state. Predict, fail-over and migration read
-    /// the weights the cluster's slots hold; only observes read this, and
-    /// only while its weights are still the slot's.
-    users: UserStore,
+    /// Each user's online state, the only copy: the cluster says whether
+    /// and at what cost a replica answers, this says what it answers. A
+    /// partition's states die with its last live replica.
+    users: Arc<UserStore>,
     ts: AtomicU64,
     tracer: Arc<Tracer>,
     // Network-fault mirror: the same link chaos engine, retry budget, and
@@ -331,7 +326,10 @@ impl SimTransport {
     }
 
     fn build(cluster: Arc<Cluster>, tracer: Arc<Tracer>) -> Self {
-        let users = UserStore::new(&cluster.map(), StoreMetrics::default());
+        let users = Arc::new(UserStore::new(&cluster.map(), StoreMetrics::default()));
+        // A migration streams the users this store holds in the partition.
+        let census = Arc::clone(&users);
+        cluster.set_migration_census(move |p| census.partition_entries(p, |uid, _| uid));
         let map = Mutex::new(cluster.map());
         let chaos = Arc::new(LinkChaos::default());
         // The migration path consults the same link-fault engine the
@@ -402,6 +400,20 @@ impl SimTransport {
                     *self.map.lock().unwrap() = self.cluster.map();
                     self.map_refreshes.fetch_add(1, Ordering::Relaxed);
                 }
+            }
+        }
+    }
+
+    /// The crash rule: drops the states of every partition a kill left
+    /// without a live replica. Runs after routing (which fires scheduled
+    /// faults) and before any read of the store.
+    fn drop_lost_partitions(&self) {
+        if !self.cluster.transitions_pending() {
+            return;
+        }
+        for t in self.cluster.take_transitions() {
+            for &p in &t.lost_partitions {
+                self.users.drop_partition(p);
             }
         }
     }
@@ -498,6 +510,7 @@ impl Transport for SimTransport {
         let at = self.cluster.route_request(uid);
         let home = self.cluster.home_of_user(uid);
         tracer.finish(route_span);
+        self.drop_lost_partitions();
 
         // Chaos failover order: the routed target first, then the user's
         // other live replicas. With no link faults installed, attempt 0
@@ -542,11 +555,12 @@ impl Transport for SimTransport {
 
             let result = (|| {
                 let x = self.item_features(target, item_id)?;
-                let w_read = self.cluster.read_user_weights(target, uid);
-                if w_read.unavailable {
+                if self.cluster.charge_user_read(target, uid).unavailable {
                     return Err(TransportError::Unavailable);
                 }
-                score(w_read.value.as_deref(), &x).map_err(TransportError::Rejected)
+                let scored =
+                    self.users.read(uid, |user| score(Some(user.weights().as_slice()), &x));
+                scored.unwrap_or_else(|| score(None, &x)).map_err(TransportError::Rejected)
             })();
 
             let status = if result.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
@@ -606,6 +620,7 @@ impl Transport for SimTransport {
             };
             let at = self.cluster.route_request(uid);
             tracer.finish(route_span);
+            self.drop_lost_partitions();
 
             let v = self.chaos.verdict(FRONT_PEER, at as u32);
             if v.delay_us > 0 {
@@ -640,40 +655,11 @@ impl Transport for SimTransport {
             } else {
                 let fresh = (|| {
                     let x = Vector::from(&self.item_features(at, item_id)?[..]);
-                    let mut applied = Ok(());
-                    // Runs only when a replica is live, and writes the new
-                    // `w` into the slot as `Velox::publish_weights` does.
-                    // The slot is the truth: a state whose weights are no
-                    // longer the slot's restarts from it — from the zero
-                    // prior when a crash emptied it, as at a TCP node —
-                    // and so do weights installed into the slot directly.
-                    let update = |slot: &mut Arc<[f64]>| {
-                        let prior = || match slot.is_empty() {
-                            true => IncrementalRidge::new(x.len(), RIDGE_LAMBDA),
-                            false => {
-                                IncrementalRidge::from_prior(&Vector::from(&slot[..]), RIDGE_LAMBDA)
-                            }
-                        };
-                        let learned = self.users.upsert(uid, prior, |user| {
-                            if !same_bits(user.weights().as_slice(), slot) {
-                                *user = prior();
-                            }
-                            same_width(user.dim(), x.len())?;
-                            // An update the learner refuses (a non-finite
-                            // denominator) is acked unapplied, as at a node.
-                            let w =
-                                user.observe(&x, y).ok().map(|()| user.weights().as_slice().into());
-                            Ok::<Option<Arc<[f64]>>, String>(w)
-                        });
-                        if let Ok(Some(w)) = &learned {
-                            *slot = Arc::clone(w);
-                        }
-                        applied = learned.map(|_| ());
-                    };
-                    self.cluster
-                        .try_update_user_weights(at, uid, update)
-                        .ok_or(TransportError::Unavailable)?;
-                    applied.map_err(TransportError::Rejected)?;
+                    self.cluster.charge_user_write(at, uid).ok_or(TransportError::Unavailable)?;
+                    self.users.fits(uid, &x).map_err(TransportError::Rejected)?;
+                    // An update the learner refuses (a non-finite
+                    // denominator) is acked unapplied, as at a node.
+                    let _ = self.users.observe(uid, &x, y);
                     Ok(self.ts.fetch_add(1, Ordering::Relaxed) + 1)
                 })();
 
@@ -746,7 +732,8 @@ impl Transport for SimTransport {
     }
 
     fn fetch_weights(&self, uid: u64) -> Result<Option<Vec<f64>>, TransportError> {
-        Ok(self.cluster.peek_user_weights(uid))
+        self.drop_lost_partitions();
+        Ok(self.users.read(uid, |user| user.weights().as_slice().to_vec()))
     }
 
     fn tracer(&self) -> Arc<Tracer> {

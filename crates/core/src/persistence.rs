@@ -49,7 +49,8 @@ impl DeploymentSnapshot {
 impl Velox {
     /// Captures a restorable snapshot of the deployment's serving state.
     pub fn snapshot(&self) -> DeploymentSnapshot {
-        let user_weights = self.cluster().export_user_weights();
+        let user_weights: Vec<(u64, Vec<f64>)> =
+            self.user_weight_table().into_iter().map(|(uid, w)| (uid, w.to_vec())).collect();
         let item_table = self.current_model().materialized_table();
         let catalog = self.catalog_entries();
         DeploymentSnapshot {

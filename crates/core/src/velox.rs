@@ -249,11 +249,18 @@ struct Scored {
 }
 
 /// One retained model version for rollback: the model object plus the full
-/// user-weight table at swap time.
+/// user-weight table at swap time, its vectors shared with the serving
+/// table they were taken from (a retired version copies no weights).
 struct HistoryEntry {
     version: u64,
     model: Arc<dyn VeloxModel>,
-    user_weights: Vec<(u64, Vec<f64>)>,
+    user_weights: Vec<(u64, Arc<[f64]>)>,
+}
+
+/// A weight table as the serving table holds it: one shared vector per
+/// user.
+fn shared(weights: HashMap<u64, Vector>) -> Vec<(u64, Arc<[f64]>)> {
+    weights.into_iter().map(|(uid, w)| (uid, w.as_slice().into())).collect()
 }
 
 /// How many superseded versions are retained for rollback.
@@ -277,7 +284,14 @@ pub struct Velox {
     model: RwLock<Arc<dyn VeloxModel>>,
     version: AtomicU64,
     history: Mutex<Vec<HistoryEntry>>,
+    /// Where each user's weights and each item's features live, and what
+    /// reaching them costs.
     cluster: Cluster,
+    /// Every user's serving weights, the only copy: written once per
+    /// trained observe and replaced once per version swap. The cluster
+    /// models their placement; their partition's last live replica takes
+    /// them with it.
+    weights: Namespace<Arc<[f64]>>,
     /// Every observation, in arrival order: what retraining reads, and
     /// (catalog items, through the WAL) what recovery replays.
     obslog: ObservationLog,
@@ -292,7 +306,7 @@ pub struct Velox {
     /// Computed-feature cache keyed by `(item_id, model_version)`.
     feature_cache: ShardedCache<(u64, u64), Arc<[f64]>>,
     /// Last-known-good user weights, written through on every weight write
-    /// (sharing the vector the cluster slot holds) and served (flagged
+    /// (sharing the serving table's vector) and served (flagged
     /// `StaleCache`) when every live replica is gone.
     stale_weights: ShardedCache<u64, Arc<[f64]>>,
     /// Observations buffered while their user's partition is unreachable,
@@ -405,6 +419,7 @@ impl Velox {
             model: RwLock::new(Arc::clone(&model)),
             version: AtomicU64::new(1),
             history: Mutex::new(Vec::new()),
+            weights: Namespace::new("user_weights"),
             obslog: ObservationLog::new(),
             catalog: Namespace::new("item_catalog"),
             user_state,
@@ -463,6 +478,7 @@ impl Velox {
             velox.obslog.append_latency_histogram(),
         );
         for ns in [
+            ("user_weights", velox.weights.reads_counter(), velox.weights.writes_counter()),
             ("item_catalog", velox.catalog.reads_counter(), velox.catalog.writes_counter()),
             (
                 "user_versions",
@@ -473,7 +489,7 @@ impl Velox {
             velox.registry.register_counter("velox_kv_reads_total", &[("table", ns.0)], ns.1);
             velox.registry.register_counter("velox_kv_writes_total", &[("table", ns.0)], ns.2);
         }
-        velox.install_weight_table(&initial_weights);
+        velox.install_weight_table(shared(initial_weights));
         velox
     }
 
@@ -489,14 +505,20 @@ impl Velox {
     /// is not created here but lazily on a user's first observe, with these
     /// weights as the prior — pure serving never pays the online-learning
     /// memory cost.
-    fn install_weight_table(&self, weights: &HashMap<u64, Vector>) {
-        self.cluster.publish_user_weights(
-            weights.iter().map(|(&uid, w)| (uid, w.as_slice().to_vec())).collect(),
-        );
-        for (&uid, w) in weights {
-            self.stale_weights.put(uid, w.as_slice().into());
-            self.bootstrap.contribute(uid, w);
+    ///
+    /// A user whose partition has no live replica takes no entry: the
+    /// publish has nowhere to land, so the user stays lost after recovery
+    /// (served from the stale cache during the outage).
+    fn install_weight_table(&self, mut weights: Vec<(u64, Arc<[f64]>)>) {
+        for (uid, w) in &weights {
+            self.stale_weights.put(*uid, Arc::clone(w));
+            self.bootstrap.contribute(*uid, &Vector::from(&w[..]));
         }
+        let dead = self.cluster.dead_partitions();
+        if !dead.is_empty() {
+            weights.retain(|(uid, _)| !dead.contains(&self.user_state.partition_of(*uid)));
+        }
+        self.weights.publish_version(weights);
     }
 
     /// Registers an item's raw attributes in the catalog — required before
@@ -510,8 +532,8 @@ impl Velox {
     /// users), falling back to the bootstrap mean for brand-new users (§5's
     /// heuristic).
     fn fresh_user_state(&self, uid: u64) -> IncrementalRidge {
-        let prior = match self.cluster.peek_user_weights(uid) {
-            Some(w) => Vector::from_vec(w),
+        let prior = match self.weights.get(uid) {
+            Some(w) => Vector::from(&w[..]),
             // A dead partition may have taken the serving copy with it; the
             // stale cache is a better prior than the population mean.
             None => self
@@ -623,11 +645,11 @@ impl Velox {
     /// ladder: live replica → stale cached copy → bootstrap mean. Falls
     /// back to the bootstrap mean for unknown users even at full health.
     fn serving_weights(&self, at_node: usize, uid: u64) -> ServingWeights {
-        let read = self.cluster.read_user_weights(at_node, uid);
+        let read = self.cluster.charge_user_read(at_node, uid);
         let (found, level) = if !read.unavailable {
             let level =
                 if read.failover { DegradationLevel::Replica } else { DegradationLevel::Full };
-            (read.value, level)
+            (self.weights.get(uid), level)
         } else {
             match self.stale_weights.get(&uid) {
                 Some(w) => (Some(w), DegradationLevel::StaleCache),
@@ -751,17 +773,19 @@ impl Velox {
     /// drains its queue into this).
     ///
     /// The pass is **bit-identical** to calling [`Velox::predict`] once per
-    /// pair in order — both are the same scorer. What it *amortizes* is the
-    /// per-call overhead: one model snapshot, one version load, and one
-    /// routing decision and serving-weight read per distinct user in the
-    /// batch instead of per request — which is where the
-    /// batched-vs-unbatched throughput gap in SERVE-BATCH comes from.
+    /// pair in order — both are the same scorer — and counts the same:
+    /// every request is routed, so the per-node load and the request clock
+    /// that fires a [`FaultPlan`] advance as they would under `predict`.
+    /// What it *amortizes* is the per-call overhead: one model snapshot,
+    /// one version load, and one serving-weight read per distinct user in
+    /// the batch (at the node the user's first request routed to) instead
+    /// of per request — which is where the batched-vs-unbatched throughput
+    /// gap in SERVE-BATCH comes from.
     pub fn predict_batch(
         &self,
         requests: &[(u64, Item)],
     ) -> Vec<Result<PredictResponse, VeloxError>> {
         let _span = SpanTimer::new(&self.predict_latency);
-        self.publish_fault_transitions();
         // One snapshot of the model lineage for the whole batch: no request
         // in it can observe a half-swapped version.
         let mut call =
@@ -773,7 +797,9 @@ impl Velox {
         requests
             .iter()
             .map(|(uid, item)| {
-                let user = users.entry(*uid).or_insert_with(|| self.user_read(*uid, None));
+                let node = self.cluster.route_request(*uid);
+                self.publish_fault_transitions();
+                let user = users.entry(*uid).or_insert_with(|| self.user_read(*uid, Some(node)));
                 self.predict_pair(&mut call, user, item)
             })
             .collect()
@@ -893,7 +919,7 @@ impl Velox {
         // Every replica of the user's weights is dead: there is no online
         // state to update against and nowhere to write the result. Buffer
         // the observation for redo on recovery instead of erroring.
-        if self.cluster.live_user_replicas(uid).is_empty() {
+        if !self.cluster.user_partition_live(uid) {
             return self.defer_observation(uid, item, y);
         }
 
@@ -1059,25 +1085,36 @@ impl Velox {
         for t in self.cluster.take_transitions() {
             match t.health {
                 NodeHealth::Down => {
-                    // A user's state dies with the last live replica of its
-                    // partition; its next observe starts over from the prior
-                    // `fresh_user_state` picks.
-                    for &p in &t.lost_partitions {
-                        self.user_state.drop_partition(p);
+                    // A user's weights and state die with the last live
+                    // replica of its partition: reads fall to the stale
+                    // cache during the outage and to the bootstrap mean
+                    // after it, and the next observe starts over from the
+                    // prior `fresh_user_state` picks.
+                    if !t.lost_partitions.is_empty() {
+                        self.drop_partitions(&t.lost_partitions);
                     }
                     self.registry.event(EventKind::NodeDown { node: t.node as u64 });
                 }
                 NodeHealth::Up => {
-                    self.registry.event(EventKind::NodeRecovered {
-                        node: t.node as u64,
-                        caught_up: t.caught_up,
-                    });
+                    self.registry.event(EventKind::NodeRecovered { node: t.node as u64 });
                     // Redo failures here are not fatal to serving: the
                     // batch stays queued and retries on the next recovery
                     // or manual drain.
                     let _ = self.drain_redo_queue();
                 }
                 NodeHealth::Recovering => {}
+            }
+        }
+    }
+
+    /// Drops every serving weight and online state of partitions `lost`.
+    fn drop_partitions(&self, lost: &[u32]) {
+        for &p in lost {
+            self.user_state.drop_partition(p);
+        }
+        for uid in self.weights.keys() {
+            if lost.contains(&self.user_state.partition_of(uid)) {
+                self.weights.remove(uid);
             }
         }
     }
@@ -1096,13 +1133,12 @@ impl Velox {
         self.publish_fault_transitions();
     }
 
-    /// Recovers a cluster node immediately: re-populates its shards from
-    /// surviving replicas, publishes the lifecycle event, and drains the
-    /// redo queue. Returns the number of entries caught up.
-    pub fn recover_node(&self, node: usize) -> u64 {
-        let caught_up = self.cluster.recover_node(node);
+    /// Recovers a cluster node immediately: publishes the lifecycle event
+    /// and drains the redo queue. Nothing is copied back: what lost its
+    /// last replica stays lost.
+    pub fn recover_node(&self, node: usize) {
+        self.cluster.recover_node(node);
         self.publish_fault_transitions();
-        caught_up
     }
 
     /// Records a label for a `topK` serve that was validation-randomized,
@@ -1205,14 +1241,11 @@ impl Velox {
             }
         }
 
-        // Current user weights as the warm start. The cluster table is
+        // Current user weights as the warm start. The serving table is
         // authoritative: every online update writes through to it.
-        let current_weights: HashMap<u64, Vector> = self
-            .cluster
-            .export_user_weights()
-            .into_iter()
-            .map(|(uid, w)| (uid, Vector::from_vec(w)))
-            .collect();
+        let current = self.weights.snapshot_entries();
+        let current_weights: HashMap<u64, Vector> =
+            current.iter().map(|(uid, w)| (*uid, Vector::from(&w[..]))).collect();
 
         let result = old_model
             .retrain(&data, &current_weights, &self.executor)
@@ -1229,13 +1262,10 @@ impl Velox {
         self.retire_version(HistoryEntry {
             version: old_version,
             model: old_model,
-            user_weights: current_weights
-                .iter()
-                .map(|(u, w)| (*u, w.as_slice().to_vec()))
-                .collect(),
+            user_weights: current,
         });
 
-        let missed_boundary = self.swap_in(new_model, result.user_weights, old_version + 1);
+        let missed_boundary = self.swap_in(new_model, shared(result.user_weights), old_version + 1);
         // Replay the observations that arrived mid-retrain (they were
         // applied to the discarded old online state and are not in the
         // batch snapshot). The boundary was captured under the exclusive
@@ -1273,7 +1303,7 @@ impl Velox {
     fn swap_in(
         &self,
         model: Arc<dyn VeloxModel>,
-        weights: HashMap<u64, Vector>,
+        weights: Vec<(u64, Arc<[f64]>)>,
         new_version: u64,
     ) -> u64 {
         // Exclusive: no observe/ingest may interleave with the swap (their
@@ -1291,10 +1321,11 @@ impl Velox {
         // is inside the batch model now (rollback restores weights, not
         // states), and fresh state is recreated lazily on their next
         // observe, with the retrained weights as its prior.
-        self.install_weight_table(&weights);
+        let bumped: Vec<(u64, u64)> =
+            weights.iter().map(|&(uid, _)| (uid, new_version << 32)).collect();
+        self.install_weight_table(weights);
         self.user_state.clear();
         // Bump every user's cache version in one publish.
-        let bumped: Vec<(u64, u64)> = weights.keys().map(|&uid| (uid, new_version << 32)).collect();
         self.user_versions.publish_version(bumped);
 
         // Old caches describe the old model.
@@ -1386,11 +1417,9 @@ impl Velox {
         self.retire_version(HistoryEntry {
             version: old_version,
             model: self.current_model(),
-            user_weights: self.cluster.export_user_weights(),
+            user_weights: self.weights.snapshot_entries(),
         });
-        let weights: HashMap<u64, Vector> =
-            entry.user_weights.into_iter().map(|(u, w)| (u, Vector::from_vec(w))).collect();
-        self.swap_in(entry.model, weights, old_version + 1);
+        self.swap_in(entry.model, entry.user_weights, old_version + 1);
         self.registry.event(EventKind::Rollback { from: old_version, to: version });
         Ok(self.model_version())
     }
@@ -1476,6 +1505,19 @@ impl Velox {
         &self.user_state
     }
 
+    /// A user's serving weights, shared with the serving table — a
+    /// management-plane read: no routing, no cost accounting. `None` for a
+    /// user without weights (never trained, or lost with a partition).
+    pub fn user_weights(&self, uid: u64) -> Option<Arc<[f64]>> {
+        self.weights.get(uid)
+    }
+
+    /// The whole serving table, each vector shared with it — what
+    /// snapshots and offline retraining start from.
+    pub fn user_weight_table(&self) -> Vec<(u64, Arc<[f64]>)> {
+        self.weights.snapshot_entries()
+    }
+
     /// Sets the serving version directly — used by snapshot restore so a
     /// restored deployment reports the version it was captured at.
     pub(crate) fn force_version(&self, version: u64) {
@@ -1515,22 +1557,22 @@ impl Velox {
     /// the serving table, the prediction-cache key version, the bootstrap
     /// mean and the last-known-good cache.
     ///
-    /// A live observe passes the node serving it and updates that node's
-    /// copy in place — charged to the cost model (local at the home shard
-    /// under ByUser routing) and fanned out to the live replicas. When the
-    /// last replica died mid-observation that write finds nowhere to land;
-    /// the online state already holds the update and writes through on the
-    /// next trained observe, so only the serving copy lags. A replay passes
-    /// `None` and writes every replica, uncharged.
+    /// A live observe passes the node serving it, and the write is charged
+    /// to the cost model (local at the home node under ByUser routing); a
+    /// replay passes `None` and is not charged. Either way the serving
+    /// table takes the write only while a replica of the user's partition
+    /// is live. When the last replica died mid-observation the write finds
+    /// nowhere to land; the online state already holds the update and
+    /// writes through on the next trained observe, so only the serving
+    /// copy lags.
     fn publish_weights(&self, uid: u64, weights: &Vector, serving_node: Option<usize>) {
         let w: Arc<[f64]> = weights.as_slice().into();
-        match serving_node {
-            Some(node) => {
-                let _ = self.cluster.try_update_user_weights(node, uid, |slot| {
-                    *slot = Arc::clone(&w);
-                });
-            }
-            None => self.cluster.put_user_weights(uid, Arc::clone(&w)),
+        let landed = match serving_node {
+            Some(node) => self.cluster.charge_user_write(node, uid).is_some(),
+            None => self.cluster.user_partition_live(uid),
+        };
+        if landed {
+            self.weights.put(uid, Arc::clone(&w));
         }
         self.user_versions.update_with(uid, || 0, |v| *v += 1);
         self.bootstrap.contribute(uid, weights);
@@ -1759,6 +1801,7 @@ impl Velox {
         let version = self.model_version();
         let index = self.catalog_index(version)?;
         let node = self.cluster.route_request(uid);
+        self.publish_fault_transitions();
         let weights = Vector::from(&self.serving_weights(node, uid).weights[..]);
         let (results, _stats) = index.top_k(&weights, k)?;
         Ok(results.into_iter().map(|s| (s.id, s.score)).collect())

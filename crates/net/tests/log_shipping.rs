@@ -317,7 +317,7 @@ fn weight_bits(w: Option<Vec<f64>>) -> Option<Vec<u64>> {
 /// A crash that takes a user's only copy (replication 1, no WAL) loses
 /// the user's model on both backends alike: the next observe learns from
 /// the zero prior, not from state that outlived the crash. Weights
-/// installed in the simulator's slots are the prior of the next update,
+/// installed in the simulator's store are the prior of the next update,
 /// as checkpoint-installed weights are at a TCP node.
 #[test]
 fn a_user_lost_in_a_crash_restarts_from_the_zero_prior_on_both_backends() {
@@ -352,7 +352,9 @@ fn a_user_lost_in_a_crash_restarts_from_the_zero_prior_on_both_backends() {
         assert_eq!(w, Some(one_update(uid, &[], 5)), "{name}: learned from pre-crash state");
     }
     let installed = [0.25, -0.5, 1.0];
-    sim_cluster.put_user_weights(uid, installed.to_vec());
+    let prior =
+        || IncrementalRidge::from_prior(&Vector::from_vec(installed.to_vec()), RIDGE_LAMBDA);
+    sim.user_store().upsert(uid, prior, |user| *user = prior());
     sim.observe(uid, 6, 1.0).expect("sim observe");
     let w = weight_bits(sim.fetch_weights(uid).unwrap());
     assert_eq!(w, Some(one_update(uid, &installed, 6)), "installed weights are not the prior");

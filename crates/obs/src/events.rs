@@ -59,8 +59,6 @@ pub enum EventKind {
     NodeRecovered {
         /// The recovered node's id.
         node: u64,
-        /// Entries re-populated from surviving replicas during catch-up.
-        caught_up: u64,
     },
     /// The observe redo queue was drained after an outage ended.
     RedoDrain {
@@ -124,9 +122,7 @@ impl EventKind {
             }
             EventKind::CacheRepopulation { entries } => vec![("entries", entries)],
             EventKind::NodeDown { node } => vec![("node", node)],
-            EventKind::NodeRecovered { node, caught_up } => {
-                vec![("node", node), ("caught_up", caught_up)]
-            }
+            EventKind::NodeRecovered { node } => vec![("node", node)],
             EventKind::RedoDrain { applied } => vec![("applied", applied)],
             EventKind::Checkpoint { seq, wal_offset, wal_segments_removed } => vec![
                 ("seq", seq),
@@ -285,7 +281,7 @@ mod tests {
             EventKind::StalenessTrip { observations: 9 },
             EventKind::CacheRepopulation { entries: 4 },
             EventKind::NodeDown { node: 1 },
-            EventKind::NodeRecovered { node: 1, caught_up: 12 },
+            EventKind::NodeRecovered { node: 1 },
             EventKind::RedoDrain { applied: 3 },
             EventKind::Checkpoint { seq: 1, wal_offset: 100, wal_segments_removed: 2 },
             EventKind::Recovery { replayed: 40, torn: 1 },

@@ -371,7 +371,7 @@ fn an_observation_the_wal_refuses_takes_no_effect() {
     let user = |velox: &Velox| {
         let a_inv = velox.user_store().read(uid, |s| s.packed_a_inv().to_vec()).expect("state");
         let a_inv: Vec<u64> = a_inv.iter().map(|v| v.to_bits()).collect();
-        let weights = velox.cluster().peek_user_weights(uid).expect("weights");
+        let weights = velox.user_weights(uid).expect("weights");
         let weights: Vec<u64> = weights.iter().map(|v| v.to_bits()).collect();
         let score = velox.predict(uid, &probe).expect("predict").score.to_bits();
         (a_inv, weights, score, velox.stats().redo.pending)

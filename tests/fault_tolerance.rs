@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use velox::cluster::{Cluster, SimTransport, Transport, TransportError};
 use velox::prelude::*;
 
 /// A deployment on `n_nodes` with both item features and user weights
@@ -260,16 +261,17 @@ fn scripted_outage_is_deterministic() {
 
 /// A publish and a kill free what they replace: once a new table is
 /// published, or the nodes holding a value are killed, no reference to the
-/// superseded vector is left inside the cluster.
+/// superseded vector is left inside the cluster. A user's weights live once,
+/// in Velox's serving table, which likewise keeps nothing a write replaced
+/// or a kill took; only the last-known-good cache outlives the kill.
 #[test]
 fn publishes_and_kills_leave_no_reference_to_what_they_replaced() {
-    let cluster = velox::cluster::Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         n_nodes: 2,
         item_replication: 2,
         user_replication: 2,
         ..Default::default()
     });
-    let held = |w: Vec<f64>| -> Arc<[f64]> { w.into() };
 
     cluster.publish_item_features(vec![(1, vec![0.5, 0.25])]);
     let item = cluster.read_item_features(0, 1).value.expect("published");
@@ -277,17 +279,196 @@ fn publishes_and_kills_leave_no_reference_to_what_they_replaced() {
     cluster.publish_item_features(vec![(1, vec![0.75, 0.125])]);
     assert_eq!(Arc::strong_count(&item), 1, "a publish kept the superseded item table");
 
-    let user = held(vec![1.0, 2.0]);
-    cluster.put_user_weights(7, Arc::clone(&user));
-    assert_eq!(Arc::strong_count(&user), 3, "one reference per replica");
-    cluster.publish_user_weights(vec![(7, vec![3.0, 4.0])]);
-    assert_eq!(Arc::strong_count(&user), 1, "a publish kept the superseded user table");
+    let velox = deploy(2, 2);
+    let user = velox.user_weights(7).expect("deployed");
+    assert_eq!(Arc::strong_count(&user), 3, "the serving table and the stale cache share it");
+    assert!(velox.observe(7, &Item::Id(1), 1.0).unwrap().trained);
+    assert_eq!(Arc::strong_count(&user), 1, "a write kept the superseded user vector");
 
-    let user = held(vec![5.0, 6.0]);
-    cluster.put_user_weights(7, Arc::clone(&user));
+    let user = velox.user_weights(7).expect("observed");
     let item = cluster.read_item_features(1, 1).value.expect("published");
     cluster.kill_node(0);
     cluster.kill_node(1);
-    assert_eq!(Arc::strong_count(&user), 1, "a kill kept the dead node's user shard");
+    velox.kill_node(0);
+    velox.kill_node(1);
+    assert!(velox.user_weights(7).is_none(), "the kill took the partition's last replica");
+    assert_eq!(Arc::strong_count(&user), 2, "beyond the stale cache, a kill kept the user");
     assert_eq!(Arc::strong_count(&item), 1, "a kill kept the dead node's item shard");
+}
+
+// The crash rules. A user's weights and online state, and an item's
+// features, are held once; the cluster decides what a kill takes: whatever
+// lost its last live replica. A recovery copies nothing back. Each rule is
+// pinned through `Velox` and through the simulator's transport.
+
+fn bits(w: &[f64]) -> Vec<u64> {
+    w.iter().map(|v| v.to_bits()).collect()
+}
+
+/// An item of `velox`'s 40 whose home is not `node`.
+fn item_off(velox: &Velox, node: usize, skip: u64) -> Item {
+    Item::Id((skip..40).find(|&i| velox.cluster().home_of_item(i) != node).expect("an item"))
+}
+
+#[test]
+fn velox_serves_a_user_from_the_bootstrap_after_its_last_replica_died() {
+    let velox = deploy(4, 1);
+    let uid = 3;
+    let home = velox.cluster().home_of_user(uid);
+    let (a, b) = (item_off(&velox, home, 0), item_off(&velox, home, 20));
+    assert!(!velox.predict(uid, &a).unwrap().bootstrapped);
+    velox.kill_node(home);
+    assert_eq!(velox.predict(uid, &b).unwrap().degradation, DegradationLevel::StaleCache);
+    velox.recover_node(home);
+    let after = velox.predict(uid, &b).unwrap();
+    assert!(after.bootstrapped, "recovery brought back weights the kill took");
+    assert_eq!(after.degradation, DegradationLevel::Full);
+    assert!(velox.user_weights(uid).is_none());
+}
+
+#[test]
+fn velox_serves_a_replicated_user_bit_equal_after_a_kill_and_recovery() {
+    let (velox, twin) = (deploy(4, 2), deploy(4, 2));
+    for v in [&velox, &twin] {
+        for uid in 0..20u64 {
+            v.observe(uid, &Item::Id((uid * 7) % 40), 0.5 - uid as f64 * 0.1).unwrap();
+        }
+    }
+    let weights = |v: &Velox| (0..20u64).map(|u| v.user_weights(u).map(|w| bits(&w))).collect();
+    let before: Vec<Option<Vec<u64>>> = weights(&velox);
+    velox.kill_node(1);
+    velox.recover_node(1);
+    assert_eq!(weights(&velox), before, "a kill that left a replica changed a user");
+    assert_eq!(velox.user_store().len(), twin.user_store().len(), "online state was dropped");
+    for uid in 0..20u64 {
+        let item = Item::Id((uid * 3 + 1) % 40);
+        let (got, want) = (velox.predict(uid, &item).unwrap(), twin.predict(uid, &item).unwrap());
+        assert_eq!(got.score.to_bits(), want.score.to_bits(), "user {uid}");
+    }
+    velox.observe(5, &Item::Id(9), 1.0).unwrap();
+    twin.observe(5, &Item::Id(9), 1.0).unwrap();
+    assert_eq!(velox.user_weights(5).map(|w| bits(&w)), twin.user_weights(5).map(|w| bits(&w)));
+}
+
+#[test]
+fn velox_loses_a_publish_made_while_every_replica_was_down() {
+    let velox = deploy(4, 1);
+    let uid = 3;
+    let home = velox.cluster().home_of_user(uid);
+    let kept = (0..20u64).find(|&u| velox.cluster().home_of_user(u) != home).unwrap();
+    for u in 0..20u64 {
+        if velox.cluster().home_of_user(u) != home {
+            velox.observe(u, &item_off(&velox, home, u), 1.0).unwrap();
+        }
+    }
+    assert_eq!(velox.retrain_offline().unwrap(), 2);
+    velox.kill_node(home);
+    // Rolling back publishes version 1's table while `uid`'s partition has
+    // no live replica: its entry has nowhere to land.
+    assert_eq!(velox.rollback(1).unwrap(), 3);
+    velox.recover_node(home);
+    assert!(velox.user_weights(uid).is_none(), "a publish to a dead partition survived");
+    assert!(velox.predict(uid, &item_off(&velox, home, 30)).unwrap().bootstrapped);
+    assert!(velox.user_weights(kept).is_some(), "a live partition lost its publish");
+}
+
+#[test]
+fn velox_loses_an_unreplicated_item_until_the_next_publish() {
+    let velox = deploy(4, 1);
+    let item = 5u64;
+    let item_home = velox.cluster().home_of_item(item);
+    let uid = (0..20u64).find(|&u| velox.cluster().home_of_user(u) != item_home).unwrap();
+    // Not read before the kill: the serving node's item cache would keep it.
+    velox.kill_node(item_home);
+    velox.recover_node(item_home);
+    match velox.predict(uid, &Item::Id(item)) {
+        Err(e) => assert!(e.to_string().contains("unknown item"), "{e}"),
+        Ok(r) => panic!("the kill took the item's only replica, yet it served {r:?}"),
+    }
+    for u in 0..20u64 {
+        velox.observe(u, &item_off(&velox, item_home, u), 0.5).unwrap();
+    }
+    velox.retrain_offline().unwrap();
+    assert!(velox.predict(uid, &Item::Id(item)).is_ok(), "the retrain's publish restores it");
+}
+
+/// The simulator's transport over `n_nodes` with `replication` copies of
+/// every user and item, and items `0..16` seeded.
+fn sim(n_nodes: usize, replication: usize) -> SimTransport {
+    let cluster = Arc::new(Cluster::new(ClusterConfig {
+        n_nodes,
+        user_replication: replication,
+        item_replication: replication,
+        ..Default::default()
+    }));
+    for item in 0..16u64 {
+        cluster.put_item_features(item, vec![1.0, (item % 4) as f64, 0.5]);
+    }
+    SimTransport::new(cluster, 0.0)
+}
+
+/// An item of the simulator's 16 whose home is not `node`.
+fn sim_item_off(t: &SimTransport, node: usize) -> u64 {
+    (0..16).find(|&i| t.cluster().home_of_item(i) != node).expect("an item")
+}
+
+#[test]
+fn sim_serves_a_user_from_the_prior_after_its_last_replica_died() {
+    let t = sim(3, 1);
+    let uid = 7;
+    let home = t.cluster().home_of_user(uid);
+    let item = sim_item_off(&t, home);
+    t.observe(uid, item, 1.0).unwrap();
+    assert!(!t.predict(uid, item).unwrap().cold_start);
+    t.cluster().kill_node(home);
+    t.cluster().recover_node(home);
+    assert_eq!(t.fetch_weights(uid).unwrap(), None, "recovery brought back a lost user");
+    let after = t.predict(uid, item).unwrap();
+    assert!(after.cold_start);
+    assert_eq!(after.score, 0.0);
+}
+
+#[test]
+fn sim_serves_a_replicated_user_bit_equal_after_a_kill_and_recovery() {
+    let t = sim(3, 2);
+    for uid in 0..24u64 {
+        t.observe(uid, uid % 16, (uid % 3) as f64).unwrap();
+    }
+    let weights = |t: &SimTransport| -> Vec<Option<Vec<u64>>> {
+        (0..24u64).map(|u| t.fetch_weights(u).unwrap().map(|w| bits(&w))).collect()
+    };
+    let scores = |t: &SimTransport| -> Vec<u64> {
+        (0..24u64).map(|u| t.predict(u, (u + 5) % 16).unwrap().score.to_bits()).collect()
+    };
+    let (w0, s0) = (weights(&t), scores(&t));
+    t.cluster().kill_node(0);
+    t.cluster().recover_node(0);
+    assert_eq!(weights(&t), w0, "a kill that left a replica changed a user");
+    assert_eq!(scores(&t), s0);
+}
+
+#[test]
+fn sim_loses_a_write_made_while_every_replica_was_down() {
+    let t = sim(3, 1);
+    let uid = 11;
+    let home = t.cluster().home_of_user(uid);
+    let item = sim_item_off(&t, home);
+    t.cluster().kill_node(home);
+    assert_eq!(t.observe(uid, item, 1.0).unwrap_err(), TransportError::Unavailable);
+    t.cluster().recover_node(home);
+    assert_eq!(t.fetch_weights(uid).unwrap(), None, "a write to a dead partition survived");
+}
+
+#[test]
+fn sim_loses_an_unreplicated_item_until_the_next_publish() {
+    let t = sim(3, 1);
+    let item = 5u64;
+    let item_home = t.cluster().home_of_item(item);
+    let uid = (0..64u64).find(|&u| t.cluster().home_of_user(u) != item_home).unwrap();
+    // Not read before the kill: the serving node's item cache would keep it.
+    t.cluster().kill_node(item_home);
+    t.cluster().recover_node(item_home);
+    assert_eq!(t.predict(uid, item).unwrap_err(), TransportError::Unavailable);
+    t.cluster().publish_item_features((0..16u64).map(|i| (i, vec![1.0, i as f64, 0.5])).collect());
+    assert!(t.predict(uid, item).is_ok(), "the publish restores it");
 }

@@ -333,19 +333,40 @@ fn retrain_reads_catalog_and_raw_examples_in_arrival_order() {
         };
         examples.push(TrainingExample { uid, item: resolved, y });
     }
-    let warm: HashMap<u64, Vector> = velox
-        .cluster()
-        .export_user_weights()
-        .into_iter()
-        .map(|(uid, w)| (uid, Vector::from_vec(w)))
-        .collect();
+    let warm: HashMap<u64, Vector> =
+        velox.user_weight_table().into_iter().map(|(uid, w)| (uid, Vector::from(&w[..]))).collect();
     let direct = model.retrain(&examples, &warm, &executor).unwrap();
 
     assert_eq!(velox.retrain_offline().unwrap(), 2);
     assert_eq!(direct.user_weights.len(), 5);
     let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (uid, want) in &direct.user_weights {
-        let served = velox.cluster().peek_user_weights(*uid).unwrap();
+        let served = velox.user_weights(*uid).unwrap();
         assert_eq!(bits(&served), bits(want.as_slice()), "user {uid}");
     }
+}
+
+/// A retired version keeps the serving table's own vectors: retiring one
+/// allocates no weight vector, and a rollback reinstalls the very vectors
+/// that were served before the swap.
+#[test]
+fn retiring_a_version_shares_its_weight_vectors() {
+    let ds = make_dataset(47);
+    let split = three_way_split(&ds, 0.5, 0.7);
+    let velox = deploy_from(&ds, &split.offline, VeloxConfig::single_node());
+    let mu = mean_rating(&split.offline);
+    for r in split.online.iter().filter(|r| r.uid != 0).take(200) {
+        velox.observe(r.uid, &Item::Id(r.item_id), r.value - mu).unwrap();
+    }
+
+    let served = velox.user_weights(0).expect("offline-trained user");
+    assert_eq!(Arc::strong_count(&served), 3, "the serving table, the stale cache and this");
+    assert_eq!(velox.retrain_offline().unwrap(), 2);
+    assert!(!Arc::ptr_eq(&velox.user_weights(0).unwrap(), &served), "v2 serves new weights");
+    assert_eq!(Arc::strong_count(&served), 2, "the retired version holds the served vector");
+
+    assert_eq!(velox.rollback(1).unwrap(), 3);
+    let restored = velox.user_weights(0).unwrap();
+    assert!(Arc::ptr_eq(&restored, &served), "rollback reinstalled a copy");
+    assert_eq!(Arc::strong_count(&served), 4, "the table, the stale cache, this and `restored`");
 }

@@ -479,3 +479,33 @@ fn repopulated_entries_equal_a_twins_cold_scores() {
         assert_eq!(warm.score.to_bits(), fresh.score.to_bits(), "({uid}, {item})");
     }
 }
+
+/// `predict_batch` counts requests as `predict` does: twin deployments
+/// answer the same cached and uncached pairs, one at a time or in batches,
+/// and route every request, so each node's request count and the request
+/// clock a fault plan fires against agree.
+#[test]
+fn predict_batch_routes_every_request_as_predict_does() {
+    let topology = ClusterConfig { n_nodes: 4, ..Default::default() };
+    let (one, batched) = (deploy_table_on(topology.clone()), deploy_table_on(topology));
+    // One pair ten times (a miss, then hits), then each user over a
+    // repeated item.
+    let mut pairs: Vec<(u64, u64)> = vec![(1, 7); 10];
+    pairs.extend((0..4u64).flat_map(|uid| [(uid, 3), (uid, 9), (uid, 3)]));
+    for &(uid, item) in &pairs {
+        one.predict(uid, &Item::Id(item)).unwrap();
+    }
+    for chunk in pairs.chunks(4) {
+        let requests: Vec<(u64, Item)> = chunk.iter().map(|&(u, i)| (u, Item::Id(i))).collect();
+        for response in batched.predict_batch(&requests) {
+            response.unwrap();
+        }
+    }
+    let served = |velox: &Velox| -> Vec<u64> {
+        velox.cluster().stats().nodes.iter().map(|n| n.requests_served).collect()
+    };
+    assert_eq!(one.cluster().request_clock(), pairs.len() as u64);
+    assert_eq!(batched.cluster().request_clock(), one.cluster().request_clock());
+    assert_eq!(served(&batched), served(&one));
+    assert_eq!(batched.stats().prediction_cache.0, one.stats().prediction_cache.0, "same hits");
+}
